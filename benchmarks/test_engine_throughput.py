@@ -24,6 +24,9 @@ Acceptance properties of the engine PRs:
   at least 1.5x faster than the parent row-batch path at 64 nodes
   with >= 2 shards, agreeing at 1e-9 (timing skipped on single-CPU
   machines; the parity check and the parent baseline always run).
+* one serial SAMO round at 128 nodes, view 8 (the end-to-end
+  ``samo-peerswap-v8-128`` scenario without the observer) is recorded
+  as ``samo_wake`` — median, min, IQR and reps — with no timing gate.
 
 Timing assertions compare best-of-N wall clocks of the two paths doing
 the *same* work, so the test is robust to absolute machine speed; only
@@ -38,13 +41,14 @@ perf trajectory stays machine-readable across PRs (``make bench`` /
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.core.study import StudyConfig, run_study
+from repro.core.study import Study, StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip.engine import (
     BatchedExecutor,
@@ -63,6 +67,7 @@ from repro.privacy.dp import DPSGDConfig
 from repro.privacy.mia import mia_reports_batched
 
 from benchmarks.conftest import print_series, run_once, update_bench_json
+from benchmarks.e2e.workloads import WORKLOADS
 
 N_NODES = 64
 N_NODES_SHARDED = 128
@@ -828,3 +833,33 @@ class TestExecutorEquivalence:
             serial.metadata["messages_dropped"]
             == parallel.metadata["messages_dropped"]
         )
+
+
+class TestSamoWakeRound:
+    """The SAMO message path at the paper's best-mixing setting: each
+    wake sends one read-only snapshot to its 8 neighbours and merges its
+    inbox in place. Records numbers for BENCH_engine.json; no gate."""
+
+    REPS = 5
+
+    def test_samo_wake_round_recorded(self):
+        payload = dict(WORKLOADS["samo-peerswap-v8-128"].payload, seed=0)
+        times = []
+        with Study(StudyConfig(**payload)) as study:
+            simulator = study.simulator
+            simulator.run_round()  # round 0 carries the lazy set-up
+            for _ in range(self.REPS):
+                start = time.perf_counter()
+                simulator.run_round()
+                times.append((time.perf_counter() - start) * 1e3)
+            sent = simulator.messages_sent
+        q1, _, q3 = statistics.quantiles(times, n=4)
+        _record(
+            "samo_wake", payload["n_nodes"],
+            median_ms=statistics.median(times),
+            min_ms=min(times),
+            iqr_ms=q3 - q1,
+            reps=self.REPS,
+        )
+        print_series("samo wake round ms", times)
+        assert sent > 0

@@ -176,11 +176,21 @@ class StateArena:
         self.data[...] = self.mix(weights)
 
 
-def mean_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Uniform average of flat vectors as one vectorized op."""
+def mean_vectors(
+    vectors: Sequence[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Uniform average accumulated in place: ``out = 0.0 + vectors[0]``
+    (``out`` may alias ``vectors[0]``; None allocates), add the rest in
+    order, divide by the count. That is exactly the sequential sum of
+    ``np.stack(vectors).mean(axis=0)``, so it is bit identical in
+    float32 and float64 without the ``(k, dim)`` stack."""
     if not vectors:
         raise ValueError("cannot average zero vectors")
-    return np.stack(vectors, axis=0).mean(axis=0)
+    out = np.add(vectors[0], 0.0, out=out)
+    for vector in vectors[1:]:
+        out += vector
+    out /= len(vectors)
+    return out
 
 
 @dataclass(frozen=True)
@@ -715,8 +725,10 @@ class FlatGossipSimulator(GossipSimulator):
     # -- state capture (checkpoint/resume) ----------------------------
 
     def _copy_payload(self, payload):
-        """Messages are flat vectors under this engine."""
-        return np.array(payload)
+        """A read-only flat vector: also the snapshot one wake sends."""
+        payload = np.array(payload)
+        payload.flags.writeable = False
+        return payload
 
     def _capture_node_model(self, node):
         """Node models live in the arena snapshot; nothing per node."""
@@ -726,25 +738,25 @@ class FlatGossipSimulator(GossipSimulator):
         """No-op: the arena restore repopulates the rows the node-state
         views are bound to."""
 
-    def capture_state(self) -> dict:
-        state = super().capture_state()
+    def _capture_state(self, copy: Callable) -> dict:
+        state = super()._capture_state(copy)
         state["arena"] = self.arena.data.copy()
         state["sessions"] = list(self._sessions)
         state["pending"] = [
-            (sender, receiver, np.array(payload))
+            (sender, receiver, copy(payload))
             for sender, receiver, payload in self._pending
         ]
         return state
 
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
+    def _restore_state(self, state: dict, copy: Callable) -> None:
+        super()._restore_state(state, copy)
         # Written in place so existing node-state views (and, for the
         # sharded executor, the shared-memory segment the workers are
         # attached to) stay bound to the restored rows.
         self.arena.data[...] = state["arena"]
         self._sessions = list(state["sessions"])
         self._pending = [
-            (sender, receiver, np.array(payload))
+            (sender, receiver, copy(payload))
             for sender, receiver, payload in state["pending"]
         ]
 
@@ -769,11 +781,12 @@ class FlatGossipSimulator(GossipSimulator):
 
     # -- messaging ----------------------------------------------------
 
-    def _send_vector(self, sender: int, receiver: int, vector: np.ndarray) -> None:
+    def _send_vector(self, sender: int, receiver: int, payload: np.ndarray) -> None:
+        """Enqueue a wake's read-only snapshot as is: every receiver, the
+        in-flight heap and the log share the one array."""
         delay = self._transmission_delay(sender, receiver)
         if delay is None:
             return
-        payload = vector.copy()  # copy-on-enqueue: freeze the bytes sent
         # Building the dict view is per-slot work the log discards
         # unless it actually retains payloads.
         logged = self.layout.unpack(payload) if self.log.keep_payloads else {}
@@ -972,16 +985,18 @@ class FlatGossipSimulator(GossipSimulator):
             node = self.nodes[node_id]
             if node.inbox:
                 inbox, node.inbox = node.inbox, []
-                merged = mean_vectors([self.arena.row(node_id)] + inbox)
-                self.arena.write_row(node_id, merged)
+                row = self.arena.row(node_id)
+                mean_vectors([row] + inbox, out=row)
                 train_ids.append(node_id)
         if tel is not None:
             self._phase_acc["aggregate"] += (perf_counter() - start) * 1000.0
         self._train_nodes(train_ids)
         for node_id in alive:
-            row = self.arena.row(node_id)
-            for neighbor in sorted(self.sampler.view(node_id)):
-                self._send_vector(node_id, neighbor, row)
+            view = sorted(self.sampler.view(node_id))
+            if view:
+                payload = self._copy_payload(self.arena.row(node_id))
+                for neighbor in view:
+                    self._send_vector(node_id, neighbor, payload)
 
     def _base_wakes(self, alive: list[int]) -> None:
         """Algorithm 1: push to one random neighbor."""
@@ -991,7 +1006,8 @@ class FlatGossipSimulator(GossipSimulator):
             if not view:
                 continue
             neighbor = int(node.rng.choice(sorted(view)))
-            self._send_vector(node_id, neighbor, self.arena.row(node_id))
+            payload = self._copy_payload(self.arena.row(node_id))
+            self._send_vector(node_id, neighbor, payload)
 
 
 def make_simulator(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -347,6 +348,14 @@ class GossipSimulator:
         if saved is not None:
             node.state = {name: arr.copy() for name, arr in saved.items()}
 
+    def _memo_copy(self, copies: dict, payload):
+        """:meth:`_copy_payload` memoized by id over one capture/restore
+        pass: a payload several receivers share is copied (and pickled)
+        once and stays shared. The source keeps each id alive, so unique."""
+        if id(payload) not in copies:
+            copies[id(payload)] = self._copy_payload(payload)
+        return copies[id(payload)]
+
     def capture_state(self) -> dict:
         """Snapshot every piece of mutable run state.
 
@@ -357,8 +366,11 @@ class GossipSimulator:
         streams / counters, the in-flight message heap, the message log
         and the drop/skip tallies. ``restore_state`` inverts it;
         engines extend both via the ``_copy_payload`` /
-        ``_capture_node_model`` hooks and subclass overrides.
+        ``_capture_node_model`` hooks and ``_capture/_restore_state``.
         """
+        return self._capture_state(partial(self._memo_copy, {}))
+
+    def _capture_state(self, copy: Callable) -> dict:
         trainer = self.protocol.trainer
         return {
             "tick": self.clock.tick,
@@ -366,7 +378,7 @@ class GossipSimulator:
             "sampler": self.sampler.capture_state(),
             "send_seq": self._send_seq,
             "in_flight": [
-                (tick, seq, sender, receiver, self._copy_payload(payload))
+                (tick, seq, sender, receiver, copy(payload))
                 for tick, seq, sender, receiver, payload in self._in_flight
             ],
             "messages_dropped": self.messages_dropped,
@@ -384,7 +396,7 @@ class GossipSimulator:
             "nodes": [
                 {
                     "model": self._capture_node_model(node),
-                    "inbox": [self._copy_payload(p) for p in node.inbox],
+                    "inbox": [copy(p) for p in node.inbox],
                     "rng": node.rng.bit_generator.state,
                     "updates_performed": node.updates_performed,
                     "models_received": node.models_received,
@@ -398,6 +410,9 @@ class GossipSimulator:
         built simulator (same config). Every RNG stream is restored
         exactly, so the continued run is bit-identical to one that was
         never interrupted."""
+        self._restore_state(state, partial(self._memo_copy, {}))
+
+    def _restore_state(self, state: dict, copy: Callable) -> None:
         self.clock.tick = state["tick"]
         # The sampler shares this generator object; one restore covers
         # both draw streams.
@@ -405,7 +420,7 @@ class GossipSimulator:
         self.sampler.restore_state(state["sampler"])
         self._send_seq = state["send_seq"]
         self._in_flight = [
-            (tick, seq, sender, receiver, self._copy_payload(payload))
+            (tick, seq, sender, receiver, copy(payload))
             for tick, seq, sender, receiver, payload in state["in_flight"]
         ]
         heapq.heapify(self._in_flight)
@@ -420,7 +435,7 @@ class GossipSimulator:
         trainer.steps_taken = state["trainer_steps"]
         for node, saved in zip(self.nodes, state["nodes"]):
             self._restore_node_model(node, saved["model"])
-            node.inbox = [self._copy_payload(p) for p in saved["inbox"]]
+            node.inbox = [copy(p) for p in saved["inbox"]]
             node.rng.bit_generator.state = saved["rng"]
             node.updates_performed = saved["updates_performed"]
             node.models_received = saved["models_received"]

@@ -301,6 +301,9 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
 
     service: StudyService  # injected by make_server via a subclass attr
     protocol_version = "HTTP/1.1"
+    # Headers and body are separate sends: without this, the body waits
+    # ~40 ms for a keep-alive client's delayed ACK (Nagle's algorithm).
+    disable_nagle_algorithm = True
 
     def _request(self) -> Request:
         split = urlsplit(self.path)

@@ -233,6 +233,31 @@ class TestCheckpointFile:
         with pytest.raises(ValueError, match="not a study checkpoint"):
             Study.resume(path)
 
+    def test_restore_keeps_payload_sharing(self, tmp_path):
+        """One wake's snapshot sits in several inboxes as one read-only
+        array; the checkpoint stores it once and the restore hands the
+        same object back to every inbox, instead of one copy each."""
+
+        def inbox_groups(study):
+            groups: dict[int, list] = {}
+            for node in study.simulator.nodes:
+                for i, payload in enumerate(node.inbox):
+                    assert not payload.flags.writeable
+                    groups.setdefault(id(payload), []).append((node.node_id, i))
+            return sorted(groups.values())
+
+        path = tmp_path / "c.ckpt"
+        with Study(tiny_config(view_size=3)) as study:
+            next(study.iter_rounds())
+            study.checkpoint(path)
+            before = inbox_groups(study)
+        assert any(len(group) > 1 for group in before)
+        resumed = Study.resume(path)
+        try:
+            assert inbox_groups(resumed) == before
+        finally:
+            resumed.close()
+
     def test_resumed_finished_study_yields_nothing_more(self, tmp_path):
         config = tiny_config(rounds=2)
         path = tmp_path / "done.ckpt"

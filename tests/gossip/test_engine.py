@@ -4,6 +4,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
@@ -19,6 +22,7 @@ from repro.gossip import (
     make_protocol,
     make_simulator,
 )
+from repro.gossip.engine import mean_vectors
 from repro.nn import build_mlp, get_state
 from repro.nn.flat import StateLayout
 from repro.nn.serialize import state_to_vector
@@ -38,6 +42,8 @@ def build_flat(
     dp=None,
     dropout=0.0,
     max_updates=None,
+    view_size=2,
+    n_samples=300,
     **config_kwargs,
 ):
     builder = (
@@ -58,7 +64,7 @@ def build_flat(
         ),
     )
     train, _ = make_synthetic_tabular_dataset(
-        "t", 300, 30, num_features=16, num_classes=4, seed=seed
+        "t", n_samples, 30, num_features=16, num_classes=4, seed=seed
     )
     splits = make_node_splits(
         train, n_nodes, train_per_node=16, test_per_node=8, seed=seed
@@ -67,7 +73,7 @@ def build_flat(
     protocol.max_updates_per_node = max_updates
     config = SimulatorConfig(
         n_nodes=n_nodes,
-        view_size=2,
+        view_size=view_size,
         ticks_per_round=20,
         wake_mu=20,
         wake_sigma=2,
@@ -139,6 +145,36 @@ class TestStateArena:
         arena.load_state(0, state)
         assert arena.data.dtype == np.float32
         assert arena.state_view(0)[arena.layout.names[0]].dtype == np.float32
+
+
+@st.composite
+def vector_stacks(draw):
+    """k = 1..32 vectors of one float dtype, as a (k, dim) array."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 32)), draw(st.integers(1, 9)))
+    elements = st.floats(
+        width=np.dtype(dtype).itemsize * 8, allow_nan=False, allow_infinity=False
+    )
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+class TestMeanVectors:
+    """The in-place average is the stacked mean, bit for bit."""
+
+    @given(vector_stacks(), st.booleans())
+    def test_matches_stacked_mean_bitwise(self, stack, alias_out):
+        vectors = [row.copy() for row in stack]
+        expected = np.stack(vectors).mean(axis=0)
+        out = vectors[0] if alias_out else None
+        result = mean_vectors(vectors, out=out)
+        if alias_out:
+            assert result is vectors[0]
+        assert result.dtype == expected.dtype
+        assert result.tobytes() == expected.tobytes()
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            mean_vectors([])
 
 
 class TestMakeSimulator:
@@ -236,13 +272,46 @@ class TestFlatSimulator:
         assert sim.messages_undelivered == sim.messages_in_flight
 
     def test_in_flight_payload_frozen_at_send_time(self):
-        """Copy-on-enqueue holds on the flat path too: mutating the
-        sender's row after a delayed send must not alter the payload."""
+        """A wake sends one read-only snapshot of the sender's row to
+        every neighbour: training the row while the message is delayed
+        must not alter the payload, and the payload refuses writes."""
         sim = build_flat(delay_ticks=3)
-        sim._send_vector(0, 1, sim.arena.row(0))
-        frozen = sim._in_flight[0][4].copy()
+        sent = sim.arena.row(0).copy()
+        sim._samo_wakes([0])
         sim.arena.row(0)[:] += 99.0
-        np.testing.assert_array_equal(sim._in_flight[0][4], frozen)
+        payloads = [entry[4] for entry in sim._in_flight]
+        assert len(payloads) == len(sim.sampler.view(0)) > 1
+        assert all(p is payloads[0] for p in payloads)
+        np.testing.assert_array_equal(payloads[0], sent)
+        with pytest.raises(ValueError):
+            payloads[0][0] = 1.0
+
+    def test_one_read_only_payload_per_wake(self):
+        """After a 32-node, view-4 SAMO round every queued payload is
+        read-only and no wake produced more than one payload object."""
+        sim = build_flat(n_nodes=32, view_size=4, n_samples=1000, delay_jitter=2)
+        # id -> (payload, {(sender, tick)}); holding the payload keeps
+        # its id from being reused by a later snapshot.
+        sent: dict[int, tuple] = {}
+        send = sim._send_vector
+
+        def spy(sender, receiver, payload):
+            sent.setdefault(id(payload), (payload, set()))[1].add(
+                (sender, sim.clock.tick)
+            )
+            send(sender, receiver, payload)
+
+        sim._send_vector = spy
+        sim.run_round()  # run() would flush the in-flight heap
+        queued = [p for node in sim.nodes for p in node.inbox]
+        queued += [p for _, _, p in sim._pending]
+        queued += [entry[4] for entry in sim._in_flight]
+        assert queued and sim._in_flight
+        assert not any(p.flags.writeable for p in queued)
+        wakes = [w for _, w in sent.values()]
+        assert all(len(w) == 1 for w in wakes)  # one wake per payload
+        assert len(set().union(*wakes)) == len(sent)  # one payload per wake
+        assert {id(p) for p in queued} <= set(sent)
 
     def test_empty_split_node_skips_sessions(self):
         """A node without data still gossips (updates_performed grows)

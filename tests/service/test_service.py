@@ -3,11 +3,14 @@ lifecycle, and fault injection (disconnects, cancels, rate limits)."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import multiprocessing
 import os
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -27,6 +30,24 @@ class TestBasicEndpoints:
         status, headers, body = client.get("/healthz")
         assert status == 200
         assert json.loads(body) == {"status": "ok"}
+
+    def test_keep_alive_requests_do_not_wait_for_delayed_ack(self, client):
+        """Headers and body leave in separate sends; with Nagle's
+        algorithm on, each keep-alive response stalled ~40 ms on the
+        client's delayed ACK. One connection, 20 requests."""
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+                times.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.010
 
     def test_unknown_path_is_404(self, client):
         status, _, body = client.get("/nope")
