@@ -27,7 +27,14 @@ import pytest
 # benchmark modules ran (engine throughput, campaign throughput).
 BENCH_SCHEMA_VERSION = 2
 
-_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+_REPO = Path(__file__).resolve().parent.parent
+_BENCH_PATH = _REPO / "BENCH_engine.json"
+
+
+def src_loc(root: Path = _REPO / "src") -> int:
+    """Lines of Python under ``root`` — what
+    ``find src -name '*.py' | xargs cat | wc -l`` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
 
 
 def update_bench_json(sections: dict, path: Path | None = None) -> None:
@@ -56,6 +63,9 @@ def update_bench_json(sections: dict, path: Path | None = None) -> None:
     data["schema_version"] = BENCH_SCHEMA_VERSION
     data["unit"] = "ms"
     data["cpus"] = os.cpu_count()
+    # Code size rides the perf trajectory: a PR that deletes code shows
+    # it here next to the timings it kept.
+    data["src_loc"] = src_loc()
     tmp = target.with_suffix(target.suffix + ".tmp")
     tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, target)

@@ -5,7 +5,7 @@ Acceptance properties of the engine PRs:
 * aggregating/averaging over the flat ``(n_nodes, dim)`` arena is at
   least 5x faster than the dict-``State`` hot path on a 64-node round;
 * a fixed-seed run is bit-identical between the serial and the
-  process-pool executor (final accuracies and message counts);
+  sharded executor (final accuracies and message counts);
 * batched evaluation over arena rows is at least 3x faster than the
   per-node reload loop at 64 nodes, with tolerance-level identical
   metrics;
@@ -787,7 +787,7 @@ class TestObserverThroughput:
 
 
 class TestExecutorEquivalence:
-    def test_serial_and_process_runs_bit_identical(self, benchmark):
+    def test_serial_and_sharded_runs_bit_identical(self, benchmark):
         """Fixed seed, same config: final accuracies and message counts
         must match bit for bit across executor backends."""
         base = dict(
@@ -805,7 +805,6 @@ class TestExecutorEquivalence:
             max_attack_samples=48,
             local_epochs=1,
             batch_size=8,
-            engine="flat",
             seed=11,
         )
         serial = run_study(StudyConfig(name="engine-serial", **base))
@@ -813,7 +812,7 @@ class TestExecutorEquivalence:
             benchmark,
             run_study,
             StudyConfig(
-                name="engine-process", executor="process", n_workers=2, **base
+                name="engine-sharded", executor="sharded", n_shards=2, **base
             ),
         )
         s_last, p_last = serial.rounds[-1], parallel.rounds[-1]
@@ -822,7 +821,7 @@ class TestExecutorEquivalence:
             [r.global_test_accuracy for r in serial.rounds],
         )
         print_series(
-            "process acc per round",
+            "sharded acc per round",
             [r.global_test_accuracy for r in parallel.rounds],
         )
         assert s_last.global_test_accuracy == p_last.global_test_accuracy

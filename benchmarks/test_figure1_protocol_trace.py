@@ -15,9 +15,10 @@ import numpy as np
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BaseGossipProtocol,
-    GossipNode,
+    FlatGossipSimulator,
     LocalTrainer,
     SAMOProtocol,
+    SimulatorConfig,
     TrainerConfig,
 )
 from repro.nn import build_mlp, get_state
@@ -25,51 +26,52 @@ from repro.nn import build_mlp, get_state
 from benchmarks.conftest import run_once
 
 
-def build_node():
+def build_simulator(protocol_cls):
+    """Node x = node 0 of a 4-node simulator; nodes 1-3 play both the
+    y (incoming) and z (outgoing) neighbors, and x's view is pinned to
+    them."""
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
     trainer = LocalTrainer(
         model,
         TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=1, batch_size=8),
     )
     train, _ = make_synthetic_tabular_dataset(
-        "t", 120, 20, num_features=16, num_classes=4, seed=0
+        "t", 160, 20, num_features=16, num_classes=4, seed=0
     )
-    split = make_node_splits(train, 3, train_per_node=16, test_per_node=8, seed=0)[0]
-    init = get_state(model)
-    node = GossipNode(
-        node_id=0,
-        state={k: v.copy() for k, v in init.items()},
-        split=split,
-        rng=np.random.default_rng(7),
+    splits = make_node_splits(train, 4, train_per_node=16, test_per_node=8, seed=0)
+    sim = FlatGossipSimulator(
+        SimulatorConfig(n_nodes=4, view_size=3, seed=7),
+        protocol_cls(trainer),
+        splits,
+        get_state(model),
     )
-    return node, trainer, init
+    sim.sampler.view = lambda node_id: {1, 2, 3}
+    return sim
 
 
 def trace_protocol(protocol_cls):
-    node, trainer, init = build_node()
-    protocol = protocol_cls(trainer)
+    sim = build_simulator(protocol_cls)
+    node = sim.nodes[0]
     events = []
-
-    def send(sender, receiver, payload):
-        events.append(("send", receiver))
-
     # Steps 1-3: three models arrive from y1, y2, y3.
-    for shift in (1.0, 2.0, 3.0):
-        incoming = {k: v + shift for k, v in init.items()}
+    for sender, shift in ((1, 1.0), (2, 2.0), (3, 3.0)):
+        incoming = sim.arena.row(sender) + shift
         updates_before = node.updates_performed
-        protocol.on_receive(node, incoming)
+        sim._pending.append((sender, 0, incoming))
+        sim._process_pending()
         if node.updates_performed > updates_before:
             events.append(("merge_and_update", None))
         else:
             events.append(("buffered", None))
     # Steps 4-5: node x wakes up with z1, z2, z3 in its view.
     updates_before = node.updates_performed
-    protocol.on_wake(node, view={1, 2, 3}, send=send)
+    if isinstance(sim.protocol, SAMOProtocol):
+        sim._samo_wakes([0])
+    else:
+        sim._base_wakes([0])
     if node.updates_performed > updates_before:
-        events.insert(
-            len(events) - sum(1 for e in events if e[0] == "send"),
-            ("merge_and_update", None),
-        )
+        events.append(("merge_and_update", None))
+    events += [("send", receiver) for _, receiver, _ in sim._pending]
     return events, node
 
 

@@ -62,7 +62,6 @@ def _config() -> StudyConfig:
         local_epochs=1,
         batch_size=8,
         executor="batched",
-        engine="flat",
         seed=23,
     )
 

@@ -58,17 +58,12 @@ def _add_study_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--canaries", type=int, default=0)
     p.add_argument("--drop-prob", type=float, default=0.0)
     p.add_argument("--failure-prob", type=float, default=0.0)
-    p.add_argument("--engine", default="flat", choices=["flat", "dict"],
-                   help="state engine: flat-buffer arena (default) or the "
-                        "legacy dict-State path")
     p.add_argument("--executor", default="serial",
-                   choices=["serial", "process", "batched", "sharded"],
-                   help="local-update executor (flat engine only): serial "
-                        "workspace, process pool, blocked multi-model "
-                        "training over the arena, or shard workers running "
-                        "the blocked kernels over a shared-memory arena")
-    p.add_argument("--workers", type=int, default=0,
-                   help="process-pool size; 0 = one per CPU (capped)")
+                   choices=["serial", "batched", "sharded"],
+                   help="local-update executor: serial workspace, blocked "
+                        "multi-model training over the arena, or shard "
+                        "workers running the blocked kernels over a "
+                        "shared-memory arena")
     p.add_argument("--shards", type=int, default=0,
                    help="shard-worker count for the sharded executor; "
                         "0 = one per CPU (capped at the node count)")
@@ -134,9 +129,7 @@ def _run_study(args: argparse.Namespace) -> int:
             "n_canaries": args.canaries,
             "drop_prob": args.drop_prob,
             "failure_prob": args.failure_prob,
-            "engine": args.engine,
             "executor": args.executor,
-            "n_workers": args.workers,
             "n_shards": args.shards,
             "shard_partition": args.shard_partition,
             "train_batch": args.train_batch,

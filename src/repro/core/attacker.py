@@ -11,9 +11,8 @@ into a :class:`~repro.metrics.records.RoundRecord`. When a canary set
 is present it additionally runs the targeted canary attack of RQ3.
 
 Observation runs on the **row-batch path** by default: node models are
-read as one ``(n_nodes, dim)`` matrix (``simulator.state_matrix()`` —
-the live arena under the flat engine, a one-shot pack under the legacy
-dict engine) and scored in blocked numpy ops by a
+read as one ``(n_nodes, dim)`` matrix (``simulator.state_matrix()``,
+the live arena, zero-copy) and scored in blocked numpy ops by a
 :class:`~repro.metrics.evaluation.BatchedEvaluator`, in the matrix
 dtype. When the simulator runs a sharded executor, observation rides
 the same shard workers: each scores its own arena rows in place
@@ -34,7 +33,7 @@ import numpy as np
 
 from repro.data.canary import CanarySet
 from repro.data.datasets import Dataset
-from repro.gossip.simulator import GossipSimulator
+from repro.gossip.engine import FlatGossipSimulator
 from repro.metrics.evaluation import (
     BatchedEvaluator,
     ModelEvaluation,
@@ -155,9 +154,9 @@ class OmniscientObserver:
         self.records = list(state["records"])
         self.node_records = [list(evals) for evals in state["node_records"]]
 
-    # -- per-round hook (signature matches GossipSimulator.run) --------
+    # -- per-round hook (signature matches FlatGossipSimulator.run) ----
 
-    def __call__(self, round_index: int, simulator: GossipSimulator) -> None:
+    def __call__(self, round_index: int, simulator: FlatGossipSimulator) -> None:
         tel = self._tel
         if tel is None:
             self._observe(round_index, simulator)
@@ -167,9 +166,9 @@ class OmniscientObserver:
             self._observe(round_index, simulator)
             self._observe_ms.observe((perf_counter() - start) * 1000.0)
 
-    def _observe(self, round_index: int, simulator: GossipSimulator) -> None:
+    def _observe(self, round_index: int, simulator: FlatGossipSimulator) -> None:
         # One state-matrix read serves evaluation, canary attack and
-        # spread (under the dict engine each read re-packs every node).
+        # spread.
         params = simulator.state_matrix(self._get_layout())
         if self._batched:
             sharded = self._sharded_executor(simulator)
@@ -200,7 +199,7 @@ class OmniscientObserver:
         )
 
     def _model_spread(
-        self, simulator: GossipSimulator, params: np.ndarray | None = None
+        self, simulator: FlatGossipSimulator, params: np.ndarray | None = None
     ) -> float:
         """Mean L2 distance of node models to the average model — the
         consensus distance of Section 4 measured on real training.
@@ -227,13 +226,10 @@ class OmniscientObserver:
         return self._layout
 
     @staticmethod
-    def _sharded_executor(simulator: GossipSimulator):
+    def _sharded_executor(simulator: FlatGossipSimulator):
         """The simulator's live sharded executor, if observation can
-        ride on it (flat engine, executor="sharded"); None otherwise."""
-        getter = getattr(simulator, "executor", None)
-        if getter is None:
-            return None
-        executor = getter()
+        ride on it (executor="sharded"); None otherwise."""
+        executor = simulator.executor()
         return executor if hasattr(executor, "observe") else None
 
     def _get_evaluator(self) -> BatchedEvaluator:
@@ -289,7 +285,7 @@ class OmniscientObserver:
         )
 
     def _evaluate_all_batched(
-        self, simulator: GossipSimulator, params: np.ndarray
+        self, simulator: FlatGossipSimulator, params: np.ndarray
     ) -> list[ModelEvaluation]:
         """Score every node's arena row in blocked ops (no reloads)."""
         evaluator = self._get_evaluator()
@@ -314,7 +310,7 @@ class OmniscientObserver:
         )
 
     def _evaluate_all_sharded(
-        self, simulator: GossipSimulator, executor
+        self, simulator: FlatGossipSimulator, executor
     ) -> list[ModelEvaluation]:
         """Score every node on its own shard worker; merge reports here.
 
@@ -404,7 +400,7 @@ class OmniscientObserver:
         ]
 
     def _evaluate_node(
-        self, simulator: GossipSimulator, node_id: int
+        self, simulator: FlatGossipSimulator, node_id: int
     ) -> ModelEvaluation:
         node = simulator.nodes[node_id]
         set_state(self.model, node.state)
@@ -423,7 +419,7 @@ class OmniscientObserver:
         )
 
     def _canary_attack(
-        self, simulator: GossipSimulator, params: np.ndarray | None = None
+        self, simulator: FlatGossipSimulator, params: np.ndarray | None = None
     ) -> float:
         """Targeted entropy attack on the known canary set (RQ3).
 
@@ -455,7 +451,7 @@ class OmniscientObserver:
         return self._pool_canary_scores(member_scores, holdout_scores)
 
     def _canary_attack_batched(
-        self, simulator: GossipSimulator, params: np.ndarray
+        self, simulator: FlatGossipSimulator, params: np.ndarray
     ) -> float:
         rows: list[int] = []
         xs: list[np.ndarray] = []

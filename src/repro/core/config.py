@@ -34,6 +34,7 @@ __all__ = [
     "config_hash",
     "group_field_names",
     "reject_unknown_keys",
+    "upgrade_legacy_execution",
 ]
 
 
@@ -184,13 +185,36 @@ class TopologyConfig(ConfigGroup):
             raise ValueError("delays must be non-negative")
 
 
+def upgrade_legacy_execution(values: Mapping) -> dict:
+    """Map execution keys of configs stored before the dict engine and
+    the process-pool executor were removed onto today's fields.
+
+    Service journals, checkpoints and campaign manifests written back
+    then carry ``engine`` and ``n_workers``; they keep loading, and keep
+    their ``config_hash``, as long as they describe a run the flat
+    engine reproduces: ``engine: "flat"`` and any ``n_workers`` are
+    dropped, and ``executor: "process"`` loads as ``"serial"``
+    (bit-identical by the executor contract). ``engine: "dict"`` is
+    rejected — its results were never bitwise comparable.
+    """
+    out = dict(values)
+    engine = out.pop("engine", "flat")
+    if engine != "flat":
+        raise ValueError(
+            f"engine {engine!r} was removed; the flat engine is the only "
+            f"simulator (drop the 'engine' key)"
+        )
+    out.pop("n_workers", None)
+    if out.get("executor") == "process":
+        out["executor"] = "serial"
+    return out
+
+
 @dataclass(frozen=True)
 class ExecutionConfig(ConfigGroup):
-    """Engine/executor selection and evaluation batching/limits."""
+    """Executor selection and evaluation batching/limits."""
 
-    engine: str = "flat"  # "flat" (arena, default) or "dict" (legacy)
-    executor: str = "serial"  # "serial"/"process"/"batched"/"sharded"
-    n_workers: int = 0  # process-pool size; 0 = one per CPU (capped)
+    executor: str = "serial"  # "serial"/"batched"/"sharded"
     n_shards: int = 0  # shard workers; 0 = one per CPU (capped)
     shard_partition: str = "contiguous"  # row->shard map
     train_batch: int = 0  # rows per blocked training op
@@ -200,15 +224,21 @@ class ExecutionConfig(ConfigGroup):
     max_attack_samples: int = 256
     keep_node_records: bool = False
 
+    @classmethod
+    def from_dict(cls, payload: Mapping) -> "ExecutionConfig":
+        """Build from a dict; pre-removal keys load through
+        :func:`upgrade_legacy_execution`."""
+        if isinstance(payload, Mapping):
+            payload = upgrade_legacy_execution(payload)
+        return super().from_dict(payload)
+
     def __post_init__(self) -> None:
-        if self.engine not in ("dict", "flat"):
-            raise ValueError("engine must be 'dict' or 'flat'")
-        if self.executor not in ("serial", "process", "batched", "sharded"):
+        if self.executor not in ("serial", "batched", "sharded"):
             raise ValueError(
-                "executor must be 'serial', 'process', 'batched' or 'sharded'"
+                "executor must be 'serial', 'batched' or 'sharded'"
             )
-        if self.n_workers < 0 or self.n_shards < 0:
-            raise ValueError("n_workers and n_shards must be non-negative")
+        if self.n_shards < 0:
+            raise ValueError("n_shards must be non-negative")
         if self.shard_partition not in ("contiguous", "balanced"):
             raise ValueError(
                 "shard_partition must be 'contiguous' or 'balanced'"

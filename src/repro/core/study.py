@@ -53,13 +53,14 @@ from repro.core.config import (
     TopologyConfig,
     group_field_names,
     reject_unknown_keys,
+    upgrade_legacy_execution,
 )
 from repro.data.canary import make_canaries, inject_canaries
 from repro.data.datasets import make_dataset
 from repro.data.partition import make_node_splits
-from repro.gossip.engine import make_simulator
+from repro.gossip.engine import FlatGossipSimulator
 from repro.gossip.protocols import make_protocol
-from repro.gossip.simulator import GossipSimulator, SimulatorConfig
+from repro.gossip.simulator import SimulatorConfig
 from repro.gossip.trainer import LocalTrainer, TrainerConfig
 from repro.metrics.records import RoundRecord, RunResult
 from repro.nn.models import build_model
@@ -129,9 +130,7 @@ class StudyConfig:
     delay_ticks: int = 0  # network latency (ticks per message)
     delay_jitter: int = 0  # extra uniform latency in [0, jitter]
     # Execution engine (DESIGN.md "Flat-state execution engine").
-    engine: str = "flat"  # "flat" (arena, default) or "dict" (legacy)
-    executor: str = "serial"  # "serial"/"process"/"batched"/"sharded" (flat only)
-    n_workers: int = 0  # process-pool size; 0 = one per CPU (capped)
+    executor: str = "serial"  # "serial"/"batched"/"sharded"
     n_shards: int = 0  # shard workers; 0 = one per CPU (capped at n_nodes)
     shard_partition: str = "contiguous"  # row->shard map: contiguous/balanced
     train_batch: int = 0  # rows per blocked training op (0=all, -1=per-row)
@@ -240,12 +239,15 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StudyConfig":
-        """Build from :meth:`to_dict` output; flat keys also accepted."""
+        """Build from :meth:`to_dict` output; flat keys also accepted,
+        and so are the pre-removal ``engine``/``n_workers`` keys
+        (:func:`~repro.core.config.upgrade_legacy_execution`)."""
         if not isinstance(payload, dict):
             raise ValueError(
                 f"StudyConfig.from_dict needs a mapping, "
                 f"got {type(payload).__name__}"
             )
+        payload = upgrade_legacy_execution(payload)
         flat: dict = {}
         for key, value in payload.items():
             if key in GROUPS:
@@ -430,8 +432,8 @@ class Study:
             )
             self.splits = inject_canaries(self.splits, self.canaries)
         # Model ---------------------------------------------------------
-        # Kept as a picklable builder too: process-pool executor workers
-        # construct their own workspace Module from it.
+        # Kept as a picklable builder too: shard workers construct their
+        # own workspace Module from it.
         self.model_builder = partial(
             build_model,
             cfg.architecture,
@@ -462,7 +464,7 @@ class Study:
             ),
         )
         self.protocol = make_protocol(cfg.protocol, trainer)
-        self.simulator = make_simulator(
+        self.simulator = FlatGossipSimulator(
             SimulatorConfig(
                 n_nodes=cfg.n_nodes,
                 view_size=cfg.view_size,
@@ -473,9 +475,7 @@ class Study:
                 failure_prob=cfg.failure_prob,
                 delay_ticks=cfg.delay_ticks,
                 delay_jitter=cfg.delay_jitter,
-                engine=cfg.engine,
                 executor=cfg.executor,
-                n_workers=cfg.n_workers,
                 n_shards=cfg.n_shards,
                 shard_partition=cfg.shard_partition,
                 train_batch=cfg.train_batch,
@@ -556,7 +556,7 @@ class Study:
         )
         trainer = self.protocol.trainer
         # Through the simulator so the swap revalidates and reaches the
-        # live executor (batched trainer, process pool, shard workers)
+        # live executor (batched trainer, shard workers)
         # instead of relying on each path re-reading trainer.config.
         self.simulator.set_trainer_config(replace(trainer.config, dp=dp_config))
         self.protocol.max_updates_per_node = planned_updates
@@ -673,9 +673,7 @@ class Study:
                 "dp_epsilon": self.config.dp_epsilon,
                 "noise_multiplier": self._sigma,
                 "n_nodes": self.config.n_nodes,
-                "engine": self.config.engine,
                 "executor": self.config.executor,
-                "n_workers": self.config.n_workers,
                 "n_shards": self.config.n_shards,
                 "shard_partition": self.config.shard_partition,
                 "train_batch": self.config.train_batch,

@@ -7,8 +7,8 @@ A :class:`Campaign` is an ordered set of uniquely-named
   and :meth:`Campaign.from_zip` (element-wise) derive configs from a
   base config by overriding flat knobs or whole config groups;
 * **parallel execution** — :meth:`Campaign.run` fans independent
-  studies out over a process pool, sizing it so per-study workers
-  (``n_workers`` / ``n_shards``) do not oversubscribe the machine;
+  studies out over a process pool, sizing it so per-study shard
+  workers (``n_shards``) do not oversubscribe the machine;
 * **keyed results** — results come back as ``{config.name: RunResult}``
   in config order, the shape the figure pipeline consumes;
 * **resume** — with an ``out_dir``, each finished study is written as
@@ -30,25 +30,17 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.study import StudyConfig, run_study
 from repro.experiments.io import load_result, save_result
+from repro.gossip.shard import auto_shard_count
 from repro.metrics.records import RunResult
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["Campaign", "run_experiment", "run_many"]
 
-# Mirrors the executor pool caps in repro.gossip.engine / .shard.
-_MAX_AUTO_PROCS = 8
-
 
 def _study_process_demand(config: StudyConfig) -> int:
     """Worker processes one study will occupy while running."""
-    cpus = os.cpu_count() or 1
-    if config.engine != "flat":
-        return 1
-    if config.executor == "process":
-        return config.n_workers or min(cpus, _MAX_AUTO_PROCS)
     if config.executor == "sharded":
-        shards = config.n_shards or min(cpus, _MAX_AUTO_PROCS)
-        return min(shards, config.n_nodes)
+        return auto_shard_count(config.n_shards, config.n_nodes)
     return 1
 
 

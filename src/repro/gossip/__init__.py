@@ -18,16 +18,14 @@ from repro.gossip.protocols import (
     SAMOProtocol,
     make_protocol,
 )
-from repro.gossip.simulator import GossipSimulator, SimulatorConfig
+from repro.gossip.simulator import SimulatorConfig
 from repro.gossip.engine import (
     BatchedExecutor,
     Executor,
     FlatGossipSimulator,
-    ProcessExecutor,
     SerialExecutor,
     StateArena,
     UpdateTask,
-    make_simulator,
 )
 from repro.gossip.shard import RowPartitioner, ShardedExecutor
 
@@ -38,11 +36,9 @@ __all__ = [
     "BatchedTrainer",
     "Executor",
     "FlatGossipSimulator",
-    "ProcessExecutor",
     "SerialExecutor",
     "StateArena",
     "UpdateTask",
-    "make_simulator",
     "WakeSchedule",
     "TickClock",
     "ModelMessage",
@@ -55,6 +51,5 @@ __all__ = [
     "PartialMergeGossipProtocol",
     "SAMOProtocol",
     "make_protocol",
-    "GossipSimulator",
     "SimulatorConfig",
 ]

@@ -1,48 +1,50 @@
-"""Flat-buffer execution engine for the gossip simulator.
+"""The gossip simulator: both protocols over one flat-state arena.
 
-The dict-``State`` hot path walks a Python dict per node, per message
-and per average. This engine stores every node's model as one row of a
-contiguous ``(n_nodes, dim)`` :class:`StateArena` (layout computed once
-by :class:`~repro.nn.flat.StateLayout`) so gossip aggregation becomes a
-single vectorized numpy op over rows, and hands the per-tick local
-updates of independently waking nodes to an :class:`Executor` — serial,
-or a process pool where each worker owns its own workspace
-:class:`~repro.nn.layers.Module`.
+Every node's model is one row of a contiguous ``(n_nodes, dim)``
+:class:`StateArena` (layout computed once by
+:class:`~repro.nn.flat.StateLayout`), so gossip aggregation is a
+vectorized numpy op over rows, and the per-tick local updates of
+independently waking nodes go to an :class:`Executor` — serial, blocked
+over one ``(B, dim)`` block (:class:`BatchedExecutor`), or sharded
+across worker processes (:mod:`repro.gossip.shard`).
 
-Tick semantics (deliberately executor-order independent so serial and
-parallel runs are bit-identical): within one tick, first due delayed
-messages are delivered, then every surviving wake merges / trains /
-sends, and sends become visible to receivers only after all wakes of
-the tick have been processed. The legacy dict engine instead interleaves
-instant delivery with the wake loop; the two engines are therefore
-statistically equivalent but not bitwise comparable (see DESIGN.md).
+:class:`FlatGossipSimulator` drives the tick clock, the peer-sampling
+service and the channel model, and implements the two protocols of
+:mod:`repro.gossip.protocols` directly over arena rows. Tick semantics
+are deliberately executor-order independent, so every executor is
+bit-identical to serial: within one tick, first due delayed messages
+are delivered, then every surviving wake merges / trains / sends, and
+sends become visible to receivers only after all wakes of the tick
+have been processed.
 
-``GossipNode.state`` remains a live dict *view* over the node's arena
-row, so attacks, metrics and ``states()`` snapshots keep working
-unchanged on top of the flat representation.
+``GossipNode.state`` is a live dict *view* over the node's arena row,
+so attacks, metrics and ``states()`` snapshots read dict states on top
+of the flat representation.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.data.partition import NodeSplit
-from repro.gossip.messages import ModelMessage
+from repro.gossip.clock import TickClock, WakeSchedule
+from repro.gossip.messages import MessageLog, ModelMessage
 from repro.gossip.node import GossipNode
 from repro.gossip.protocols import (
     BaseGossipProtocol,
     GossipProtocol,
     SAMOProtocol,
 )
-from repro.gossip.simulator import GossipSimulator, SimulatorConfig
+from repro.gossip.simulator import SimulatorConfig
 from repro.gossip.trainer import BatchedTrainer, LocalTrainer, TrainerConfig
+from repro.graph.peer_sampling import PeerSampler, make_sampler_by_name
 from repro.nn.batched import supports_batched_backward
 from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
@@ -54,12 +56,13 @@ __all__ = [
     "UpdateTask",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "BatchedExecutor",
     "FlatGossipSimulator",
     "fallback_reason",
-    "make_simulator",
 ]
+
+# round_callback(round_index, simulator) -> None
+RoundCallback = Callable[[int, "FlatGossipSimulator"], None]
 
 
 class StateArena:
@@ -200,9 +203,9 @@ class UpdateTask:
     ``session`` is the node's lr_decay session index and MUST be
     tracked by the engine (``FlatGossipSimulator._sessions``), never
     inferred from ``node_id`` inside a trainer: per-trainer bookkeeping
-    diverges the moment two executors (process-pool workers, the
-    batched trainer, the serial workspace) see different subsets of a
-    node's updates.
+    diverges the moment two executors (shard workers, the batched
+    trainer, the serial workspace) see different subsets of a node's
+    updates.
     """
 
     node_id: int
@@ -246,8 +249,8 @@ def _train_task(
     """Run one local update on a workspace trainer; shared by executors."""
     x, y = splits[task.node_id]
     state = layout.unpack(task.vector)
-    # node_id keys the dropout mask streams; session bookkeeping stays
-    # with the engine (an explicit session bypasses trainer inference).
+    # node_id keys the dropout mask streams; the session index comes
+    # from the engine's per-node bookkeeping.
     new_state = trainer.train(
         state, x, y, task.rng, node_id=task.node_id, session=task.session
     )
@@ -446,110 +449,8 @@ class BatchedExecutor(Executor):
         return results
 
 
-# Worker-process globals, populated once by the pool initializer so
-# model weights and training data are not re-pickled per task.
-_WORKSPACE: dict = {}
-
-
-def _worker_init(
-    model_builder: Callable[[], Module],
-    trainer_config: TrainerConfig,
-    layout: StateLayout,
-    splits: list[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    _WORKSPACE["trainer"] = LocalTrainer(model_builder(), trainer_config)
-    _WORKSPACE["layout"] = layout
-    _WORKSPACE["splits"] = splits
-
-
-def _worker_train(
-    task: UpdateTask,
-) -> tuple[np.ndarray, np.random.Generator]:
-    return _train_task(
-        _WORKSPACE["trainer"], _WORKSPACE["layout"], _WORKSPACE["splits"], task
-    )
-
-
-class ProcessExecutor(Executor):
-    """Process-pool execution; each worker owns a workspace Module.
-
-    Generators travel with each task and come back mutated, so a node's
-    random stream advances exactly as it would serially — results are
-    bit-identical to :class:`SerialExecutor` for a fixed seed.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        model_builder: Callable[[], Module],
-        trainer_config: TrainerConfig,
-        layout: StateLayout,
-        splits: Sequence[NodeSplit],
-        n_workers: int = 0,
-    ):
-        super().__init__()
-        if model_builder is None:
-            raise ValueError(
-                "the process executor needs a picklable model_builder "
-                "(e.g. functools.partial(build_model, ...)) to construct "
-                "per-worker workspace models"
-            )
-        self._model_builder = model_builder
-        self._trainer_config = trainer_config
-        self._layout = layout
-        self._split_arrays = [(s.train.x, s.train.y) for s in splits]
-        self._n_workers = n_workers
-        self._pool = self._make_pool()
-
-    def _make_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = self._n_workers or min(os.cpu_count() or 1, 8)
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(
-                self._model_builder,
-                self._trainer_config,
-                self._layout,
-                self._split_arrays,
-            ),
-        )
-
-    def set_config(self, config: TrainerConfig) -> None:
-        """Propagate a config swap by recycling the worker pool.
-
-        Workers receive the config once at initialization, so an
-        in-place swap must rebuild them; rare enough (DP installation)
-        that the restart cost is irrelevant.
-        """
-        if config == self._trainer_config:
-            return
-        if not isinstance(config, TrainerConfig):
-            raise TypeError(
-                f"expected TrainerConfig, got {type(config).__name__}"
-            )
-        self._trainer_config = config
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = self._make_pool()
-
-    def train_batch(
-        self, tasks: list[UpdateTask]
-    ) -> list[tuple[np.ndarray, np.random.Generator]]:
-        if self._pool is None:
-            raise RuntimeError("executor is closed")
-        return list(self._pool.map(_worker_train, tasks))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-class FlatGossipSimulator(GossipSimulator):
-    """Gossip simulator running protocols on the flat-state arena.
+class FlatGossipSimulator:
+    """Owns nodes, topology, clock, channel and message log for one run.
 
     Implements the SAMO and Base Gossip semantics directly over arena
     rows (the protocol object supplies hyperparameters, the trainer and
@@ -564,6 +465,10 @@ class FlatGossipSimulator(GossipSimulator):
     (:class:`~repro.metrics.evaluation.BatchedEvaluator`), so the
     per-round attack observation never materializes per-node dict
     views.
+
+    Use it as a context manager (``with FlatGossipSimulator(...) as
+    sim:``) so :meth:`close` releases shard workers and shared-memory
+    segments even when a run raises mid-round.
     """
 
     def __init__(
@@ -576,7 +481,10 @@ class FlatGossipSimulator(GossipSimulator):
         model_builder: Callable[[], Module] | None = None,
         telemetry: Telemetry | None = None,
     ):
-        super().__init__(config, protocol, splits, initial_state, keep_payloads)
+        if len(splits) != config.n_nodes:
+            raise ValueError(
+                f"got {len(splits)} data splits for {config.n_nodes} nodes"
+            )
         if isinstance(protocol, SAMOProtocol):
             self._mode = "samo"
             self._merge_weight = 0.5
@@ -587,6 +495,26 @@ class FlatGossipSimulator(GossipSimulator):
             raise ValueError(
                 f"flat engine does not support protocol {protocol.name!r}"
             )
+        self.config = config
+        self.protocol = protocol
+        # Draw order is part of the reproducibility contract: the
+        # sampler, then the wake schedule, then one seed per node.
+        self.rng = np.random.default_rng(config.seed)
+        self.sampler: PeerSampler = make_sampler_by_name(
+            config.sampler_name, config.n_nodes, config.view_size, self.rng
+        )
+        self.messages_dropped = 0
+        self.wakes_skipped = 0
+        self.messages_undelivered = 0
+        # In-flight messages as a min-heap of (deliver_tick, seq, ...);
+        # the sequence number breaks ties FIFO.
+        self._in_flight: list[tuple[int, int, int, int, np.ndarray]] = []
+        self._send_seq = 0
+        self.clock = TickClock(config.ticks_per_round)
+        self.schedule = WakeSchedule(
+            config.n_nodes, self.rng, mu=config.wake_mu, sigma=config.wake_sigma
+        )
+        self.log = MessageLog(keep_payloads=keep_payloads)
         self.layout = StateLayout.from_state(initial_state)
         # The sharded executor's workers attach to the arena by name, so
         # it must be born in shared memory — migrating it later would
@@ -598,23 +526,31 @@ class FlatGossipSimulator(GossipSimulator):
             shared=config.executor == "sharded",
         )
         # Pack the shared initial model once and broadcast it into all
-        # rows; node states become live views over their row.
+        # rows; node states are live views over their row.
         self.arena.data[:] = self.layout.pack(
             initial_state, dtype=self.arena.dtype
         )
-        for node in self.nodes:
-            node.state = self.arena.state_view(node.node_id)
-            node.inbox = []  # holds flat vectors under this engine
+        self.nodes = [
+            GossipNode(
+                node_id=split.node_id,
+                state=self.arena.state_view(split.node_id),
+                split=split,
+                rng=np.random.default_rng(
+                    self.rng.integers(0, 2**63 - 1)
+                ),
+            )
+            for split in splits
+        ]
         self.model_builder = model_builder
         self._sessions = [0] * config.n_nodes
         # Messages sent this tick, visible to receivers once the tick's
         # wakes are all processed: (sender, receiver, vector).
         self._pending: list[tuple[int, int, np.ndarray]] = []
         # Built lazily so late config changes (DP installation swaps
-        # the trainer config and update cap) reach pool workers.
+        # the trainer config and update cap) reach shard workers.
         self._executor: Executor | None = None
         # Telemetry: phase timings accumulate in flat floats per tick
-        # and flush to histograms once per round (run_round override),
+        # and flush to histograms once per round (in run_round),
         # so the enabled hot path adds a few perf_counter calls and the
         # disabled one a single `is None` branch per phase. Timing uses
         # the wall clock only — no RNG is ever touched, which keeps
@@ -645,27 +581,13 @@ class FlatGossipSimulator(GossipSimulator):
             self._batch_ms = None
             self._tasks_total = None
 
-    def _node_initial_state(self, initial_state: State) -> State:
-        """No per-node dict copy: node states are rebound to arena views
-        right after construction, so the base engine's n_nodes deep
-        copies would be allocated only to be discarded."""
-        return initial_state
-
     # -- executor -----------------------------------------------------
 
     def executor(self) -> Executor:
         if self._executor is None:
             trainer = self.protocol.trainer
             splits = [node.split for node in self.nodes]
-            if self.config.executor == "process":
-                self._executor = ProcessExecutor(
-                    self.model_builder,
-                    trainer.config,
-                    self.layout,
-                    splits,
-                    self.config.n_workers,
-                )
-            elif self.config.executor == "batched":
+            if self.config.executor == "batched":
                 self._executor = BatchedExecutor(
                     trainer,
                     self.layout,
@@ -722,6 +644,12 @@ class FlatGossipSimulator(GossipSimulator):
             for node in self.nodes:
                 node.state = self.arena.state_view(node.node_id)
 
+    def __enter__(self) -> "FlatGossipSimulator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- state capture (checkpoint/resume) ----------------------------
 
     def _copy_payload(self, payload):
@@ -730,26 +658,90 @@ class FlatGossipSimulator(GossipSimulator):
         payload.flags.writeable = False
         return payload
 
-    def _capture_node_model(self, node):
-        """Node models live in the arena snapshot; nothing per node."""
-        return None
+    def _memo_copy(self, copies: dict, payload):
+        """:meth:`_copy_payload` memoized by id over one capture/restore
+        pass: a payload several receivers share is copied (and pickled)
+        once and stays shared. The source keeps each id alive, so unique."""
+        if id(payload) not in copies:
+            copies[id(payload)] = self._copy_payload(payload)
+        return copies[id(payload)]
 
-    def _restore_node_model(self, node, saved) -> None:
-        """No-op: the arena restore repopulates the rows the node-state
-        views are bound to."""
+    def capture_state(self) -> dict:
+        """Snapshot every piece of mutable run state.
 
-    def _capture_state(self, copy: Callable) -> dict:
-        state = super()._capture_state(copy)
-        state["arena"] = self.arena.data.copy()
-        state["sessions"] = list(self._sessions)
-        state["pending"] = [
-            (sender, receiver, copy(payload))
-            for sender, receiver, payload in self._pending
+        Together with the (deterministically rebuildable) construction
+        state, the returned dict fully determines the rest of the run:
+        the tick clock, the simulator RNG stream (shared with the peer
+        sampler), sampler views, the arena rows, per-node inboxes / RNG
+        streams / counters / lr_decay sessions, the in-flight heap and
+        this tick's pending messages, the message log and the drop/skip
+        tallies. :meth:`restore_state` inverts it.
+        """
+        copy = partial(self._memo_copy, {})
+        return {
+            "tick": self.clock.tick,
+            "rng": self.rng.bit_generator.state,
+            "sampler": self.sampler.capture_state(),
+            "send_seq": self._send_seq,
+            "in_flight": [
+                (tick, seq, sender, receiver, copy(payload))
+                for tick, seq, sender, receiver, payload in self._in_flight
+            ],
+            "messages_dropped": self.messages_dropped,
+            "wakes_skipped": self.wakes_skipped,
+            "messages_undelivered": self.messages_undelivered,
+            "log": {
+                "count": self.log.count,
+                "per_sender": dict(self.log.per_sender),
+                "messages": list(self.log.messages),
+            },
+            "nodes": [
+                {
+                    "inbox": [copy(p) for p in node.inbox],
+                    "rng": node.rng.bit_generator.state,
+                    "updates_performed": node.updates_performed,
+                    "models_received": node.models_received,
+                }
+                for node in self.nodes
+            ],
+            "arena": self.arena.data.copy(),
+            "sessions": list(self._sessions),
+            "pending": [
+                (sender, receiver, copy(payload))
+                for sender, receiver, payload in self._pending
+            ],
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Restore a :meth:`capture_state` snapshot onto a freshly
+        built simulator (same config). Every RNG stream is restored
+        exactly, so the continued run is bit-identical to one that was
+        never interrupted. Keys that snapshots written by older builds
+        carry and this engine no longer reads (per-node ``model``,
+        ``trainer_sessions``, ``trainer_steps``) are ignored."""
+        copy = partial(self._memo_copy, {})
+        self.clock.tick = state["tick"]
+        # The sampler shares this generator object; one restore covers
+        # both draw streams.
+        self.rng.bit_generator.state = state["rng"]
+        self.sampler.restore_state(state["sampler"])
+        self._send_seq = state["send_seq"]
+        self._in_flight = [
+            (tick, seq, sender, receiver, copy(payload))
+            for tick, seq, sender, receiver, payload in state["in_flight"]
         ]
-        return state
-
-    def _restore_state(self, state: dict, copy: Callable) -> None:
-        super()._restore_state(state, copy)
+        heapq.heapify(self._in_flight)
+        self.messages_dropped = state["messages_dropped"]
+        self.wakes_skipped = state["wakes_skipped"]
+        self.messages_undelivered = state["messages_undelivered"]
+        self.log.count = state["log"]["count"]
+        self.log.per_sender = dict(state["log"]["per_sender"])
+        self.log.messages = list(state["log"]["messages"])
+        for node, saved in zip(self.nodes, state["nodes"]):
+            node.inbox = [copy(p) for p in saved["inbox"]]
+            node.rng.bit_generator.state = saved["rng"]
+            node.updates_performed = saved["updates_performed"]
+            node.models_received = saved["models_received"]
         # Written in place so existing node-state views (and, for the
         # sharded executor, the shared-memory segment the workers are
         # attached to) stay bound to the restored rows.
@@ -759,6 +751,20 @@ class FlatGossipSimulator(GossipSimulator):
             (sender, receiver, copy(payload))
             for sender, receiver, payload in state["pending"]
         ]
+
+    # -- introspection ------------------------------------------------
+
+    def states(self) -> list[State]:
+        """Snapshot of every node's current model (attacker's view)."""
+        return [node.snapshot() for node in self.nodes]
+
+    @property
+    def messages_sent(self) -> int:
+        return self.log.count
+
+    @property
+    def messages_in_flight(self) -> int:
+        return len(self._in_flight)
 
     def state_matrix(self, layout=None) -> np.ndarray:
         """The live arena, zero-copy (read-only by contract).
@@ -780,6 +786,20 @@ class FlatGossipSimulator(GossipSimulator):
         return view
 
     # -- messaging ----------------------------------------------------
+
+    def _transmission_delay(self, sender: int, receiver: int) -> int | None:
+        """The channel model: validate the link, decide drop (None) and
+        the delivery delay in ticks. Draw order (drop first, then
+        jitter) is part of the reproducibility contract."""
+        if receiver == sender:
+            raise ValueError(f"node {sender} attempted to message itself")
+        if self.config.drop_prob and self.rng.random() < self.config.drop_prob:
+            self.messages_dropped += 1
+            return None
+        delay = self.config.delay_ticks
+        if self.config.delay_jitter:
+            delay += int(self.rng.integers(0, self.config.delay_jitter + 1))
+        return delay
 
     def _send_vector(self, sender: int, receiver: int, payload: np.ndarray) -> None:
         """Enqueue a wake's read-only snapshot as is: every receiver, the
@@ -811,10 +831,6 @@ class FlatGossipSimulator(GossipSimulator):
         while self._in_flight and self._in_flight[0][0] <= self.clock.tick:
             _, _, sender, receiver, payload = heapq.heappop(self._in_flight)
             self._pending.append((sender, receiver, payload))
-
-    def _flush_end_of_run(self) -> None:
-        self._deliver_due()
-        self._process_pending()
 
     def _process_pending(self) -> None:
         """Hand delivered messages to the protocol semantics."""
@@ -898,7 +914,7 @@ class FlatGossipSimulator(GossipSimulator):
             # itself would waste O(dim) bandwidth per trained node.
             if copy_rows:
                 self.arena.write_row(task.node_id, vector)
-            # Process workers return a mutated generator copy; rebind it
+            # Shard workers return a rebuilt generator; rebind it
             # so the node's stream advances exactly as it would serially.
             self.nodes[task.node_id].rng = rng
 
@@ -931,8 +947,13 @@ class FlatGossipSimulator(GossipSimulator):
                 self._fallback_total.inc(delta, reason=reason)
                 self._fallback_seen[reason] = count
 
+    # -- main loop ----------------------------------------------------
+
     def run_round(self) -> None:
-        super().run_round()
+        """Advance exactly one communication round."""
+        target = self.clock.tick + self.config.ticks_per_round
+        while self.clock.tick < target:
+            self.run_tick()
         if self._tel is not None:
             # Flush the per-tick accumulators once per round: histogram
             # samples are per-round phase totals (mmb-style batched
@@ -941,7 +962,25 @@ class FlatGossipSimulator(GossipSimulator):
                 series.observe(self._phase_acc[phase])
                 self._phase_acc[phase] = 0.0
 
-    # -- main loop ----------------------------------------------------
+    def run(self, rounds: int, round_callback: RoundCallback | None = None) -> None:
+        """Run ``rounds`` communication rounds, invoking the callback
+        (e.g. the omniscient attacker) at each round boundary, then
+        :meth:`finish`."""
+        for round_index in range(rounds):
+            self.run_round()
+            if round_callback is not None:
+                round_callback(round_index, self)
+        self.finish()
+
+    def finish(self) -> None:
+        """End-of-run bookkeeping: deliver and process messages due at
+        the final tick, and tally the remainder in
+        ``messages_undelivered`` instead of letting it linger silently.
+        The streaming session API calls this once the configured horizon
+        is reached; :meth:`run` calls it for the one-shot path."""
+        self._deliver_due()
+        self._process_pending()
+        self.messages_undelivered = len(self._in_flight)
 
     def run_tick(self) -> None:
         """Phased tick: deliver, wake (merge / batch-train / send),
@@ -1008,26 +1047,3 @@ class FlatGossipSimulator(GossipSimulator):
             neighbor = int(node.rng.choice(sorted(view)))
             payload = self._copy_payload(self.arena.row(node_id))
             self._send_vector(node_id, neighbor, payload)
-
-
-def make_simulator(
-    config: SimulatorConfig,
-    protocol: GossipProtocol,
-    splits: list[NodeSplit],
-    initial_state: State,
-    keep_payloads: bool = False,
-    model_builder: Callable[[], Module] | None = None,
-    telemetry: Telemetry | None = None,
-) -> GossipSimulator:
-    """Build the simulator selected by ``config.engine``."""
-    if config.engine == "flat":
-        return FlatGossipSimulator(
-            config,
-            protocol,
-            splits,
-            initial_state,
-            keep_payloads=keep_payloads,
-            model_builder=model_builder,
-            telemetry=telemetry,
-        )
-    return GossipSimulator(config, protocol, splits, initial_state, keep_payloads)

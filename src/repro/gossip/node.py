@@ -19,12 +19,13 @@ class GossipNode:
     Attributes
     ----------
     state:
-        The node's current model parameters (theta_i).
+        The node's current model parameters (theta_i), a live dict
+        view over the node's arena row.
     inbox:
-        Models received since the last wake-up. Base Gossip consumes
-        them immediately on reception; SAMO stores them here until the
-        next wake-up (the set Theta_i of Algorithm 2, excluding the
-        node's own model which lives in ``state``).
+        Flat model vectors received since the last wake-up. Base Gossip
+        consumes them immediately on reception; SAMO stores them here
+        until the next wake-up (the set Theta_i of Algorithm 2,
+        excluding the node's own model which lives in ``state``).
     split:
         The node's local train/test data.
     rng:
@@ -36,22 +37,12 @@ class GossipNode:
     state: State
     split: NodeSplit
     rng: np.random.Generator
-    inbox: list[State] = field(default_factory=list)
+    inbox: list[np.ndarray] = field(default_factory=list)
     updates_performed: int = 0
     models_received: int = 0
 
-    def receive(self, payload: State) -> None:
-        self.inbox.append(payload)
-        self.models_received += 1
-
-    def drain_inbox(self) -> list[State]:
-        """Return and clear buffered models."""
-        drained = self.inbox
-        self.inbox = []
-        return drained
-
     def snapshot(self) -> State:
-        """Copy of the current model state (for sending)."""
+        """Copy of the current model state, detached from the arena."""
         return {name: arr.copy() for name, arr in self.state.items()}
 
     @property

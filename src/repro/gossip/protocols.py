@@ -10,19 +10,15 @@
   performs a local update, clears the buffer, and finally sends its
   model to ALL neighbors.
 
-Both are driven by the simulator through two hooks, ``on_wake`` and
-``on_receive``.
+A protocol object is data: it names the algorithm and carries its
+trainer and hyperparameters. The semantics above are implemented once,
+over arena rows, by :class:`~repro.gossip.engine.FlatGossipSimulator`
+(``_samo_wakes``, ``_base_wakes`` and ``_process_pending``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from repro.gossip.node import GossipNode
 from repro.gossip.trainer import LocalTrainer
-from repro.nn.serialize import State, average_states
 
 __all__ = [
     "GossipProtocol",
@@ -32,12 +28,9 @@ __all__ = [
     "make_protocol",
 ]
 
-# send(sender_id, receiver_id, payload) provided by the simulator.
-SendFn = Callable[[int, int, State], None]
-
 
 class GossipProtocol:
-    """Interface shared by both protocols.
+    """What the engine reads from either protocol.
 
     ``max_updates_per_node`` caps local updates per node; once a node
     exhausts the cap it keeps gossiping (aggregation and dissemination
@@ -51,24 +44,6 @@ class GossipProtocol:
     def __init__(self, trainer: LocalTrainer, max_updates_per_node: int | None = None):
         self.trainer = trainer
         self.max_updates_per_node = max_updates_per_node
-
-    def on_wake(self, node: GossipNode, view: set[int], send: SendFn) -> None:
-        raise NotImplementedError
-
-    def on_receive(self, node: GossipNode, payload: State) -> None:
-        raise NotImplementedError
-
-    def _local_update(self, node: GossipNode) -> None:
-        if (
-            self.max_updates_per_node is not None
-            and node.updates_performed >= self.max_updates_per_node
-        ):
-            return
-        node.state = self.trainer.train(
-            node.state, node.train_x, node.train_y, node.rng,
-            node_id=node.node_id,
-        )
-        node.updates_performed += 1
 
 
 class BaseGossipProtocol(GossipProtocol):
@@ -94,20 +69,6 @@ class BaseGossipProtocol(GossipProtocol):
             raise ValueError("merge_weight must be in (0, 1]")
         self.merge_weight = merge_weight
 
-    def on_wake(self, node: GossipNode, view: set[int], send: SendFn) -> None:
-        if not view:
-            return
-        neighbor = int(node.rng.choice(sorted(view)))
-        send(node.node_id, neighbor, node.snapshot())
-
-    def on_receive(self, node: GossipNode, payload: State) -> None:
-        node.models_received += 1
-        node.state = average_states(
-            [node.state, payload],
-            weights=[1.0 - self.merge_weight, self.merge_weight],
-        )
-        self._local_update(node)
-
 
 class PartialMergeGossipProtocol(BaseGossipProtocol):
     """Base Gossip with self-biased (partial) aggregation.
@@ -128,17 +89,6 @@ class SAMOProtocol(GossipProtocol):
     """Algorithm 2: buffer on receive; merge-once and push-all on wake."""
 
     name = "samo"
-
-    def on_wake(self, node: GossipNode, view: set[int], send: SendFn) -> None:
-        inbox = node.drain_inbox()
-        if inbox:  # |Theta_i| > 1 counting the node's own model
-            node.state = average_states([node.state] + inbox)
-            self._local_update(node)
-        for neighbor in sorted(view):
-            send(node.node_id, neighbor, node.snapshot())
-
-    def on_receive(self, node: GossipNode, payload: State) -> None:
-        node.receive(payload)
 
 
 def make_protocol(name: str, trainer: LocalTrainer) -> GossipProtocol:

@@ -1,13 +1,11 @@
 """Sharded shared-memory execution subsystem.
 
-The batched executor (PR 3) trains a tick's wake tasks as lockstep
-``(B, dim)`` blocks, but all of it on one core; the process executor
-(PR 1) uses many cores, but pickles every task's state vector to a pool
-worker and copies the result back. This module combines the two: arena
-rows are partitioned across long-lived *shard workers*, each of which
-attaches to the engine's :class:`~repro.nn.flat.SharedArena` segment
-once, owns a workspace model plus its shard's data slices, and runs the
-PR 3 batched training kernels over its rows in place.
+The batched executor trains a tick's wake tasks as lockstep
+``(B, dim)`` blocks, but all of it on one core. Here arena rows are
+partitioned across long-lived *shard workers*, each of which attaches
+to the engine's :class:`~repro.nn.flat.SharedArena` segment once, owns
+a workspace model plus its shard's data slices, and runs the same
+batched training kernels over its rows in place.
 
 Per tick, a shard receives only ``(row_index, session, rng_state)``
 triples — never a state vector. Workers read their rows straight out of
@@ -58,9 +56,9 @@ from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
 from repro.telemetry import Registry, Telemetry
 
-__all__ = ["RowPartitioner", "ShardedExecutor"]
+__all__ = ["RowPartitioner", "ShardedExecutor", "auto_shard_count"]
 
-# Default cap mirrors ProcessExecutor's pool sizing.
+# Cap on the automatic (n_shards=0) worker count.
 _MAX_AUTO_SHARDS = 8
 
 _TRAIN = "train"
@@ -134,6 +132,13 @@ class RowPartitioner:
             loads[target] += counts[row]
             sizes[target] += 1
         return [np.asarray(sorted(rows), dtype=np.intp) for rows in shards]
+
+
+def auto_shard_count(n_shards: int, n_rows: int) -> int:
+    """Shard workers one sharded run starts: ``n_shards``, or one per
+    CPU (capped) when 0, clamped to the arena's row count."""
+    requested = n_shards or min(os.cpu_count() or 1, _MAX_AUTO_SHARDS)
+    return max(1, min(requested, n_rows))
 
 
 def _restore_generator(state: dict) -> np.random.Generator:
@@ -411,10 +416,7 @@ class ShardedExecutor(Executor):
         super().__init__()
         split_arrays = as_split_arrays(splits)
         n_rows = arena.n_nodes
-        requested = n_shards or min(
-            os.cpu_count() or 1, _MAX_AUTO_SHARDS
-        )
-        requested = max(1, min(requested, n_rows))
+        requested = auto_shard_count(n_shards, n_rows)
         counts = [split_arrays[i][0].shape[0] for i in range(n_rows)]
         self.partitioner = RowPartitioner(partition)
         shard_rows = [

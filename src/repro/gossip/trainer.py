@@ -84,7 +84,6 @@ class LocalTrainer:
         self.config = config
         self.loss = CrossEntropyLoss(label_smoothing=config.label_smoothing)
         self.steps_taken = 0
-        self._sessions: dict[int, int] = {}
         self._stream_layers = stream_dropout_layers(model)
 
     def set_config(self, config: TrainerConfig) -> None:
@@ -109,17 +108,18 @@ class LocalTrainer:
         y: np.ndarray,
         rng: np.random.Generator,
         node_id: int | None = None,
-        session: int | None = None,
+        session: int = 0,
     ) -> State:
         """Train ``state`` for ``local_epochs`` epochs on (x, y).
 
         Returns the updated state; the input dict is not mutated.
         Momentum buffers are fresh per call: after gossip aggregation a
         stale velocity has no meaning, so each local session starts
-        clean (see DESIGN.md). ``node_id`` keys the per-node session
-        counter used by ``lr_decay``; an explicit ``session`` bypasses
-        that bookkeeping (the flat engine tracks sessions itself so
-        process-pool workers stay stateless).
+        clean (see DESIGN.md). ``session`` is the node's local-update
+        session index, which scales the learning rate by
+        ``lr_decay ** session``; the engine tracks it per node, so the
+        trainer keeps no per-node state. ``node_id`` keys the dropout
+        mask streams.
         """
         if x.shape[0] == 0:
             return dict(state)
@@ -129,10 +129,6 @@ class LocalTrainer:
             self.loss = CrossEntropyLoss(
                 label_smoothing=self.config.label_smoothing
             )
-        if session is None:
-            session = self._sessions.get(node_id, 0) if node_id is not None else 0
-            if node_id is not None:
-                self._sessions[node_id] = session + 1
         lr = self.config.learning_rate * (self.config.lr_decay**session)
         set_state(self.model, state)
         self.model.train()

@@ -54,8 +54,8 @@ class StateLayout:
     dtype (the arena dtype), while :meth:`unpack_copy` restores the
     template dtypes.
 
-    Instances are plain data (picklable) so process-pool workers can
-    rebuild views on their side of the fence.
+    Instances are plain data (picklable) so shard workers can rebuild
+    views on their side of the fence.
     """
 
     def __init__(self, slots: list[StateSlot]):

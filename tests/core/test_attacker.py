@@ -205,11 +205,6 @@ class TestBatchedObservation:
             full.observer.records, blocked.observer.records, tol=1e-12
         )
 
-    def test_equivalent_on_dict_engine(self):
-        """The packed state-matrix path of the legacy engine."""
-        batched, legacy = self._pair(rounds=1, engine="dict")
-        self._assert_equivalent(batched, legacy, tol=1e-9)
-
     def test_eval_batch_validation(self):
         with pytest.raises(ValueError):
             build_study(eval_batch=-2)

@@ -160,7 +160,7 @@ class TestValidation:
             (TopologyConfig, dict(view_size=0)),
             (TopologyConfig, dict(drop_prob=1.0)),
             (TopologyConfig, dict(delay_ticks=-1)),
-            (ExecutionConfig, dict(engine="numpy")),
+            (ExecutionConfig, dict(executor="process")),
             (ExecutionConfig, dict(executor="thread")),
             (ExecutionConfig, dict(arena_dtype="float16")),
             (ExecutionConfig, dict(train_batch=-2)),
@@ -182,3 +182,57 @@ class TestValidation:
     def test_mlp_hidden_list_normalized_to_tuple(self):
         assert StudyConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
         assert ModelConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
+
+
+class TestPreRemovalExecutionKeys:
+    """Configs stored while the dict engine and the process-pool
+    executor existed (service journals, checkpoints, manifests) carry
+    ``engine`` and ``n_workers``; they keep loading and hashing."""
+
+    def _old_grouped(self, **execution) -> dict:
+        payload = StudyConfig(n_nodes=8, seed=3).to_dict()
+        # What to_dict wrote before the removal: both keys, defaults.
+        payload["execution"] = dict(
+            payload["execution"], engine="flat", n_workers=0
+        )
+        payload["execution"].update(execution)
+        return payload
+
+    def test_old_grouped_payload_hashes_like_new_spelling(self):
+        from repro.core.config import config_hash
+
+        new = StudyConfig(n_nodes=8, seed=3)
+        old = self._old_grouped(n_workers=4)
+        assert StudyConfig.from_dict(old) == new
+        assert config_hash(old) == config_hash(new.to_dict())
+        assert config_hash(old) == new.config_hash()
+
+    def test_old_flat_payload_loads(self):
+        old = dict(n_nodes=8, seed=3, engine="flat", n_workers=2)
+        assert StudyConfig.from_dict(old) == StudyConfig(n_nodes=8, seed=3)
+
+    def test_process_executor_loads_as_serial(self):
+        grouped = StudyConfig.from_dict(self._old_grouped(executor="process"))
+        flat = StudyConfig.from_dict(dict(executor="process", n_workers=2))
+        assert grouped.executor == flat.executor == "serial"
+        assert ExecutionConfig.from_dict(
+            {"executor": "process", "n_workers": 2}
+        ) == ExecutionConfig()
+
+    def test_dict_engine_rejected_as_removed(self):
+        for payload in (
+            self._old_grouped(engine="dict"),
+            dict(n_nodes=8, engine="dict"),
+        ):
+            with pytest.raises(ValueError, match="engine 'dict' was removed"):
+                StudyConfig.from_dict(payload)
+        with pytest.raises(ValueError, match="was removed"):
+            ExecutionConfig.from_dict({"engine": "dict"})
+
+    def test_removed_knobs_are_not_constructor_fields(self):
+        with pytest.raises(TypeError):
+            StudyConfig(engine="flat")
+        with pytest.raises(ValueError, match="unknown"):
+            StudyConfig().with_overrides(n_workers=2)
+        with pytest.raises(ValueError):
+            StudyConfig(executor="process")

@@ -69,16 +69,15 @@ class TestRunStudy:
         assert result.metadata["protocol"] == "samo"
 
     def test_metadata_records_execution_knobs(self):
-        """Worker/shard sizing is part of the run's provenance: the
-        metadata dict carries it alongside engine/executor."""
+        """Shard sizing is part of the run's provenance: the metadata
+        dict carries it alongside the executor."""
         result = run_study(
             tiny_config(
                 executor="sharded", n_shards=2, shard_partition="balanced"
             )
         )
-        assert result.metadata["engine"] == "flat"
         assert result.metadata["executor"] == "sharded"
-        assert result.metadata["n_workers"] == 0
+        assert not {"engine", "n_workers"} & set(result.metadata)
         assert result.metadata["n_shards"] == 2
         assert result.metadata["shard_partition"] == "balanced"
 

@@ -124,6 +124,32 @@ class TestExecution:
         )
         assert sharded.default_jobs() <= max(1, (os.cpu_count() or 1) // 4)
 
+    @pytest.mark.parametrize(
+        "n_shards", [0, 16], ids=["automatic", "clamped-to-rows"]
+    )
+    def test_default_jobs_agrees_with_built_executor(self, n_shards):
+        """The campaign sizes its pool with the same shard-count rule
+        the sharded executor uses to start its workers."""
+        import os
+
+        from repro.core.study import Study
+        from repro.experiments.runner import _study_process_demand
+
+        configs = [
+            tiny_config(
+                name=f"sh{i}", n_nodes=4, executor="sharded",
+                n_shards=n_shards,
+            )
+            for i in range(3)
+        ]
+        with Study(configs[0]) as study:
+            shards = study.simulator.executor().n_shards
+        assert _study_process_demand(configs[0]) == shards
+        cpus = os.cpu_count() or 1
+        assert Campaign(configs).default_jobs() == max(
+            1, min(len(configs), cpus // shards)
+        )
+
     def test_run_many_empty_list_returns_empty_dict(self):
         assert run_many([]) == {}
 

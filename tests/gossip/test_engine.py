@@ -12,7 +12,6 @@ from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BatchedExecutor,
     FlatGossipSimulator,
-    GossipSimulator,
     LocalTrainer,
     SerialExecutor,
     SimulatorConfig,
@@ -20,7 +19,6 @@ from repro.gossip import (
     TrainerConfig,
     UpdateTask,
     make_protocol,
-    make_simulator,
 )
 from repro.gossip.engine import mean_vectors
 from repro.nn import build_mlp, get_state
@@ -33,7 +31,6 @@ MODEL_BUILDER = partial(build_mlp, 16, 4, hidden=(8,))
 def build_flat(
     protocol_name="samo",
     n_nodes=6,
-    engine="flat",
     executor="serial",
     arena_dtype="float64",
     seed=0,
@@ -77,13 +74,12 @@ def build_flat(
         ticks_per_round=20,
         wake_mu=20,
         wake_sigma=2,
-        engine=engine,
         executor=executor,
         arena_dtype=arena_dtype,
         seed=seed,
         **config_kwargs,
     )
-    return make_simulator(
+    return FlatGossipSimulator(
         config,
         protocol,
         splits,
@@ -177,20 +173,12 @@ class TestMeanVectors:
             mean_vectors([])
 
 
-class TestMakeSimulator:
-    def test_dict_engine_returns_legacy_simulator(self):
-        sim = build_flat(engine="dict")
-        assert type(sim) is GossipSimulator
-
-    def test_flat_engine_returns_flat_simulator(self):
-        sim = build_flat(engine="flat")
-        assert isinstance(sim, FlatGossipSimulator)
-
+class TestSimulatorConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimulatorConfig(n_nodes=4, view_size=2, engine="gpu")
-        with pytest.raises(ValueError):
             SimulatorConfig(n_nodes=4, view_size=2, executor="thread")
+        with pytest.raises(ValueError):
+            SimulatorConfig(n_nodes=4, view_size=2, executor="process")
         with pytest.raises(ValueError):
             SimulatorConfig(n_nodes=4, view_size=2, arena_dtype="float16")
         with pytest.raises(ValueError):
@@ -346,9 +334,7 @@ class TestFlatSimulator:
         splits = make_node_splits(
             train, 4, train_per_node=8, test_per_node=4, seed=0
         )
-        config = SimulatorConfig(
-            n_nodes=4, view_size=2, engine="flat", seed=0
-        )
+        config = SimulatorConfig(n_nodes=4, view_size=2, seed=0)
         with pytest.raises(ValueError, match="flat engine"):
             FlatGossipSimulator(config, FakeProtocol(), splits, get_state(model))
 
@@ -361,7 +347,6 @@ class TestExecutorContract:
     @pytest.mark.parametrize(
         "executor,kwargs",
         [
-            ("process", dict(n_workers=2)),
             ("batched", dict()),
             ("batched", dict(train_batch=2)),  # chunked blocks
             ("batched", dict(train_batch=-1)),  # forced per-row path
@@ -371,7 +356,7 @@ class TestExecutorContract:
             ("sharded", dict(n_shards=2, train_batch=-1)),  # per-row shards
         ],
         ids=[
-            "process", "batched", "batched-chunk2", "batched-per-row",
+            "batched", "batched-chunk2", "batched-per-row",
             "sharded", "sharded-balanced", "sharded-one", "sharded-per-row",
         ],
     )
@@ -528,20 +513,18 @@ class TestExecutorContract:
         )
 
     @pytest.mark.parametrize(
-        "executor", ["serial", "batched", "process", "sharded"]
+        "executor", ["serial", "batched", "sharded"]
     )
     def test_set_trainer_config_reaches_live_executor(self, executor):
         """A mid-run config swap through the simulator must reach the
-        live executor (blocked trainer, process pool, shard workers) —
-        training after the swap matches serial bit for bit."""
+        live executor (blocked trainer, shard workers) — training after
+        the swap matches serial bit for bit."""
         from dataclasses import replace
 
         def run(ex):
             extra = {}
             if ex == "sharded":
                 extra["n_shards"] = 2
-            elif ex == "process":
-                extra["n_workers"] = 2
             sim = build_flat(executor=ex, seed=3, **extra)
             sim.run(1)
             sim.set_trainer_config(
@@ -567,8 +550,8 @@ class TestExecutorContract:
         finally:
             sim.close()
 
-    def test_dict_engine_set_trainer_config_and_fallbacks(self):
-        sim = build_flat(engine="dict")
+    def test_set_trainer_config_before_executor_built(self):
+        sim = build_flat()
         try:
             from dataclasses import replace
 
@@ -592,10 +575,10 @@ class TestExecutorContract:
             train, 4, train_per_node=8, test_per_node=4, seed=0
         )
         config = SimulatorConfig(
-            n_nodes=4, view_size=2, engine="flat", executor="sharded",
+            n_nodes=4, view_size=2, executor="sharded",
             wake_mu=5, wake_sigma=1, seed=0,
         )
-        sim = make_simulator(
+        sim = FlatGossipSimulator(
             config, make_protocol("samo", trainer), splits, get_state(model)
         )
         try:
@@ -650,7 +633,7 @@ class TestExecutorContract:
                 n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
                 wake_sigma=2, executor=executor, n_shards=2, seed=0,
             )
-            return make_simulator(
+            return FlatGossipSimulator(
                 config, make_protocol("samo", trainer), splits,
                 get_state(model), model_builder=dropout_builder,
             )
@@ -694,7 +677,7 @@ class TestExecutorContract:
                 n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
                 wake_sigma=2, executor=executor, seed=0,
             )
-            return make_simulator(
+            return FlatGossipSimulator(
                 config, make_protocol("samo", trainer), splits,
                 get_state(model), model_builder=dropout_builder,
             )
@@ -713,34 +696,9 @@ class TestExecutorContract:
         assert set(counts) == {"no_batched_backward"}
         assert counts["no_batched_backward"] > 0
 
-    def test_process_executor_requires_model_builder(self):
-        model = MODEL_BUILDER(rng=np.random.default_rng(0))
-        trainer = LocalTrainer(
-            model,
-            TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=1,
-                          batch_size=8),
-        )
-        train, _ = make_synthetic_tabular_dataset(
-            "t", 100, 20, num_features=16, num_classes=4, seed=0
-        )
-        splits = make_node_splits(
-            train, 4, train_per_node=8, test_per_node=4, seed=0
-        )
-        config = SimulatorConfig(
-            n_nodes=4, view_size=2, engine="flat", executor="process",
-            wake_mu=5, wake_sigma=1, seed=0,
-        )
-        sim = make_simulator(
-            config, make_protocol("samo", trainer), splits, get_state(model)
-        )
-        with pytest.raises(ValueError, match="model_builder"):
-            sim.run(1)
-
-
 class TestSimulatorLifecycle:
-    """Idempotent close and context-manager support (satellite of the
-    sharding PR): pools and segments are released exactly once, even
-    when a run raises."""
+    """Idempotent close and context-manager support: shard workers and
+    segments are released exactly once, even when a run raises."""
 
     def test_close_is_idempotent(self):
         sim = build_flat()
@@ -761,20 +719,6 @@ class TestSimulatorLifecycle:
                 assert sim._executor is not None
                 raise RuntimeError("mid-run")
         assert sim._executor is None
-
-    def test_dict_engine_context_manager_is_noop(self):
-        with build_flat(engine="dict") as sim:
-            sim.run(1)
-        assert sim.messages_sent > 0
-
-    def test_process_executor_close_idempotent_and_final(self):
-        sim = build_flat(executor="process", n_workers=2)
-        sim.run(1)
-        executor = sim.executor()
-        sim.close()
-        executor.close()  # second close: no-op
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.train_batch([])
 
     def test_sharded_executor_registered(self):
         from repro.gossip import ShardedExecutor
@@ -808,46 +752,39 @@ class TestMessageLogPayloads:
         )
         config = SimulatorConfig(
             n_nodes=4, view_size=2, ticks_per_round=10, wake_mu=10,
-            wake_sigma=1, engine="flat", seed=0,
+            wake_sigma=1, seed=0,
         )
-        sim = make_simulator(
+        with FlatGossipSimulator(
             config, make_protocol("samo", trainer), splits,
             get_state(model), keep_payloads=True,
             model_builder=MODEL_BUILDER,
-        )
-        sim.run(1)
+        ) as sim:
+            sim.run(1)
         assert sim.log.messages
         message = sim.log.messages[0]
         assert set(message.payload) == set(sim.layout.names)
         assert message.payload_size == sim.layout.dim
 
 
-class TestEngineDefault:
-    """PR 2 flipped the default engine from "dict" to "flat"."""
+class TestOneEngine:
+    """The flat simulator is the only engine: no knob selects another
+    engine or a process-pool executor."""
 
-    def test_simulator_config_defaults_to_flat(self):
-        assert SimulatorConfig().engine == "flat"
+    def test_no_engine_or_worker_knobs(self):
+        from dataclasses import fields
 
-    def test_study_config_defaults_to_flat(self):
         from repro.core import StudyConfig
+        from repro.core.config import ExecutionConfig
 
-        assert StudyConfig().engine == "flat"
-
-    def test_make_simulator_defaults_to_flat(self):
-        sim = build_flat()
-        assert isinstance(sim, FlatGossipSimulator)
-
-    def test_dict_engine_still_runs_behind_flag(self):
-        sim = build_flat(engine="dict")
-        assert type(sim) is GossipSimulator
-        sim.run(1)
-        assert sim.messages_sent > 0
+        for cls in (SimulatorConfig, ExecutionConfig, StudyConfig):
+            names = {f.name for f in fields(cls)}
+            assert not names & {"engine", "n_workers"}, cls.__name__
 
 
 class TestSessionFlowsThroughTask:
     """lr_decay sessions are engine bookkeeping, never per-trainer state:
     the task carries the session index so every executor (serial
-    workspace, process-pool workers, the batched trainer) sees the same
+    workspace, shard workers, the batched trainer) sees the same
     learning rate for the same update."""
 
     def test_update_task_requires_explicit_session(self):
@@ -855,10 +792,10 @@ class TestSessionFlowsThroughTask:
             UpdateTask(0, np.zeros(4), np.random.default_rng(0), session=None)
 
     def test_worker_trainers_reproduce_shared_trainer_sessions(self):
-        """Regression for per-trainer ``_sessions`` divergence: two
-        stateless worker trainers fed engine sessions must reproduce
-        what one shared trainer's node_id bookkeeping computes — the
-        failure mode being each worker starting its own count at 0."""
+        """Trainers are stateless across sessions: one shared trainer
+        fed sessions 0 and 1 matches two fresh worker trainers fed the
+        same sessions — the failure mode being any per-trainer count
+        (each worker would start its own at 0)."""
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
         config = TrainerConfig(
             learning_rate=0.1, momentum=0.0, local_epochs=1, batch_size=8,
@@ -870,9 +807,10 @@ class TestSessionFlowsThroughTask:
         state = get_state(model)
         shared = LocalTrainer(model, config)
         expected = state
-        for _ in range(2):  # node 3 trains twice on the shared trainer
+        for session in range(2):  # node 3 trains twice on one trainer
             expected = shared.train(
-                expected, x, y, np.random.default_rng(4), node_id=3
+                expected, x, y, np.random.default_rng(4), node_id=3,
+                session=session,
             )
         # Engine-style: each update may land on a DIFFERENT worker
         # trainer; the session index travels with the task.
@@ -882,9 +820,10 @@ class TestSessionFlowsThroughTask:
                 MODEL_BUILDER(rng=np.random.default_rng(0)), config
             )
             out = worker.train(
-                out, x, y, np.random.default_rng(4), session=session
+                out, x, y, np.random.default_rng(4), node_id=3,
+                session=session,
             )
-            assert worker._sessions == {}  # explicit session: no bookkeeping
+            assert not hasattr(worker, "_sessions")  # no bookkeeping
         np.testing.assert_array_equal(
             state_to_vector(expected), state_to_vector(out)
         )
@@ -962,10 +901,10 @@ class TestStateMatrix:
         with pytest.raises(ValueError, match="layout"):
             sim.state_matrix(wrong)
 
-    def test_dict_engine_packs_states(self):
+    def test_rows_match_node_states(self):
         from repro.nn.serialize import state_to_vector
 
-        sim = build_flat(engine="dict")
+        sim = build_flat()
         sim.run(1)
         matrix = sim.state_matrix()
         for node in sim.nodes:

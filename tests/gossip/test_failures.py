@@ -6,7 +6,7 @@ import pytest
 
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
-    GossipSimulator,
+    FlatGossipSimulator,
     LocalTrainer,
     PartialMergeGossipProtocol,
     SimulatorConfig,
@@ -35,7 +35,7 @@ def build_simulator(drop_prob=0.0, failure_prob=0.0, sampler=None,
         ticks_per_round=20, wake_mu=20, wake_sigma=2,
         drop_prob=drop_prob, failure_prob=failure_prob, seed=seed,
     )
-    return GossipSimulator(
+    return FlatGossipSimulator(
         config, make_protocol(protocol_name, trainer), splits, get_state(model)
     )
 
@@ -129,26 +129,23 @@ class TestPartialMerge:
             TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=0,
                           batch_size=8),
         )
-        from repro.gossip import BaseGossipProtocol, GossipNode
+        from repro.gossip import BaseGossipProtocol
 
         train, _ = make_synthetic_tabular_dataset(
             "t", 100, 10, num_features=16, num_classes=4, seed=0
         )
-        split = make_node_splits(train, 2, train_per_node=16,
-                                 test_per_node=8, seed=0)[0]
+        splits = make_node_splits(train, 3, train_per_node=16,
+                                  test_per_node=8, seed=0)
         init = get_state(model)
-        incoming = {k: v + 1.0 for k, v in init.items()}
+        config = SimulatorConfig(n_nodes=3, view_size=2, seed=0)
 
         def merged_distance(protocol):
-            node = GossipNode(
-                node_id=0,
-                state={k: v.copy() for k, v in init.items()},
-                split=split,
-                rng=np.random.default_rng(1),
-            )
-            protocol.on_receive(node, dict(incoming))
+            sim = FlatGossipSimulator(config, protocol, splits, init)
+            incoming = sim.arena.row(1) + 1.0
+            sim._pending.append((1, 0, incoming))
+            sim._process_pending()  # node 0 receives
             return np.linalg.norm(
-                state_to_vector(node.state) - state_to_vector(init)
+                state_to_vector(sim.nodes[0].state) - state_to_vector(init)
             )
 
         full = merged_distance(BaseGossipProtocol(trainer))
@@ -195,7 +192,7 @@ class TestMessageLatency:
             n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
             wake_sigma=2, delay_ticks=5, seed=0,
         )
-        sim = GossipSimulator(
+        sim = FlatGossipSimulator(
             config, make_protocol("samo", trainer), splits, get_state(model)
         )
         sim.run_round()
@@ -221,7 +218,7 @@ class TestMessageLatency:
                 n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
                 wake_sigma=2, delay_ticks=delay, seed=4,
             )
-            sim2 = GossipSimulator(
+            sim2 = FlatGossipSimulator(
                 config, sim.protocol, [n.split for n in sim.nodes],
                 sim.nodes[0].snapshot(),
             )
@@ -268,27 +265,28 @@ class TestInFlightIsolation:
             n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
             wake_sigma=2, delay_ticks=delay_ticks, seed=0,
         )
-        return GossipSimulator(
+        return FlatGossipSimulator(
             config, make_protocol("samo", trainer), splits, get_state(model)
         )
 
     def test_sender_mutation_does_not_reach_in_flight_payload(self):
-        """Regression: _send used to enqueue the payload dict by
-        reference, so a sender training after the send rewrote the
+        """Regression: a send that enqueued the sender's live model by
+        reference let a sender training after the send rewrite the
         message on the wire."""
         sim = self._delayed_sim(delay_ticks=3)
-        payload = sim.nodes[0].snapshot()
-        original = {k: v.copy() for k, v in payload.items()}
-        sim._send(0, 1, payload)
-        for arr in payload.values():  # sender keeps training...
-            arr += 1234.5
+        original = sim.arena.row(0).copy()
+        neighbors = sorted(sim.sampler.view(0))
+        sim._samo_wakes([0])  # node 0 sends to its whole view
+        sim.arena.row(0)[:] += 1234.5  # sender keeps training...
         for _ in range(4):  # ...while the message rides the wire
             sim.clock.advance()
         sim._deliver_due()
-        assert len(sim.nodes[1].inbox) == 1
-        delivered = sim.nodes[1].inbox[0]
-        for name in original:
-            np.testing.assert_array_equal(delivered[name], original[name])
+        sim._process_pending()
+        for neighbor in neighbors:
+            assert len(sim.nodes[neighbor].inbox) == 1
+            np.testing.assert_array_equal(
+                sim.nodes[neighbor].inbox[0], original
+            )
 
     def test_run_tallies_undelivered_messages(self):
         """Messages still in flight at the end of run() are counted,
@@ -301,7 +299,7 @@ class TestInFlightIsolation:
 
     def test_run_delivers_messages_due_at_final_tick(self):
         sim = self._delayed_sim(delay_ticks=1)
-        sim._send(0, 1, sim.nodes[0].snapshot())  # due at tick 1
+        sim._send_vector(0, 1, sim._copy_payload(sim.arena.row(0)))  # due at tick 1
         sim.clock.advance()  # horizon ends exactly at the due tick
         sim.run(rounds=0)
         assert len(sim.nodes[1].inbox) == 1

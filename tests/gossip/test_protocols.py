@@ -1,4 +1,10 @@
-"""Tests for Base Gossip (Algorithm 1) and SAMO (Algorithm 2)."""
+"""Tests for Base Gossip (Algorithm 1) and SAMO (Algorithm 2).
+
+Each protocol is defined once, in the engine: a wake runs
+``_base_wakes``/``_samo_wakes`` and a reception runs
+``_process_pending``. These tests drive those steps on one node of a
+small simulator, with the node's view pinned per test.
+"""
 
 import numpy as np
 import pytest
@@ -6,9 +12,10 @@ import pytest
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BaseGossipProtocol,
-    GossipNode,
+    FlatGossipSimulator,
     LocalTrainer,
     SAMOProtocol,
+    SimulatorConfig,
     TrainerConfig,
     make_protocol,
 )
@@ -18,7 +25,7 @@ from repro.nn.serialize import average_states, state_to_vector
 
 @pytest.fixture
 def env():
-    """Model, trainer, and a couple of nodes with real data."""
+    """Trainer, real data for three nodes, and the shared initial model."""
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
     trainer = LocalTrainer(
         model,
@@ -28,148 +35,138 @@ def env():
         "t", 120, 20, num_features=16, num_classes=4, seed=0
     )
     splits = make_node_splits(train, 3, train_per_node=16, test_per_node=8, seed=0)
-    init = get_state(model)
-    nodes = [
-        GossipNode(
-            node_id=i,
-            state={k: v.copy() for k, v in init.items()},
-            split=splits[i],
-            rng=np.random.default_rng(100 + i),
-        )
-        for i in range(3)
-    ]
-    return model, trainer, nodes, init
+    return trainer, splits, get_state(model)
 
 
-def collect_sends():
-    sent = []
+def simulator(env, protocol_cls, view=None):
+    """A 3-node simulator running ``protocol_cls``; ``view`` pins node
+    0's neighbors."""
+    trainer, splits, init = env
+    sim = FlatGossipSimulator(
+        SimulatorConfig(n_nodes=3, view_size=2, seed=0),
+        protocol_cls(trainer),
+        splits,
+        init,
+    )
+    if view is not None:
+        sim.sampler.view = lambda node_id: set(view) if node_id == 0 else set()
+    return sim
 
-    def send(sender, receiver, payload):
-        sent.append((sender, receiver, payload))
 
-    return sent, send
+def receive(sim, payload, receiver=0, sender=1):
+    """Deliver one message and run the protocol's reception step."""
+    sim._pending.append((sender, receiver, payload))
+    sim._process_pending()
+
+
+def sends(sim):
+    """Messages the last wake step queued, as (sender, receiver, payload)."""
+    return list(sim._pending)
+
+
+def row(sim, node_id=0):
+    return sim.arena.row(node_id).copy()
 
 
 class TestBaseGossip:
     def test_wake_sends_to_exactly_one_neighbor(self, env):
-        _, trainer, nodes, _ = env
-        protocol = BaseGossipProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1, 2}, send=send)
+        sim = simulator(env, BaseGossipProtocol, view={1, 2})
+        sim._base_wakes([0])
+        sent = sends(sim)
         assert len(sent) == 1
         assert sent[0][0] == 0
         assert sent[0][1] in {1, 2}
 
     def test_wake_with_empty_view_sends_nothing(self, env):
-        _, trainer, nodes, _ = env
-        protocol = BaseGossipProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view=set(), send=send)
-        assert sent == []
+        sim = simulator(env, BaseGossipProtocol, view=set())
+        sim._base_wakes([0])
+        assert sends(sim) == []
 
     def test_receive_aggregates_pairwise_then_trains(self, env):
-        _, trainer, nodes, init = env
-        protocol = BaseGossipProtocol(trainer)
-        incoming = {k: v + 2.0 for k, v in init.items()}
-        node = nodes[0]
+        _, _, init = env
+        sim = simulator(env, BaseGossipProtocol)
+        node = sim.nodes[0]
+        incoming = row(sim) + 2.0
         before_updates = node.updates_performed
-        protocol.on_receive(node, incoming)
+        receive(sim, incoming)
         assert node.updates_performed == before_updates + 1
         # The state should be near the pairwise average (training then
         # perturbs it, but aggregation is exact before local steps).
-        expected_avg = average_states([init, incoming])
+        expected_avg = average_states([init, sim.layout.unpack(incoming)])
         # After training it moved, but should be closer to the average
         # than to either endpoint by construction of one small step.
-        d_avg = np.linalg.norm(
-            state_to_vector(node.state) - state_to_vector(expected_avg)
-        )
-        d_init = np.linalg.norm(
-            state_to_vector(node.state) - state_to_vector(init)
-        )
+        d_avg = np.linalg.norm(row(sim) - state_to_vector(expected_avg))
+        d_init = np.linalg.norm(row(sim) - state_to_vector(init))
         assert d_avg < d_init
 
     def test_receive_does_not_buffer(self, env):
-        _, trainer, nodes, init = env
-        protocol = BaseGossipProtocol(trainer)
-        protocol.on_receive(nodes[0], dict(init))
-        assert nodes[0].inbox == []
+        sim = simulator(env, BaseGossipProtocol)
+        receive(sim, row(sim, 1))
+        assert sim.nodes[0].inbox == []
 
     def test_wake_does_not_train(self, env):
         """Algorithm 1 trains only on reception."""
-        _, trainer, nodes, _ = env
-        protocol = BaseGossipProtocol(trainer)
-        sent, send = collect_sends()
-        before = nodes[0].updates_performed
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        assert nodes[0].updates_performed == before
+        sim = simulator(env, BaseGossipProtocol, view={1})
+        before = sim.nodes[0].updates_performed
+        sim._base_wakes([0])
+        assert sim.nodes[0].updates_performed == before
 
 
 class TestSAMO:
     def test_receive_only_buffers(self, env):
-        _, trainer, nodes, init = env
-        protocol = SAMOProtocol(trainer)
-        before = state_to_vector(nodes[0].state).copy()
-        protocol.on_receive(nodes[0], dict(init))
-        assert len(nodes[0].inbox) == 1
-        np.testing.assert_array_equal(state_to_vector(nodes[0].state), before)
-        assert nodes[0].updates_performed == 0
+        sim = simulator(env, SAMOProtocol)
+        before = row(sim)
+        receive(sim, row(sim, 1))
+        assert len(sim.nodes[0].inbox) == 1
+        np.testing.assert_array_equal(row(sim), before)
+        assert sim.nodes[0].updates_performed == 0
 
     def test_wake_sends_to_all_neighbors(self, env):
-        _, trainer, nodes, _ = env
-        protocol = SAMOProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1, 2}, send=send)
-        assert sorted(receiver for _, receiver, _ in sent) == [1, 2]
+        sim = simulator(env, SAMOProtocol, view={1, 2})
+        sim._samo_wakes([0])
+        assert sorted(receiver for _, receiver, _ in sends(sim)) == [1, 2]
 
     def test_wake_without_inbox_skips_merge_and_training(self, env):
         """Algorithm 2 line 3: only merge/train when |Theta_i| > 1."""
-        _, trainer, nodes, _ = env
-        protocol = SAMOProtocol(trainer)
-        sent, send = collect_sends()
-        before = state_to_vector(nodes[0].state).copy()
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        np.testing.assert_array_equal(state_to_vector(nodes[0].state), before)
-        assert nodes[0].updates_performed == 0
-        assert len(sent) == 1  # still disseminates
+        sim = simulator(env, SAMOProtocol, view={1})
+        before = row(sim)
+        sim._samo_wakes([0])
+        np.testing.assert_array_equal(row(sim), before)
+        assert sim.nodes[0].updates_performed == 0
+        assert len(sends(sim)) == 1  # still disseminates
 
     def test_wake_with_inbox_merges_all_then_trains(self, env):
-        _, trainer, nodes, init = env
-        protocol = SAMOProtocol(trainer)
-        m1 = {k: v + 3.0 for k, v in init.items()}
-        m2 = {k: v - 3.0 for k, v in init.items()}
-        protocol.on_receive(nodes[0], m1)
-        protocol.on_receive(nodes[0], m2)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        assert nodes[0].updates_performed == 1
-        assert nodes[0].inbox == []
+        _, _, init = env
+        sim = simulator(env, SAMOProtocol, view={1})
+        m1 = row(sim) + 3.0
+        m2 = row(sim) - 3.0
+        receive(sim, m1)
+        receive(sim, m2)
+        sim._samo_wakes([0])
+        assert sim.nodes[0].updates_performed == 1
+        assert sim.nodes[0].inbox == []
         # Average of init, init+3, init-3 is init; state then trained a
         # little, so it should be near init.
-        drift = np.linalg.norm(
-            state_to_vector(nodes[0].state) - state_to_vector(init)
-        )
-        assert drift < np.linalg.norm(state_to_vector(m1) - state_to_vector(init))
+        drift = np.linalg.norm(row(sim) - state_to_vector(init))
+        assert drift < np.linalg.norm(m1 - state_to_vector(init))
 
     def test_sent_payload_is_snapshot(self, env):
         """Mutating the node after sending must not alter the payload."""
-        _, trainer, nodes, _ = env
-        protocol = SAMOProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        payload = sent[0][2]
-        before = state_to_vector(payload).copy()
-        for arr in nodes[0].state.values():
-            arr += 100.0
-        np.testing.assert_array_equal(state_to_vector(payload), before)
+        sim = simulator(env, SAMOProtocol, view={1})
+        sim._samo_wakes([0])
+        payload = sends(sim)[0][2]
+        before = payload.copy()
+        sim.arena.row(0)[:] += 100.0
+        np.testing.assert_array_equal(payload, before)
 
 
 class TestFactory:
     def test_known_names(self, env):
-        _, trainer, _, _ = env
+        trainer, _, _ = env
         assert isinstance(make_protocol("base_gossip", trainer), BaseGossipProtocol)
         assert isinstance(make_protocol("samo", trainer), SAMOProtocol)
 
     def test_unknown_name(self, env):
-        _, trainer, _, _ = env
+        trainer, _, _ = env
         with pytest.raises(ValueError):
             make_protocol("epidemic", trainer)

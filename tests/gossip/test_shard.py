@@ -487,10 +487,10 @@ class TestSharedSegmentLifecycle:
 
     def test_simulator_context_manager_releases_everything(self):
         from repro.gossip import (
+            FlatGossipSimulator,
             LocalTrainer as LT,
             SimulatorConfig,
             make_protocol,
-            make_simulator,
         )
 
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
@@ -508,7 +508,7 @@ class TestSharedSegmentLifecycle:
             n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
             wake_sigma=2, executor="sharded", n_shards=2, seed=0,
         )
-        with make_simulator(
+        with FlatGossipSimulator(
             config, make_protocol("samo", trainer), splits,
             get_state(model), model_builder=MODEL_BUILDER,
         ) as sim:
@@ -529,10 +529,10 @@ class TestSharedSegmentLifecycle:
 
     def test_context_manager_releases_on_exception(self):
         from repro.gossip import (
+            FlatGossipSimulator,
             LocalTrainer as LT,
             SimulatorConfig,
             make_protocol,
-            make_simulator,
         )
 
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
@@ -551,7 +551,7 @@ class TestSharedSegmentLifecycle:
             wake_sigma=2, executor="sharded", n_shards=2, seed=0,
         )
         with pytest.raises(RuntimeError, match="boom"):
-            with make_simulator(
+            with FlatGossipSimulator(
                 config, make_protocol("samo", trainer), splits,
                 get_state(model), model_builder=MODEL_BUILDER,
             ) as sim:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
-    GossipSimulator,
+    FlatGossipSimulator,
     LocalTrainer,
     SimulatorConfig,
     TrainerConfig,
@@ -50,7 +50,7 @@ def build_simulator(
         wake_sigma=ticks_per_round / 10,
         seed=seed,
     )
-    return GossipSimulator(config, protocol, splits, get_state(model)), model
+    return FlatGossipSimulator(config, protocol, splits, get_state(model)), model
 
 
 class TestConstruction:
@@ -63,7 +63,7 @@ class TestConstruction:
     def test_rejects_split_count_mismatch(self):
         sim, model = build_simulator()
         with pytest.raises(ValueError):
-            GossipSimulator(
+            FlatGossipSimulator(
                 sim.config, sim.protocol, sim.nodes[0:2], get_state(model)
             )
 

@@ -171,20 +171,19 @@ class TestEarlyOverfittingMitigations:
                           batch_size=8, lr_decay=0.5),
         )
         state = get_state(model)
-        first = trainer.train(state, x, y, np.random.default_rng(5), node_id=0)
+        first = trainer.train(state, x, y, np.random.default_rng(5), session=0)
         drift_first = np.linalg.norm(
             state_to_vector(first) - state_to_vector(state)
         )
-        # Burn sessions for node 0 so the decayed lr applies.
-        for _ in range(3):
-            trainer.train(state, x, y, np.random.default_rng(5), node_id=0)
-        later = trainer.train(state, x, y, np.random.default_rng(5), node_id=0)
+        later = trainer.train(state, x, y, np.random.default_rng(5), session=4)
         drift_later = np.linalg.norm(
             state_to_vector(later) - state_to_vector(state)
         )
         assert drift_later < drift_first
 
-    def test_lr_decay_is_per_node(self):
+    def test_lr_decay_follows_session_not_call_count(self):
+        """The session index alone sets the rate: earlier calls (for any
+        node) leave a session-0 update at full rate."""
         x, y = make_data()
         model, _ = make_setup()
         trainer = LocalTrainer(
@@ -193,11 +192,19 @@ class TestEarlyOverfittingMitigations:
                           batch_size=8, lr_decay=0.5),
         )
         state = get_state(model)
-        for _ in range(3):
-            trainer.train(state, x, y, np.random.default_rng(5), node_id=0)
-        # A fresh node still trains at full rate.
+        first = trainer.train(state, x, y, np.random.default_rng(5), node_id=1)
+        for session in range(3):
+            trainer.train(
+                state, x, y, np.random.default_rng(5), node_id=0,
+                session=session,
+            )
         fresh = trainer.train(state, x, y, np.random.default_rng(5), node_id=1)
-        decayed = trainer.train(state, x, y, np.random.default_rng(5), node_id=0)
+        decayed = trainer.train(
+            state, x, y, np.random.default_rng(5), node_id=0, session=3
+        )
+        np.testing.assert_array_equal(
+            state_to_vector(fresh), state_to_vector(first)
+        )
         drift_fresh = np.linalg.norm(
             state_to_vector(fresh) - state_to_vector(state)
         )
@@ -215,13 +222,12 @@ class TestEarlyOverfittingMitigations:
             TrainerConfig(lr_decay=1.5)
 
 
-class TestSessionBookkeeping:
-    """lr_decay session counters, including the empty-split edge case."""
+class TestSessions:
+    """lr_decay sessions: an explicit index, no per-trainer state."""
 
-    def test_empty_split_does_not_advance_session(self):
-        """A node with no local data never trains, so its lr_decay
-        session counter must not advance (advancing would cool down
-        the learning rate of training that never happened)."""
+    def test_empty_split_is_a_no_op(self):
+        """A node with no local data never trains: the state comes back
+        unchanged (the engine also leaves its session counter alone)."""
         model, trainer = make_setup()
         trainer.config = TrainerConfig(
             learning_rate=0.1, momentum=0.0, local_epochs=1,
@@ -232,55 +238,32 @@ class TestSessionBookkeeping:
         empty_y = np.zeros((0,), dtype=np.int64)
         rng = np.random.default_rng(0)
         out = trainer.train(state, empty_x, empty_y, rng, node_id=7)
-        assert trainer._sessions.get(7, 0) == 0
         np.testing.assert_array_equal(
             state_to_vector(out), state_to_vector(state)
         )
-        # A later real session starts at session 0 (full learning rate).
-        x, y = make_data()
-        trainer.train(state, x, y, rng, node_id=7)
-        assert trainer._sessions[7] == 1
+        assert not hasattr(trainer, "_sessions")
 
-    def test_sessions_advance_per_node(self):
-        model, trainer = make_setup(local_epochs=1)
-        state = get_state(model)
+    def test_session_scales_learning_rate(self):
+        """session=N trains exactly like session 0 at
+        ``learning_rate * lr_decay ** N``."""
         x, y = make_data()
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            trainer.train(state, x, y, rng, node_id=0)
-        trainer.train(state, x, y, rng, node_id=1)
-        assert trainer._sessions == {0: 3, 1: 1}
-
-    def test_explicit_session_bypasses_bookkeeping(self):
-        """The flat engine passes sessions explicitly; the trainer's own
-        counters must stay untouched so the two never fight."""
-        model, trainer = make_setup(local_epochs=1)
-        state = get_state(model)
-        x, y = make_data()
-        rng = np.random.default_rng(0)
-        trainer.train(state, x, y, rng, node_id=4, session=2)
-        assert trainer._sessions == {}
-
-    def test_explicit_session_matches_bookkept_lr(self):
-        """session=N reproduces the update the N+1-th bookkept call makes."""
-        x, y = make_data()
-        config = TrainerConfig(
+        decayed = TrainerConfig(
             learning_rate=0.1, momentum=0.0, local_epochs=1,
             batch_size=8, lr_decay=0.5,
         )
+        scaled = TrainerConfig(
+            learning_rate=0.1 * 0.5**2, momentum=0.0, local_epochs=1,
+            batch_size=8,
+        )
         model_a = build_mlp(8, 3, hidden=(16,), rng=np.random.default_rng(0))
-        trainer_a = LocalTrainer(model_a, config)
         state = get_state(model_a)
-        out_a = state
-        for _ in range(3):
-            out_a = trainer_a.train(out_a, x, y, np.random.default_rng(9), node_id=0)
+        out_a = LocalTrainer(model_a, decayed).train(
+            state, x, y, np.random.default_rng(9), node_id=0, session=2
+        )
         model_b = build_mlp(8, 3, hidden=(16,), rng=np.random.default_rng(0))
-        trainer_b = LocalTrainer(model_b, config)
-        out_b = state
-        for session in range(3):
-            out_b = trainer_b.train(
-                out_b, x, y, np.random.default_rng(9), session=session
-            )
+        out_b = LocalTrainer(model_b, scaled).train(
+            state, x, y, np.random.default_rng(9), node_id=0
+        )
         np.testing.assert_array_equal(
             state_to_vector(out_a), state_to_vector(out_b)
         )

@@ -12,7 +12,7 @@ import pytest
 from repro import StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
-    GossipSimulator,
+    FlatGossipSimulator,
     LocalTrainer,
     SimulatorConfig,
     TrainerConfig,
@@ -35,7 +35,7 @@ def mixing_only_simulator(protocol_name, seed=0, n_nodes=8):
     )
     splits = make_node_splits(train, n_nodes, train_per_node=8,
                               test_per_node=4, seed=seed)
-    sim = GossipSimulator(
+    sim = FlatGossipSimulator(
         SimulatorConfig(
             n_nodes=n_nodes, view_size=2, ticks_per_round=20,
             wake_mu=20, wake_sigma=2, seed=seed,

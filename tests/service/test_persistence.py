@@ -298,6 +298,53 @@ class TestRecoveryStateMapping:
         assert job.id == "job-000008"
         assert job.wait(120) == DONE
 
+    def test_pre_removal_config_recovers_done_job_with_result(self, tmp_path):
+        """Journals written while the dict engine and the process-pool
+        executor existed carry ``execution.engine``/``n_workers`` (and
+        maybe ``executor: "process"``). A done job from such a journal
+        comes back with its result instead of being dropped."""
+        config = normalized_config()
+        config["execution"] = dict(
+            config["execution"], engine="flat", executor="process",
+            n_workers=2,
+        )
+        result = '{"config_name": "svc-test", "rounds": []}'
+        self._craft(
+            tmp_path,
+            [
+                {"event": "submitted", "job": "job-000001", "config": config,
+                 "config_hash": "abc"},
+                {"event": "state", "job": "job-000001", "state": "running",
+                 "builds": 1},
+                {"event": "frame", "job": "job-000001", "index": 0,
+                 "frame": "f0"},
+                {"event": "done", "job": "job-000001", "result": result},
+            ],
+        )
+        job = self._manager(tmp_path).get("job-000001")
+        assert job is not None
+        assert job.state == DONE
+        assert job.result_json == result
+        assert job.frames == ["f0"]
+        # Loaded as today's spelling: "process" is serial, bit for bit.
+        assert job.config == StudyConfig.from_dict(tiny_study_payload())
+        assert job.config_hash == StudyConfig.from_dict(
+            tiny_study_payload()
+        ).config_hash()
+
+    def test_dict_engine_job_is_dropped(self, tmp_path):
+        config = normalized_config()
+        config["execution"] = dict(config["execution"], engine="dict")
+        self._craft(
+            tmp_path,
+            [
+                {"event": "submitted", "job": "job-000001", "config": config,
+                 "config_hash": "abc"},
+                {"event": "failed", "job": "job-000001", "error": "boom"},
+            ],
+        )
+        assert self._manager(tmp_path).get("job-000001") is None
+
     def test_recovery_compacts_so_restart_is_idempotent(self, tmp_path):
         config = normalized_config()
         self._craft(

@@ -35,6 +35,20 @@ class TestUpdateBenchJson:
         assert data["schema_version"] == bench.BENCH_SCHEMA_VERSION
         assert data["unit"] == "ms"
 
+    def test_src_loc_stamped_next_to_cpus(self, bench, tmp_path):
+        path = tmp_path / "BENCH_engine.json"
+        bench.update_bench_json({"engine": {"tiny": 1.5}}, path=path)
+        data = json.loads(path.read_text())
+        assert "cpus" in data
+        assert data["src_loc"] == bench.src_loc() > 0
+
+    def test_src_loc_counts_python_lines_only(self, bench, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+        (tmp_path / "pkg" / "b.py").write_text("z = 3\n")
+        (tmp_path / "pkg" / "notes.md").write_text("one\ntwo\nthree\n")
+        assert bench.src_loc(tmp_path) == 3
+
     def test_merge_preserves_other_sections(self, bench, tmp_path):
         path = tmp_path / "BENCH_engine.json"
         bench.update_bench_json({"engine": {"tiny": 1.5}}, path=path)

@@ -55,17 +55,26 @@ class TestStudy:
         payload = json.loads(out_json.read_text())
         assert payload["metadata"]["sampler"] == "fresh"
 
-    def test_flat_engine_flag(self, tmp_path):
+    def test_arena_dtype_flag(self, tmp_path):
         out_json = tmp_path / "run.json"
         code = main([
             "study", "--rounds", "1", "--nodes", "6",
-            "--engine", "flat", "--arena-dtype", "float32",
+            "--arena-dtype", "float32",
             "--out", str(out_json),
         ])
         assert code == 0
         payload = json.loads(out_json.read_text())
-        assert payload["metadata"]["engine"] == "flat"
+        assert "engine" not in payload["metadata"]
         assert payload["metadata"]["executor"] == "serial"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "flat"], ["--workers", "2"], ["--executor", "process"]],
+        ids=["engine", "workers", "process"],
+    )
+    def test_removed_flags_rejected(self, flags):
+        with pytest.raises(SystemExit):
+            main(["study", "--rounds", "1", "--nodes", "6", *flags])
 
     def test_sharded_executor_flags(self, tmp_path):
         out_json = tmp_path / "run.json"
@@ -80,7 +89,7 @@ class TestStudy:
         assert payload["metadata"]["executor"] == "sharded"
         assert payload["metadata"]["n_shards"] == 2
         assert payload["metadata"]["shard_partition"] == "balanced"
-        assert payload["metadata"]["n_workers"] == 0
+        assert "n_workers" not in payload["metadata"]
 
     def test_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):

@@ -33,7 +33,7 @@ class TestSubpackageSurface:
                              "mixing_time", "ramanujan_lambda2"]),
             ("repro.gossip", ["BaseGossipProtocol", "SAMOProtocol",
                               "PartialMergeGossipProtocol",
-                              "GossipSimulator"]),
+                              "FlatGossipSimulator"]),
             ("repro.privacy", ["mpe_scores", "mia_accuracy", "tpr_at_fpr",
                                "RDPAccountant", "calibrate_sigma",
                                "ShadowModelAttack", "compare_attacks"]),

@@ -1,7 +1,7 @@
 """Resource-lifecycle rules (the ``lifecycle-*`` family).
 
 The project pass collects every class in ``src/`` that defines or
-inherits ``close()`` — SharedArena, the executors, GossipSimulator,
+inherits ``close()`` — SharedArena, the executors, FlatGossipSimulator,
 Study, JobManager, JobJournal, StudyService. Instantiating one takes
 on a release obligation (PR 4's shared-memory segments leak into
 ``/dev/shm`` if dropped; executors leak worker processes), so
