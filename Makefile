@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke lint docs-check coverage examples serve-smoke
+.PHONY: test bench bench-smoke e2e-smoke lint docs-check coverage examples serve-smoke
 
 ## Tier-1 suite: unit + integration tests and benchmarks.
 test:
@@ -28,6 +28,14 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_engine_throughput.py \
 		benchmarks/test_campaign_throughput.py -q
+
+## End-to-end smoke: every engine workload of the benchmark
+## (benchmarks/e2e) for a 3 s window; fails on any failed check.
+E2E_ENGINE_WORKLOADS := samo-static-64 base-peerswap-dp-16 samo-peerswap-v8-128
+e2e-smoke:
+	for w in $(E2E_ENGINE_WORKLOADS); do \
+		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seconds 3 || exit 1; \
+	done
 
 ## Smoke-run every script in examples/ at tiny scale.
 examples:

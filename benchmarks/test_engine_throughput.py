@@ -27,6 +27,9 @@ Acceptance properties of the engine PRs:
 * one serial SAMO round at 128 nodes, view 8 (the end-to-end
   ``samo-peerswap-v8-128`` scenario without the observer) is recorded
   as ``samo_wake`` — median, min, IQR and reps — with no timing gate.
+* one omniscient-observer pass over the same 128-node study is
+  recorded as ``observe_round`` — median, min, IQR, reps and the
+  pass's ``tracemalloc`` peak in MB — with no timing gate.
 
 Timing assertions compare best-of-N wall clocks of the two paths doing
 the *same* work, so the test is robust to absolute machine speed; only
@@ -43,6 +46,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -862,3 +866,43 @@ class TestSamoWakeRound:
         )
         print_series("samo wake round ms", times)
         assert sent > 0
+
+
+class TestObserveRound:
+    """The paper's omniscient attacker at the best-mixing setting: one
+    pass scores all 128 arena rows on the global test set and on every
+    node's train and test attack sets, then measures the model spread.
+    Records time and transient memory for BENCH_engine.json; no gate."""
+
+    REPS = 5
+
+    def test_observe_round_recorded(self):
+        payload = dict(WORKLOADS["samo-peerswap-v8-128"].payload, seed=0)
+        times = []
+        with Study(StudyConfig(**payload)) as study:
+            simulator, observer = study.simulator, study.observer
+            simulator.run_round()
+            observer(0, simulator)  # the first pass builds the evaluator
+            for round_index in range(1, self.REPS + 1):
+                start = time.perf_counter()
+                observer(round_index, simulator)
+                times.append((time.perf_counter() - start) * 1e3)
+            tracemalloc.start()
+            try:
+                observer(self.REPS + 1, simulator)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            arena_mb = simulator.arena.data.nbytes / 2**20
+        q1, _, q3 = statistics.quantiles(times, n=4)
+        _record(
+            "observe_round", payload["n_nodes"],
+            median_ms=statistics.median(times),
+            min_ms=min(times),
+            iqr_ms=q3 - q1,
+            reps=self.REPS,
+            peak_mb=peak / 2**20,
+        )
+        print_series("observe round ms", times)
+        print(f"observe peak {peak / 2**20:.1f} MB (arena {arena_mb:.1f} MB)")
+        assert len(observer.records) == self.REPS + 2

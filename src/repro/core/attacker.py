@@ -204,17 +204,22 @@ class OmniscientObserver:
         """Mean L2 distance of node models to the average model — the
         consensus distance of Section 4 measured on real training.
         Reads the state matrix (the arena, under the flat engine)
-        instead of flattening one dict state per node. Centring 8 rows at
-        a time avoids an ``(n_nodes, dim)`` temporary; row norms are
-        independent, so the result is bit-identical."""
+        instead of flattening one dict state per node. Rows are centred
+        8 at a time in one reused scratch, squared and summed in place:
+        exactly what ``np.linalg.norm(axis=1)`` computes for real input,
+        with no temporary larger than 8 rows."""
         if params is None:
             params = simulator.state_matrix(self._get_layout())
         center = params.mean(axis=0)
-        norms = np.empty(params.shape[0], dtype=center.dtype)
-        for start in range(0, params.shape[0], 8):
-            block = params[start : start + 8] - center
-            norms[start : start + 8] = np.linalg.norm(block, axis=1)
-        return float(norms.mean())
+        n = params.shape[0]
+        norms = np.empty(n, dtype=center.dtype)
+        scratch = np.empty((min(n, 8), params.shape[1]), dtype=center.dtype)
+        for start in range(0, n, 8):
+            block = scratch[: min(n - start, 8)]
+            np.subtract(params[start : start + 8], center, out=block)
+            np.multiply(block, block, out=block)
+            np.add.reduce(block, axis=1, out=norms[start : start + 8])
+        return float(np.sqrt(norms, out=norms).mean())
 
     # -- internals ------------------------------------------------------
 
@@ -292,7 +297,8 @@ class OmniscientObserver:
         plans = [self._draw_plan(node) for node in simulator.nodes]
         global_acc = evaluator.accuracy_rows(params, self.x_global, self.y_global)
         # Train and test attack sets of all nodes in ONE row-batch call
-        # (each node's row appears twice via the rows indirection).
+        # (each node's row appears twice via the rows indirection); each
+        # set kind scores the arena rows as one slice, never a gather.
         obs = evaluator.attack_observations(
             params,
             [p.x_train for p in plans] + [p.x_test for p in plans],

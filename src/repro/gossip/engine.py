@@ -140,10 +140,6 @@ class StateArena:
         """Pack a dict state into the node's row (casting to the arena dtype)."""
         self.layout.pack(state, out=self.data[node_id])
 
-    def write_row(self, node_id: int, vector: np.ndarray) -> None:
-        """Overwrite the node's row in place (views stay valid)."""
-        self.data[node_id][...] = vector
-
     def average_rows(
         self, node_ids: Sequence[int], weights: Sequence[float] | None = None
     ) -> np.ndarray:
@@ -246,16 +242,16 @@ def _train_task(
     splits: SplitArrays,
     task: UpdateTask,
 ) -> tuple[np.ndarray, np.random.Generator]:
-    """Run one local update on a workspace trainer; shared by executors."""
+    """Run one local update on a workspace trainer, packing the result
+    back into ``task.vector`` in place; shared by executors."""
     x, y = splits[task.node_id]
-    state = layout.unpack(task.vector)
     # node_id keys the dropout mask streams; the session index comes
     # from the engine's per-node bookkeeping.
     new_state = trainer.train(
-        state, x, y, task.rng, node_id=task.node_id, session=task.session
+        layout.unpack(task.vector), x, y, task.rng,
+        node_id=task.node_id, session=task.session,
     )
-    out = layout.pack(new_state, dtype=task.vector.dtype)
-    return out, task.rng
+    return layout.pack(new_state, out=task.vector), task.rng
 
 
 def fallback_reason(
@@ -293,11 +289,10 @@ def fallback_reason(
 class Executor:
     """Runs a batch of independent local updates, preserving order.
 
-    ``close`` must be idempotent on every backend. Executors that read
-    task state straight from a shared arena set ``copies_task_vectors``
-    to False: the engine hands them live row views instead of per-task
-    row copies, and in exchange the executor must write result vectors
-    into the arena rows itself (the engine skips the copy-back).
+    ``close`` must be idempotent on every backend. Every task's
+    ``vector`` is the node's live arena row: executors train it in place
+    and return ``(task.vector, generator)`` per task, so the engine
+    makes no per-task copy and writes nothing back.
 
     ``fallback_counts`` tallies per-row slow-path hits by
     :func:`fallback_reason`; backends with no blocked path leave it
@@ -305,7 +300,6 @@ class Executor:
     """
 
     name = "abstract"
-    copies_task_vectors = True
 
     def __init__(self) -> None:
         self.fallback_counts: Counter[str] = Counter()
@@ -431,7 +425,10 @@ class BatchedExecutor(Executor):
             step = len(indices) if self.block_size == 0 else self.block_size
             for start in range(0, len(indices), step):
                 chunk = indices[start : start + step]
-                block = np.stack([tasks[i].vector for i in chunk])
+                vectors = [tasks[i].vector for i in chunk]
+                # One row trains as the live view itself; larger blocks
+                # are stacked, trained, then scattered back to the rows.
+                block = vectors[0][None] if len(chunk) == 1 else np.stack(vectors)
                 self.batched.train_block(
                     block,
                     [self.splits[tasks[i].node_id][0] for i in chunk],
@@ -440,8 +437,11 @@ class BatchedExecutor(Executor):
                     [tasks[i].session for i in chunk],
                     node_ids=[tasks[i].node_id for i in chunk],
                 )
-                for j, i in enumerate(chunk):
-                    results[i] = (block[j], tasks[i].rng)
+                if len(chunk) > 1:
+                    for vector, trained in zip(vectors, block):
+                        vector[...] = trained
+                for i in chunk:
+                    results[i] = (tasks[i].vector, tasks[i].rng)
         for i in fallback:
             results[i] = _train_task(
                 self.trainer, self.layout, self.splits, tasks[i]
@@ -875,9 +875,6 @@ class FlatGossipSimulator:
         if not node_ids:
             return
         executor = self.executor()
-        # Shared-arena executors read rows straight from the segment;
-        # copying each row into its task would be pure waste there.
-        copy_rows = executor.copies_task_vectors
         cap = self.protocol.max_updates_per_node
         tasks: list[UpdateTask] = []
         for node_id in node_ids:
@@ -889,14 +886,9 @@ class FlatGossipSimulator:
                 continue  # the trainer no-ops; the session must not advance
             session = self._sessions[node_id]
             self._sessions[node_id] += 1
-            row = self.arena.row(node_id)
+            # Executors train the live row in place.
             tasks.append(
-                UpdateTask(
-                    node_id,
-                    row.copy() if copy_rows else row,
-                    node.rng,
-                    session,
-                )
+                UpdateTask(node_id, self.arena.row(node_id), node.rng, session)
             )
         if not tasks:
             return
@@ -908,12 +900,7 @@ class FlatGossipSimulator:
             self._record_train_batch(
                 executor, len(tasks), (perf_counter() - start) * 1000.0
             )
-        for task, (vector, rng) in zip(tasks, results):
-            # In-place executors (copies_task_vectors=False) already
-            # wrote results into the arena rows; copying a row onto
-            # itself would waste O(dim) bandwidth per trained node.
-            if copy_rows:
-                self.arena.write_row(task.node_id, vector)
+        for task, (_, rng) in zip(tasks, results):
             # Shard workers return a rebuilt generator; rebind it
             # so the node's stream advances exactly as it would serially.
             self.nodes[task.node_id].rng = rng

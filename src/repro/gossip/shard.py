@@ -51,7 +51,7 @@ from repro.gossip.engine import (
     as_split_arrays,
 )
 from repro.gossip.trainer import LocalTrainer, TrainerConfig
-from repro.metrics.evaluation import BatchedEvaluator
+from repro.metrics.evaluation import BatchedEvaluator, row_block
 from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
 from repro.telemetry import Registry, Telemetry
@@ -260,15 +260,14 @@ def _shard_worker(
                 )
                 for node_id, session, rng_state in items
             ]
+            # The executor trains the shared rows in place.
             if registry is None:
-                results = executor.train_batch(tasks)
+                executor.train_batch(tasks)
             else:
                 start = perf_counter()
-                results = executor.train_batch(tasks)
+                executor.train_batch(tasks)
                 shard_train_ms.observe((perf_counter() - start) * 1000.0)
                 shard_tasks.inc(len(tasks))
-            for task, (vector, _) in zip(tasks, results):
-                arena.data[task.node_id][...] = vector
             fallback_delta = dict(executor.fallback_counts)
             executor.fallback_counts.clear()
             telemetry_delta = (
@@ -333,7 +332,7 @@ def _observe_rows(
         xs_test.append(test_x)
         ys_test.append(test_y)
     params = arena.data
-    own = params[np.asarray(rows, dtype=np.intp)]
+    own = row_block(params, rows)  # a slice for a contiguous shard
     global_acc = evaluator.accuracy_rows(own, state["x_global"], state["y_global"])
     obs = evaluator.attack_observations(
         params, xs_train + xs_test, ys_train + ys_test, rows=rows + rows
@@ -385,7 +384,6 @@ class ShardedExecutor(Executor):
     """
 
     name = "sharded"
-    copies_task_vectors = False  # rows are read from the shared segment
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ back in that dtype; metric scalars are Python floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "ModelEvaluation",
     "evaluate_model",
     "BatchedEvaluator",
+    "row_block",
 ]
 
 
@@ -67,7 +69,7 @@ def predict_proba(
         for start in range(0, x.shape[0], batch_size):
             logits = model.forward(x[start : start + batch_size])
             outputs.append(F.softmax(logits, axis=1))
-        return np.concatenate(outputs) if outputs else np.empty((0, 0))
+        return np.concatenate(outputs) if outputs else np.empty((0, 0), x.dtype)
     finally:
         if was_training:
             model.train()
@@ -149,6 +151,15 @@ def evaluate_model(
         mia_tpr_at_1_fpr=report.tpr_at_1_fpr,
         mia_auc=report.auc,
     )
+
+
+def row_block(params: np.ndarray, rows: list[int]) -> np.ndarray:
+    """``params[rows]`` as the slice view ``params[lo:hi]`` when ``rows``
+    is one ascending range; a gather copy only for scattered rows."""
+    lo = rows[0]
+    if rows == list(range(lo, lo + len(rows))):
+        return params[lo : lo + len(rows)]
+    return params[np.asarray(rows, dtype=np.intp)]
 
 
 class BatchedEvaluator:
@@ -240,10 +251,13 @@ class BatchedEvaluator:
         ``rows`` maps each input set to its parameter row (defaults to
         ``i -> i``; repeats are allowed, so one call can score several
         input sets against the same model). Inputs are grouped by shape
-        so same-sized attack sets (the common case: every node
-        subsamples to the same cap) run as one ``(B, N, ...)`` batched
-        forward; ragged leftovers form their own groups. Each group is
-        further split into ``eval_batch`` row blocks.
+        and by repeat count, so same-sized attack sets (the common case:
+        every node subsamples to the same cap) run as one ``(B, N, ...)``
+        batched forward; ragged leftovers form their own groups. A group
+        whose rows form one ascending range reads its models as a slice
+        of ``params``, not a gather copy. Each group is further split
+        into ``eval_batch`` row blocks. Every row's math is independent
+        of the block it lands in, so the grouping never changes results.
         """
         if rows is None:
             if len(xs) != params.shape[0]:
@@ -252,10 +266,14 @@ class BatchedEvaluator:
         elif len(rows) != len(xs):
             raise ValueError("rows must map every input set to a parameter row")
         groups: dict[tuple, list[int]] = {}
+        seen: Counter[int] = Counter()
         for i, x in enumerate(xs):
-            groups.setdefault(x.shape, []).append(i)
+            # A row's k-th input set joins the k-th group of its shape,
+            # so the observer's train and test sets form two row ranges.
+            groups.setdefault((x.shape, seen[rows[i]]), []).append(i)
+            seen[rows[i]] += 1
         for indices in groups.values():
-            block = params[np.asarray([rows[i] for i in indices], dtype=np.intp)]
+            block = row_block(params, [rows[i] for i in indices])
             stacked = np.stack([xs[i] for i in indices])
             n_samples = stacked.shape[1]
             for lo, hi in self._row_blocks(block.shape[0]):
@@ -285,7 +303,7 @@ class BatchedEvaluator:
         x = np.asarray(x)
         if x.shape[0] == 0:
             # Mirror predict_proba's empty-input contract.
-            return np.empty((params.shape[0], 0, 0))
+            return np.empty((params.shape[0], 0, 0), params.dtype)
         return self._proba_shared(params, x)
 
     def accuracy_rows(

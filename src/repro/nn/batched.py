@@ -237,7 +237,7 @@ def _forward(
         # Broadcasting aligns a still-shared branch with a per-model one.
         return np.maximum(body + cut, 0.0), body_shared and cut_shared
     if isinstance(module, Dense):
-        return _dense(module, prefix, block, x, shared), False
+        return _dense(module, prefix, block, x), False
     if isinstance(module, Conv2d):
         return _conv2d(module, prefix, block, x, shared), False
     if isinstance(module, BatchNorm2d):
@@ -267,20 +267,10 @@ def _forward(
     )
 
 
-def _dense(
-    module: Dense, prefix: str, block: _Block, x: np.ndarray, shared: bool
-) -> np.ndarray:
-    weight = block.get(prefix + "weight")  # (B, in, out)
-    if shared:
-        # One GEMM for all models: fold B into the output columns, and
-        # add the bias while the result is still (N, B*out) contiguous.
-        b, i, o = weight.shape
-        folded = weight.transpose(1, 0, 2).reshape(i, b * o)
-        out = x @ folded
-        if module.bias is not None:
-            out += block.get(prefix + "bias").reshape(b * o)
-        return out.reshape(x.shape[0], b, o).transpose(1, 0, 2)
-    out = np.matmul(x, weight)  # batched GEMM (B, N, out)
+def _dense(module: Dense, prefix: str, block: _Block, x: np.ndarray) -> np.ndarray:
+    # One GEMM per model, (N, in) or (B, N, in) against the (B, in, out)
+    # weight views: a shared input broadcasts, so no weight is copied.
+    out = np.matmul(x, block.get(prefix + "weight"))  # (B, N, out)
     if module.bias is not None:
         out += block.get(prefix + "bias")[:, None, :]
     return out

@@ -1,7 +1,11 @@
 """Tests for the omniscient observer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OmniscientObserver, StudyConfig, VulnerabilityStudy
 
@@ -117,6 +121,27 @@ class TestModelSpread:
         center = vectors.mean(axis=0)
         expected = float(np.linalg.norm(vectors - center, axis=1).mean())
         assert study.observer.records[-1].model_spread == pytest.approx(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n_nodes=st.integers(1, 27),
+        dim=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spread_bitwise_matches_linalg_norm(
+        self, dtype, n_nodes, dim, scale, seed
+    ):
+        """The in-place 8-row blocks compute exactly the reference
+        ``np.linalg.norm(axis=1)``, for any node count (ragged last
+        block included) and either arena dtype."""
+        rng = np.random.default_rng(seed)
+        params = (rng.normal(size=(n_nodes, dim)) * scale).astype(dtype)
+        center = params.mean(axis=0)
+        expected = float(np.linalg.norm(params - center, axis=1).mean())
+        observer = OmniscientObserver.__new__(OmniscientObserver)
+        assert observer._model_spread(None, params) == expected
 
 
 class TestNodeRecords:
@@ -264,3 +289,27 @@ class TestShardedObservation:
             assert rs.canary_tpr_at_1_fpr == pytest.approx(
                 rr.canary_tpr_at_1_fpr, abs=1e-9
             )
+
+
+class TestZeroCopyObservation:
+    def test_observe_peak_below_one_arena(self):
+        """One observer pass allocates less than the parameter block it
+        scores: attack sets read arena slices (no gather of every row),
+        shared-input Dense needs no folded weight copy, and the spread
+        reuses one 8-row scratch."""
+        study = build_study(
+            n_nodes=32, num_features=400, mlp_hidden=(256,),
+            train_per_node=8, test_per_node=8, max_attack_samples=8,
+            max_global_test=16, rounds=1,
+        )
+        simulator, observer = study.simulator, study.observer
+        observer(0, simulator)  # builds the lazy layout and evaluator
+        tracemalloc.start()
+        try:
+            observer(1, simulator)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # n_nodes * dim * itemsize: the parent's (2n, dim) gather alone
+        # was twice that.
+        assert peak < simulator.arena.data.nbytes

@@ -696,6 +696,47 @@ class TestExecutorContract:
         assert set(counts) == {"no_batched_backward"}
         assert counts["no_batched_backward"] > 0
 
+
+class TestInPlaceTraining:
+    """Executors train the live arena rows: the engine hands every task
+    its node's row view, makes no per-task copy and writes nothing
+    back."""
+
+    @pytest.mark.parametrize(
+        "executor,kwargs",
+        [
+            ("serial", dict()),
+            ("batched", dict()),
+            ("batched", dict(train_batch=1)),  # one-row blocks
+            ("batched", dict(train_batch=-1)),  # per-row fallback
+        ],
+        ids=["serial", "batched", "batched-one-row", "batched-per-row"],
+    )
+    @pytest.mark.parametrize("protocol_name", ["samo", "base_gossip"])
+    def test_tasks_carry_live_rows(self, protocol_name, executor, kwargs):
+        sim = build_flat(protocol_name, executor=executor, **kwargs)
+        live = sim.executor()
+        train_batch = live.train_batch
+        seen = []
+
+        def spy(tasks):
+            results = train_batch(tasks)
+            for task, (vector, _) in zip(tasks, results):
+                seen.append(
+                    (np.shares_memory(task.vector, sim.arena.data),
+                     vector is task.vector)
+                )
+            return results
+
+        live.train_batch = spy
+        try:
+            sim.run(1)
+        finally:
+            sim.close()
+        assert seen
+        assert all(shared and same for shared, same in seen)
+
+
 class TestSimulatorLifecycle:
     """Idempotent close and context-manager support: shard workers and
     segments are released exactly once, even when a run raises."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import (
     ModelEvaluation,
@@ -240,15 +242,59 @@ class TestBatchedEvaluator:
         with pytest.raises(ValueError):
             BatchedEvaluator(model, layout, batch_size=0)
 
-    def test_empty_input_returns_empty_block(self, rng):
-        """Mirrors predict_proba's empty-input contract per row."""
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_input_returns_empty_block(self, rng, dtype):
+        """Mirrors predict_proba's empty-input contract per row, in the
+        params dtype."""
         from repro.metrics import BatchedEvaluator
 
-        model, layout, params, _ = self._block(rng)
+        model, layout, params, _ = self._block(rng, dtype=dtype)
         probs = BatchedEvaluator(model, layout).predict_proba_rows(
             params, np.zeros((0, 10))
         )
         assert probs.shape == (params.shape[0], 0, 0)
+        assert probs.dtype == dtype
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n_rows=st.integers(1, 6),
+        kind=st.sampled_from(["identity", "repeated", "scattered"]),
+        eval_batch=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_attack_observations_bitwise_equal_to_gather(
+        self, data, dtype, n_rows, kind, eval_batch, seed
+    ):
+        """Scoring ascending row ranges as slices of the parameter block
+        (instead of a gather) changes no bit of any observation."""
+        from repro.metrics import BatchedEvaluator
+
+        rng = np.random.default_rng(seed)
+        model, layout, params, _ = self._block(rng, dtype=dtype, n_rows=n_rows)
+        if kind == "identity":
+            rows = list(range(n_rows))
+        elif kind == "repeated":  # the observer: train sets, then test sets
+            rows = list(range(n_rows)) * 2
+        else:  # the canary attack: any rows, in any order
+            rows = data.draw(
+                st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=3 * n_rows)
+            )
+        sizes = data.draw(
+            st.lists(st.sampled_from([3, 5]), min_size=len(rows), max_size=len(rows))
+        )
+        xs = [rng.normal(size=(n, 10)) for n in sizes]
+        ys = [rng.integers(0, 3, n) for n in sizes]
+        evaluator = BatchedEvaluator(model, layout, eval_batch=eval_batch)
+        got = evaluator.attack_observations(params, xs, ys, rows=rows)
+        reference = evaluator.attack_observations(
+            params[np.asarray(rows, dtype=np.intp)], xs, ys
+        )
+        for (scores, acc), (ref_scores, ref_acc) in zip(got, reference):
+            assert scores.dtype == ref_scores.dtype
+            np.testing.assert_array_equal(scores, ref_scores)
+            assert acc == ref_acc
 
 
 class TestPredictProbaDtype:
@@ -259,3 +305,12 @@ class TestPredictProbaDtype:
         model.astype(np.float32)
         probs = predict_proba(model, rng.normal(size=(6, 10)))
         assert probs.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_input_keeps_model_dtype(self, rng, dtype):
+        """Empty input comes back in the model dtype, not float64."""
+        model = build_mlp(10, 3, hidden=(8,), rng=rng)
+        model.astype(dtype)
+        probs = predict_proba(model, np.zeros((0, 10)))
+        assert probs.shape == (0, 0)
+        assert probs.dtype == dtype

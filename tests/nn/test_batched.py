@@ -10,6 +10,8 @@ bit-exactly in float64, within rounding in float32.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gossip.trainer import BatchedTrainer, LocalTrainer, TrainerConfig
 from repro.nn.batched import (
@@ -92,6 +94,51 @@ class TestBatchedForward:
         out64 = batched_forward(model, layout, params, x)
         assert out64.dtype == np.float64
         np.testing.assert_allclose(out32, out64, rtol=1e-4, atol=1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        b=st.integers(1, 6),
+        n=st.integers(1, 9),
+        i=st.integers(1, 12),
+        o=st.integers(1, 9),
+        bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_dense_is_one_gemm_per_model(self, dtype, b, n, i, o, bias, seed):
+        """A shared input broadcasts against the weight views: bit for
+        bit the per-model GEMMs of the per-model-input branch, with no
+        folded (in, B*out) weight copy. The old folded GEMM runs other
+        BLAS edge kernels, so it agrees within rounding only."""
+        rng = np.random.default_rng(seed)
+        model = Sequential(Dense(i, o, bias=bias))
+        layout = StateLayout.from_model(model)
+        params = rng.normal(size=(b, layout.dim)).astype(dtype)
+        x = rng.normal(size=(n, i)).astype(dtype)
+        out = batched_forward(model, layout, params, x, shared=True)
+        def entry(name):
+            slot = layout.slot(name)
+            return params[:, slot.offset : slot.offset + slot.size]
+
+        weights = entry("0.weight").reshape(b, i, o)
+        per_model = np.stack([x @ weights[k] for k in range(b)])
+        folded = (x @ weights.transpose(1, 0, 2).reshape(i, b * o)).reshape(
+            n, b, o
+        ).transpose(1, 0, 2)
+        if bias:
+            biases = entry("0.bias")
+            per_model += biases[:, None, :]
+            folded += biases[:, None, :]
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, per_model)
+        np.testing.assert_array_equal(
+            out,
+            batched_forward(
+                model, layout, params, np.broadcast_to(x, (b, n, i)), shared=False
+            ),
+        )
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(out, folded, rtol=64 * eps, atol=64 * eps * i)
 
     def test_rejects_mismatched_block(self):
         model = build_model("mlp", in_features=10, num_classes=4, hidden=(8,))
