@@ -10,7 +10,7 @@ prediction entropy, and MPE is competitive with the best.
 
 import numpy as np
 
-from repro.core import StudyConfig, VulnerabilityStudy
+from repro.core import Study, StudyConfig
 from repro.metrics.evaluation import predict_proba
 from repro.nn.serialize import set_state
 from repro.privacy import ATTACKS, run_attack
@@ -41,7 +41,7 @@ def attack_all_nodes(study):
 
 def test_ablation_attack_estimators(benchmark, scale):
     def run():
-        study = VulnerabilityStudy(
+        study = Study(
             StudyConfig(
                 name="attack-ablation",
                 dataset="purchase100",

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from repro.core import StudyConfig, VulnerabilityStudy
+from repro.core import Study, StudyConfig
 from repro.metrics.evaluation import predict_proba
 from repro.nn.models import build_mlp
 from repro.nn.serialize import set_state
@@ -23,7 +23,7 @@ from benchmarks.conftest import run_once
 
 def test_ablation_shadow_vs_threshold(benchmark, scale):
     def run():
-        study = VulnerabilityStudy(
+        study = Study(
             StudyConfig(
                 name="shadow-ablation",
                 dataset="purchase100",

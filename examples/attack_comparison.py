@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from repro.core import StudyConfig, VulnerabilityStudy
+from repro.core import Study, StudyConfig
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
 from repro.metrics.evaluation import predict_proba
@@ -22,7 +22,7 @@ from repro.privacy import ATTACKS, run_attack
 
 
 def main() -> None:
-    study = VulnerabilityStudy(
+    study = Study(
         StudyConfig(
             name="attack-comparison",
             dataset="purchase100",

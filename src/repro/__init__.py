@@ -8,37 +8,22 @@ Public entry points:
   run a full gossip-learning + MIA study in one call.
 * :class:`repro.core.Study` — the session API: build once, stream
   rounds, checkpoint/resume, clean up via context manager.
-* Grouped configs (:class:`repro.core.DataConfig` & friends) —
-  composable slices of a ``StudyConfig``.
+* :func:`repro.core.config_hash` — the canonical identity of a
+  ``StudyConfig``; ``to_dict`` groups its fields into data, model,
+  topology, execution and privacy sections.
 * :class:`repro.experiments.Campaign` — sweep builders + parallel
   execution over many studies.
 * :mod:`repro.graph.mixing` — the Section 4 spectral analysis.
 * :mod:`repro.experiments` — per-figure/table regeneration.
 """
 
-from repro.core import (
-    DataConfig,
-    ExecutionConfig,
-    ModelConfig,
-    PrivacyConfig,
-    Study,
-    StudyConfig,
-    TopologyConfig,
-    VulnerabilityStudy,
-    run_study,
-)
+from repro.core import Study, StudyConfig, run_study
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "DataConfig",
-    "ModelConfig",
-    "TopologyConfig",
-    "ExecutionConfig",
-    "PrivacyConfig",
     "Study",
     "StudyConfig",
-    "VulnerabilityStudy",
     "run_study",
     "__version__",
 ]

@@ -1,11 +1,7 @@
 """Session API for a full MIA-vulnerability study.
 
-A :class:`StudyConfig` describes everything the paper varies — dataset,
-model, protocol, topology, dynamics, view size, data distribution,
-DP — plus the scale knobs (nodes, rounds, samples) that let the study
-run on a laptop. The config is the flat compat shim over the grouped
-:mod:`repro.core.config` layer (``DataConfig`` / ``ModelConfig`` /
-``TopologyConfig`` / ``ExecutionConfig`` / ``PrivacyConfig``).
+A :class:`~repro.core.config.StudyConfig` (defined in
+:mod:`repro.core.config`, re-exported here) describes one run.
 
 :class:`Study` is the session object with an explicit lifecycle:
 
@@ -32,7 +28,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -41,20 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.attacker import OmniscientObserver
-from repro.core.config import (
-    FLAT_TO_GROUP,
-    GROUPS,
-    ConfigGroup,
-    DataConfig,
-    ExecutionConfig,
-    config_hash,
-    ModelConfig,
-    PrivacyConfig,
-    TopologyConfig,
-    group_field_names,
-    reject_unknown_keys,
-    upgrade_legacy_execution,
-)
+from repro.core.config import StudyConfig
 from repro.data.canary import make_canaries, inject_canaries
 from repro.data.datasets import make_dataset
 from repro.data.partition import make_node_splits
@@ -69,250 +52,11 @@ from repro.privacy.accountant import RDPAccountant, calibrate_sigma
 from repro.privacy.dp import DPSGDConfig
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-__all__ = ["StudyConfig", "Study", "VulnerabilityStudy", "run_study"]
-
-# Architecture used for each dataset in Table 2.
-_DATASET_MODELS = {
-    "cifar10": "cnn",
-    "cifar100": "resnet8",
-    "fashion_mnist": "cnn",
-    "purchase100": "mlp",
-}
-_DATASET_CHANNELS = {"cifar10": 3, "cifar100": 3, "fashion_mnist": 1}
-_DATASET_CLASSES = {
-    "cifar10": 10,
-    "cifar100": 100,
-    "fashion_mnist": 10,
-    "purchase100": 100,
-}
+__all__ = ["StudyConfig", "Study", "run_study"]
 
 # On-disk checkpoint format tag (bump on incompatible layout changes).
 CHECKPOINT_FORMAT = "repro-study-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """Full description of one experimental run (flat compat shim).
-
-    Every field belongs to exactly one group of
-    :mod:`repro.core.config`; the grouped views are exposed as the
-    ``data`` / ``model`` / ``topology`` / ``execution`` / ``privacy``
-    properties, and :meth:`from_groups` assembles a config from group
-    objects. ``to_dict``/``from_dict`` round-trip the grouped form
-    through JSON. Flat construction (``StudyConfig(n_nodes=8, ...)``)
-    keeps working unchanged.
-    """
-
-    name: str = "study"
-    # Data.
-    dataset: str = "cifar10"
-    n_train: int = 2_000
-    n_test: int = 500
-    image_size: int = 16
-    num_features: int = 600
-    train_per_node: int | None = 64
-    test_per_node: int | None = 32
-    beta: float | None = None  # None = i.i.d., else Dirichlet(beta)
-    # Model.
-    model_width: int = 8
-    mlp_hidden: tuple[int, ...] = (256, 128, 64)
-    # Communication.
-    n_nodes: int = 16
-    view_size: int = 2
-    dynamic: bool = False
-    sampler: str | None = None  # overrides `dynamic`: static/peerswap/fresh
-    protocol: str = "samo"
-    rounds: int = 10
-    ticks_per_round: int = 100
-    drop_prob: float = 0.0  # message-loss injection
-    failure_prob: float = 0.0  # node-churn injection
-    delay_ticks: int = 0  # network latency (ticks per message)
-    delay_jitter: int = 0  # extra uniform latency in [0, jitter]
-    # Execution engine (DESIGN.md "Flat-state execution engine").
-    executor: str = "serial"  # "serial"/"batched"/"sharded"
-    n_shards: int = 0  # shard workers; 0 = one per CPU (capped at n_nodes)
-    shard_partition: str = "contiguous"  # row->shard map: contiguous/balanced
-    train_batch: int = 0  # rows per blocked training op (0=all, -1=per-row)
-    arena_dtype: str = "float64"  # flat-arena storage dtype
-    # Local training (Table 2 columns).
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    local_epochs: int = 3
-    batch_size: int = 32
-    # Early-overfitting mitigations (Section 5 recommendations).
-    label_smoothing: float = 0.0
-    lr_decay: float = 1.0
-    # Dropout regularization (MLP only). Mask streams are counter-based
-    # (keyed by node/session/step) so dropout stays on the fast path;
-    # "legacy" restores the stateful per-layer generator.
-    dropout: float = 0.0
-    dropout_mode: str = "stream"
-    # Differential privacy (RQ7). ``dp_epsilon`` of None disables DP.
-    dp_epsilon: float | None = None
-    dp_delta: float = 1e-5
-    dp_clip_norm: float = 1.0
-    # Canary auditing (RQ3). 0 disables.
-    n_canaries: int = 0
-    # Evaluation.
-    max_global_test: int = 512
-    max_attack_samples: int = 256
-    eval_batch: int = 0  # node models per blocked eval op (0=all, -1=per-node loop)
-    keep_node_records: bool = False  # retain per-node evaluations
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.mlp_hidden, list):
-            object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
-        # Constructing the group views runs each group's validation, so
-        # flat and grouped construction reject the same bad values.
-        for group_name in GROUPS:
-            getattr(self, group_name)
-
-    # -- grouped views --------------------------------------------------
-
-    def _group(self, cls: type[ConfigGroup]) -> ConfigGroup:
-        return cls(
-            **{name: getattr(self, name) for name in group_field_names(cls)}
-        )
-
-    @property
-    def data(self) -> DataConfig:
-        return self._group(DataConfig)
-
-    @property
-    def model(self) -> ModelConfig:
-        return self._group(ModelConfig)
-
-    @property
-    def topology(self) -> TopologyConfig:
-        return self._group(TopologyConfig)
-
-    @property
-    def execution(self) -> ExecutionConfig:
-        return self._group(ExecutionConfig)
-
-    @property
-    def privacy(self) -> PrivacyConfig:
-        return self._group(PrivacyConfig)
-
-    @classmethod
-    def from_groups(
-        cls,
-        name: str = "study",
-        seed: int = 0,
-        data: DataConfig | None = None,
-        model: ModelConfig | None = None,
-        topology: TopologyConfig | None = None,
-        execution: ExecutionConfig | None = None,
-        privacy: PrivacyConfig | None = None,
-    ) -> "StudyConfig":
-        """Assemble a config from group objects (defaults fill gaps)."""
-        groups: dict[str, ConfigGroup] = {
-            "data": data if data is not None else DataConfig(),
-            "model": model if model is not None else ModelConfig(),
-            "topology": topology if topology is not None else TopologyConfig(),
-            "execution": (
-                execution if execution is not None else ExecutionConfig()
-            ),
-            "privacy": privacy if privacy is not None else PrivacyConfig(),
-        }
-        flat: dict = {"name": name, "seed": seed}
-        for group_name, group in groups.items():
-            expected = GROUPS[group_name]
-            if not isinstance(group, expected):
-                raise ValueError(
-                    f"{group_name} must be a {expected.__name__}, "
-                    f"got {type(group).__name__}"
-                )
-            for field_name in group_field_names(expected):
-                flat[field_name] = getattr(group, field_name)
-        return cls(**flat)
-
-    def to_dict(self) -> dict:
-        """Grouped, JSON-ready representation (``from_dict`` inverts)."""
-        out: dict = {"name": self.name, "seed": self.seed}
-        for group_name in GROUPS:
-            out[group_name] = getattr(self, group_name).to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StudyConfig":
-        """Build from :meth:`to_dict` output; flat keys also accepted,
-        and so are the pre-removal ``engine``/``n_workers`` keys
-        (:func:`~repro.core.config.upgrade_legacy_execution`)."""
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"StudyConfig.from_dict needs a mapping, "
-                f"got {type(payload).__name__}"
-            )
-        payload = upgrade_legacy_execution(payload)
-        flat: dict = {}
-        for key, value in payload.items():
-            if key in GROUPS:
-                group = (
-                    GROUPS[key].from_dict(value)
-                    if not isinstance(value, ConfigGroup)
-                    else value
-                )
-                for field_name in group_field_names(GROUPS[key]):
-                    flat[field_name] = getattr(group, field_name)
-            elif key in ("name", "seed") or key in FLAT_TO_GROUP:
-                flat[key] = value
-            else:
-                reject_unknown_keys(
-                    "StudyConfig",
-                    [key],
-                    tuple(FLAT_TO_GROUP) + ("name", "seed"),
-                    extra_valid=tuple(GROUPS),
-                )
-        return cls(**flat)
-
-    def with_overrides(self, **kwargs) -> "StudyConfig":
-        """Copy with flat fields and/or whole groups replaced.
-
-        Accepts any flat field name, plus the group names (``data``,
-        ``model``, ``topology``, ``execution``, ``privacy``) mapped to a
-        group instance (replaces the group) or a dict (merged into the
-        current group). Unknown keys raise a ValueError listing the
-        valid names.
-        """
-        reject_unknown_keys(
-            "StudyConfig",
-            kwargs,
-            tuple(FLAT_TO_GROUP) + ("name", "seed"),
-            extra_valid=tuple(GROUPS),
-        )
-        flat: dict = {}
-        for key, value in kwargs.items():
-            if key in GROUPS:
-                if isinstance(value, dict):
-                    value = getattr(self, key).with_overrides(**value)
-                if not isinstance(value, GROUPS[key]):
-                    raise ValueError(
-                        f"{key} override must be a {GROUPS[key].__name__} "
-                        f"or a dict of its fields, got {type(value).__name__}"
-                    )
-                for field_name in group_field_names(GROUPS[key]):
-                    flat[field_name] = getattr(value, field_name)
-            else:
-                flat[key] = value
-        return replace(self, **flat)
-
-    def config_hash(self) -> str:
-        """Canonical content hash (:func:`repro.core.config.config_hash`)."""
-        return config_hash(self)
-
-    @property
-    def architecture(self) -> str:
-        if self.dataset not in _DATASET_MODELS:
-            raise ValueError(f"unknown dataset {self.dataset!r}")
-        return _DATASET_MODELS[self.dataset]
-
-    @property
-    def num_classes(self) -> int:
-        return _DATASET_CLASSES[self.dataset]
 
 
 class Study:
@@ -437,7 +181,7 @@ class Study:
         self.model_builder = partial(
             build_model,
             cfg.architecture,
-            in_channels=_DATASET_CHANNELS.get(cfg.dataset, 3),
+            in_channels=cfg.in_channels,
             image_size=cfg.image_size,
             in_features=cfg.num_features,
             num_classes=cfg.num_classes,
@@ -768,14 +512,6 @@ class Study:
             study.close()
             raise
         return study
-
-
-class VulnerabilityStudy(Study):
-    """Eager-build compat alias: construction builds the pipeline."""
-
-    def __init__(self, config: StudyConfig):
-        super().__init__(config)
-        self.build()
 
 
 def run_study(

@@ -115,6 +115,8 @@ def make_node_splits(
         Optional caps; defaults carve the whole split into equal train
         shares and use a held-out quarter-sized local test set.
     """
+    if train_per_node is not None and train_per_node <= 0:
+        raise ValueError("train_per_node must be positive (or None)")
     rng = np.random.default_rng(seed)
     n = len(base_train)
     if beta is None:

@@ -25,6 +25,7 @@ __all__ = [
     "BaseGossipProtocol",
     "PartialMergeGossipProtocol",
     "SAMOProtocol",
+    "PROTOCOLS",
     "make_protocol",
 ]
 
@@ -91,13 +92,16 @@ class SAMOProtocol(GossipProtocol):
     name = "samo"
 
 
+# Protocol classes keyed by the names used in experiment configs.
+PROTOCOLS: dict[str, type[GossipProtocol]] = {
+    "base_gossip": BaseGossipProtocol,
+    "base_gossip_partial": PartialMergeGossipProtocol,
+    "samo": SAMOProtocol,
+}
+
+
 def make_protocol(name: str, trainer: LocalTrainer) -> GossipProtocol:
     """Protocol factory keyed by the names used in experiment configs."""
-    protocols: dict[str, type[GossipProtocol]] = {
-        "base_gossip": BaseGossipProtocol,
-        "base_gossip_partial": PartialMergeGossipProtocol,
-        "samo": SAMOProtocol,
-    }
-    if name not in protocols:
-        raise ValueError(f"unknown protocol {name!r}; choose from {sorted(protocols)}")
-    return protocols[name](trainer)
+    if name not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
+    return PROTOCOLS[name](trainer)

@@ -420,15 +420,17 @@ class ErrorBoundaryMiddleware(Middleware):
 def study_request_key(request: Request) -> str | None:
     """Cache key for study submissions: the canonical config hash.
 
-    Only ``POST /studies`` bodies are keyed; anything unparsable
-    returns None (bypass — the application will reject it with 400).
+    Only ``POST /studies`` bodies are keyed; a body that is not JSON
+    or not a valid config returns None (bypass — the application
+    rejects it with 400 on the same errors: ``ValueError``, which
+    includes ``UnicodeDecodeError``, and ``TypeError``).
     """
     if request.method != "POST" or request.path != "/studies":
         return None
     try:
         payload = json.loads(request.body.decode("utf-8"))
         return config_hash(payload)
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, TypeError):
         return None
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OmniscientObserver, StudyConfig, VulnerabilityStudy
+from repro.core import OmniscientObserver, Study, StudyConfig
 
 
 def build_study(**overrides):
@@ -30,7 +30,7 @@ def build_study(**overrides):
         max_global_test=64,
     )
     base.update(overrides)
-    return VulnerabilityStudy(StudyConfig(**base))
+    return Study(StudyConfig(**base)).build()
 
 
 class TestObserver:

@@ -1,74 +1,90 @@
-"""Tests for the grouped configuration layer (repro.core.config)."""
+"""Tests for the study configuration (repro.core.config)."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro import StudyConfig
-from repro.core.config import (
-    FLAT_TO_GROUP,
-    GROUPS,
-    DataConfig,
-    ExecutionConfig,
-    ModelConfig,
-    PrivacyConfig,
-    TopologyConfig,
-    group_field_names,
-)
+from repro.core.config import config_hash
+from repro.data.datasets import DATASET_BUILDERS
+
+GROUPS = ("data", "model", "topology", "execution", "privacy")
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "configuration.md"
 
 
-class TestDecomposition:
-    def test_every_flat_field_belongs_to_exactly_one_group(self):
-        flat = {
-            name
-            for name in StudyConfig.__dataclass_fields__
-            if name not in ("name", "seed")
+def groups_from_metadata() -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for f in fields(StudyConfig):
+        if "group" in f.metadata:
+            out.setdefault(f.metadata["group"], []).append(f.name)
+    return out
+
+
+class TestGroups:
+    def test_every_field_but_name_and_seed_has_one_group(self):
+        grouped = groups_from_metadata()
+        assert tuple(grouped) == GROUPS
+        names = [name for group in grouped.values() for name in group]
+        assert len(names) == len(set(names))
+        assert set(names) | {"name", "seed"} == {
+            f.name for f in fields(StudyConfig)
         }
-        grouped = set(FLAT_TO_GROUP)
-        assert flat == grouped
-        counts = {}
-        for cls in GROUPS.values():
-            for field_name in group_field_names(cls):
-                counts[field_name] = counts.get(field_name, 0) + 1
-        assert all(count == 1 for count in counts.values())
 
-    def test_group_defaults_match_flat_defaults(self):
-        cfg = StudyConfig()
-        for group_name, cls in GROUPS.items():
-            group = cls()
-            for field_name in group_field_names(cls):
-                assert getattr(group, field_name) == getattr(cfg, field_name)
+    def test_to_dict_sections_follow_the_metadata(self):
+        payload = StudyConfig().to_dict()
+        assert list(payload) == ["name", "seed", *GROUPS]
+        for group, names in groups_from_metadata().items():
+            assert list(payload[group]) == names
 
-    def test_group_properties_reflect_flat_values(self):
-        cfg = StudyConfig(n_nodes=32, dp_epsilon=5.0, dataset="purchase100")
-        assert cfg.topology.n_nodes == 32
-        assert cfg.privacy.dp_epsilon == 5.0
-        assert cfg.data.dataset == "purchase100"
-        assert isinstance(cfg.model, ModelConfig)
-        assert isinstance(cfg.execution, ExecutionConfig)
-
-    def test_from_groups_equals_flat_construction(self):
-        grouped = StudyConfig.from_groups(
-            name="x",
-            seed=3,
-            data=DataConfig(dataset="purchase100", num_features=64),
-            topology=TopologyConfig(n_nodes=8, rounds=2),
-            privacy=PrivacyConfig(dp_epsilon=10.0),
+    def test_docs_group_table_matches_the_metadata(self):
+        """docs/configuration.md lists each group's fields; the table
+        must say what the field metadata says."""
+        rows = re.findall(
+            r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \|$",
+            DOCS.read_text(),
+            flags=re.MULTILINE,
         )
-        flat = StudyConfig(
-            name="x",
-            seed=3,
-            dataset="purchase100",
-            num_features=64,
-            n_nodes=8,
-            rounds=2,
-            dp_epsilon=10.0,
-        )
-        assert grouped == flat
+        table = {
+            group: re.findall(r"`(\w+)`", cells)
+            for group, cells in rows
+            if group in GROUPS
+        }
+        assert table == groups_from_metadata()
 
-    def test_from_groups_rejects_wrong_group_type(self):
-        with pytest.raises(ValueError, match="DataConfig"):
-            StudyConfig.from_groups(data=ModelConfig())
+    def test_docs_field_tables_sit_under_their_group(self):
+        """Each StudyConfig field table in docs/configuration.md sits
+        under a heading naming its group."""
+        doc = DOCS.read_text().split("## StudyConfig", 1)[1]
+        doc = doc.split("\n## ", 1)[0]
+        sections = re.findall(
+            r"^### [^\n]*\(`(\w+)`\)\n(.*?)(?=^### |\Z)",
+            doc,
+            flags=re.MULTILINE | re.DOTALL,
+        )
+        assert [group for group, _ in sections] == [
+            "data", "model", "topology", "privacy", "execution"
+        ]
+        group_of = {
+            name: group
+            for group, names in groups_from_metadata().items()
+            for name in names
+        }
+        for group, body in sections:
+            rows = re.findall(r"^\| ((?:`\w+`(?:, )?)+) \|", body, re.MULTILINE)
+            assert rows, group
+            for cell in rows:
+                for name in re.findall(r"`(\w+)`", cell):
+                    assert group_of[name] == group, (name, group)
+
+    def test_dataset_tables_cover_the_dataset_registry(self):
+        for dataset in DATASET_BUILDERS:
+            config = StudyConfig(dataset=dataset)
+            assert config.architecture in ("cnn", "resnet8", "mlp")
+            assert config.num_classes in (10, 100)
+            assert config.in_channels in (1, 3)
 
 
 class TestSerialization:
@@ -99,15 +115,67 @@ class TestSerialization:
         cfg = StudyConfig.from_dict({"name": "f", "n_nodes": 8, "rounds": 3})
         assert cfg == StudyConfig(name="f", n_nodes=8, rounds=3)
 
+    def test_from_dict_accepts_grouped_and_mixed_sections(self):
+        flat = StudyConfig(name="x", seed=3, dataset="purchase100", n_nodes=8,
+                           rounds=2, dp_epsilon=10.0)
+        grouped = StudyConfig.from_dict(
+            {
+                "name": "x",
+                "seed": 3,
+                "data": {"dataset": "purchase100"},
+                "topology": {"n_nodes": 8, "rounds": 2},
+                "privacy": {"dp_epsilon": 10.0},
+            }
+        )
+        mixed = StudyConfig.from_dict(
+            {
+                "name": "x",
+                "seed": 3,
+                "dataset": "purchase100",
+                "topology": {"n_nodes": 8, "rounds": 2},
+                "dp_epsilon": 10.0,
+            }
+        )
+        assert grouped == mixed == flat
+
+    def test_a_section_stands_for_its_whole_group(self):
+        """Omitted fields of a section take their defaults — also over
+        flat keys of that group that come before the section."""
+        cfg = StudyConfig.from_dict(
+            {"rounds": 7, "topology": {"n_nodes": 8}, "dp_epsilon": 5.0}
+        )
+        assert (cfg.n_nodes, cfg.rounds, cfg.dp_epsilon) == (8, 10, 5.0)
+        later = StudyConfig.from_dict({"topology": {"n_nodes": 8}, "rounds": 7})
+        assert (later.n_nodes, later.rounds) == (8, 7)
+
     def test_from_dict_rejects_unknown_keys_listing_valid(self):
         with pytest.raises(ValueError, match="n_nodes"):
             StudyConfig.from_dict({"nodes": 8})
-        with pytest.raises(ValueError, match="dataset"):
-            DataConfig.from_dict({"datset": "cifar10"})
+        with pytest.raises(ValueError, match="unknown data field.*dataset"):
+            StudyConfig.from_dict({"data": {"datset": "cifar10"}})
+        # A field in the wrong section is unknown there.
+        with pytest.raises(ValueError, match="unknown model field"):
+            StudyConfig.from_dict({"model": {"n_nodes": 8}})
 
-    def test_group_round_trip(self):
-        group = TopologyConfig(n_nodes=12, dynamic=True, drop_prob=0.1)
-        assert TopologyConfig.from_dict(group.to_dict()) == group
+    @pytest.mark.parametrize("payload", [[1, 2], "x", 3, None])
+    def test_from_dict_needs_a_mapping(self, payload):
+        with pytest.raises(ValueError, match="needs a mapping"):
+            StudyConfig.from_dict(payload)
+
+    def test_a_section_needs_a_mapping(self):
+        with pytest.raises(ValueError, match="privacy section needs a mapping"):
+            StudyConfig.from_dict({"privacy": 10.0})
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize("payload", [[1, 2], "x", 3, None])
+    def test_rejects_non_mappings_with_value_error(self, payload):
+        with pytest.raises(ValueError, match="StudyConfig or a mapping"):
+            config_hash(payload)
+
+    def test_config_and_its_dict_hash_alike(self):
+        cfg = StudyConfig(n_nodes=8, dp_epsilon=4.0)
+        assert config_hash(cfg) == config_hash(cfg.to_dict()) == cfg.config_hash()
 
 
 class TestOverrides:
@@ -119,12 +187,6 @@ class TestOverrides:
         assert "nodes" in message
         assert "n_nodes" in message  # the valid spelling is suggested
 
-    def test_group_override_with_instance_replaces_group(self):
-        cfg = StudyConfig(dp_epsilon=50.0, dp_clip_norm=2.0)
-        out = cfg.with_overrides(privacy=PrivacyConfig(dp_epsilon=5.0))
-        assert out.dp_epsilon == 5.0
-        assert out.dp_clip_norm == 1.0  # instance replaces the whole group
-
     def test_group_override_with_dict_merges(self):
         cfg = StudyConfig(dp_epsilon=50.0, dp_clip_norm=2.0)
         out = cfg.with_overrides(privacy={"dp_epsilon": 5.0})
@@ -134,54 +196,80 @@ class TestOverrides:
     def test_group_override_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="dp_epsilon"):
             StudyConfig().with_overrides(privacy={"epsilon": 5.0})
+        with pytest.raises(ValueError, match="unknown topology field"):
+            StudyConfig().with_overrides(topology={"dp_epsilon": 5.0})
 
-    def test_group_with_overrides_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="n_nodes"):
-            TopologyConfig().with_overrides(node_count=8)
+    def test_group_override_needs_a_dict(self):
+        with pytest.raises(ValueError, match="needs a mapping"):
+            StudyConfig().with_overrides(privacy=5.0)
 
     def test_mixed_flat_and_group_overrides(self):
         out = StudyConfig().with_overrides(
-            rounds=7, execution=ExecutionConfig(executor="batched")
+            rounds=7, execution={"executor": "batched"}
         )
         assert out.rounds == 7
         assert out.executor == "batched"
 
+    def test_overrides_are_validated(self):
+        with pytest.raises(ValueError, match="rounds"):
+            StudyConfig().with_overrides(topology={"rounds": 0})
+
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "cls, kwargs",
+        "kwargs",
         [
-            (DataConfig, dict(n_train=0)),
-            (DataConfig, dict(beta=-1.0)),
-            (ModelConfig, dict(learning_rate=0.0)),
-            (ModelConfig, dict(lr_decay=0.0)),
-            (ModelConfig, dict(batch_size=0)),
-            (TopologyConfig, dict(n_nodes=1)),
-            (TopologyConfig, dict(view_size=0)),
-            (TopologyConfig, dict(drop_prob=1.0)),
-            (TopologyConfig, dict(delay_ticks=-1)),
-            (ExecutionConfig, dict(executor="process")),
-            (ExecutionConfig, dict(executor="thread")),
-            (ExecutionConfig, dict(arena_dtype="float16")),
-            (ExecutionConfig, dict(train_batch=-2)),
-            (PrivacyConfig, dict(dp_epsilon=-1.0)),
-            (PrivacyConfig, dict(dp_delta=0.0)),
-            (PrivacyConfig, dict(n_canaries=-1)),
+            dict(n_train=0),
+            dict(beta=-1.0),
+            dict(learning_rate=0.0),
+            dict(lr_decay=0.0),
+            dict(batch_size=0),
+            dict(n_nodes=1),
+            dict(view_size=0),
+            dict(drop_prob=1.0),
+            dict(delay_ticks=-1),
+            dict(executor="process"),
+            dict(executor="thread"),
+            dict(arena_dtype="float16"),
+            dict(train_batch=-2),
+            dict(dp_epsilon=-1.0),
+            dict(dp_delta=0.0),
+            dict(n_canaries=-1),
         ],
     )
-    def test_group_rejects_bad_values(self, cls, kwargs):
+    def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            cls(**kwargs)
+            StudyConfig(**kwargs)
 
-    def test_flat_construction_runs_group_validation(self):
-        with pytest.raises(ValueError):
-            StudyConfig(executor="thread")
-        with pytest.raises(ValueError):
-            StudyConfig(n_nodes=1)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(dataset="mnist"), "unknown dataset 'mnist'"),
+            (dict(protocol="foo"), "unknown protocol 'foo'"),
+            (dict(sampler="foo"), "unknown sampler 'foo'"),
+            (dict(mlp_hidden=(0,)), "mlp_hidden"),
+            (dict(mlp_hidden=5), "mlp_hidden"),
+            (dict(mlp_hidden=(32, 1.5)), "mlp_hidden"),
+            (dict(train_per_node=-5), "train_per_node"),
+            (dict(train_per_node=0), "train_per_node"),
+            (dict(test_per_node=-1), "test_per_node"),
+        ],
+    )
+    def test_rejects_names_and_sizes_that_fail_at_build(self, kwargs, message):
+        """These values used to construct and then fail (or silently
+        misbehave) only when the study was built."""
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(**kwargs)
+
+    def test_registry_names_are_accepted(self):
+        for sampler in (None, "static", "peerswap", "fresh"):
+            StudyConfig(sampler=sampler)
+        for protocol in ("samo", "base_gossip", "base_gossip_partial"):
+            StudyConfig(protocol=protocol)
+        StudyConfig(train_per_node=None, test_per_node=None, mlp_hidden=())
 
     def test_mlp_hidden_list_normalized_to_tuple(self):
         assert StudyConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
-        assert ModelConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
 
 
 class TestPreRemovalExecutionKeys:
@@ -199,8 +287,6 @@ class TestPreRemovalExecutionKeys:
         return payload
 
     def test_old_grouped_payload_hashes_like_new_spelling(self):
-        from repro.core.config import config_hash
-
         new = StudyConfig(n_nodes=8, seed=3)
         old = self._old_grouped(n_workers=4)
         assert StudyConfig.from_dict(old) == new
@@ -214,25 +300,27 @@ class TestPreRemovalExecutionKeys:
     def test_process_executor_loads_as_serial(self):
         grouped = StudyConfig.from_dict(self._old_grouped(executor="process"))
         flat = StudyConfig.from_dict(dict(executor="process", n_workers=2))
-        assert grouped.executor == flat.executor == "serial"
-        assert ExecutionConfig.from_dict(
-            {"executor": "process", "n_workers": 2}
-        ) == ExecutionConfig()
+        nested = StudyConfig.from_dict(
+            {"execution": {"executor": "process", "n_workers": 2}}
+        )
+        assert grouped.executor == flat.executor == nested.executor == "serial"
+        assert nested == StudyConfig()
 
     def test_dict_engine_rejected_as_removed(self):
         for payload in (
             self._old_grouped(engine="dict"),
             dict(n_nodes=8, engine="dict"),
+            {"execution": {"engine": "dict"}},
         ):
             with pytest.raises(ValueError, match="engine 'dict' was removed"):
                 StudyConfig.from_dict(payload)
-        with pytest.raises(ValueError, match="was removed"):
-            ExecutionConfig.from_dict({"engine": "dict"})
 
     def test_removed_knobs_are_not_constructor_fields(self):
         with pytest.raises(TypeError):
             StudyConfig(engine="flat")
         with pytest.raises(ValueError, match="unknown"):
             StudyConfig().with_overrides(n_workers=2)
+        with pytest.raises(ValueError, match="unknown execution field"):
+            StudyConfig().with_overrides(execution={"engine": "flat"})
         with pytest.raises(ValueError):
             StudyConfig(executor="process")

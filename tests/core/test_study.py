@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Study, StudyConfig, VulnerabilityStudy, run_study
+from repro import Study, StudyConfig, run_study
 
 
 def tiny_config(**overrides):
@@ -280,9 +280,9 @@ class TestStudySession:
         assert study.simulator.arena.shared_name is None  # segment freed
         assert study.simulator._executor is None
 
-    def test_vulnerability_study_builds_eagerly(self):
-        study = VulnerabilityStudy(tiny_config())
-        assert hasattr(study, "simulator")  # compat: built on construction
+    def test_build_returns_the_built_session(self):
+        study = Study(tiny_config()).build()
+        assert hasattr(study, "simulator")
         study.close()
 
 
@@ -328,8 +328,8 @@ class TestDPStudy:
         assert eps[0] <= eps[-1]
 
     def test_tighter_budget_means_more_noise(self):
-        tight = VulnerabilityStudy(tiny_config(dp_epsilon=5.0))
-        loose = VulnerabilityStudy(tiny_config(dp_epsilon=50.0))
+        tight = Study(tiny_config(dp_epsilon=5.0)).build()
+        loose = Study(tiny_config(dp_epsilon=50.0)).build()
         try:
             assert (
                 tight.protocol.trainer.config.dp.noise_multiplier

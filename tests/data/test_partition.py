@@ -124,6 +124,12 @@ class TestNodeSplits:
         splits = make_node_splits(small_dataset(), 4, train_per_node=10, seed=0)
         assert all(len(s.train) == 10 for s in splits)
 
+    @pytest.mark.parametrize("train_per_node", [0, -5])
+    def test_rejects_nonpositive_train_cap(self, train_per_node):
+        # A negative cap would slice samples off the end instead.
+        with pytest.raises(ValueError, match="train_per_node"):
+            make_node_splits(small_dataset(), 4, train_per_node=train_per_node)
+
     def test_test_per_node_cap(self):
         splits = make_node_splits(
             small_dataset(), 4, train_per_node=10, test_per_node=7, seed=0

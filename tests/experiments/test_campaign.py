@@ -64,12 +64,10 @@ class TestSweepBuilders:
         with pytest.raises(ValueError, match="n_nodes"):
             Campaign.from_grid(tiny_config(), nodes=[4, 8])
 
-    def test_group_axis_sweeps_whole_groups(self):
-        from repro.core.config import PrivacyConfig
-
+    def test_group_axis_sweeps_group_dicts(self):
         campaign = Campaign.from_grid(
             tiny_config(),
-            privacy=[PrivacyConfig(), PrivacyConfig(dp_epsilon=10.0)],
+            privacy=[{}, {"dp_epsilon": 10.0}],
         )
         assert [c.dp_epsilon for c in campaign.configs] == [None, 10.0]
 

@@ -815,9 +815,8 @@ class TestOneEngine:
         from dataclasses import fields
 
         from repro.core import StudyConfig
-        from repro.core.config import ExecutionConfig
 
-        for cls in (SimulatorConfig, ExecutionConfig, StudyConfig):
+        for cls in (SimulatorConfig, StudyConfig):
             names = {f.name for f in fields(cls)}
             assert not names & {"engine", "n_workers"}, cls.__name__
 

@@ -13,11 +13,11 @@ class TestTopLevel:
         assert repro.__version__
 
     def test_one_call_api(self):
-        from repro import StudyConfig, VulnerabilityStudy, run_study
+        from repro import Study, StudyConfig, run_study
 
         assert callable(run_study)
         assert StudyConfig().dataset  # has defaults
-        assert VulnerabilityStudy is not None
+        assert Study is not None
 
 
 class TestSubpackageSurface:

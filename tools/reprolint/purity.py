@@ -3,10 +3,9 @@
 * ``purity-mutable-default`` (repo-wide) — a mutable default argument
   (``def f(x=[])``) is shared across calls; the classic aliasing trap.
 * ``purity-config-field`` (``src/``) — fields of config dataclasses
-  (``*Config`` / ``ConfigGroup`` subclasses) must be JSON-round-
-  trippable: ``config_hash`` canonicalizes ``to_dict()`` output, so a
-  field that cannot survive JSON breaks the dedup/cache/journal
-  contract silently.
+  (``*Config`` names) must be JSON-round-trippable: ``config_hash``
+  canonicalizes ``to_dict()`` output, so a field that cannot survive
+  JSON breaks the dedup/cache/journal contract silently.
 * ``purity-telemetry-field`` (``src/``) — telemetry travels BY
   REFERENCE (PR 9): a ``Telemetry``/``Tracer``/``MetricsRegistry``
   object on a ``*Config`` or ``*Task`` dataclass would ride into
@@ -86,7 +85,7 @@ def _json_clean(annotation: ast.expr) -> bool:
     ]
     if not names:
         return True
-    # A nested `*Config` group serializes through its own to_dict(),
+    # A nested `*Config` dataclass serializes through its own to_dict(),
     # so it is JSON-clean by recursion (its fields get their own check).
     return all(
         name in _JSON_SCALARS
@@ -107,17 +106,13 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def _config_classes(ctx: ModuleContext):
     """Dataclasses participating in the config contract: ``*Config``
-    names or ``ConfigGroup`` descendants."""
+    names."""
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if not _is_dataclass(node):
-            continue
-        base_names = {
-            base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
-            for base in node.bases
-        }
-        if node.name.endswith("Config") or "ConfigGroup" in base_names:
+        if (
+            isinstance(node, ast.ClassDef)
+            and node.name.endswith("Config")
+            and _is_dataclass(node)
+        ):
             yield node
 
 
