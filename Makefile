@@ -29,11 +29,14 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_engine_throughput.py \
 		benchmarks/test_campaign_throughput.py -q
 
-## End-to-end smoke: every engine workload of the benchmark
-## (benchmarks/e2e) for a 3 s window; fails on any failed check.
-E2E_ENGINE_WORKLOADS := samo-static-64 base-peerswap-dp-16 samo-peerswap-v8-128
+## End-to-end smoke: every workload of the benchmark (benchmarks/e2e)
+## for a 3 s window — the three engine scenarios and the durable
+## service mix, whose cancel -> resume round-trips a checkpoint; fails
+## on any failed check.
+E2E_SMOKE_WORKLOADS := samo-static-64 base-peerswap-dp-16 \
+	samo-peerswap-v8-128 service-durable-mix
 e2e-smoke:
-	for w in $(E2E_ENGINE_WORKLOADS); do \
+	for w in $(E2E_SMOKE_WORKLOADS); do \
 		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seconds 3 || exit 1; \
 	done
 

@@ -9,17 +9,22 @@ Acceptance properties of the engine PRs:
 * batched evaluation over arena rows is at least 3x faster than the
   per-node reload loop at 64 nodes, with tolerance-level identical
   metrics;
-* batched training (lockstep multi-model SGD over arena rows) is at
-  least 2x faster than the per-row serial executor at 64 nodes, with
-  bit-identical float64 results;
+* batched training (one stacked ``(B, dim)`` block per tick, what
+  ``executor="batched"`` runs) is at least 2x faster than one row per
+  call (what ``executor="serial"`` runs) at 64 nodes on a toy MLP,
+  where per-call overhead dominates, with bit-identical float64
+  results;
 * sharded training (arena rows partitioned across shard workers over a
   zero-copy shared-memory arena) is at least 1.5x faster than the
   single-process batched executor at 128 nodes with >= 2 shards, with
   bit-identical float64 results (skipped on single-CPU machines, where
   process parallelism cannot win by construction);
-* vectorized DP-SGD (tiled per-sample gradients + blocked clip/noise)
-  is at least 2x faster than the per-row serial executor at 64 nodes,
-  with bit-identical float64 results — DP no longer falls back;
+* the same holds with DP-SGD (per-sample passes + blocked clip/noise):
+  a stacked block is at least 2x faster than one row per call at 64
+  nodes on the toy MLP, with bit-identical float64 results;
+* on the paper MLP with ``samo-static-64``'s per-node split, 8 local
+  updates one row per call and as one stacked block of 8 are recorded
+  as ``paper_mlp_training`` — median, min, IQR and reps — with no gate;
 * sharded observation (shard workers scoring their own arena rows) is
   at least 1.5x faster than the parent row-batch path at 64 nodes
   with >= 2 shards, agreeing at 1e-9 (timing skipped on single-CPU
@@ -47,6 +52,7 @@ import os
 import statistics
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -54,14 +60,9 @@ import pytest
 
 from repro.core.study import Study, StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
-from repro.gossip.engine import (
-    BatchedExecutor,
-    SerialExecutor,
-    StateArena,
-    UpdateTask,
-)
+from repro.gossip.engine import BatchedExecutor, StateArena, UpdateTask
 from repro.gossip.shard import ShardedExecutor
-from repro.gossip.trainer import LocalTrainer, TrainerConfig
+from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.metrics.evaluation import BatchedEvaluator, evaluate_model
 from repro.nn import get_state, set_state
 from repro.nn.flat import StateLayout
@@ -289,194 +290,165 @@ class TestEvaluationThroughput:
         )
 
 
+# The toy MLP of the training gates: ~7k parameters, where per-call
+# overhead, not the matrix multiplies, dominates a local update.
+TOY_CONFIG = TrainerConfig(
+    learning_rate=0.05,
+    momentum=0.9,
+    weight_decay=5e-4,
+    local_epochs=3,
+    batch_size=8,
+)
+
+
+def _stacked_vs_one_row(benchmark, config: TrainerConfig, section: str) -> float:
+    """One tick's local updates at 64 nodes on the toy MLP: the
+    in-process executor one row per call (``executor="serial"``) vs one
+    stacked ``(B, dim)`` block (``executor="batched"``).
+
+    Correctness is gated in float64, where the two are bit-identical;
+    the timing race runs in float32, the arena dtype the engine is
+    optimized for. Records ``serial_ms``/``batched_ms`` under
+    ``section`` and returns the speedup of the stacked block."""
+    model = build_model("mlp", in_features=96, num_classes=100, hidden=(48, 24))
+    template = get_state(model)
+    layout = StateLayout.from_state(template)
+    train, _ = make_synthetic_tabular_dataset(
+        "bench", 2600, 100, num_features=96, num_classes=100, seed=3
+    )
+    splits = make_node_splits(
+        train, N_NODES, train_per_node=32, test_per_node=4, seed=3
+    )
+    trainer = BatchedTrainer(model, config, layout)
+    one_row = BatchedExecutor(trainer, splits, train_batch=1)
+    stacked = BatchedExecutor(trainer, splits)
+    rng = np.random.default_rng(17)
+
+    def make_tasks(arena, seed):
+        return [
+            UpdateTask(
+                i, arena.row(i).copy(), np.random.default_rng(seed + i),
+                session=0,
+            )
+            for i in range(N_NODES)
+        ]
+
+    def load_arena(dtype):
+        arena = StateArena(layout, N_NODES, dtype=dtype)
+        for i in range(N_NODES):
+            arena.load_state(
+                i,
+                {
+                    k: v + 0.05 * rng.normal(size=v.shape)
+                    for k, v in template.items()
+                },
+            )
+        return arena
+
+    arena64 = load_arena(np.float64)
+    for (one_vec, _), (stacked_vec, _) in zip(
+        one_row.train_batch(make_tasks(arena64, 0)),
+        stacked.train_batch(make_tasks(arena64, 0)),
+    ):
+        np.testing.assert_array_equal(one_vec, stacked_vec)
+
+    arena32 = load_arena(np.float32)
+    one_row_time = _best_of(
+        lambda: one_row.train_batch(make_tasks(arena32, 1)), reps=5
+    )
+    stacked_time = run_once(
+        benchmark,
+        lambda: _best_of(
+            lambda: stacked.train_batch(make_tasks(arena32, 1)), reps=5
+        ),
+    )
+    _record(
+        section, N_NODES,
+        serial_ms=one_row_time * 1e3, batched_ms=stacked_time * 1e3,
+    )
+    print_series(
+        f"{section} ms (one row per call, stacked)",
+        [one_row_time * 1e3, stacked_time * 1e3],
+    )
+    one_row.close()
+    stacked.close()
+    return one_row_time / stacked_time
+
+
 class TestTrainingThroughput:
     def test_batched_training_at_least_2x_faster(self, benchmark):
-        """One tick's worth of local updates at 64 nodes — every node
-        runs the paper's 3 local epochs of mini-batch SGD (momentum +
-        weight decay on) — per-row workspace reloads vs one lockstep
-        (B, dim) block.
-
-        Correctness is gated in float64, where the blocked path is
-        bit-identical to the serial executor; the timing race runs both
-        paths in float32, the arena dtype the engine is optimized for
-        (the serial trainer stays in float32 too — no promotion)."""
-        n_per_node = 32
-        model = build_model(
-            "mlp", in_features=96, num_classes=100, hidden=(48, 24)
-        )
-        template = get_state(model)
-        layout = StateLayout.from_state(template)
-        train, _ = make_synthetic_tabular_dataset(
-            "bench", 2600, 100, num_features=96, num_classes=100, seed=3
-        )
-        splits = make_node_splits(
-            train, N_NODES, train_per_node=n_per_node, test_per_node=4, seed=3
-        )
-        config = TrainerConfig(
-            learning_rate=0.05,
-            momentum=0.9,
-            weight_decay=5e-4,
-            local_epochs=3,
-            batch_size=8,
-        )
-        trainer = LocalTrainer(model, config)
-        rng = np.random.default_rng(17)
-        serial = SerialExecutor(trainer, layout, splits)
-        batched = BatchedExecutor(trainer, layout, splits)
-
-        def make_tasks(arena, seed):
-            return [
-                UpdateTask(
-                    i,
-                    arena.row(i).copy(),
-                    np.random.default_rng(seed + i),
-                    session=0,
-                )
-                for i in range(N_NODES)
-            ]
-
-        def load_arena(dtype):
-            arena = StateArena(layout, N_NODES, dtype=dtype)
-            for i in range(N_NODES):
-                arena.load_state(
-                    i,
-                    {
-                        k: v + 0.05 * rng.normal(size=v.shape)
-                        for k, v in template.items()
-                    },
-                )
-            return arena
-
-        # Same math: the blocked path must reproduce the per-row path
-        # bit for bit in float64 (same seeds, same sessions).
-        arena64 = load_arena(np.float64)
-        for (serial_vec, _), (batched_vec, _) in zip(
-            serial.train_batch(make_tasks(arena64, 0)),
-            batched.train_batch(make_tasks(arena64, 0)),
-        ):
-            np.testing.assert_array_equal(serial_vec, batched_vec)
-
-        arena32 = load_arena(np.float32)
-        serial_time = _best_of(
-            lambda: serial.train_batch(make_tasks(arena32, 1)), reps=5
-        )
-        batched_time = run_once(
-            benchmark,
-            lambda: _best_of(
-                lambda: batched.train_batch(make_tasks(arena32, 1)), reps=5
-            ),
-        )
-        speedup = serial_time / batched_time
-        _record(
-            "training", N_NODES,
-            serial_ms=serial_time * 1e3, batched_ms=batched_time * 1e3,
-        )
-        print_series(
-            "training ms (per-row, batched)",
-            [serial_time * 1e3, batched_time * 1e3],
-        )
-        print(f"batched training speedup: {speedup:.1f}x")
+        """Every node runs the paper's 3 local epochs of mini-batch SGD
+        (momentum + weight decay on); see :func:`_stacked_vs_one_row`."""
+        speedup = _stacked_vs_one_row(benchmark, TOY_CONFIG, "training")
+        print(f"stacked training speedup: {speedup:.1f}x")
         assert speedup >= 2.0, (
-            f"batched training only {speedup:.1f}x faster than the "
-            f"per-row serial executor (required: 2x)"
+            f"stacked training only {speedup:.1f}x faster than one row "
+            f"per call (required: 2x)"
         )
-        serial.close()
-        batched.close()
 
 
 class TestDPTrainingThroughput:
-    """The PR 6 gate: DP-SGD no longer falls back per row, so a DP
-    tick must enjoy the same blocked speedup as a plain one."""
+    """DP-SGD rides the same kernel, so a DP tick must enjoy the same
+    stacked speedup as a plain one."""
 
     def test_vectorized_dp_at_least_2x_faster(self, benchmark):
-        """One tick's DP local updates at 64 nodes — per-sample
-        clipping + Gaussian noise — per-row workspace reloads vs the
-        tiled per-sample-gradient block.
-
-        Correctness is gated in float64 (bit-identical, noise draws
-        included); the timing race runs in float32."""
-        n_per_node = 32
-        model = build_model(
-            "mlp", in_features=96, num_classes=100, hidden=(48, 24)
+        """Per-sample clipping + Gaussian noise, noise draws included in
+        the float64 bit-identity check; see :func:`_stacked_vs_one_row`."""
+        config = replace(
+            TOY_CONFIG, dp=DPSGDConfig(clip_norm=1.0, noise_multiplier=0.7)
         )
-        template = get_state(model)
-        layout = StateLayout.from_state(template)
-        train, _ = make_synthetic_tabular_dataset(
-            "bench", 2600, 100, num_features=96, num_classes=100, seed=3
-        )
-        splits = make_node_splits(
-            train, N_NODES, train_per_node=n_per_node, test_per_node=4, seed=3
-        )
-        config = TrainerConfig(
-            learning_rate=0.05,
-            momentum=0.9,
-            weight_decay=5e-4,
-            local_epochs=3,
-            batch_size=8,
-            dp=DPSGDConfig(clip_norm=1.0, noise_multiplier=0.7),
-        )
-        trainer = LocalTrainer(model, config)
-        rng = np.random.default_rng(17)
-        serial = SerialExecutor(trainer, layout, splits)
-        batched = BatchedExecutor(trainer, layout, splits)
-
-        def make_tasks(arena, seed):
-            return [
-                UpdateTask(
-                    i,
-                    arena.row(i).copy(),
-                    np.random.default_rng(seed + i),
-                    session=0,
-                )
-                for i in range(N_NODES)
-            ]
-
-        def load_arena(dtype):
-            arena = StateArena(layout, N_NODES, dtype=dtype)
-            for i in range(N_NODES):
-                arena.load_state(
-                    i,
-                    {
-                        k: v + 0.05 * rng.normal(size=v.shape)
-                        for k, v in template.items()
-                    },
-                )
-            return arena
-
-        arena64 = load_arena(np.float64)
-        for (serial_vec, _), (batched_vec, _) in zip(
-            serial.train_batch(make_tasks(arena64, 0)),
-            batched.train_batch(make_tasks(arena64, 0)),
-        ):
-            np.testing.assert_array_equal(serial_vec, batched_vec)
-        assert batched.fallback_counts == {}, batched.fallback_counts
-
-        arena32 = load_arena(np.float32)
-        serial_time = _best_of(
-            lambda: serial.train_batch(make_tasks(arena32, 1)), reps=5
-        )
-        batched_time = run_once(
-            benchmark,
-            lambda: _best_of(
-                lambda: batched.train_batch(make_tasks(arena32, 1)), reps=5
-            ),
-        )
-        speedup = serial_time / batched_time
-        _record(
-            "dp_training", N_NODES,
-            serial_ms=serial_time * 1e3, batched_ms=batched_time * 1e3,
-        )
-        print_series(
-            "dp training ms (per-row, batched)",
-            [serial_time * 1e3, batched_time * 1e3],
-        )
-        print(f"vectorized DP-SGD speedup: {speedup:.1f}x")
+        speedup = _stacked_vs_one_row(benchmark, config, "dp_training")
+        print(f"stacked DP-SGD speedup: {speedup:.1f}x")
         assert speedup >= 2.0, (
-            f"vectorized DP-SGD only {speedup:.1f}x faster than the "
-            f"per-row serial executor (required: 2x)"
+            f"stacked DP-SGD only {speedup:.1f}x faster than one row per "
+            f"call (required: 2x)"
         )
-        serial.close()
-        batched.close()
+
+
+class TestPaperMlpTraining:
+    """ROADMAP item 1, the training kernel on the paper's shapes: the
+    paper MLP (600-256-128-64-100, float64) with ``samo-static-64``'s
+    per-node split and recipe trains 8 local updates one row per call
+    (``executor="serial"``) and as one stacked block of 8. Records
+    median, min, IQR and reps per 8-update call; no gate."""
+
+    REPS = 7
+    ROWS = 8
+
+    def test_one_row_vs_block_of_8_recorded(self):
+        payload = dict(WORKLOADS["samo-static-64"].payload, seed=0)
+        with Study(StudyConfig(**payload)) as study:
+            trainer = study.protocol.trainer
+            splits = [node.split for node in study.simulator.nodes]
+            start = study.simulator.arena.data[: self.ROWS].copy()
+        executors = {
+            "one_row": BatchedExecutor(trainer, splits, train_batch=1),
+            "block": BatchedExecutor(trainer, splits, train_batch=self.ROWS),
+        }
+        times: dict[str, list[float]] = {name: [] for name in executors}
+        final: dict[str, np.ndarray] = {}
+        # Rep -1 is an untimed warm-up: first calls pay lazy set-up.
+        for rep in range(-1, self.REPS):
+            for name, executor in executors.items():
+                rows = start.copy()
+                tasks = [
+                    UpdateTask(i, rows[i], np.random.default_rng(rep + 1), 0)
+                    for i in range(self.ROWS)
+                ]
+                begin = time.perf_counter()
+                executor.train_batch(tasks)
+                if rep >= 0:
+                    times[name].append((time.perf_counter() - begin) * 1e3)
+                final[name] = rows
+        np.testing.assert_array_equal(final["one_row"], final["block"])
+        values = {"reps": self.REPS}
+        for name, series in times.items():
+            q1, _, q3 = statistics.quantiles(series, n=4)
+            values[f"{name}_median_ms"] = statistics.median(series)
+            values[f"{name}_min_ms"] = min(series)
+            values[f"{name}_iqr_ms"] = q3 - q1
+            print_series(f"paper MLP, 8 updates, {name} ms", series)
+        _record("paper_mlp_training", self.ROWS, **values)
 
 
 class TestShardedThroughput:
@@ -538,8 +510,7 @@ class TestShardedThroughput:
         builder, model, layout, splits, config, arena = self._setup(
             np.float64
         )
-        trainer = LocalTrainer(model, config)
-        batched = BatchedExecutor(trainer, layout, splits)
+        batched = BatchedExecutor(BatchedTrainer(model, config, layout), splits)
         sharded = ShardedExecutor(
             builder, config, layout, splits, arena, n_shards=2
         )
@@ -584,8 +555,7 @@ class TestShardedThroughput:
         builder, model, layout, splits, config, arena = self._setup(
             np.float32
         )
-        trainer = LocalTrainer(model, config)
-        batched = BatchedExecutor(trainer, layout, splits)
+        batched = BatchedExecutor(BatchedTrainer(model, config, layout), splits)
         sharded = ShardedExecutor(
             builder, config, layout, splits, arena, n_shards=n_shards
         )

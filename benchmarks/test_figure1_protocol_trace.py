@@ -16,7 +16,7 @@ from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BaseGossipProtocol,
     FlatGossipSimulator,
-    LocalTrainer,
+    BatchedTrainer,
     SAMOProtocol,
     SimulatorConfig,
     TrainerConfig,
@@ -31,7 +31,7 @@ def build_simulator(protocol_cls):
     y (incoming) and z (outgoing) neighbors, and x's view is pinned to
     them."""
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
-    trainer = LocalTrainer(
+    trainer = BatchedTrainer(
         model,
         TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=1, batch_size=8),
     )

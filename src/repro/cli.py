@@ -60,10 +60,9 @@ def _add_study_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--failure-prob", type=float, default=0.0)
     p.add_argument("--executor", default="serial",
                    choices=["serial", "batched", "sharded"],
-                   help="local-update executor: serial workspace, blocked "
-                        "multi-model training over the arena, or shard "
-                        "workers running the blocked kernels over a "
-                        "shared-memory arena")
+                   help="local-update executor: the blocked kernel one "
+                        "row per call (serial), stacked rows (batched), or "
+                        "shard workers over a shared-memory arena")
     p.add_argument("--shards", type=int, default=0,
                    help="shard-worker count for the sharded executor; "
                         "0 = one per CPU (capped at the node count)")
@@ -73,8 +72,7 @@ def _add_study_parser(sub: argparse._SubParsersAction) -> None:
                         "balanced by per-node sample count")
     p.add_argument("--train-batch", type=int, default=0,
                    help="rows per blocked training op for the batched "
-                        "executor (0 = all same-size wake tasks at once, "
-                        "-1 = per-row path)")
+                        "executor (0 = all same-size wake tasks at once)")
     p.add_argument("--arena-dtype", default="float64",
                    choices=["float32", "float64"],
                    help="flat-arena storage dtype")
@@ -109,47 +107,20 @@ def _print_round(r) -> None:
 
 
 def _run_study(args: argparse.Namespace) -> int:
-    from repro.core.study import Study
-    from repro.experiments import result_to_csv, save_result, scaled_config
+    from repro.experiments import result_to_csv, save_result
     from repro.telemetry import Telemetry
 
     telemetry = None
     if args.telemetry or args.trace_out:
         telemetry = Telemetry(enabled=True)
         telemetry.tracer.set_trace_id(f"cli-study-seed{args.seed}")
-    if args.resume:
-        study = Study.resume(args.resume, telemetry=telemetry)
-    else:
-        overrides: dict = {
-            "protocol": args.protocol,
-            "dynamic": args.dynamic,
-            "beta": args.beta,
-            "dp_epsilon": args.dp_epsilon,
-            "dropout": args.dropout,
-            "n_canaries": args.canaries,
-            "drop_prob": args.drop_prob,
-            "failure_prob": args.failure_prob,
-            "executor": args.executor,
-            "n_shards": args.shards,
-            "shard_partition": args.shard_partition,
-            "train_batch": args.train_batch,
-            "arena_dtype": args.arena_dtype,
-            "eval_batch": args.eval_batch,
-            "seed": args.seed,
-            "name": f"cli-{args.dataset}",
-        }
-        if args.sampler is not None:
-            overrides["sampler"] = args.sampler
-        if args.nodes is not None:
-            overrides["n_nodes"] = args.nodes
-        if args.view_size is not None:
-            overrides["view_size"] = args.view_size
-        if args.rounds is not None:
-            overrides["rounds"] = args.rounds
-        study = Study(
-            scaled_config(args.dataset, args.scale, **overrides),
-            telemetry=telemetry,
-        )
+    try:
+        study = _make_study(args, telemetry)
+    except ValueError as exc:
+        # A bad flag value or a stored config this build no longer
+        # loads: a usage error, like the argparse ones.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{'round':>5} {'test_acc':>9} {'mia_acc':>8} {'tpr@1%':>7} "
           f"{'gen_err':>8}")
@@ -171,6 +142,45 @@ def _run_study(args: argparse.Namespace) -> int:
     if args.csv:
         print(f"wrote {result_to_csv(result, args.csv)}")
     return 0
+
+
+def _make_study(args: argparse.Namespace, telemetry):
+    """The study ``repro study`` runs: resumed, or built from flags."""
+    from repro.core.study import Study
+    from repro.experiments import scaled_config
+
+    if args.resume:
+        return Study.resume(args.resume, telemetry=telemetry)
+    overrides: dict = {
+        "protocol": args.protocol,
+        "dynamic": args.dynamic,
+        "beta": args.beta,
+        "dp_epsilon": args.dp_epsilon,
+        "dropout": args.dropout,
+        "n_canaries": args.canaries,
+        "drop_prob": args.drop_prob,
+        "failure_prob": args.failure_prob,
+        "executor": args.executor,
+        "n_shards": args.shards,
+        "shard_partition": args.shard_partition,
+        "train_batch": args.train_batch,
+        "arena_dtype": args.arena_dtype,
+        "eval_batch": args.eval_batch,
+        "seed": args.seed,
+        "name": f"cli-{args.dataset}",
+    }
+    if args.sampler is not None:
+        overrides["sampler"] = args.sampler
+    if args.nodes is not None:
+        overrides["n_nodes"] = args.nodes
+    if args.view_size is not None:
+        overrides["view_size"] = args.view_size
+    if args.rounds is not None:
+        overrides["rounds"] = args.rounds
+    return Study(
+        scaled_config(args.dataset, args.scale, **overrides),
+        telemetry=telemetry,
+    )
 
 
 def _print_phase_summary(telemetry) -> None:
@@ -252,8 +262,12 @@ def _run_campaign(args: argparse.Namespace) -> int:
             print(f"bad --grid {item!r} (expected KEY=V1,V2,...)", file=sys.stderr)
             return 2
         axes[key] = [_parse_axis_value(v) for v in values.split(",")]
-    base = scaled_config(args.dataset, args.scale, **overrides)
-    campaign = Campaign.from_grid(base, out_dir=args.out_dir, **axes)
+    try:
+        base = scaled_config(args.dataset, args.scale, **overrides)
+        campaign = Campaign.from_grid(base, out_dir=args.out_dir, **axes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"campaign: {len(campaign.configs)} studies")
     results = campaign.run(jobs=args.jobs or None)
 
@@ -282,7 +296,7 @@ def _add_report_parser(sub: argparse._SubParsersAction) -> None:
                         "or a campaign --out-dir")
     p.add_argument("--telemetry", action="store_true",
                    help="also print each result's telemetry metadata "
-                        "(per-round wall-clock, fallback counters)")
+                        "(per-round wall-clock, span counts)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="pretty-print a span tree from a --trace-out "
                         "JSONL dump")
@@ -306,12 +320,6 @@ def _run_report(args: argparse.Namespace) -> int:
         )
         if args.telemetry:
             meta = result.metadata or {}
-            fallbacks = meta.get("fallback_counts") or {}
-            if fallbacks:
-                counts = ", ".join(
-                    f"{k}={v}" for k, v in sorted(fallbacks.items())
-                )
-                print(f"  fallbacks: {counts}")
             tel = meta.get("telemetry")
             if tel is None:
                 print("  (no telemetry metadata; run with --telemetry)")

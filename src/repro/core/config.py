@@ -71,8 +71,9 @@ def reject_unknown_keys(what: str, keys, valid) -> None:
 
 
 def upgrade_legacy_execution(values: Mapping) -> dict:
-    """Map execution keys of configs stored before the dict engine and
-    the process-pool executor were removed onto today's fields.
+    """Map execution keys of configs stored before the dict engine, the
+    process-pool executor and the per-row trainer were removed onto
+    today's fields.
 
     Service journals, checkpoints and campaign manifests written back
     then carry ``engine`` and ``n_workers``; they keep loading, and keep
@@ -81,6 +82,8 @@ def upgrade_legacy_execution(values: Mapping) -> dict:
     dropped, and ``executor: "process"`` loads as ``"serial"``
     (bit-identical by the executor contract). ``engine: "dict"`` is
     rejected — its results were never bitwise comparable.
+    ``train_batch: -1`` (the per-row trainer) loads as ``1``, one row
+    per blocked call, which gives the same float64 bits.
     """
     out = dict(values)
     engine = out.pop("engine", "flat")
@@ -92,6 +95,8 @@ def upgrade_legacy_execution(values: Mapping) -> dict:
     out.pop("n_workers", None)
     if out.get("executor") == "process":
         out["executor"] = "serial"
+    if out.get("train_batch") == -1:
+        out["train_batch"] = 1
     return out
 
 
@@ -128,8 +133,7 @@ class StudyConfig:
     label_smoothing: float = field(default=0.0, metadata=_MODEL)
     lr_decay: float = field(default=1.0, metadata=_MODEL)
     # Dropout regularization (MLP only). Mask streams are counter-based
-    # (keyed by node/session/step) so dropout stays on the fast path;
-    # "legacy" restores the stateful per-layer generator.
+    # (keyed by node/session/step); "stream" is the only mode.
     dropout: float = field(default=0.0, metadata=_MODEL)
     dropout_mode: str = field(default="stream", metadata=_MODEL)
     # Topology: graph, protocol, horizon and failure injection.
@@ -150,7 +154,8 @@ class StudyConfig:
     # Execution (DESIGN.md "Flat-state execution engine"): executor
     # "serial"/"batched"/"sharded"; n_shards 0 = one per CPU (capped at
     # n_nodes); shard_partition contiguous/balanced; train_batch and
-    # eval_batch 0 = all rows at once, -1 = per-row/per-node loop.
+    # eval_batch 0 = all rows at once, N = blocks of N rows; eval_batch
+    # -1 = per-node loop.
     executor: str = field(default="serial", metadata=_EXECUTION)
     n_shards: int = field(default=0, metadata=_EXECUTION)
     shard_partition: str = field(default="contiguous", metadata=_EXECUTION)
@@ -210,8 +215,12 @@ class StudyConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.dropout_mode not in ("stream", "legacy"):
-            raise ValueError("dropout_mode must be 'stream' or 'legacy'")
+        if self.dropout_mode != "stream":
+            raise ValueError(
+                f"dropout_mode must be 'stream', got {self.dropout_mode!r}; "
+                "'legacy' was removed with the workspace trainer that "
+                "drew its masks"
+            )
         # Topology.
         if self.n_nodes <= 1:
             raise ValueError("need at least two nodes")
@@ -246,8 +255,10 @@ class StudyConfig:
             raise ValueError(
                 "shard_partition must be 'contiguous' or 'balanced'"
             )
-        if self.train_batch < -1 or self.eval_batch < -1:
-            raise ValueError("train_batch and eval_batch must be >= -1")
+        if self.train_batch < 0:
+            raise ValueError("train_batch must be >= 0")
+        if self.eval_batch < -1:
+            raise ValueError("eval_batch must be >= -1")
         if self.arena_dtype not in ("float32", "float64"):
             raise ValueError("arena_dtype must be 'float32' or 'float64'")
         if self.max_global_test <= 0 or self.max_attack_samples <= 0:

@@ -44,7 +44,7 @@ from repro.data.partition import make_node_splits
 from repro.gossip.engine import FlatGossipSimulator
 from repro.gossip.protocols import make_protocol
 from repro.gossip.simulator import SimulatorConfig
-from repro.gossip.trainer import LocalTrainer, TrainerConfig
+from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.metrics.records import RoundRecord, RunResult
 from repro.nn.models import build_model
 from repro.nn.serialize import get_state
@@ -177,7 +177,7 @@ class Study:
             self.splits = inject_canaries(self.splits, self.canaries)
         # Model ---------------------------------------------------------
         # Kept as a picklable builder too: shard workers construct their
-        # own workspace Module from it.
+        # own Module from it.
         self.model_builder = partial(
             build_model,
             cfg.architecture,
@@ -189,12 +189,11 @@ class Study:
             hidden=cfg.mlp_hidden,
             seed=cfg.seed,
             dropout=cfg.dropout,
-            dropout_mode=cfg.dropout_mode,
         )
         self.model = self.model_builder()
         self.initial_state = get_state(self.model)
         # Protocol / simulator -------------------------------------------
-        trainer = LocalTrainer(
+        trainer = BatchedTrainer(
             self.model,
             TrainerConfig(
                 learning_rate=cfg.learning_rate,
@@ -300,8 +299,7 @@ class Study:
         )
         trainer = self.protocol.trainer
         # Through the simulator so the swap revalidates and reaches the
-        # live executor (batched trainer, shard workers)
-        # instead of relying on each path re-reading trainer.config.
+        # live executor (the protocol's trainer, shard workers).
         self.simulator.set_trainer_config(replace(trainer.config, dp=dp_config))
         self.protocol.max_updates_per_node = planned_updates
         self._dp_q = q

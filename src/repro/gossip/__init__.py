@@ -10,7 +10,7 @@ Send-All-Merge-Once / SAMO (Algorithm 2).
 from repro.gossip.clock import WakeSchedule, TickClock
 from repro.gossip.messages import ModelMessage, MessageLog
 from repro.gossip.node import GossipNode
-from repro.gossip.trainer import BatchedTrainer, LocalTrainer, TrainerConfig
+from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.gossip.protocols import (
     GossipProtocol,
     BaseGossipProtocol,
@@ -23,7 +23,6 @@ from repro.gossip.engine import (
     BatchedExecutor,
     Executor,
     FlatGossipSimulator,
-    SerialExecutor,
     StateArena,
     UpdateTask,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "BatchedTrainer",
     "Executor",
     "FlatGossipSimulator",
-    "SerialExecutor",
     "StateArena",
     "UpdateTask",
     "WakeSchedule",
@@ -44,7 +42,6 @@ __all__ = [
     "ModelMessage",
     "MessageLog",
     "GossipNode",
-    "LocalTrainer",
     "TrainerConfig",
     "GossipProtocol",
     "BaseGossipProtocol",

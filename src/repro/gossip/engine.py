@@ -4,9 +4,11 @@ Every node's model is one row of a contiguous ``(n_nodes, dim)``
 :class:`StateArena` (layout computed once by
 :class:`~repro.nn.flat.StateLayout`), so gossip aggregation is a
 vectorized numpy op over rows, and the per-tick local updates of
-independently waking nodes go to an :class:`Executor` — serial, blocked
-over one ``(B, dim)`` block (:class:`BatchedExecutor`), or sharded
-across worker processes (:mod:`repro.gossip.shard`).
+independently waking nodes go to an :class:`Executor`: in process
+(:class:`BatchedExecutor`, one row per call or stacked ``(B, dim)``
+blocks) or sharded across worker processes (:mod:`repro.gossip.shard`).
+Every executor trains with the one blocked kernel,
+:meth:`~repro.gossip.trainer.BatchedTrainer.train_block`.
 
 :class:`FlatGossipSimulator` drives the tick clock, the peer-sampling
 service and the channel model, and implements the two protocols of
@@ -43,9 +45,8 @@ from repro.gossip.protocols import (
     SAMOProtocol,
 )
 from repro.gossip.simulator import SimulatorConfig
-from repro.gossip.trainer import BatchedTrainer, LocalTrainer, TrainerConfig
+from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.graph.peer_sampling import PeerSampler, make_sampler_by_name
-from repro.nn.batched import supports_batched_backward
 from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
 from repro.nn.serialize import State, normalize_weights
@@ -55,10 +56,8 @@ __all__ = [
     "StateArena",
     "UpdateTask",
     "Executor",
-    "SerialExecutor",
     "BatchedExecutor",
     "FlatGossipSimulator",
-    "fallback_reason",
 ]
 
 # round_callback(round_index, simulator) -> None
@@ -199,9 +198,8 @@ class UpdateTask:
     ``session`` is the node's lr_decay session index and MUST be
     tracked by the engine (``FlatGossipSimulator._sessions``), never
     inferred from ``node_id`` inside a trainer: per-trainer bookkeeping
-    diverges the moment two executors (shard workers, the batched
-    trainer, the serial workspace) see different subsets of a node's
-    updates.
+    diverges the moment two trainers (say, two shard workers) see
+    different subsets of a node's updates.
     """
 
     node_id: int
@@ -236,56 +234,6 @@ def as_split_arrays(
     return [(s.train.x, s.train.y) for s in splits]
 
 
-def _train_task(
-    trainer: LocalTrainer,
-    layout: StateLayout,
-    splits: SplitArrays,
-    task: UpdateTask,
-) -> tuple[np.ndarray, np.random.Generator]:
-    """Run one local update on a workspace trainer, packing the result
-    back into ``task.vector`` in place; shared by executors."""
-    x, y = splits[task.node_id]
-    # node_id keys the dropout mask streams; the session index comes
-    # from the engine's per-node bookkeeping.
-    new_state = trainer.train(
-        layout.unpack(task.vector), x, y, task.rng,
-        node_id=task.node_id, session=task.session,
-    )
-    return layout.pack(new_state, out=task.vector), task.rng
-
-
-def fallback_reason(
-    task: UpdateTask,
-    *,
-    supported: bool,
-    block_size: int,
-    n_samples: int,
-) -> str | None:
-    """Why ``task`` cannot ride the blocked fast path (None = it can).
-
-    The single source of truth for the per-row fallback predicate,
-    shared by :class:`BatchedExecutor` and the shard workers. Reasons:
-
-    * ``"no_batched_backward"`` — the model has a layer without a
-      blocked train-mode backward (e.g. legacy-mode dropout).
-    * ``"forced_per_row"`` — ``train_batch == -1`` explicitly disables
-      blocking.
-    * ``"empty_split"`` — the node owns no training samples (the
-      trainer no-ops).
-
-    DP-SGD and stream-mode dropout are deliberately NOT reasons: both
-    ride the blocked path since the vectorized per-sample-gradient
-    refactor.
-    """
-    if not supported:
-        return "no_batched_backward"
-    if block_size == -1:
-        return "forced_per_row"
-    if n_samples == 0:
-        return "empty_split"
-    return None
-
-
 class Executor:
     """Runs a batch of independent local updates, preserving order.
 
@@ -294,9 +242,9 @@ class Executor:
     and return ``(task.vector, generator)`` per task, so the engine
     makes no per-task copy and writes nothing back.
 
-    ``fallback_counts`` tallies per-row slow-path hits by
-    :func:`fallback_reason`; backends with no blocked path leave it
-    empty.
+    ``fallback_counts`` is always empty: every row trains on the
+    blocked kernel. It stays because run metadata and the service
+    status report it.
     """
 
     name = "abstract"
@@ -309,144 +257,65 @@ class Executor:
     ) -> list[tuple[np.ndarray, np.random.Generator]]:
         raise NotImplementedError
 
-    def set_config(self, config: TrainerConfig) -> None:
-        """Swap the trainer config on this backend (validated upstream).
-
-        The default reaches the in-process trainer; backends owning
-        remote workers override to propagate the swap.
-        """
-        trainer = getattr(self, "trainer", None)
-        if trainer is not None:
-            trainer.set_config(config)
-
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
 
 
-class SerialExecutor(Executor):
-    """In-process execution on the protocol's shared workspace model."""
-
-    name = "serial"
-
-    def __init__(
-        self,
-        trainer: LocalTrainer,
-        layout: StateLayout,
-        splits: Sequence[NodeSplit] | SplitArrays,
-    ):
-        super().__init__()
-        self.trainer = trainer
-        self.layout = layout
-        self.splits = as_split_arrays(splits)
-
-    def train_batch(
-        self, tasks: list[UpdateTask]
-    ) -> list[tuple[np.ndarray, np.random.Generator]]:
-        return [
-            _train_task(self.trainer, self.layout, self.splits, task)
-            for task in tasks
-        ]
-
-
 class BatchedExecutor(Executor):
-    """Blocked multi-model training over a tick's wake tasks.
+    """In-process training of a tick's wake tasks on the blocked kernel.
 
-    Stacks the independent local updates of same-tick waking nodes into
-    ``(B, dim)`` blocks and trains them in lockstep with
-    :class:`~repro.gossip.trainer.BatchedTrainer` — the training
-    counterpart of the PR-2 batched evaluator. Tasks are grouped by
-    local-sample count (lockstep mini-batch geometry); ``train_batch``
-    caps the rows per block (0 = one block per group, N > 0 = chunks of
-    N, -1 = force the per-row path). DP-SGD rides the blocked path
-    (vectorized per-sample gradients) and so does stream-mode dropout
-    (counter-based mask streams); the remaining per-row fallbacks —
-    see :func:`fallback_reason` — run on the shared workspace trainer
-    and are tallied in ``fallback_counts``. Results match
-    :class:`SerialExecutor` bit for bit on float64 arenas (and within
-    rounding on float32, where the blocked path stays in float32).
+    Groups tasks by local-sample count (lockstep mini-batch geometry)
+    and trains each group with
+    :meth:`~repro.gossip.trainer.BatchedTrainer.train_block`.
+    ``train_batch`` caps the rows per call: 0 = one block per group,
+    N > 0 = chunks of N. ``train_batch=1`` is what ``executor="serial"``
+    runs: each row trains as the live arena view itself, with no stack
+    and no scatter. Larger blocks are stacked, trained, then scattered
+    back. A row's result does not depend on its block, so every
+    ``train_batch`` gives the same bits on float64 arenas (and agrees
+    within rounding on float32, where training stays in float32).
     """
 
     name = "batched"
 
     def __init__(
         self,
-        trainer: LocalTrainer,
-        layout: StateLayout,
+        trainer: BatchedTrainer,
         splits: Sequence[NodeSplit] | SplitArrays,
         train_batch: int = 0,
     ):
         super().__init__()
-        if train_batch < -1:
-            raise ValueError("train_batch must be >= -1")
+        if train_batch < 0:
+            raise ValueError("train_batch must be >= 0")
         self.trainer = trainer
-        self.layout = layout
         self.splits = as_split_arrays(splits)
         self.block_size = train_batch
-        # Models without a batched backward (legacy-mode dropout) run
-        # entirely on the per-row fallback; constructing the blocked
-        # trainer would raise for them.
-        self._supported = supports_batched_backward(trainer.model)
-        self.batched = (
-            BatchedTrainer(trainer.model, trainer.config, layout)
-            if self._supported
-            else None
-        )
-
-    def set_config(self, config: TrainerConfig) -> None:
-        self.trainer.set_config(config)
-        if self.batched is not None:
-            self.batched.set_config(config)
 
     def train_batch(
         self, tasks: list[UpdateTask]
     ) -> list[tuple[np.ndarray, np.random.Generator]]:
-        # Config may have been swapped after construction (legacy
-        # direct-assignment path); re-read it.
-        config = self.trainer.config
-        if self.batched is not None:
-            self.batched.config = config
-        results: list = [None] * len(tasks)
-        groups: dict[int, list[int]] = {}
-        fallback: list[int] = []
-        for i, task in enumerate(tasks):
+        groups: dict[int, list[UpdateTask]] = {}
+        for task in tasks:
             n = self.splits[task.node_id][0].shape[0]
-            reason = fallback_reason(
-                task,
-                supported=self._supported,
-                block_size=self.block_size,
-                n_samples=n,
-            )
-            if reason is not None:
-                self.fallback_counts[reason] += 1
-                fallback.append(i)
-            else:
-                groups.setdefault(n, []).append(i)
-        for n, indices in sorted(groups.items()):
-            step = len(indices) if self.block_size == 0 else self.block_size
-            for start in range(0, len(indices), step):
-                chunk = indices[start : start + step]
-                vectors = [tasks[i].vector for i in chunk]
-                # One row trains as the live view itself; larger blocks
-                # are stacked, trained, then scattered back to the rows.
+            groups.setdefault(n, []).append(task)
+        for group in groups.values():
+            step = self.block_size or len(group)
+            for start in range(0, len(group), step):
+                chunk = group[start : start + step]
+                vectors = [task.vector for task in chunk]
                 block = vectors[0][None] if len(chunk) == 1 else np.stack(vectors)
-                self.batched.train_block(
+                self.trainer.train_block(
                     block,
-                    [self.splits[tasks[i].node_id][0] for i in chunk],
-                    [self.splits[tasks[i].node_id][1] for i in chunk],
-                    [tasks[i].rng for i in chunk],
-                    [tasks[i].session for i in chunk],
-                    node_ids=[tasks[i].node_id for i in chunk],
+                    [self.splits[task.node_id][0] for task in chunk],
+                    [self.splits[task.node_id][1] for task in chunk],
+                    [task.rng for task in chunk],
+                    [task.session for task in chunk],
+                    node_ids=[task.node_id for task in chunk],
                 )
                 if len(chunk) > 1:
                     for vector, trained in zip(vectors, block):
                         vector[...] = trained
-                for i in chunk:
-                    results[i] = (tasks[i].vector, tasks[i].rng)
-        for i in fallback:
-            results[i] = _train_task(
-                self.trainer, self.layout, self.splits, tasks[i]
-            )
-        return results
+        return [(task.vector, task.rng) for task in tasks]
 
 
 class FlatGossipSimulator:
@@ -458,13 +327,12 @@ class FlatGossipSimulator:
     wake/merge, batch-train, send — so the executor backend cannot
     change results.
 
-    Dtype contract: all gossip aggregation and all evaluation reads run
-    in ``config.arena_dtype``; only the local-update step unpacks a row
-    into the trainer's workspace model. :meth:`state_matrix` exposes
-    the arena zero-copy to the row-batch evaluation path
-    (:class:`~repro.metrics.evaluation.BatchedEvaluator`), so the
-    per-round attack observation never materializes per-node dict
-    views.
+    Dtype contract: all gossip aggregation, local training and
+    evaluation reads run in ``config.arena_dtype``.
+    :meth:`state_matrix` exposes the arena zero-copy to the row-batch
+    evaluation path (:class:`~repro.metrics.evaluation.BatchedEvaluator`),
+    so the per-round attack observation never materializes per-node
+    dict views.
 
     Use it as a context manager (``with FlatGossipSimulator(...) as
     sim:``) so :meth:`close` releases shard workers and shared-memory
@@ -570,31 +438,25 @@ class FlatGossipSimulator:
             self._phase_series = {
                 phase: phase_hist.child(phase=phase) for phase in self._phase_acc
             }
-            self._fallback_total = reg.counter(
-                "repro_engine_fallback_total",
-                "Rows that left the blocked fast path, by reason",
-                labels=("reason",),
-            )
-            self._fallback_seen: Counter[str] = Counter()
-            # Bound lazily on first train_batch: the executor (and its
-            # name label) does not exist yet.
+            # Bound on the first train_batch, so a run that trains
+            # nothing exports no executor series.
             self._batch_ms = None
             self._tasks_total = None
 
     # -- executor -----------------------------------------------------
 
     def executor(self) -> Executor:
+        """The executor of ``config.executor``, built on first use.
+
+        ``"serial"`` is the in-process :class:`BatchedExecutor` at one
+        row per call, ``"batched"`` stacks up to ``train_batch`` rows,
+        and ``"sharded"`` spreads rows over worker processes. All three
+        train with the protocol's blocked trainer.
+        """
         if self._executor is None:
             trainer = self.protocol.trainer
             splits = [node.split for node in self.nodes]
-            if self.config.executor == "batched":
-                self._executor = BatchedExecutor(
-                    trainer,
-                    self.layout,
-                    splits,
-                    train_batch=self.config.train_batch,
-                )
-            elif self.config.executor == "sharded":
+            if self.config.executor == "sharded":
                 # Imported here: shard.py builds on this module.
                 from repro.gossip.shard import ShardedExecutor
 
@@ -611,22 +473,29 @@ class FlatGossipSimulator:
                     telemetry=self.telemetry,
                 )
             else:
-                self._executor = SerialExecutor(trainer, self.layout, splits)
+                self._executor = BatchedExecutor(
+                    trainer,
+                    splits,
+                    train_batch=(
+                        self.config.train_batch
+                        if self.config.executor == "batched"
+                        else 1
+                    ),
+                )
         return self._executor
 
     def set_trainer_config(self, config: TrainerConfig) -> None:
-        """Swap the trainer config, propagating to a live executor.
+        """Swap the trainer config (e.g. DP installation).
 
-        The supported mid-run config path (e.g. DP installation): the
-        shared trainer revalidates, and an already-built executor
-        forwards the swap to its blocked trainer / worker processes.
+        The protocol's trainer revalidates the swap. Every executor
+        trains with that trainer, or (shard workers) receives its
+        config with the next batch, so a live executor follows.
         """
         self.protocol.trainer.set_config(config)
-        if self._executor is not None:
-            self._executor.set_config(config)
 
     def fallback_counts(self) -> dict[str, int]:
-        """Per-reason tallies of rows that left the blocked fast path."""
+        """Always empty: every row trains on the blocked kernel. Kept
+        for the run metadata and service status that report it."""
         if self._executor is None:
             return {}
         return dict(self._executor.fallback_counts)
@@ -898,7 +767,7 @@ class FlatGossipSimulator:
             start = perf_counter()
             results = executor.train_batch(tasks)
             self._record_train_batch(
-                executor, len(tasks), (perf_counter() - start) * 1000.0
+                len(tasks), (perf_counter() - start) * 1000.0
             )
         for task, (_, rng) in zip(tasks, results):
             # Shard workers return a rebuilt generator; rebind it
@@ -907,32 +776,25 @@ class FlatGossipSimulator:
 
     # -- telemetry ----------------------------------------------------
 
-    def _record_train_batch(
-        self, executor: Executor, n_tasks: int, elapsed_ms: float
-    ) -> None:
+    def _record_train_batch(self, n_tasks: int, elapsed_ms: float) -> None:
         """Fold one train_batch call into the telemetry accumulators."""
         self._phase_acc["train"] += elapsed_ms
         if self._batch_ms is None:
             reg = self.telemetry.registry
+            # Labelled by the config value: "serial" and "batched" run
+            # the same executor class at different block sizes.
             self._batch_ms = reg.histogram(
                 "repro_executor_batch_ms",
                 "Wall-clock of one executor train_batch call",
                 labels=("executor",),
-            ).child(executor=executor.name)
+            ).child(executor=self.config.executor)
             self._tasks_total = reg.counter(
                 "repro_executor_tasks_total",
                 "Local-update tasks dispatched, by executor",
                 labels=("executor",),
-            ).child(executor=executor.name)
+            ).child(executor=self.config.executor)
         self._batch_ms.observe(elapsed_ms)
         self._tasks_total.inc(n_tasks)
-        # The executor's fallback tallies are cumulative; convert to
-        # counter increments by diffing against what was already shipped.
-        for reason, count in executor.fallback_counts.items():
-            delta = count - self._fallback_seen[reason]
-            if delta > 0:
-                self._fallback_total.inc(delta, reason=reason)
-                self._fallback_seen[reason] = count
 
     # -- main loop ----------------------------------------------------
 

@@ -18,7 +18,7 @@ over arena rows, by :class:`~repro.gossip.engine.FlatGossipSimulator`
 
 from __future__ import annotations
 
-from repro.gossip.trainer import LocalTrainer
+from repro.gossip.trainer import BatchedTrainer
 
 __all__ = [
     "GossipProtocol",
@@ -42,7 +42,7 @@ class GossipProtocol:
 
     name = "abstract"
 
-    def __init__(self, trainer: LocalTrainer, max_updates_per_node: int | None = None):
+    def __init__(self, trainer: BatchedTrainer, max_updates_per_node: int | None = None):
         self.trainer = trainer
         self.max_updates_per_node = max_updates_per_node
 
@@ -61,7 +61,7 @@ class BaseGossipProtocol(GossipProtocol):
 
     def __init__(
         self,
-        trainer: LocalTrainer,
+        trainer: BatchedTrainer,
         max_updates_per_node: int | None = None,
         merge_weight: float = 0.5,
     ):
@@ -81,7 +81,7 @@ class PartialMergeGossipProtocol(BaseGossipProtocol):
     name = "base_gossip_partial"
 
     def __init__(
-        self, trainer: LocalTrainer, max_updates_per_node: int | None = None
+        self, trainer: BatchedTrainer, max_updates_per_node: int | None = None
     ):
         super().__init__(trainer, max_updates_per_node, merge_weight=0.25)
 
@@ -100,7 +100,7 @@ PROTOCOLS: dict[str, type[GossipProtocol]] = {
 }
 
 
-def make_protocol(name: str, trainer: LocalTrainer) -> GossipProtocol:
+def make_protocol(name: str, trainer: BatchedTrainer) -> GossipProtocol:
     """Protocol factory keyed by the names used in experiment configs."""
     if name not in PROTOCOLS:
         raise ValueError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")

@@ -1,18 +1,16 @@
 """Sharded shared-memory execution subsystem.
 
-The batched executor trains a tick's wake tasks as lockstep
-``(B, dim)`` blocks, but all of it on one core. Here arena rows are
-partitioned across long-lived *shard workers*, each of which attaches
-to the engine's :class:`~repro.nn.flat.SharedArena` segment once, owns
-a workspace model plus its shard's data slices, and runs the same
-batched training kernels over its rows in place.
+The in-process executor trains a tick's wake tasks on one core. Here
+arena rows are partitioned across long-lived *shard workers*, each of
+which attaches to the engine's :class:`~repro.nn.flat.SharedArena`
+segment once, owns a model of its own plus its shard's data slices, and
+runs the same blocked training kernel over its rows in place.
 
 Per tick, a shard receives only ``(row_index, session, rng_state)``
 triples — never a state vector. Workers read their rows straight out of
 the shared segment, train, and write results straight back; the only
-payload returned is each task's advanced generator state (plus the
-delta of per-row fallback counts, a tiny dict). That is the zero-copy
-contract: task traffic is O(tasks), not O(tasks * dim).
+payload returned is each task's advanced generator state. That is the
+zero-copy contract: task traffic is O(tasks), not O(tasks * dim).
 
 The same workers double as **observer shards**: after a one-time
 ``observe_init`` that ships the fixed global-test subsample and each
@@ -24,11 +22,10 @@ and accuracies; the parent merges, balances, and builds the reports.
 
 Determinism: each task travels with its node's exact generator state
 and lr_decay session index, and every shard trains through the same
-:class:`~repro.gossip.engine.BatchedExecutor` logic (including its
-per-row fallback for DP-SGD, stochastic layers and empty splits), so a
-sharded run is bit-identical to :class:`~repro.gossip.engine.SerialExecutor`
-on a float64 arena for a fixed seed — the engine's phased ticks make
-results independent of which process trains which row.
+:class:`~repro.gossip.engine.BatchedExecutor` logic, so a sharded run
+is bit-identical to the in-process executors on a float64 arena for a
+fixed seed — the engine's phased ticks make results independent of
+which process trains which row.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from repro.gossip.engine import (
     UpdateTask,
     as_split_arrays,
 )
-from repro.gossip.trainer import LocalTrainer, TrainerConfig
+from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.metrics.evaluation import BatchedEvaluator, row_block
 from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
@@ -178,16 +175,15 @@ def _shard_worker(
 ) -> None:
     """Long-lived shard worker loop.
 
-    Attaches to the shared arena once, builds its workspace trainer and
+    Attaches to the shared arena once, builds its blocked trainer and
     a :class:`BatchedExecutor` over its split slice once, then serves
     requests until told to stop:
 
     * ``("train", items, config_or_None)`` — rebuild each task's
-      generator, train (blocked where possible, per-row fallback
-      otherwise), write result rows into the shared segment, and reply
-      with the advanced generator states plus the fallback-count delta
-      and (when telemetry is on) the worker-local metric-registry
-      delta — both travel with the task results, never out of band;
+      generator, train, write result rows into the shared segment, and
+      reply with the advanced generator states plus (when telemetry is
+      on) the worker-local metric-registry delta, which travels with
+      the task results, never out of band;
     * ``("observe_init", payload)`` — store the observation inputs and
       build the shard's :class:`BatchedEvaluator` once;
     * ``("observe", items)`` — score this shard's rows against the live
@@ -197,14 +193,12 @@ def _shard_worker(
     executor = None
     try:
         arena = SharedArena.attach(segment, n_rows, dim, dtype)
-        trainer = LocalTrainer(model_builder(), trainer_config)
-        executor = BatchedExecutor(
-            trainer, layout, split_arrays, train_batch=train_batch
-        )
+        trainer = BatchedTrainer(model_builder(), trainer_config, layout)
+        executor = BatchedExecutor(trainer, split_arrays, train_batch=train_batch)
         evaluator = None
         observe_state: dict = {}
         # Worker-local registry: recorded here, drained into a delta
-        # that rides each train reply (the fallback_counts pattern).
+        # that rides each train reply.
         registry = Registry() if telemetry_enabled else None
         shard_train_ms = shard_tasks = None
         if registry is not None:
@@ -246,10 +240,8 @@ def _shard_worker(
                 continue
             _, items, new_config = message
             if new_config is not None:
-                # The shared trainer's config was swapped after this
-                # worker spawned (DP install does that); mirror it —
-                # the internal BatchedExecutor re-reads trainer.config
-                # on every call, exactly like the single-process path.
+                # The parent's trainer config was swapped after this
+                # worker spawned (DP install does that); mirror it.
                 trainer.set_config(new_config)
             tasks = [
                 UpdateTask(
@@ -268,8 +260,6 @@ def _shard_worker(
                 executor.train_batch(tasks)
                 shard_train_ms.observe((perf_counter() - start) * 1000.0)
                 shard_tasks.inc(len(tasks))
-            fallback_delta = dict(executor.fallback_counts)
-            executor.fallback_counts.clear()
             telemetry_delta = (
                 registry.collect_delta() if registry is not None else None
             )
@@ -281,7 +271,6 @@ def _shard_worker(
                             (task.node_id, task.rng.bit_generator.state)
                             for task in tasks
                         ],
-                        fallback_delta,
                         telemetry_delta,
                     ),
                 )
@@ -365,12 +354,11 @@ class ShardedExecutor(Executor):
     """Arena rows partitioned across persistent shard-worker processes.
 
     Construction spawns one worker per (non-empty) shard; each attaches
-    to the arena's shared-memory segment by name and keeps a workspace
-    model, so per-tick traffic is row indices and generator states
-    only. ``train_batch`` is forwarded to every shard's internal
-    :class:`BatchedExecutor`, whose grouping and per-row fallback rules
-    (DP-SGD, models without a batched backward, empty splits) apply
-    unchanged within each shard.
+    to the arena's shared-memory segment by name and builds its own
+    blocked trainer, so per-tick traffic is row indices and generator
+    states only. ``train_batch`` is forwarded to every shard's internal
+    :class:`BatchedExecutor`, whose grouping rules apply unchanged
+    within each shard.
 
     ``close`` is idempotent and must run eventually (the engine's
     ``close``/context manager does); workers are daemons, so even an
@@ -378,9 +366,8 @@ class ShardedExecutor(Executor):
 
     When the engine passes its live ``trainer``, config swaps made
     after construction (DP installation replaces the dataclass on the
-    shared trainer) are pushed to the involved shards alongside the
-    next batch, mirroring the batched executor's per-call config
-    re-read; without a trainer the construction-time config is final.
+    protocol's trainer) are pushed to the involved shards alongside the
+    next batch; without a trainer, :meth:`set_config` swaps it.
     """
 
     name = "sharded"
@@ -395,14 +382,14 @@ class ShardedExecutor(Executor):
         n_shards: int = 0,
         train_batch: int = 0,
         partition: str = "contiguous",
-        trainer: "LocalTrainer | None" = None,
+        trainer: BatchedTrainer | None = None,
         telemetry: Telemetry | None = None,
     ):
         if model_builder is None:
             raise ValueError(
                 "the sharded executor needs a picklable model_builder "
                 "(e.g. functools.partial(build_model, ...)) to construct "
-                "per-shard workspace models"
+                "per-shard models"
             )
         segment = getattr(arena, "shared_name", None)
         if segment is None:
@@ -432,8 +419,7 @@ class ShardedExecutor(Executor):
         self._data = arena.data
         self._closed = False
         # When the engine hands us its live trainer, follow config
-        # swaps made after construction (the batched executor re-reads
-        # trainer.config per call; shards get the delta pushed).
+        # swaps made after construction (shards get the delta pushed).
         self._trainer = trainer
         self._config_override: TrainerConfig | None = None
         self._shard_config: list[TrainerConfig] = []
@@ -522,9 +508,7 @@ class ShardedExecutor(Executor):
                 ) from None
         results: list = [None] * len(tasks)
         for shard, indices in by_shard.items():
-            rng_states, fallback_delta, telemetry_delta = self._recv(shard)
-            if fallback_delta:
-                self.fallback_counts.update(fallback_delta)
+            rng_states, telemetry_delta = self._recv(shard)
             if telemetry_delta and self._registry is not None:
                 self._registry.merge_delta(telemetry_delta)
             for i, (node_id, rng_state) in zip(indices, rng_states):

@@ -31,13 +31,12 @@ class SimulatorConfig:
 
     Execution (see DESIGN.md, "Flat-state execution engine"):
 
-    * ``executor`` — "serial", "batched" or "sharded": run a tick's
-      local updates one by one on the shared workspace model, train
-      them in lockstep as one ``(B, dim)`` block ("batched" — models
-      without a batched backward fall back per row), or partition arena
-      rows across long-lived shard workers that each run the batched
-      kernels over a zero-copy shared-memory arena ("sharded"). All
-      three are bit-identical on float64 arenas.
+    * ``executor`` — "serial", "batched" or "sharded": train a tick's
+      local updates in process one row per call, in lockstep as
+      stacked ``(B, dim)`` blocks ("batched"), or partition arena rows
+      across long-lived shard workers over a zero-copy shared-memory
+      arena ("sharded"). All three run the same blocked kernel and are
+      bit-identical on float64 arenas.
     * ``n_shards`` — shard-worker count for the sharded executor
       (0 = one per CPU, capped; always clamped to ``n_nodes``).
     * ``shard_partition`` — how arena rows map to shards:
@@ -47,11 +46,10 @@ class SimulatorConfig:
     * ``train_batch`` — rows per blocked training op for the batched
       executor (and for each shard of the sharded one): 0 = one block
       per same-size group of a tick's wake tasks, N > 0 = blocks of at
-      most N rows (bounds peak activation memory for conv models),
-      -1 = force the per-row path. Ignored by the serial executor.
+      most N rows (bounds peak activation memory for conv models).
+      Ignored by the serial executor, which trains one row per call.
     * ``arena_dtype`` — storage dtype of the flat arena; evaluation
-      *and* batched-executor training math stay in this dtype (no
-      float64 promotion).
+      *and* training math stay in this dtype (no float64 promotion).
     """
 
     n_nodes: int = 16
@@ -93,8 +91,8 @@ class SimulatorConfig:
             raise ValueError(
                 "shard_partition must be 'contiguous' or 'balanced'"
             )
-        if self.train_batch < -1:
-            raise ValueError("train_batch must be >= -1")
+        if self.train_batch < 0:
+            raise ValueError("train_batch must be >= 0")
         if self.arena_dtype not in ("float32", "float64"):
             raise ValueError("arena_dtype must be 'float32' or 'float64'")
 

@@ -32,7 +32,6 @@ from repro.nn.batched import (
     BatchedModel,
     batched_forward,
     parameter_column_runs,
-    supports_batched_backward,
     supports_batched_forward,
 )
 from repro.nn.flat import StateLayout
@@ -77,7 +76,6 @@ __all__ = [
     "BatchedModel",
     "batched_forward",
     "parameter_column_runs",
-    "supports_batched_backward",
     "supports_batched_forward",
     "StateLayout",
     "get_state",

@@ -43,10 +43,8 @@ so a float64 block trains bit-identically to the row-by-row workspace
 path. Stream-mode Dropout (masks keyed by ``(node, session, step)``,
 see :func:`~repro.nn.layers.mask_stream_rng`) batches: install each
 row's per-step generators with :meth:`BatchedModel.set_mask_streams`
-before the forward. Legacy-mode Dropout with ``p > 0`` has no batched
-backward — its masks draw from the layer's own generator in per-task
-order, which a lockstep block cannot reproduce; use
-:func:`supports_batched_backward` to test, and fall back per row.
+before the forward. Every model with a batched forward also has a
+batched backward.
 """
 
 from __future__ import annotations
@@ -78,9 +76,7 @@ from repro.nn.layers import (
 __all__ = [
     "batched_forward",
     "supports_batched_forward",
-    "supports_batched_backward",
     "parameter_column_runs",
-    "named_leaf_modules",
     "BatchedModel",
 ]
 
@@ -109,50 +105,6 @@ def supports_batched_forward(model: Module) -> bool:
         if not isinstance(module, _LEAF_TYPES):
             return False
     return True
-
-
-def supports_batched_backward(model: Module) -> bool:
-    """True when every module has a batched train-mode forward AND backward.
-
-    Legacy-mode Dropout with ``p > 0`` is excluded: its masks draw from
-    the layer's own sequential generator in per-task order, which a
-    lockstep block cannot reproduce. Stream-mode dropout batches fine —
-    its masks are a pure function of ``(node, session, step)`` (see
-    :func:`~repro.nn.layers.mask_stream_rng`), so the block draws each
-    row's masks from that row's own stream. ``p == 0`` is the identity
-    and always batches.
-    """
-    for module in model.modules():
-        if isinstance(module, (Sequential, Residual)):
-            continue
-        if isinstance(module, Dropout):
-            if module.p > 0.0 and module.mode != "stream":
-                return False
-            continue
-        if not isinstance(module, _LEAF_TYPES):
-            return False
-    return True
-
-
-def named_leaf_modules(model: Module):
-    """Yield ``(prefix, module)`` leaf pairs in batched dispatch order.
-
-    Prefixes match the cache keys of :class:`BatchedModel` and the
-    qualified parameter/buffer names of the layout (e.g. a BatchNorm
-    at prefix ``"1."`` owns ``buffer:1.running_mean``).
-    """
-
-    def walk(module: Module, prefix: str):
-        if isinstance(module, Sequential):
-            for i, layer in enumerate(module.layers):
-                yield from walk(layer, f"{prefix}{i}.")
-        elif isinstance(module, Residual):
-            yield from walk(module.body, prefix + "body.")
-            yield from walk(module.shortcut, prefix + "shortcut.")
-        else:
-            yield prefix, module
-
-    yield from walk(model, "")
 
 
 def parameter_column_runs(layout: StateLayout) -> list[tuple[int, int]]:
@@ -392,10 +344,10 @@ class BatchedModel:
     """
 
     def __init__(self, model: Module, layout: StateLayout):
-        if not supports_batched_backward(model):
+        if not supports_batched_forward(model):
             raise ValueError(
                 f"model {type(model).__name__} has no batched backward; "
-                "check supports_batched_backward(model) first"
+                "check supports_batched_forward(model) first"
             )
         self.model = model
         self.layout = layout
@@ -406,28 +358,17 @@ class BatchedModel:
         self._stream_layers = stream_dropout_layers(model)
         self._stream_index = {id(m): i for i, m in enumerate(self._stream_layers)}
         self._mask_streams: list[list[np.random.Generator]] | None = None
-        self._mask_tile = 1
-        # DP per-sample mode: when True, BatchNorm forwards record each
-        # row's (mean, var) in ``bn_stats`` instead of updating the
-        # (scratch, tiled) running buffers in place; the trainer folds
-        # the stats into the real rows' buffers sequentially.
-        self.collect_bn_stats = False
-        self.bn_stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def set_mask_streams(
-        self,
-        streams: list[list[np.random.Generator]] | None,
-        tile: int = 1,
+        self, streams: list[list[np.random.Generator]] | None
     ) -> None:
         """Install per-step dropout mask streams.
 
         ``streams[i][j]`` is the generator of stream-dropout layer ``i``
         (in :func:`~repro.nn.layers.stream_dropout_layers` order) for
-        node row ``j``. With ``tile > 1`` (DP per-sample mode) each node
-        row covers ``tile`` consecutive block rows and its generator
-        yields one ``(tile, ...)`` draw — by the C-order fill of
-        ``Generator.random``, bit-identical to the ``tile`` consecutive
-        per-microbatch draws of the serial path.
+        block row ``j``. The streams persist until the next install, so
+        several forwards within one step (DP-SGD's per-sample passes)
+        draw consecutive masks from them.
         """
         if streams is not None and len(streams) != len(self._stream_layers):
             raise ValueError(
@@ -435,7 +376,6 @@ class BatchedModel:
                 f"({len(self._stream_layers)}), got {len(streams)}"
             )
         self._mask_streams = streams
-        self._mask_tile = int(tile)
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Logits of row b's model on ``x[b]``: ``(B, N, ...) -> (B, N, C)``."""
@@ -446,7 +386,6 @@ class BatchedModel:
                 f"input must have leading size {self._block.b}, got {x.shape}"
             )
         self._cache = {}
-        self.bn_stats = {}
         return self._fwd(self.model, "", x)
 
     def backward(self, grad_out: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -547,28 +486,23 @@ class BatchedModel:
     ) -> np.ndarray:
         if module.p == 0.0:
             return x
-        # supports_batched_backward guarantees mode == "stream" here.
         if self._mask_streams is None:
             raise RuntimeError(
                 "stream-mode Dropout in a batched forward without mask "
                 "streams; call set_mask_streams() before each step"
             )
         streams = self._mask_streams[self._stream_index[id(module)]]
-        tile = self._mask_tile
-        if len(streams) * tile != x.shape[0]:
+        if len(streams) != x.shape[0]:
             raise ValueError(
-                f"mask streams cover {len(streams)} x {tile} rows, "
+                f"mask streams cover {len(streams)} rows, "
                 f"block has {x.shape[0]}"
             )
         keep = 1.0 - module.p
-        # Draw in float64 per node stream, exactly like the serial
+        # Draw in float64 per row stream, exactly like the per-model
         # layer, then cast the finished mask to the block dtype.
         mask = np.empty(x.shape, dtype=np.float64)
-        draw_shape = (tile,) + x.shape[1:]
         for j, rng in enumerate(streams):
-            mask[j * tile : (j + 1) * tile] = (
-                rng.random(draw_shape) < keep
-            ) / keep
+            mask[j] = (rng.random(x.shape[1:]) < keep) / keep
         mask = mask.astype(x.dtype, copy=False)
         self._cache[prefix] = mask
         return x * mask
@@ -604,20 +538,14 @@ class BatchedModel:
         block = self._block
         mean = x.mean(axis=(1, 3, 4))  # each row's own batch statistics
         var = x.var(axis=(1, 3, 4))
-        if self.collect_bn_stats:
-            # DP per-sample mode: the block rows are tiled scratch
-            # copies; hand the stats to the trainer, which folds them
-            # into the real rows' running buffers in microbatch order.
-            self.bn_stats[prefix] = (mean, var)
-        else:
-            running_mean = block.get("buffer:" + prefix + "running_mean")
-            running_var = block.get("buffer:" + prefix + "running_var")
-            running_mean[...] = (
-                (1 - module.momentum) * running_mean + module.momentum * mean
-            )
-            running_var[...] = (
-                (1 - module.momentum) * running_var + module.momentum * var
-            )
+        running_mean = block.get("buffer:" + prefix + "running_mean")
+        running_var = block.get("buffer:" + prefix + "running_var")
+        running_mean[...] = (
+            (1 - module.momentum) * running_mean + module.momentum * mean
+        )
+        running_var[...] = (
+            (1 - module.momentum) * running_var + module.momentum * var
+        )
         inv_std = 1.0 / np.sqrt(var + module.eps)
         x_hat = (x - mean[:, None, :, None, None]) * inv_std[
             :, None, :, None, None

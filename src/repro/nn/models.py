@@ -116,16 +116,13 @@ def build_mlp(
     hidden: tuple[int, ...] = (1024, 512, 256),
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    dropout_mode: str = "stream",
     stream_seed: int = 0,
 ) -> Sequential:
     """4-layer fully connected network following Nasr et al. [58].
 
     Defaults reproduce the ~1.3M-parameter Purchase100 MLP of Table 2.
-    Dropout layers default to counter-based mask streams (batchable and
-    reproducible per ``(node, session, step)``); ``dropout_mode=
-    "legacy"`` restores the stateful per-layer generator draws of
-    earlier revisions.
+    Dropout layers draw counter-based mask streams (batchable and
+    reproducible per ``(node, session, step)``).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     layers: list[Module] = []
@@ -134,14 +131,7 @@ def build_mlp(
         layers.append(Dense(prev, size, rng=rng))
         layers.append(ReLU())
         if dropout > 0:
-            layers.append(
-                Dropout(
-                    dropout,
-                    rng=rng,
-                    mode=dropout_mode,
-                    stream_seed=stream_seed,
-                )
-            )
+            layers.append(Dropout(dropout, stream_seed=stream_seed))
         prev = size
     layers.append(Dense(prev, num_classes, rng=rng))
     return Sequential(*layers)
@@ -158,7 +148,6 @@ def build_model(
     hidden: tuple[int, ...] = (1024, 512, 256),
     seed: int = 0,
     dropout: float = 0.0,
-    dropout_mode: str = "stream",
 ) -> Sequential:
     """Factory keyed by architecture name (``cnn``/``resnet8``/``mlp``).
 
@@ -185,7 +174,6 @@ def build_model(
             hidden,
             dropout=dropout,
             rng=rng,
-            dropout_mode=dropout_mode,
             stream_seed=seed,
         )
     raise ValueError(f"unknown architecture {architecture!r}")

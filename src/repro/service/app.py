@@ -148,7 +148,7 @@ class StudyService:
     def _metrics(self, ctx, request, params) -> Response:
         # One scrape shows the whole stack: the HTTP middleware's
         # families followed by the engine registry (round phases,
-        # executor timings, shard deltas, fallback counters).
+        # executor timings, shard deltas).
         body = self.metrics.render() + self.telemetry.registry.render()
         return Response(
             status=200,

@@ -71,9 +71,6 @@ class StudyJob:
         self.result_json: str | None = None
         self.checkpoint_path: Path | None = None
         self.checkpoint_rounds: int | None = None  # rounds the file covers
-        # Live view of the executor's fallback tallies (updated at
-        # each round boundary while the study runs).
-        self.fallback_counts: dict[str, int] = {}
         self.discard = False  # DELETEd while running: skip checkpoint/result
         self._cancel_requested = False
         self._study: Study | None = None
@@ -156,7 +153,9 @@ class StudyJob:
                 "rounds_total": self.config.rounds,
                 "request_id": self.request_id,
                 "error": self.error,
-                "fallback_counts": dict(self.fallback_counts),
+                # Always empty since every row trains on the blocked
+                # kernel; kept so status clients keep their schema.
+                "fallback_counts": {},
                 "resumable": self.checkpoint_path is not None
                 and self.state == CANCELLED,
             }
@@ -716,10 +715,6 @@ class JobManager:
                 for record in study.iter_rounds():
                     frame = record.to_json()
                     job._append_frame(frame)
-                    fallbacks = study.simulator.fallback_counts()
-                    if fallbacks:
-                        with job._cond:
-                            job.fallback_counts = dict(fallbacks)
                     self._journal_event(
                         {
                             "event": "frame",

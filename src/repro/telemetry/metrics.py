@@ -18,8 +18,7 @@ Design constraints (see docs/observability.md):
   label key so the per-call work is one dict update under a lock.
 * **Delta shipping** — shard workers record into a worker-local
   :class:`Registry` and ship :meth:`Registry.collect_delta` back with
-  task results, exactly the way ``fallback_counts`` deltas already
-  travel over the shard pipes; the parent folds them in with
+  task results over the shard pipes; the parent folds them in with
   :meth:`Registry.merge_delta`. Deltas are plain picklable dicts.
 
 The no-op twins (:data:`NULL_REGISTRY`, shared :data:`NULL_METRIC`)
@@ -366,9 +365,8 @@ class Registry:
     def collect_delta(self) -> dict:
         """Drain recorded values into a picklable delta (definitions stay).
 
-        The shard-worker half of the ``fallback_counts`` pattern:
-        ``dict(counts); counts.clear()`` — values move, the registry
-        keeps its metric objects for the next batch.
+        The shard-worker half of delta shipping: values move, the
+        registry keeps its metric objects for the next batch.
         """
         delta = {}
         with self._lock:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# Test modules import shared helpers that live beside them (e.g. the
+# workspace-loop reference, ``reference_trainer``).
+sys.path.insert(0, str(Path(__file__).parent))
 
 # Keep hypothesis fast and deterministic in CI.
 settings.register_profile("ci", max_examples=25, deadline=None, derandomize=True)

@@ -231,7 +231,9 @@ class TestValidation:
             dict(executor="process"),
             dict(executor="thread"),
             dict(arena_dtype="float16"),
-            dict(train_batch=-2),
+            dict(train_batch=-1),
+            dict(eval_batch=-2),
+            dict(dropout_mode="bogus"),
             dict(dp_epsilon=-1.0),
             dict(dp_delta=0.0),
             dict(n_canaries=-1),
@@ -253,6 +255,7 @@ class TestValidation:
             (dict(train_per_node=-5), "train_per_node"),
             (dict(train_per_node=0), "train_per_node"),
             (dict(test_per_node=-1), "test_per_node"),
+            (dict(dropout_mode="legacy"), "removed with the workspace trainer"),
         ],
     )
     def test_rejects_names_and_sizes_that_fail_at_build(self, kwargs, message):

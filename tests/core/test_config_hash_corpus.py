@@ -7,6 +7,10 @@ one of the spellings ``StudyConfig.from_dict`` accepts, or a
 hex and its ``to_dict()`` output. A change to the config layer that
 moves either shows up here as a diff against those bytes.
 
+A stored config whose loading changes on purpose is not re-recorded:
+its entry keeps the bytes stored configs carry, and :data:`CHANGED`
+names it with the reason and a test pins what loading it does now.
+
 Regenerate the fixture (only when an identity change is intended)::
 
     PYTHONPATH=src python tests/core/test_config_hash_corpus.py
@@ -218,6 +222,19 @@ PRESETS: dict[str, list[str]] = {
 
 CORPUS: dict = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
 
+# Recorded entries whose loading changed on purpose, with the reason.
+CHANGED: dict[str, str] = {
+    "dropout-legacy": (
+        "dropout_mode 'legacy' drew its masks in the removed workspace "
+        "trainer; no kernel reproduces them, so loading is rejected"
+    ),
+    "escape-hatches": (
+        "train_batch -1 selected the removed per-row trainer; it loads "
+        "as 1 (one row per blocked call), which gives the same float64 "
+        "bits, so its config_hash is that of the upgraded payload"
+    ),
+}
+
 
 def build(entry: dict) -> StudyConfig:
     if "preset" in entry:
@@ -232,6 +249,9 @@ def record() -> dict:
         ("preset", k, v) for k, v in PRESETS.items()
     ]
     for kind, case, source in sources:
+        if case in CHANGED:
+            out[case] = CORPUS[case]
+            continue
         entry = {kind: source}
         config = build(entry)
         entry["config_hash"] = config.config_hash()
@@ -248,7 +268,11 @@ def test_fixture_covers_every_case():
         assert CORPUS[case]["preset"] == preset, case
 
 
-@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_changed_entries_are_recorded_cases():
+    assert set(CHANGED) <= set(PAYLOADS)
+
+
+@pytest.mark.parametrize("case", sorted(set(CORPUS) - set(CHANGED)))
 def test_config_hash_is_pinned(case):
     entry = CORPUS[case]
     config = build(entry)
@@ -269,6 +293,25 @@ def test_spellings_share_one_identity():
     assert digest("spelling-flat") == digest("spelling-mixed")
     for case in ("pre-removal-flat", "pre-removal-nested", "pre-removal-grouped-full"):
         assert digest(case) == digest("modern-equivalent"), case
+
+
+def test_dropout_legacy_is_rejected():
+    entry = CORPUS["dropout-legacy"]
+    for payload in (entry["payload"], entry["to_dict"]):
+        with pytest.raises(ValueError, match="workspace trainer"):
+            StudyConfig.from_dict(payload)
+        with pytest.raises(ValueError, match="workspace trainer"):
+            config_hash(payload)
+
+
+def test_escape_hatches_load_as_one_row_blocks():
+    entry = CORPUS["escape-hatches"]
+    upgraded = dict(entry["payload"], train_batch=1)
+    for payload in (entry["payload"], entry["to_dict"]):
+        config = StudyConfig.from_dict(payload)
+        assert (config.train_batch, config.eval_batch) == (1, -1)
+        assert config.config_hash() == config_hash(upgraded)
+    assert config_hash(upgraded) != entry["config_hash"]
 
 
 if __name__ == "__main__":

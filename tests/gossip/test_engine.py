@@ -8,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference_trainer import ReferenceExecutor, use_reference
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BatchedExecutor,
+    BatchedTrainer,
     FlatGossipSimulator,
-    LocalTrainer,
-    SerialExecutor,
     SimulatorConfig,
     StateArena,
     TrainerConfig,
@@ -49,7 +49,7 @@ def build_flat(
         else partial(build_mlp, 16, 4, hidden=(8,), dropout=dropout)
     )
     model = builder(rng=np.random.default_rng(0))
-    trainer = LocalTrainer(
+    trainer = BatchedTrainer(
         model,
         TrainerConfig(
             learning_rate=0.05,
@@ -316,10 +316,21 @@ class TestFlatSimulator:
         assert sim._sessions[1] == 0
         assert any(s > 0 for s in sim._sessions)
 
-    def test_serial_executor_reuses_protocol_trainer(self):
-        sim = build_flat()
+    @pytest.mark.parametrize(
+        "executor,block_size", [("serial", 1), ("batched", 0)]
+    )
+    def test_in_process_executor_trains_with_protocol_trainer(
+        self, executor, block_size
+    ):
+        """"serial" and "batched" are one executor class at two block
+        sizes, both training with the protocol's blocked trainer."""
+        sim = build_flat(executor=executor)
         sim.run(1)
-        assert sim.executor().trainer is sim.protocol.trainer
+        live = sim.executor()
+        assert type(live) is BatchedExecutor
+        assert live.trainer is sim.protocol.trainer
+        assert live.block_size == block_size
+        sim.close()
 
     def test_rejects_unknown_protocol(self):
         class FakeProtocol:
@@ -341,66 +352,65 @@ class TestFlatSimulator:
 
 class TestExecutorContract:
     """The shared executor contract, one parametrized suite for every
-    backend: same tasks -> same final states as SerialExecutor, bit for
-    bit on a float64 arena (replaces the old per-executor checks)."""
+    ``executor`` value: same tasks -> the same final states as the
+    workspace-loop reference (``tests/reference_trainer.py``), bit for
+    bit on a float64 arena."""
+
+    @staticmethod
+    def _reference(protocol_name="samo", **kwargs):
+        """Run ``build_flat`` on the workspace loop; returns the arena."""
+        sim = build_flat(protocol_name, **kwargs)
+        use_reference(sim)
+        sim.run(2)
+        sim.close()
+        return sim
 
     @pytest.mark.parametrize(
         "executor,kwargs",
         [
+            ("serial", dict()),
             ("batched", dict()),
             ("batched", dict(train_batch=2)),  # chunked blocks
-            ("batched", dict(train_batch=-1)),  # forced per-row path
+            ("batched", dict(train_batch=1)),  # one-row blocks
             ("sharded", dict(n_shards=2)),
             ("sharded", dict(n_shards=2, shard_partition="balanced")),
             ("sharded", dict(n_shards=1)),  # degenerate single shard
-            ("sharded", dict(n_shards=2, train_batch=-1)),  # per-row shards
+            ("sharded", dict(n_shards=2, train_batch=1)),
         ],
         ids=[
-            "batched", "batched-chunk2", "batched-per-row",
-            "sharded", "sharded-balanced", "sharded-one", "sharded-per-row",
+            "serial", "batched", "batched-chunk2", "batched-one-row",
+            "sharded", "sharded-balanced", "sharded-one", "sharded-one-row",
         ],
     )
     @pytest.mark.parametrize("protocol_name", ["samo", "base_gossip"])
-    def test_run_bit_identical_to_serial(self, protocol_name, executor, kwargs):
-        serial = build_flat(
-            protocol_name, executor="serial", seed=5, lr_decay=0.5,
-            momentum=0.9,
+    def test_run_bit_identical_to_reference(
+        self, protocol_name, executor, kwargs
+    ):
+        reference = self._reference(
+            protocol_name, seed=5, lr_decay=0.5, momentum=0.9
         )
-        serial.run(2)
-        serial.close()
         other = build_flat(
             protocol_name, executor=executor, seed=5, lr_decay=0.5,
             momentum=0.9, **kwargs,
         )
         other.run(2)
         other.close()
-        assert np.array_equal(serial.arena.data, other.arena.data)
-        assert serial.messages_sent == other.messages_sent
-        assert [n.updates_performed for n in serial.nodes] == [
+        assert np.array_equal(reference.arena.data, other.arena.data)
+        assert reference.messages_sent == other.messages_sent
+        assert [n.updates_performed for n in reference.nodes] == [
             n.updates_performed for n in other.nodes
         ]
-        assert serial._sessions == other._sessions
+        assert reference._sessions == other._sessions
 
-    @pytest.mark.parametrize(
-        "make_other",
-        [
-            lambda trainer, layout, splits: BatchedExecutor(
-                trainer, layout, splits
-            ),
-            lambda trainer, layout, splits: BatchedExecutor(
-                trainer, layout, splits, train_batch=3
-            ),
-        ],
-        ids=["batched", "batched-chunk3"],
-    )
-    def test_same_tasks_same_results(self, make_other):
-        """Task-level contract: feeding the same UpdateTask batch to any
-        executor yields the serial executor's outputs."""
+    @pytest.mark.parametrize("train_batch", [0, 1, 3])
+    def test_same_tasks_same_results(self, train_batch):
+        """Task-level contract: feeding the same UpdateTask batch to the
+        in-process executor yields the reference's outputs."""
         sim = build_flat(lr_decay=0.5, momentum=0.9)
         trainer = sim.protocol.trainer
         splits = [node.split for node in sim.nodes]
-        serial = SerialExecutor(trainer, sim.layout, splits)
-        other = make_other(trainer, sim.layout, splits)
+        reference = ReferenceExecutor(trainer, splits)
+        other = BatchedExecutor(trainer, splits, train_batch=train_batch)
 
         def make_tasks():
             return [
@@ -413,103 +423,70 @@ class TestExecutorContract:
                 for i in range(sim.config.n_nodes)
             ]
 
-        serial_results = serial.train_batch(make_tasks())
+        reference_results = reference.train_batch(make_tasks())
         other_results = other.train_batch(make_tasks())
-        assert len(serial_results) == len(other_results)
-        for (serial_vec, serial_rng), (other_vec, other_rng) in zip(
-            serial_results, other_results
+        assert len(reference_results) == len(other_results)
+        for (ref_vec, ref_rng), (other_vec, other_rng) in zip(
+            reference_results, other_results
         ):
-            np.testing.assert_array_equal(serial_vec, other_vec)
-            assert serial_rng.random() == other_rng.random()
-        serial.close()
+            np.testing.assert_array_equal(ref_vec, other_vec)
+            assert ref_rng.random() == other_rng.random()
+        reference.close()
         other.close()
         sim.close()
 
-    @pytest.mark.parametrize(
-        "executor,kwargs",
-        [("batched", dict()), ("sharded", dict(n_shards=2))],
-        ids=["batched", "sharded"],
-    )
-    def test_float32_arena_runs_match_serial(self, executor, kwargs):
-        """On a float32 arena the blocked path trains in float32 like
-        the (audited) serial path — results still agree."""
-        serial = build_flat(arena_dtype="float32", seed=9)
-        serial.run(2)
-        serial.close()
-        other = build_flat(
-            arena_dtype="float32", executor=executor, seed=9, **kwargs
-        )
-        other.run(2)
-        other.close()
-        assert other.arena.data.dtype == np.float32
-        np.testing.assert_allclose(
-            serial.arena.data, other.arena.data, rtol=1e-4, atol=1e-5
-        )
-
-    def test_sharded_executor_runs_dp_blocked(self):
-        """DP-SGD inside a shard rides the vectorized per-sample path —
-        bit-identical noise draws vs serial, zero per-row fallbacks."""
-        from repro.privacy.dp import DPSGDConfig
-
-        dp = DPSGDConfig(clip_norm=1.0, noise_multiplier=0.3)
-        serial = build_flat(dp=dp, seed=7)
-        serial.run(2)
-        serial.close()
-        sharded = build_flat(dp=dp, executor="sharded", n_shards=2, seed=7)
-        sharded.run(2)
-        counts = sharded.fallback_counts()
-        sharded.close()
-        assert np.array_equal(serial.arena.data, sharded.arena.data)
-        assert counts == {}
-
-    @pytest.mark.parametrize("executor", ["batched", "sharded"])
+    @pytest.mark.parametrize("executor", ["serial", "batched", "sharded"])
     @pytest.mark.parametrize("dp", [False, True], ids=["plain", "dp"])
     @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["nodrop", "drop"])
-    def test_fast_path_matrix_float64(self, executor, dp, dropout):
-        """Every core scenario (dp x dropout x executor) runs on the
-        fast path: bit-identical to the serial reference in float64,
-        with zero per-row fallbacks."""
+    @pytest.mark.parametrize("protocol_name", ["samo", "base_gossip"])
+    def test_matrix_float64(self, protocol_name, executor, dp, dropout):
+        """Every core scenario (protocol x executor x DP x dropout)
+        trains on the blocked kernel, bit-identical to the workspace
+        loop in float64."""
         from repro.privacy.dp import DPSGDConfig
 
         dp_config = (
             DPSGDConfig(clip_norm=1.0, noise_multiplier=0.3) if dp else None
         )
-        serial = build_flat(dp=dp_config, dropout=dropout, seed=11)
-        serial.run(2)
-        serial.close()
+        reference = self._reference(
+            protocol_name, dp=dp_config, dropout=dropout, seed=11
+        )
         kwargs = {"n_shards": 2} if executor == "sharded" else {}
         other = build_flat(
-            dp=dp_config, dropout=dropout, executor=executor, seed=11,
-            **kwargs,
+            protocol_name, dp=dp_config, dropout=dropout, executor=executor,
+            seed=11, **kwargs,
         )
         other.run(2)
         counts = other.fallback_counts()
         other.close()
         assert counts == {}
-        assert np.array_equal(serial.arena.data, other.arena.data)
+        assert sum(n.updates_performed for n in other.nodes) > 0
+        assert np.array_equal(reference.arena.data, other.arena.data)
 
-    @pytest.mark.parametrize("executor", ["batched", "sharded"])
-    def test_fast_path_matrix_float32(self, executor):
-        """DP + dropout on a float32 arena drifts only within the
-        associativity gate vs the float32 serial reference."""
+    @pytest.mark.parametrize("executor", ["serial", "batched", "sharded"])
+    @pytest.mark.parametrize("dp", [False, True], ids=["plain", "dp"])
+    def test_matrix_float32(self, executor, dp):
+        """On a float32 arena the kernel trains in float32; with DP and
+        dropout it drifts from the float32 workspace loop only within
+        rounding."""
         from repro.privacy.dp import DPSGDConfig
 
-        dp_config = DPSGDConfig(clip_norm=1.0, noise_multiplier=0.3)
-        serial = build_flat(
-            dp=dp_config, dropout=0.3, arena_dtype="float32", seed=11
+        dp_config = (
+            DPSGDConfig(clip_norm=1.0, noise_multiplier=0.3) if dp else None
         )
-        serial.run(2)
-        serial.close()
+        reference = self._reference(
+            dp=dp_config, dropout=0.3, arena_dtype="float32", seed=9
+        )
         kwargs = {"n_shards": 2} if executor == "sharded" else {}
         other = build_flat(
             dp=dp_config, dropout=0.3, executor=executor,
-            arena_dtype="float32", seed=11, **kwargs,
+            arena_dtype="float32", seed=9, **kwargs,
         )
         other.run(2)
         other.close()
         assert other.arena.data.dtype == np.float32
         np.testing.assert_allclose(
-            serial.arena.data, other.arena.data, rtol=1e-4, atol=1e-5
+            reference.arena.data, other.arena.data, rtol=1e-4, atol=1e-5
         )
 
     @pytest.mark.parametrize(
@@ -517,15 +494,20 @@ class TestExecutorContract:
     )
     def test_set_trainer_config_reaches_live_executor(self, executor):
         """A mid-run config swap through the simulator must reach the
-        live executor (blocked trainer, shard workers) — training after
-        the swap matches serial bit for bit."""
+        live executor (the protocol's trainer, shard workers) — training
+        after the swap matches the reference bit for bit."""
         from dataclasses import replace
 
         def run(ex):
             extra = {}
             if ex == "sharded":
                 extra["n_shards"] = 2
-            sim = build_flat(executor=ex, seed=3, **extra)
+            sim = build_flat(
+                executor="serial" if ex == "reference" else ex, seed=3,
+                **extra,
+            )
+            if ex == "reference":
+                use_reference(sim)
             sim.run(1)
             sim.set_trainer_config(
                 replace(
@@ -539,8 +521,7 @@ class TestExecutorContract:
             sim.close()
             return data
 
-        reference = run("serial")
-        np.testing.assert_array_equal(reference, run(executor))
+        np.testing.assert_array_equal(run("reference"), run(executor))
 
     def test_set_trainer_config_rejects_non_config(self):
         sim = build_flat()
@@ -564,7 +545,7 @@ class TestExecutorContract:
 
     def test_sharded_executor_requires_model_builder(self):
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
-        trainer = LocalTrainer(
+        trainer = BatchedTrainer(
             model,
             TrainerConfig(learning_rate=0.05, local_epochs=1, batch_size=8),
         )
@@ -587,114 +568,15 @@ class TestExecutorContract:
         finally:
             sim.close()
 
-    def test_batched_executor_runs_dp_blocked(self):
-        """DP-SGD now has a blocked path: the batched executor trains
-        every task through the vectorized per-sample-gradient kernels
-        and still matches the serial executor bit for bit (same noise
-        draws, same clip folds)."""
-        from repro.privacy.dp import DPSGDConfig
-
-        dp = DPSGDConfig(clip_norm=1.0, noise_multiplier=0.3)
-        serial = build_flat(dp=dp, seed=7)
-        serial.run(2)
-        serial.close()
-        batched = build_flat(dp=dp, executor="batched", seed=7)
-        batched.run(2)
-        executor = batched.executor()  # before close() drops it
-        counts = batched.fallback_counts()
-        batched.close()
-        assert np.array_equal(serial.arena.data, batched.arena.data)
-        # The blocked trainer did the work; nothing fell back per row.
-        assert executor.batched.steps_taken > 0
-        assert counts == {}
-        assert sum(n.updates_performed for n in batched.nodes) > 0
-
-    def test_stream_dropout_trains_blocked(self):
-        """Stream-mode dropout (the default) batches: masks come from
-        counter-based streams keyed by (node, session, step), so the
-        blocked path draws exactly the serial masks — bit-identity, no
-        fallback."""
-        dropout_builder = partial(build_mlp, 16, 4, hidden=(8,), dropout=0.3)
-
-        def build(executor):
-            model = dropout_builder(rng=np.random.default_rng(0))
-            trainer = LocalTrainer(
-                model,
-                TrainerConfig(learning_rate=0.05, local_epochs=1,
-                              batch_size=8),
-            )
-            train, _ = make_synthetic_tabular_dataset(
-                "t", 300, 30, num_features=16, num_classes=4, seed=0
-            )
-            splits = make_node_splits(
-                train, 6, train_per_node=16, test_per_node=8, seed=0
-            )
-            config = SimulatorConfig(
-                n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
-                wake_sigma=2, executor=executor, n_shards=2, seed=0,
-            )
-            return FlatGossipSimulator(
-                config, make_protocol("samo", trainer), splits,
-                get_state(model), model_builder=dropout_builder,
-            )
-
-        serial = build("serial")
-        serial.run(2)
-        serial.close()
-        for other_name in ("batched", "sharded"):
-            other = build(other_name)
-            other.run(2)
-            counts = other.fallback_counts()
-            other.close()
-            assert counts == {}, other_name
-            assert np.array_equal(serial.arena.data, other.arena.data), (
-                other_name
-            )
-
-    def test_unsupported_architecture_falls_back_per_row(self):
-        """A model without a batched backward (legacy-mode stochastic
-        dropout) must construct and run on the per-row fallback,
-        matching serial — not crash at executor construction."""
-        dropout_builder = partial(
-            build_mlp, 16, 4, hidden=(8,), dropout=0.3,
-            dropout_mode="legacy",
-        )
-
-        def build(executor):
-            model = dropout_builder(rng=np.random.default_rng(0))
-            trainer = LocalTrainer(
-                model,
-                TrainerConfig(learning_rate=0.05, local_epochs=1,
-                              batch_size=8),
-            )
-            train, _ = make_synthetic_tabular_dataset(
-                "t", 300, 30, num_features=16, num_classes=4, seed=0
-            )
-            splits = make_node_splits(
-                train, 6, train_per_node=16, test_per_node=8, seed=0
-            )
-            config = SimulatorConfig(
-                n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
-                wake_sigma=2, executor=executor, seed=0,
-            )
-            return FlatGossipSimulator(
-                config, make_protocol("samo", trainer), splits,
-                get_state(model), model_builder=dropout_builder,
-            )
-
-        serial = build("serial")
-        serial.run(2)
-        serial.close()
-        batched = build("batched")
-        batched.run(2)
-        executor = batched.executor()
-        counts = batched.fallback_counts()
-        batched.close()
-        assert executor.batched is None  # no blocked trainer built
-        assert np.array_equal(serial.arena.data, batched.arena.data)
-        # Every trained row was tallied under the model-shape reason.
-        assert set(counts) == {"no_batched_backward"}
-        assert counts["no_batched_backward"] > 0
+    def test_per_row_train_batch_is_gone(self):
+        """train_batch=-1 selected the removed per-row trainer."""
+        sim = build_flat()
+        splits = [node.split for node in sim.nodes]
+        with pytest.raises(ValueError, match="train_batch"):
+            BatchedExecutor(sim.protocol.trainer, splits, train_batch=-1)
+        with pytest.raises(ValueError, match="train_batch"):
+            SimulatorConfig(train_batch=-1)
+        sim.close()
 
 
 class TestInPlaceTraining:
@@ -707,10 +589,9 @@ class TestInPlaceTraining:
         [
             ("serial", dict()),
             ("batched", dict()),
-            ("batched", dict(train_batch=1)),  # one-row blocks
-            ("batched", dict(train_batch=-1)),  # per-row fallback
+            ("batched", dict(train_batch=2)),  # stacked, then scattered
         ],
-        ids=["serial", "batched", "batched-one-row", "batched-per-row"],
+        ids=["serial", "batched", "batched-chunk2"],
     )
     @pytest.mark.parametrize("protocol_name", ["samo", "base_gossip"])
     def test_tasks_carry_live_rows(self, protocol_name, executor, kwargs):
@@ -780,7 +661,7 @@ class TestMessageLogPayloads:
 
     def test_keep_payloads_records_snapshot_dicts(self):
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
-        trainer = LocalTrainer(
+        trainer = BatchedTrainer(
             model,
             TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=0,
                           batch_size=8),
@@ -823,9 +704,9 @@ class TestOneEngine:
 
 class TestSessionFlowsThroughTask:
     """lr_decay sessions are engine bookkeeping, never per-trainer state:
-    the task carries the session index so every executor (serial
-    workspace, shard workers, the batched trainer) sees the same
-    learning rate for the same update."""
+    the task carries the session index so every trainer (the in-process
+    one, each shard worker's) sees the same learning rate for the same
+    update."""
 
     def test_update_task_requires_explicit_session(self):
         with pytest.raises(ValueError, match="session"):
@@ -844,29 +725,27 @@ class TestSessionFlowsThroughTask:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(16, 16))
         y = rng.integers(0, 4, size=16)
-        state = get_state(model)
-        shared = LocalTrainer(model, config)
-        expected = state
+        start = state_to_vector(get_state(model))[None]
+        shared = BatchedTrainer(model, config)
+        expected = start.copy()
         for session in range(2):  # node 3 trains twice on one trainer
-            expected = shared.train(
-                expected, x, y, np.random.default_rng(4), node_id=3,
-                session=session,
+            shared.train_block(
+                expected, [x], [y], [np.random.default_rng(4)], [session],
+                node_ids=[3],
             )
         # Engine-style: each update may land on a DIFFERENT worker
         # trainer; the session index travels with the task.
-        out = state
+        out = start.copy()
         for session in range(2):
-            worker = LocalTrainer(
+            worker = BatchedTrainer(
                 MODEL_BUILDER(rng=np.random.default_rng(0)), config
             )
-            out = worker.train(
-                out, x, y, np.random.default_rng(4), node_id=3,
-                session=session,
+            worker.train_block(
+                out, [x], [y], [np.random.default_rng(4)], [session],
+                node_ids=[3],
             )
             assert not hasattr(worker, "_sessions")  # no bookkeeping
-        np.testing.assert_array_equal(
-            state_to_vector(expected), state_to_vector(out)
-        )
+        np.testing.assert_array_equal(expected, out)
 
     def test_engine_sessions_survive_executor_choice(self):
         """The engine's session counters are identical across executors
@@ -909,18 +788,23 @@ class TestDtypeDrift:
 
     def test_float32_training_stays_float32(self):
         """The dtype audit: no hidden float64 promotion anywhere on the
-        float32 training path — after a run, the workspace model's
-        parameters AND gradient buffers hold float32 (the serial trainer
-        loads arena rows into the workspace; the gradient accumulators
-        must follow)."""
+        float32 training path — every backward pass of the blocked
+        kernel gets a float32 logits gradient and fills a float32
+        gradient block."""
         sim = build_flat(arena_dtype="float32", executor="serial", seed=13)
+        kernel = sim.protocol.trainer._batched
+        backward = kernel.backward
+        seen = set()
+
+        def spy(grad_out, grads):
+            seen.add((grad_out.dtype, grads.dtype))
+            return backward(grad_out, grads)
+
+        kernel.backward = spy
         sim.run(2)
-        trainer = sim.protocol.trainer
         sim.close()
         assert sim.arena.data.dtype == np.float32
-        for param in trainer.model.parameters():
-            assert param.data.dtype == np.float32
-            assert param.grad.dtype == np.float32
+        assert seen == {(np.dtype(np.float32), np.dtype(np.float32))}
 
 
 class TestStateMatrix:

@@ -7,7 +7,7 @@ import pytest
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     FlatGossipSimulator,
-    LocalTrainer,
+    BatchedTrainer,
     PartialMergeGossipProtocol,
     SimulatorConfig,
     TrainerConfig,
@@ -20,7 +20,7 @@ from repro.nn.serialize import average_states, state_to_vector
 def build_simulator(drop_prob=0.0, failure_prob=0.0, sampler=None,
                     protocol_name="samo", seed=0):
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
-    trainer = LocalTrainer(
+    trainer = BatchedTrainer(
         model,
         TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=1,
                       batch_size=8),
@@ -124,7 +124,7 @@ class TestPartialMerge:
 
     def test_partial_merge_keeps_state_closer_to_own(self):
         model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
-        trainer = LocalTrainer(
+        trainer = BatchedTrainer(
             model,
             TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=0,
                           batch_size=8),
@@ -154,7 +154,7 @@ class TestPartialMerge:
 
     def test_merge_weight_validation(self):
         model = build_mlp(8, 2, hidden=(4,), rng=np.random.default_rng(0))
-        trainer = LocalTrainer(model, TrainerConfig())
+        trainer = BatchedTrainer(model, TrainerConfig())
         from repro.gossip import BaseGossipProtocol
 
         with pytest.raises(ValueError):
@@ -178,7 +178,7 @@ class TestMessageLatency:
 
     def test_delayed_messages_queue_then_deliver(self):
         model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
-        trainer = LocalTrainer(
+        trainer = BatchedTrainer(
             model,
             TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=0,
                           batch_size=8),
@@ -251,7 +251,7 @@ class TestInFlightIsolation:
 
     def _delayed_sim(self, delay_ticks=5, local_epochs=0):
         model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
-        trainer = LocalTrainer(
+        trainer = BatchedTrainer(
             model,
             TrainerConfig(learning_rate=0.05, momentum=0.0,
                           local_epochs=local_epochs, batch_size=8),

@@ -13,7 +13,7 @@ from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BaseGossipProtocol,
     FlatGossipSimulator,
-    LocalTrainer,
+    BatchedTrainer,
     SAMOProtocol,
     SimulatorConfig,
     TrainerConfig,
@@ -27,7 +27,7 @@ from repro.nn.serialize import average_states, state_to_vector
 def env():
     """Trainer, real data for three nodes, and the shared initial model."""
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
-    trainer = LocalTrainer(
+    trainer = BatchedTrainer(
         model,
         TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=1, batch_size=8),
     )

@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
+from reference_trainer import ReferenceExecutor
 from repro.gossip import (
     RowPartitioner,
-    SerialExecutor,
     ShardedExecutor,
     StateArena,
     TrainerConfig,
     UpdateTask,
 )
 from repro.gossip.shard import encode_tasks
-from repro.gossip.trainer import LocalTrainer
+from repro.gossip.trainer import BatchedTrainer
 from repro.nn import build_mlp, get_state
 from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.models import build_model
@@ -158,8 +158,10 @@ class TestShardedExecutor:
     )
     def test_same_tasks_match_serial(self, kwargs):
         model, layout, splits, config, arena = make_fixture()
-        serial = SerialExecutor(LocalTrainer(model, config), layout, splits)
-        serial_results = serial.train_batch(
+        reference = ReferenceExecutor(
+            BatchedTrainer(model, config, layout), splits
+        )
+        reference_results = reference.train_batch(
             make_tasks(arena, 6, copy=True)
         )
         sharded = ShardedExecutor(
@@ -173,15 +175,15 @@ class TestShardedExecutor:
                 for vector, rng in sharded.train_batch(make_tasks(arena, 6))
             ]
         finally:
-            serial.close()
+            reference.close()
             sharded.close()
             arena.release()
         assert sharded.n_shards <= 6
-        for (serial_vec, serial_rng), (sharded_vec, sharded_rng) in zip(
-            serial_results, sharded_results
+        for (ref_vec, ref_rng), (sharded_vec, sharded_rng) in zip(
+            reference_results, sharded_results
         ):
-            np.testing.assert_array_equal(serial_vec, sharded_vec)
-            assert serial_rng.random() == sharded_rng.random()
+            np.testing.assert_array_equal(ref_vec, sharded_vec)
+            assert ref_rng.random() == sharded_rng.random()
 
     def test_results_written_into_shared_arena(self):
         """The executor's outputs ARE the arena rows (no copy-back)."""
@@ -270,11 +272,12 @@ class TestShardedExecutor:
     def test_config_swap_after_construction_reaches_workers(self):
         """The engine swaps trainer.config after construction (DP
         install); with the live trainer attached, shards must train
-        with the new config — matching serial bit for bit."""
+        with the new config — matching the workspace-loop reference
+        bit for bit."""
         from dataclasses import replace
 
         model, layout, splits, config, arena = make_fixture()
-        trainer = LocalTrainer(model, config)
+        trainer = BatchedTrainer(model, config, layout)
         sharded = ShardedExecutor(
             MODEL_BUILDER, config, layout, splits, arena, n_shards=2,
             trainer=trainer,
@@ -282,13 +285,15 @@ class TestShardedExecutor:
         try:
             swapped = replace(config, learning_rate=0.005, lr_decay=0.9)
             trainer.config = swapped
-            serial = SerialExecutor(
-                LocalTrainer(MODEL_BUILDER(rng=np.random.default_rng(0)),
-                             swapped),
-                layout, splits,
+            reference = ReferenceExecutor(
+                BatchedTrainer(MODEL_BUILDER(rng=np.random.default_rng(0)),
+                               swapped, layout),
+                splits,
             )
-            serial_results = serial.train_batch(make_tasks(arena, 6, copy=True))
-            serial.close()
+            reference_results = reference.train_batch(
+                make_tasks(arena, 6, copy=True)
+            )
+            reference.close()
             sharded_results = [
                 (vector.copy(), rng)
                 for vector, rng in sharded.train_batch(make_tasks(arena, 6))
@@ -296,10 +301,10 @@ class TestShardedExecutor:
         finally:
             sharded.close()
             arena.release()
-        for (serial_vec, _), (sharded_vec, _) in zip(
-            serial_results, sharded_results
+        for (reference_vec, _), (sharded_vec, _) in zip(
+            reference_results, sharded_results
         ):
-            np.testing.assert_array_equal(serial_vec, sharded_vec)
+            np.testing.assert_array_equal(reference_vec, sharded_vec)
 
     def test_set_config_without_trainer_reaches_workers(self):
         """Without a live trainer attached, an explicit set_config()
@@ -315,13 +320,15 @@ class TestShardedExecutor:
                 sharded.set_config({"learning_rate": 0.1})
             swapped = replace(config, learning_rate=0.005, lr_decay=0.9)
             sharded.set_config(swapped)
-            serial = SerialExecutor(
-                LocalTrainer(MODEL_BUILDER(rng=np.random.default_rng(0)),
-                             swapped),
-                layout, splits,
+            reference = ReferenceExecutor(
+                BatchedTrainer(MODEL_BUILDER(rng=np.random.default_rng(0)),
+                               swapped, layout),
+                splits,
             )
-            serial_results = serial.train_batch(make_tasks(arena, 6, copy=True))
-            serial.close()
+            reference_results = reference.train_batch(
+                make_tasks(arena, 6, copy=True)
+            )
+            reference.close()
             sharded_results = [
                 (vector.copy(), rng)
                 for vector, rng in sharded.train_batch(make_tasks(arena, 6))
@@ -329,10 +336,10 @@ class TestShardedExecutor:
         finally:
             sharded.close()
             arena.release()
-        for (serial_vec, _), (sharded_vec, _) in zip(
-            serial_results, sharded_results
+        for (reference_vec, _), (sharded_vec, _) in zip(
+            reference_results, sharded_results
         ):
-            np.testing.assert_array_equal(serial_vec, sharded_vec)
+            np.testing.assert_array_equal(reference_vec, sharded_vec)
 
     def test_worker_failure_surfaces_as_runtime_error(self):
         """A task for a row the shard has no split for blows up inside
@@ -365,7 +372,8 @@ ARCHS = [
 
 class TestShardedFamilies:
     """The sharded executor against every Table-2 model family:
-    bit-identical to serial in float64, bounded drift in float32."""
+    bit-identical to the workspace-loop reference in float64, bounded
+    drift in float32."""
 
     def _run(self, arch, kwargs, sample_shape, dtype):
         n_nodes, n = 5, 12
@@ -392,11 +400,13 @@ class TestShardedFamilies:
             learning_rate=0.05, momentum=0.9, weight_decay=5e-4,
             local_epochs=2, batch_size=5, lr_decay=0.7,
         )
-        serial = SerialExecutor(LocalTrainer(model, config), layout, splits)
-        serial_results = serial.train_batch(
+        reference = ReferenceExecutor(
+            BatchedTrainer(model, config, layout), splits
+        )
+        reference_results = reference.train_batch(
             make_tasks(arena, n_nodes, copy=True)
         )
-        serial.close()
+        reference.close()
         sharded = ShardedExecutor(
             builder, config, layout, splits, arena, n_shards=2
         )
@@ -410,36 +420,36 @@ class TestShardedFamilies:
         finally:
             sharded.close()
             arena.release()
-        return serial_results, sharded_results
+        return reference_results, sharded_results
 
     @pytest.mark.parametrize("arch,kwargs,sample_shape", ARCHS)
     def test_bit_identical_to_serial_in_float64(
         self, arch, kwargs, sample_shape
     ):
-        serial_results, sharded_results = self._run(
+        reference_results, sharded_results = self._run(
             arch, kwargs, sample_shape, np.float64
         )
-        for (serial_vec, _), (sharded_vec, _) in zip(
-            serial_results, sharded_results
+        for (reference_vec, _), (sharded_vec, _) in zip(
+            reference_results, sharded_results
         ):
-            np.testing.assert_array_equal(serial_vec, sharded_vec)
+            np.testing.assert_array_equal(reference_vec, sharded_vec)
 
     @pytest.mark.parametrize("arch,kwargs,sample_shape", ARCHS)
     def test_float32_drift_bounded(self, arch, kwargs, sample_shape):
         """On a float32 arena both paths train in float32; they may
         round differently (blocked vs per-row op order) but must stay
         within rounding distance of each other."""
-        serial_results, sharded_results = self._run(
+        reference_results, sharded_results = self._run(
             arch, kwargs, sample_shape, np.float32
         )
-        for (serial_vec, _), (sharded_vec, _) in zip(
-            serial_results, sharded_results
+        for (reference_vec, _), (sharded_vec, _) in zip(
+            reference_results, sharded_results
         ):
             assert sharded_vec.dtype == np.float32
-            scale = np.linalg.norm(serial_vec.astype(np.float64))
+            scale = np.linalg.norm(reference_vec.astype(np.float64))
             drift = np.linalg.norm(
                 sharded_vec.astype(np.float64)
-                - serial_vec.astype(np.float64)
+                - reference_vec.astype(np.float64)
             )
             assert drift / scale < 1e-4
 
@@ -488,7 +498,7 @@ class TestSharedSegmentLifecycle:
     def test_simulator_context_manager_releases_everything(self):
         from repro.gossip import (
             FlatGossipSimulator,
-            LocalTrainer as LT,
+            BatchedTrainer as LT,
             SimulatorConfig,
             make_protocol,
         )
@@ -530,7 +540,7 @@ class TestSharedSegmentLifecycle:
     def test_context_manager_releases_on_exception(self):
         from repro.gossip import (
             FlatGossipSimulator,
-            LocalTrainer as LT,
+            BatchedTrainer as LT,
             SimulatorConfig,
             make_protocol,
         )

@@ -6,7 +6,7 @@ import pytest
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     FlatGossipSimulator,
-    LocalTrainer,
+    BatchedTrainer,
     SimulatorConfig,
     TrainerConfig,
     make_protocol,
@@ -25,7 +25,7 @@ def build_simulator(
     local_epochs=1,
 ):
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
-    trainer = LocalTrainer(
+    trainer = BatchedTrainer(
         model,
         TrainerConfig(
             learning_rate=0.05,
@@ -166,8 +166,10 @@ class TestConvergence:
         iso, _ = build_simulator(protocol_name="samo", view_size=3, seed=2)
         for node in iso.nodes:
             for _ in range(4):
-                node.state = iso.protocol.trainer.train(
-                    node.state, node.train_x, node.train_y, node.rng
+                iso.protocol.trainer.train_block(
+                    iso.arena.row(node.node_id)[None],
+                    [node.train_x], [node.train_y], [node.rng], [0],
+                    node_ids=[node.node_id],
                 )
         iso_vecs = np.stack([state_to_vector(s) for s in iso.states()])
         spread_iso = np.linalg.norm(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     MixingDecayResult,
@@ -37,6 +39,25 @@ class TestMixingMatrix:
         w = mixing_matrix(16, 4, rng)
         theta = rng.normal(size=16)
         assert (w @ theta).mean() == pytest.approx(theta.mean())
+
+    @settings(max_examples=15)
+    @given(
+        n=st.integers(4, 32),
+        k=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_graphs_mix_properly(self, n, k, seed):
+        """Any feasible (n, k): doubly stochastic, symmetric, and a
+        contraction factor lambda2 in [0, 1]."""
+        k = min(k, n - 1)
+        if (n * k) % 2:
+            n += 1  # n * k must be even for a k-regular graph
+        w = mixing_matrix(n, k, np.random.default_rng(seed))
+        np.testing.assert_allclose(w.sum(axis=0), 1.0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0)
+        assert (w >= 0).all()
+        np.testing.assert_array_equal(w, w.T)
+        assert 0.0 <= lambda2(w) <= 1.0 + 1e-12
 
 
 class TestLambda2:

@@ -13,7 +13,7 @@ from repro import StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     FlatGossipSimulator,
-    LocalTrainer,
+    BatchedTrainer,
     SimulatorConfig,
     TrainerConfig,
     make_protocol,
@@ -26,7 +26,7 @@ def mixing_only_simulator(protocol_name, seed=0, n_nodes=8):
     """A simulator whose nodes never train (local_epochs=0), with
     distinct initial models — isolates the mixing dynamics."""
     model = build_mlp(12, 3, hidden=(6,), rng=np.random.default_rng(0))
-    trainer = LocalTrainer(
+    trainer = BatchedTrainer(
         model,
         TrainerConfig(learning_rate=0.05, local_epochs=0, batch_size=8),
     )

@@ -3,9 +3,10 @@
 The training half is an equivalence harness: for every Table-2 model
 family, the blocked train-mode pass (``BatchedModel`` +
 ``batched_cross_entropy_grad`` + ``BatchedSGD`` via ``BatchedTrainer``)
-must reproduce the per-row workspace path (``Module`` +
-``CrossEntropyLoss`` + ``SGD`` via ``LocalTrainer``) on fixed seeds —
-bit-exactly in float64, within rounding in float32.
+must reproduce the per-row workspace loop (``Module`` +
+``CrossEntropyLoss`` + ``SGD`` via the test suite's reference
+``LocalTrainer``) on fixed seeds — bit-exactly in float64, within
+rounding in float32.
 """
 
 import numpy as np
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gossip.trainer import BatchedTrainer, LocalTrainer, TrainerConfig
+from reference_trainer import LocalTrainer
+from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.nn.batched import (
     BatchedModel,
     batched_forward,
     parameter_column_runs,
-    supports_batched_backward,
     supports_batched_forward,
 )
 from repro.nn.flat import StateLayout
@@ -193,41 +194,23 @@ def make_training_block(arch, kwargs, xshape, n_rows=4, n=12, seed=0):
     return model, layout, params, states, xs, ys
 
 
-class TestSupportsBatchedBackward:
-    def test_table2_families_supported(self):
-        for arch, kwargs, _ in ARCHS:
-            assert supports_batched_backward(build_model(arch, **kwargs))
+class TestBatchedModelSupport:
+    def test_dropout_batches(self):
+        # Counter-based mask streams batch with p > 0, and p == 0 is
+        # the identity.
+        for p in (0.0, 0.3):
+            model = Sequential(Dense(10, 8), ReLU(), Dropout(p), Dense(8, 4))
+            assert supports_batched_forward(model)
+            BatchedModel(model, StateLayout.from_model(model))
 
-    def test_stochastic_dropout_modes(self):
-        model = build_model(
-            "mlp", in_features=10, num_classes=4, hidden=(8,)
-        )
-        assert supports_batched_backward(model)
-        # Counter-based mask streams (the default) batch fine even with
-        # p > 0; the stateful legacy generator does not.
-        streamed = Sequential(Dense(10, 8), ReLU(), Dropout(0.3), Dense(8, 4))
-        assert supports_batched_backward(streamed)
-        legacy = Sequential(
-            Dense(10, 8), ReLU(), Dropout(0.3, mode="legacy"), Dense(8, 4)
-        )
-        assert not supports_batched_backward(legacy)
-        # p == 0 dropout is the identity and batches in either mode.
-        inert = Sequential(
-            Dense(10, 8), Dropout(0.0, mode="legacy"), Dense(8, 4)
-        )
-        assert supports_batched_backward(inert)
-
-    def test_unknown_layer_rejected(self):
+    def test_batched_model_refuses_unsupported(self):
         class Weird(Module):
             def forward(self, x):
                 return x
 
-        assert not supports_batched_backward(Sequential(Dense(4, 2), Weird()))
-
-    def test_batched_model_refuses_unsupported(self):
         layout = StateLayout.from_state({"w": np.zeros(1)})
         with pytest.raises(ValueError, match="batched backward"):
-            BatchedModel(Sequential(Dropout(0.5, mode="legacy")), layout)
+            BatchedModel(Sequential(Weird()), layout)
 
 
 class TestParameterColumnRuns:

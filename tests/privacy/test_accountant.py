@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.privacy import (
     DEFAULT_ALPHAS,
@@ -141,3 +143,67 @@ class TestCalibration:
     def test_rejects_unreachable_target(self):
         with pytest.raises(ValueError):
             calibrate_sigma(1e-6, 1e-5, q=1.0, steps=10_000, sigma_max=5.0)
+
+
+def _epsilon(q: float, sigma: float, steps: int, delta: float = 1e-5) -> float:
+    accountant = RDPAccountant()
+    accountant.step(q, sigma, steps)
+    return accountant.get_epsilon(delta)
+
+
+_Q = st.floats(0.01, 1.0)
+_SIGMA = st.floats(0.5, 10.0)
+_STEPS = st.integers(1, 2_000)
+
+
+class TestAccountantProperties:
+    """Properties the DP figures rest on, checked on drawn mechanisms
+    (few examples: one epsilon costs tens of milliseconds)."""
+
+    @settings(max_examples=10)
+    @given(q1=_Q, sigma1=_SIGMA, s1=_STEPS, q2=_Q, sigma2=_SIGMA, s2=_STEPS)
+    def test_rdp_adds_up_over_steps(self, q1, sigma1, s1, q2, sigma2, s2):
+        accountant = RDPAccountant()
+        accountant.step(q1, sigma1, s1)
+        accountant.step(q2, sigma2, s2)
+        composed = s1 * rdp_subsampled_gaussian(q1, sigma1) + (
+            s2 * rdp_subsampled_gaussian(q2, sigma2)
+        )
+        assert accountant.get_epsilon(1e-5) == pytest.approx(
+            rdp_to_epsilon(composed, 1e-5)[0], rel=1e-12
+        )
+
+    @settings(max_examples=10)
+    @given(q=_Q, sigma=_SIGMA, steps=st.lists(_STEPS, min_size=2, max_size=2))
+    def test_epsilon_never_decreases_with_steps(self, q, sigma, steps):
+        fewer, more = sorted(steps)
+        assert _epsilon(q, sigma, fewer) <= _epsilon(q, sigma, more)
+
+    @settings(max_examples=10)
+    @given(qs=st.lists(_Q, min_size=2, max_size=2), sigma=_SIGMA, steps=_STEPS)
+    def test_epsilon_never_decreases_with_sampling_rate(self, qs, sigma, steps):
+        lower, higher = sorted(qs)
+        assert _epsilon(lower, sigma, steps) <= _epsilon(higher, sigma, steps)
+
+    @settings(max_examples=10)
+    @given(q=_Q, sigmas=st.lists(_SIGMA, min_size=2, max_size=2), steps=_STEPS)
+    def test_epsilon_never_increases_with_noise(self, q, sigmas, steps):
+        lower, higher = sorted(sigmas)
+        assert _epsilon(q, higher, steps) <= _epsilon(q, lower, steps)
+
+    @settings(max_examples=4)
+    @given(
+        target=st.floats(0.5, 20.0),
+        q=st.floats(0.01, 0.5),
+        steps=st.integers(10, 2_000),
+    )
+    def test_calibrate_sigma_inverts_epsilon(self, target, q, steps):
+        """The returned sigma meets the target, and one tolerance step
+        less noise does not (unless the search stopped at its floor)."""
+        sigma_min, tol = 0.1, 1e-3
+        sigma = calibrate_sigma(
+            target, 1e-5, q, steps, sigma_min=sigma_min, tol=tol
+        )
+        assert _epsilon(q, sigma, steps) <= target
+        if sigma - tol > sigma_min:
+            assert _epsilon(q, sigma - tol, steps) > target

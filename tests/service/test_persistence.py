@@ -345,6 +345,32 @@ class TestRecoveryStateMapping:
         )
         assert self._manager(tmp_path).get("job-000001") is None
 
+    def test_legacy_dropout_job_is_dropped_with_warning(self, tmp_path, caplog):
+        """``dropout_mode: "legacy"`` drew its masks in the removed
+        workspace trainer, so a journaled job carrying it no longer
+        loads: recovery drops it and says why."""
+        config = normalized_config()
+        config["model"] = dict(
+            config["model"], dropout=0.25, dropout_mode="legacy"
+        )
+        self._craft(
+            tmp_path,
+            [
+                {"event": "submitted", "job": "job-000001", "config": config,
+                 "config_hash": "abc"},
+                {"event": "done", "job": "job-000001",
+                 "result": '{"config_name": "svc-test", "rounds": []}'},
+            ],
+        )
+        with caplog.at_level("WARNING", logger="repro.service.jobs"):
+            manager = self._manager(tmp_path)
+        assert manager.get("job-000001") is None
+        assert any(
+            "stored config no longer loads" in r.getMessage()
+            and "workspace trainer" in r.getMessage()
+            for r in caplog.records
+        )
+
     def test_recovery_compacts_so_restart_is_idempotent(self, tmp_path):
         config = normalized_config()
         self._craft(

@@ -51,20 +51,21 @@ class TestMetricsExposition:
         assert "repro_shard_tasks_total" in text
         assert "repro_shard_train_ms" in text
 
-    def test_fallback_counters_reach_metrics_and_status(
+    def test_per_row_payload_trains_on_the_blocked_kernel(
         self, service, client
     ):
-        # train_batch=-1 forces every row off the blocked fast path,
-        # so the executor's fallback tallies are guaranteed non-empty.
+        # A stored train_batch=-1 (the removed per-row trainer) loads
+        # as one-row blocks: no row leaves the blocked kernel, and the
+        # scrape carries no fallback family.
         payload = tiny_study_payload(executor="batched", train_batch=-1)
         job_id = _submit_and_wait(service, client, payload)
         text = client.get("/metrics")[2].decode("utf-8")
-        assert 'repro_engine_fallback_total{reason="forced_per_row"}' in text
+        assert "fallback" not in text
+        assert 'repro_executor_tasks_total{executor="batched"}' in text
 
         status, _, body = client.get(f"/studies/{job_id}")
         assert status == 200
-        snapshot = json.loads(body)
-        assert snapshot["fallback_counts"].get("forced_per_row", 0) > 0
+        assert json.loads(body)["fallback_counts"] == {}
 
     def test_fast_path_study_reports_no_fallbacks(self, service, client):
         job_id = _submit_and_wait(

@@ -95,6 +95,19 @@ class TestStudy:
         with pytest.raises(SystemExit):
             main(["study", "--dataset", "imagenet"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--nodes", "1"], "need at least two nodes"),
+            (["--train-batch", "-1"], "train_batch must be >= 0"),
+            (["--shards", "-1"], "n_shards must be non-negative"),
+        ],
+    )
+    def test_bad_config_value_is_a_usage_error(self, flags, message, capsys):
+        assert main(["study", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestFigure:
     def test_figure10_tiny(self, capsys):
@@ -164,6 +177,27 @@ class TestStudyCheckpointResume:
         assert json.loads(ref_json.read_text()) == json.loads(
             resumed_json.read_text()
         )
+
+    def test_resume_of_unloadable_checkpoint_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        """A checkpoint whose stored config this build no longer loads
+        (legacy-mode dropout) ends in a message, not a traceback."""
+        import pickle
+
+        from repro.core.study import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+
+        config = self._cli_config().to_dict()
+        config["model"].update(dropout=0.25, dropout_mode="legacy")
+        ck = tmp_path / "legacy.ckpt"
+        ck.write_bytes(pickle.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            "config": config,
+        }))
+        assert main(["study", "--resume", str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "workspace trainer" in err
 
     def test_out_json_round_trips_through_runresult(self, tmp_path):
         """Regression for the CLI writers: --out is RunResult.to_json
@@ -277,3 +311,17 @@ class TestCampaign:
 
     def test_bad_grid_spec_errors(self, capsys):
         assert main(["campaign", "--grid", "seed"]) == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--grid", "dropout_mode=foo"], "dropout_mode must be 'stream'"),
+            (["--grid", "seed=1,2", "--set", "n_nodes=1"],
+             "need at least two nodes"),
+            (["--grid", "no_such_knob=1"], "unknown StudyConfig field"),
+        ],
+    )
+    def test_bad_config_value_is_a_usage_error(self, args, message, capsys):
+        assert main(["campaign", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
