@@ -406,9 +406,9 @@ class TestDPTrainingThroughput:
 
 
 class TestPaperMlpTraining:
-    """ROADMAP item 1, the training kernel on the paper's shapes: the
-    paper MLP (600-256-128-64-100, float64) with ``samo-static-64``'s
-    per-node split and recipe trains 8 local updates one row per call
+    """The training kernel on the paper's shapes: the paper MLP
+    (600-256-128-64-100, float64) with ``samo-static-64``'s per-node
+    split and recipe trains 8 local updates one row per call
     (``executor="serial"``) and as one stacked block of 8. Records
     median, min, IQR and reps per 8-update call; no gate."""
 
