@@ -24,7 +24,10 @@ Acceptance properties of the engine PRs:
   nodes on the toy MLP, with bit-identical float64 results;
 * on the paper MLP with ``samo-static-64``'s per-node split, 8 local
   updates one row per call and as one stacked block of 8 are recorded
-  as ``paper_mlp_training`` — median, min, IQR and reps — with no gate;
+  as ``paper_mlp_training``, and 4 updates of the default study's
+  CIFAR-10 CNN as ``cnn_training`` — median, min, IQR and reps per
+  side, and the paired median difference and one-row win count —
+  with no gate;
 * sharded observation (shard workers scoring their own arena rows) is
   at least 1.5x faster than the parent row-batch path at 64 nodes
   with >= 2 shards, agreeing at 1e-9 (timing skipped on single-CPU
@@ -405,50 +408,80 @@ class TestDPTrainingThroughput:
         )
 
 
+def _one_row_vs_block(payload: dict, rows: int, reps: int) -> dict:
+    """Train ``rows`` local updates of the study ``payload`` builds, one
+    row per call (``executor="serial"``) and as one stacked block
+    (``executor="batched"``), ``reps`` times after an untimed warm-up
+    (first calls pay lazy set-up). The two sides alternate which runs
+    first, so each rep is a pair. Asserts float64 bit-identity; returns
+    median, min and IQR per side in ms per call, plus the pairs'
+    median of ``block - one_row`` and the count of reps one row won."""
+    with Study(StudyConfig(**payload)) as study:
+        trainer = study.protocol.trainer
+        splits = [node.split for node in study.simulator.nodes]
+        start = study.simulator.arena.data[:rows].copy()
+    executors = {
+        "one_row": BatchedExecutor(trainer, splits, train_batch=1),
+        "block": BatchedExecutor(trainer, splits, train_batch=rows),
+    }
+    times: dict[str, list[float]] = {name: [] for name in executors}
+    final: dict[str, np.ndarray] = {}
+    for rep in range(-1, reps):
+        names = list(executors) if rep % 2 == 0 else list(executors)[::-1]
+        for name in names:
+            state = start.copy()
+            tasks = [
+                UpdateTask(i, state[i], np.random.default_rng(rep + 1), 0)
+                for i in range(rows)
+            ]
+            begin = time.perf_counter()
+            executors[name].train_batch(tasks)
+            if rep >= 0:
+                times[name].append((time.perf_counter() - begin) * 1e3)
+            final[name] = state
+    np.testing.assert_array_equal(final["one_row"], final["block"])
+    values = {"reps": reps}
+    for name, series in times.items():
+        q1, _, q3 = statistics.quantiles(series, n=4)
+        values[f"{name}_median_ms"] = statistics.median(series)
+        values[f"{name}_min_ms"] = min(series)
+        values[f"{name}_iqr_ms"] = q3 - q1
+    pairs = [b - o for o, b in zip(times["one_row"], times["block"])]
+    values["block_minus_one_row_median_ms"] = statistics.median(pairs)
+    values["one_row_wins"] = sum(d > 0 for d in pairs)
+    for name, series in times.items():
+        print_series(f"{payload['dataset']}, {rows} updates, {name} ms", series)
+    return values
+
+
 class TestPaperMlpTraining:
     """The training kernel on the paper's shapes: the paper MLP
     (600-256-128-64-100, float64) with ``samo-static-64``'s per-node
-    split and recipe trains 8 local updates one row per call
-    (``executor="serial"``) and as one stacked block of 8. Records
-    median, min, IQR and reps per 8-update call; no gate."""
+    split and recipe trains 8 local updates one row per call and as
+    one stacked block of 8 (see :func:`_one_row_vs_block`); no gate."""
 
-    REPS = 7
+    REPS = 9
     ROWS = 8
 
     def test_one_row_vs_block_of_8_recorded(self):
         payload = dict(WORKLOADS["samo-static-64"].payload, seed=0)
-        with Study(StudyConfig(**payload)) as study:
-            trainer = study.protocol.trainer
-            splits = [node.split for node in study.simulator.nodes]
-            start = study.simulator.arena.data[: self.ROWS].copy()
-        executors = {
-            "one_row": BatchedExecutor(trainer, splits, train_batch=1),
-            "block": BatchedExecutor(trainer, splits, train_batch=self.ROWS),
-        }
-        times: dict[str, list[float]] = {name: [] for name in executors}
-        final: dict[str, np.ndarray] = {}
-        # Rep -1 is an untimed warm-up: first calls pay lazy set-up.
-        for rep in range(-1, self.REPS):
-            for name, executor in executors.items():
-                rows = start.copy()
-                tasks = [
-                    UpdateTask(i, rows[i], np.random.default_rng(rep + 1), 0)
-                    for i in range(self.ROWS)
-                ]
-                begin = time.perf_counter()
-                executor.train_batch(tasks)
-                if rep >= 0:
-                    times[name].append((time.perf_counter() - begin) * 1e3)
-                final[name] = rows
-        np.testing.assert_array_equal(final["one_row"], final["block"])
-        values = {"reps": self.REPS}
-        for name, series in times.items():
-            q1, _, q3 = statistics.quantiles(series, n=4)
-            values[f"{name}_median_ms"] = statistics.median(series)
-            values[f"{name}_min_ms"] = min(series)
-            values[f"{name}_iqr_ms"] = q3 - q1
-            print_series(f"paper MLP, 8 updates, {name} ms", series)
+        values = _one_row_vs_block(payload, self.ROWS, self.REPS)
         _record("paper_mlp_training", self.ROWS, **values)
+
+
+class TestConvTraining:
+    """The same record for a conv model: the default study (CIFAR-10
+    CNN at 16x16, width 8, float64, 64 samples per node) trains 4
+    local updates one row per call and as one stacked block of 4 (see
+    :func:`_one_row_vs_block`); no gate."""
+
+    REPS = 7
+    ROWS = 4
+
+    def test_one_row_vs_block_of_4_recorded(self):
+        payload = dict(dataset="cifar10", seed=0)
+        values = _one_row_vs_block(payload, self.ROWS, self.REPS)
+        _record("cnn_training", self.ROWS, **values)
 
 
 class TestShardedThroughput:

@@ -367,7 +367,7 @@ class ShardedExecutor(Executor):
     When the engine passes its live ``trainer``, config swaps made
     after construction (DP installation replaces the dataclass on the
     protocol's trainer) are pushed to the involved shards alongside the
-    next batch; without a trainer, :meth:`set_config` swaps it.
+    next batch; without a trainer, ``trainer_config`` is final.
     """
 
     name = "sharded"
@@ -421,7 +421,6 @@ class ShardedExecutor(Executor):
         # When the engine hands us its live trainer, follow config
         # swaps made after construction (shards get the delta pushed).
         self._trainer = trainer
-        self._config_override: TrainerConfig | None = None
         self._shard_config: list[TrainerConfig] = []
         self._observe_ready = False
         # Shard workers record into worker-local registries; replies
@@ -457,22 +456,6 @@ class ShardedExecutor(Executor):
             self._procs.append(process)
             self._shard_config.append(trainer_config)
 
-    def set_config(self, config: TrainerConfig) -> None:
-        """Swap the trainer config; shards get it with their next batch.
-
-        Goes through the live trainer when the engine handed one over
-        (so the single-process side revalidates too); otherwise the new
-        config is stored and diff-pushed like any other swap.
-        """
-        if not isinstance(config, TrainerConfig):
-            raise TypeError(
-                f"expected a TrainerConfig, got {type(config).__name__}"
-            )
-        if self._trainer is not None:
-            self._trainer.set_config(config)
-        else:
-            self._config_override = config
-
     def train_batch(
         self, tasks: list[UpdateTask]
     ) -> list[tuple[np.ndarray, np.random.Generator]]:
@@ -481,11 +464,7 @@ class ShardedExecutor(Executor):
         by_shard: dict[int, list[int]] = {}
         for i, task in enumerate(tasks):
             by_shard.setdefault(int(self._shard_of[task.node_id]), []).append(i)
-        config = (
-            self._trainer.config
-            if self._trainer is not None
-            else self._config_override
-        )
+        config = self._trainer.config if self._trainer is not None else None
         # Fan out to every involved shard first; they train in
         # parallel while we collect replies in the same order.
         for shard, indices in by_shard.items():

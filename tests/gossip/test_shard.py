@@ -306,41 +306,6 @@ class TestShardedExecutor:
         ):
             np.testing.assert_array_equal(reference_vec, sharded_vec)
 
-    def test_set_config_without_trainer_reaches_workers(self):
-        """Without a live trainer attached, an explicit set_config()
-        swap is stored and diff-pushed with the next batch."""
-        from dataclasses import replace
-
-        model, layout, splits, config, arena = make_fixture()
-        sharded = ShardedExecutor(
-            MODEL_BUILDER, config, layout, splits, arena, n_shards=2
-        )
-        try:
-            with pytest.raises(TypeError):
-                sharded.set_config({"learning_rate": 0.1})
-            swapped = replace(config, learning_rate=0.005, lr_decay=0.9)
-            sharded.set_config(swapped)
-            reference = ReferenceExecutor(
-                BatchedTrainer(MODEL_BUILDER(rng=np.random.default_rng(0)),
-                               swapped, layout),
-                splits,
-            )
-            reference_results = reference.train_batch(
-                make_tasks(arena, 6, copy=True)
-            )
-            reference.close()
-            sharded_results = [
-                (vector.copy(), rng)
-                for vector, rng in sharded.train_batch(make_tasks(arena, 6))
-            ]
-        finally:
-            sharded.close()
-            arena.release()
-        for (reference_vec, _), (sharded_vec, _) in zip(
-            reference_results, sharded_results
-        ):
-            np.testing.assert_array_equal(reference_vec, sharded_vec)
-
     def test_worker_failure_surfaces_as_runtime_error(self):
         """A task for a row the shard has no split for blows up inside
         the worker; the parent must get the traceback, not a hang."""
