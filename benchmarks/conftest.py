@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,11 @@ BENCH_SCHEMA_VERSION = 2
 
 _REPO = Path(__file__).resolve().parent.parent
 _BENCH_PATH = _REPO / "BENCH_engine.json"
+
+# Gates time the tests' reference implementations against the code
+# they replaced (e.g. the per-node observer loop, ``reference_observer``),
+# so they import from tests/ as the test modules do.
+sys.path.insert(0, str(_REPO / "tests"))
 
 
 def src_loc(root: Path = _REPO / "src") -> int:
@@ -49,6 +55,8 @@ def update_bench_json(sections: dict, path: Path | None = None) -> None:
     truncated existing file is treated as empty rather than aborting
     the merge.
     """
+    from repro.gossip.shard import usable_cpus
+
     target = _BENCH_PATH if path is None else Path(path)
     data: dict = {}
     if target.exists():
@@ -62,7 +70,7 @@ def update_bench_json(sections: dict, path: Path | None = None) -> None:
     data.update(sections)
     data["schema_version"] = BENCH_SCHEMA_VERSION
     data["unit"] = "ms"
-    data["cpus"] = os.cpu_count()
+    data["cpus"] = usable_cpus()
     # Code size rides the perf trajectory: a PR that deletes code shows
     # it here next to the timings it kept.
     data["src_loc"] = src_loc()

@@ -14,7 +14,7 @@ Shape asserted: vulnerability orders inversely with mixing quality.
 
 import numpy as np
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 
 from benchmarks.conftest import run_once
 
@@ -35,7 +35,7 @@ def test_ablation_aggregation_strategy(benchmark, scale):
             )
             for protocol in protocols
         ]
-        return run_many(configs)
+        return Campaign(configs).run(jobs=1)
 
     results = run_once(benchmark, run)
 

@@ -16,7 +16,7 @@ collapsing utility.
 
 import numpy as np
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 
 from benchmarks.conftest import run_once
 
@@ -43,7 +43,7 @@ def test_ablation_early_overfitting_mitigations(benchmark, scale):
             )
             for name, knobs in grid.items()
         ]
-        return run_many(configs)
+        return Campaign(configs).run(jobs=1)
 
     results = run_once(benchmark, run)
 

@@ -11,7 +11,7 @@ lossy.
 
 import numpy as np
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 
 from benchmarks.conftest import run_once
 
@@ -38,7 +38,7 @@ def test_ablation_failure_injection(benchmark, scale):
             )
             for name, knobs in grid.items()
         ]
-        return run_many(configs)
+        return Campaign(configs).run(jobs=1)
 
     results = run_once(benchmark, run)
 

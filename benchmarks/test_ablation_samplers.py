@@ -10,7 +10,7 @@ is about dynamics per se, not an artifact of PeerSwap.
 
 import numpy as np
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 from repro.graph import mixing_time
 
 from benchmarks.conftest import run_once
@@ -32,7 +32,7 @@ def test_ablation_peer_samplers(benchmark, scale):
             )
             for name in samplers
         ]
-        return run_many(configs)
+        return Campaign(configs).run(jobs=1)
 
     results = run_once(benchmark, run)
 

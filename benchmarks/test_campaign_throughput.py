@@ -2,26 +2,28 @@
 
 Acceptance property of the session/campaign PR: a 4-study
 :class:`~repro.experiments.Campaign` run with a process pool on a
-machine with >= 2 CPUs beats the serial ``run_many`` loop wall-clock
-(the loop runs the same studies one after another in-process). Results
-must be bit-identical between the two paths — parallelism across
-studies, like parallelism within one, must never change numbers.
+machine with >= 2 usable CPUs beats the serial loop wall-clock
+(``Campaign.run(jobs=1)`` runs the same studies one after another
+in-process). Results must be bit-identical between the two paths —
+parallelism across studies, like parallelism within one, must never
+change numbers.
 
-Skipped on single-CPU machines, where process parallelism cannot win
-by construction (matching the sharded-executor gate). Wall clocks land
-in ``BENCH_engine.json`` under the ``campaign`` section.
+Skipped when the process may use only one CPU (its affinity mask, not
+``os.cpu_count()``), where process parallelism cannot win by
+construction (matching the sharded-executor gate). Wall clocks land in
+``BENCH_engine.json`` under the ``campaign`` section.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.study import StudyConfig
-from repro.experiments import Campaign, run_many
+from repro.experiments import Campaign
+from repro.gossip.shard import usable_cpus
 
 from benchmarks.conftest import print_series, run_once, update_bench_json
 
@@ -67,7 +69,7 @@ class TestCampaignThroughput:
         configs = [
             c.with_overrides(rounds=2, n_nodes=8) for c in _campaign_configs()
         ]
-        serial = run_many(configs)  # jobs=1, in-process
+        serial = Campaign(configs).run(jobs=1)  # in-process
         parallel = Campaign(configs).run(jobs=2)
         assert list(serial) == list(parallel)
         for name in serial:
@@ -84,17 +86,17 @@ class TestCampaignThroughput:
     def test_parallel_campaign_beats_serial_loop(self, benchmark):
         """The scale-out gate: N independent studies across >= 2
         processes finish faster than the same N in a serial loop."""
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
         if cpus < 2:
             pytest.skip(
                 f"campaign-vs-serial timing needs >= 2 CPUs; "
-                f"this machine has {cpus}"
+                f"this process may use {cpus}"
             )
         jobs = min(N_STUDIES, cpus)
         configs = _campaign_configs()
 
         start = time.perf_counter()
-        serial = run_many(configs)
+        serial = Campaign(configs).run(jobs=1)
         serial_time = time.perf_counter() - start
 
         campaign = Campaign(configs)
@@ -122,6 +124,6 @@ class TestCampaignThroughput:
         print(f"campaign speedup: {speedup:.1f}x ({jobs} jobs)")
         assert speedup > 1.0, (
             f"a {N_STUDIES}-study campaign with {jobs} jobs was not "
-            f"faster than the serial run_many loop "
+            f"faster than the serial loop "
             f"({speedup:.2f}x; required: > 1x)"
         )

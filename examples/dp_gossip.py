@@ -11,7 +11,7 @@ Run:  python examples/dp_gossip.py
 
 import os
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
 
@@ -34,7 +34,7 @@ def main() -> None:
         for eps in budgets
         for dynamic in (False, True)
     ]
-    results = run_many(configs)
+    results = Campaign(configs).run(jobs=1)
 
     print(f"{'run':<14} {'sigma':>7} {'spent_eps':>10} {'max_test':>9} "
           f"{'max_mia':>8}")

@@ -9,7 +9,7 @@ Run:  python examples/dynamic_topology_privacy.py
 
 import os
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
 
@@ -30,7 +30,7 @@ def main() -> None:
         for k in view_sizes
         for dynamic in (False, True)
     ]
-    results = run_many(configs)
+    results = Campaign(configs).run(jobs=1)
 
     print(f"{'setting':<14} {'max_test':>9} {'max_mia':>8} {'max_tpr':>8} "
           f"{'models/node':>12}")

@@ -11,7 +11,7 @@ Run:  python examples/robust_gossip.py
 
 import os
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
 
@@ -37,7 +37,7 @@ def main() -> None:
         )
         for name, knobs in grid.items()
     ]
-    results = run_many(configs)
+    results = Campaign(configs).run(jobs=1)
 
     print(f"{'scenario':<19} {'max_test':>9} {'final_mia':>10} "
           f"{'delivered':>10} {'dropped':>8} {'skipped':>8}")

@@ -11,7 +11,7 @@ Run:  python examples/samo_vs_base_gossip.py
 
 import os
 
-from repro.experiments import run_many, scaled_config
+from repro.experiments import Campaign, scaled_config
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
 
@@ -29,7 +29,7 @@ def main() -> None:
         )
         for protocol in ("base_gossip", "samo")
     ]
-    results = run_many(configs)
+    results = Campaign(configs).run(jobs=1)
 
     print(f"{'round':>5}", end="")
     for name in results:

@@ -78,7 +78,7 @@ def _add_study_parser(sub: argparse._SubParsersAction) -> None:
                    help="flat-arena storage dtype")
     p.add_argument("--eval-batch", type=int, default=0,
                    help="node models per blocked evaluation op "
-                        "(0 = all at once, -1 = legacy per-node loop)")
+                        "(0 = all at once)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot the session here after every round "
@@ -263,6 +263,8 @@ def _run_campaign(args: argparse.Namespace) -> int:
             return 2
         axes[key] = [_parse_axis_value(v) for v in values.split(",")]
     try:
+        if args.jobs < 0:
+            raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
         base = scaled_config(args.dataset, args.scale, **overrides)
         campaign = Campaign.from_grid(base, out_dir=args.out_dir, **axes)
     except ValueError as exc:
@@ -303,14 +305,22 @@ def _add_report_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments import load_result
-
     if not args.results and not args.trace:
         print("report needs result files and/or --trace FILE",
               file=sys.stderr)
         return 2
+    try:
+        _report(args)
+    except (OSError, ValueError) as exc:
+        # A missing or malformed input file: a usage error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _report(args: argparse.Namespace) -> None:
+    from repro.experiments import load_result
+
     for path in args.results:
         result = load_result(path)
         print(
@@ -337,14 +347,27 @@ def _run_report(args: argparse.Namespace) -> int:
                 f"{tel.get('spans_dropped', 0)} dropped"
             )
     if args.trace:
-        spans = []
-        with open(args.trace, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    spans.append(json.loads(line))
-        _print_span_tree(spans)
-    return 0
+        _print_span_tree(_load_spans(args.trace))
+
+
+def _load_spans(path: str) -> list[dict]:
+    """The span records of a ``--trace-out`` JSONL dump."""
+    import json
+
+    spans = []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                span = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            if not (isinstance(span, dict) and {"span_id", "name"} <= set(span)):
+                raise ValueError(f"{path}:{number}: not a span record")
+            spans.append(span)
+    return spans
 
 
 def _print_span_tree(spans: list[dict]) -> None:

@@ -10,18 +10,18 @@ non-members = its local test set), and aggregates Section 3.2 metrics
 into a :class:`~repro.metrics.records.RoundRecord`. When a canary set
 is present it additionally runs the targeted canary attack of RQ3.
 
-Observation runs on the **row-batch path** by default: node models are
-read as one ``(n_nodes, dim)`` matrix (``simulator.state_matrix()``,
-the live arena, zero-copy) and scored in blocked numpy ops by a
+Observation runs on the **row-batch path**: node models are read as
+one ``(n_nodes, dim)`` matrix (``simulator.state_matrix()``, the live
+arena, zero-copy) and scored in blocked numpy ops by a
 :class:`~repro.metrics.evaluation.BatchedEvaluator`, in the matrix
 dtype. When the simulator runs a sharded executor, observation rides
 the same shard workers: each scores its own arena rows in place
 (evaluation + MPE scoring never cross a pipe) and the parent merges the
-per-row results into reports. The legacy per-node loop (reload each
-state into the workspace model) is kept for architectures without a
-batched forward and for reference comparisons (``eval_batch=-1``); all
-paths consume the observer RNG in the same order, so they agree up to
-float-associativity tolerance.
+per-row results into reports. Both consume the observer RNG in the
+order of a per-node loop that reloads each state into the workspace
+model; that loop is the test suite's oracle
+(``tests/reference_observer.py``), and agrees with the row-batch path
+up to float-associativity tolerance.
 """
 
 from __future__ import annotations
@@ -34,23 +34,11 @@ import numpy as np
 from repro.data.canary import CanarySet
 from repro.data.datasets import Dataset
 from repro.gossip.engine import FlatGossipSimulator
-from repro.metrics.evaluation import (
-    BatchedEvaluator,
-    ModelEvaluation,
-    evaluate_model,
-    predict_proba,
-)
+from repro.metrics.evaluation import BatchedEvaluator, ModelEvaluation
 from repro.metrics.records import RoundRecord
-from repro.nn.batched import supports_batched_forward
 from repro.nn.flat import StateLayout
 from repro.nn.layers import Module
-from repro.nn.serialize import set_state
-from repro.privacy.mia import (
-    build_attack_data,
-    mia_reports_batched,
-    mpe_scores,
-    tpr_at_fpr,
-)
+from repro.privacy.mia import build_attack_data, mia_reports_batched, tpr_at_fpr
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["OmniscientObserver"]
@@ -62,11 +50,12 @@ class _AttackPlan:
 
     Drawn node by node in the exact RNG order of the per-node loop
     (train subsample, test subsample, then the balancing draws that
-    ``build_attack_data`` would make), so the batched, sharded and
-    per-node paths see identical attack sets. The subsample *index*
-    arrays (``None`` = whole split) are kept alongside the materialized
-    arrays: the sharded observer ships only the indices, since workers
-    hold the full attack arrays from ``observe_init``.
+    ``build_attack_data`` would make), so the batched and sharded
+    paths and that reference loop see identical attack sets. The
+    subsample *index* arrays (``None`` = whole split) are kept
+    alongside the materialized arrays: the sharded observer ships only
+    the indices, since workers hold the full attack arrays from
+    ``observe_init``.
     """
 
     x_train: np.ndarray
@@ -83,7 +72,7 @@ class OmniscientObserver:
     """Evaluates every node's model after each communication round.
 
     ``eval_batch`` bounds how many node models are scored per blocked
-    kernel (0 = all at once; -1 forces the legacy per-node loop).
+    kernel (0 = all at once).
     """
 
     def __init__(
@@ -101,8 +90,8 @@ class OmniscientObserver:
     ):
         if canaries is not None and canary_base is None:
             raise ValueError("canary evaluation needs the base training split")
-        if eval_batch < -1:
-            raise ValueError("eval_batch must be >= -1")
+        if eval_batch < 0:
+            raise ValueError("eval_batch must be >= 0")
         self.model = model
         self.canaries = canaries
         self.canary_base = canary_base
@@ -122,7 +111,6 @@ class OmniscientObserver:
         self.x_global = global_test.x[idx]
         self.y_global = global_test.y[idx]
         self._epsilon_fn = None
-        self._batched = eval_batch >= 0 and supports_batched_forward(model)
         self._layout: StateLayout | None = None
         self._evaluator: BatchedEvaluator | None = None
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -170,17 +158,11 @@ class OmniscientObserver:
         # One state-matrix read serves evaluation, canary attack and
         # spread.
         params = simulator.state_matrix(self._get_layout())
-        if self._batched:
-            sharded = self._sharded_executor(simulator)
-            if sharded is not None:
-                evaluations = self._evaluate_all_sharded(simulator, sharded)
-            else:
-                evaluations = self._evaluate_all_batched(simulator, params)
+        sharded = self._sharded_executor(simulator)
+        if sharded is not None:
+            evaluations = self._evaluate_all_sharded(simulator, sharded)
         else:
-            evaluations = [
-                self._evaluate_node(simulator, node_id)
-                for node_id in range(simulator.config.n_nodes)
-            ]
+            evaluations = self._evaluate_all_batched(simulator, params)
         if self.keep_node_records:
             self.node_records.append(evaluations)
         canary_tpr = (
@@ -223,9 +205,7 @@ class OmniscientObserver:
 
     # -- internals ------------------------------------------------------
 
-    def _get_layout(self) -> StateLayout | None:
-        if not self._batched:
-            return None
+    def _get_layout(self) -> StateLayout:
         if self._layout is None:
             self._layout = StateLayout.from_model(self.model)
         return self._layout
@@ -242,20 +222,14 @@ class OmniscientObserver:
             self._evaluator = BatchedEvaluator(
                 self.model,
                 layout=self._get_layout(),
-                eval_batch=max(self.eval_batch, 0),
+                eval_batch=self.eval_batch,
             )
         return self._evaluator
 
-    def _subsample(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if x.shape[0] <= self.max_attack_samples:
-            return x, y
-        idx = self.rng.choice(x.shape[0], size=self.max_attack_samples, replace=False)
-        return x[idx], y[idx]
-
     def _subsample_idx(self, n: int) -> np.ndarray | None:
-        """Index form of :meth:`_subsample` (same RNG consumption)."""
+        """Attack-set subsample of a split of ``n`` samples: None (the
+        whole split) within ``max_attack_samples``, else one draw of
+        that many indices without replacement."""
         if n <= self.max_attack_samples:
             return None
         return self.rng.choice(n, size=self.max_attack_samples, replace=False)
@@ -339,7 +313,7 @@ class OmniscientObserver:
                     )
                     for node_id, node in enumerate(simulator.nodes)
                 },
-                eval_batch=max(self.eval_batch, 0),
+                eval_batch=self.eval_batch,
             )
         raw = executor.observe(
             {
@@ -405,60 +379,18 @@ class OmniscientObserver:
             for node_id, report in enumerate(reports)
         ]
 
-    def _evaluate_node(
-        self, simulator: FlatGossipSimulator, node_id: int
-    ) -> ModelEvaluation:
-        node = simulator.nodes[node_id]
-        set_state(self.model, node.state)
-        x_tr, y_tr = self._subsample(node.train_x, node.train_y)
-        x_te, y_te = self._subsample(node.test_x, node.test_y)
-        return evaluate_model(
-            self.model,
-            node_id,
-            self.x_global,
-            self.y_global,
-            x_tr,
-            y_tr,
-            x_te,
-            y_te,
-            rng=self.rng,
-        )
-
     def _canary_attack(
-        self, simulator: FlatGossipSimulator, params: np.ndarray | None = None
+        self, simulator: FlatGossipSimulator, params: np.ndarray
     ) -> float:
         """Targeted entropy attack on the known canary set (RQ3).
 
         Member canaries are scored against the model of the node that
         trained on them; held-out canaries against the model of their
-        assigned node. Scores are pooled into one ROC. On the batched
-        path, all (node, canary-set) pairs are scored as one row-batch
-        over the state matrix.
+        assigned node. Scores are pooled into one ROC. All (node,
+        canary-set) pairs are scored as one row-batch over the state
+        matrix.
         """
         assert self.canaries is not None and self.canary_base is not None
-        if self._batched:
-            if params is None:
-                params = simulator.state_matrix(self._get_layout())
-            return self._canary_attack_batched(simulator, params)
-        member_scores: list[np.ndarray] = []
-        holdout_scores: list[np.ndarray] = []
-        for node_id in range(simulator.config.n_nodes):
-            members = self.canaries.members_for_node(node_id)
-            holdouts = self.canaries.holdouts_for_node(node_id)
-            if members.size == 0 and holdouts.size == 0:
-                continue
-            set_state(self.model, simulator.nodes[node_id].state)
-            for indices, bucket in ((members, member_scores), (holdouts, holdout_scores)):
-                if indices.size == 0:
-                    continue
-                probs = predict_proba(self.model, self.canary_base.x[indices])
-                labels = self.canary_base.y[indices]
-                bucket.append(mpe_scores(probs, labels))
-        return self._pool_canary_scores(member_scores, holdout_scores)
-
-    def _canary_attack_batched(
-        self, simulator: FlatGossipSimulator, params: np.ndarray
-    ) -> float:
         rows: list[int] = []
         xs: list[np.ndarray] = []
         ys: list[np.ndarray] = []

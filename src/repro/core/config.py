@@ -152,10 +152,10 @@ class StudyConfig:
     delay_ticks: int = field(default=0, metadata=_TOPOLOGY)
     delay_jitter: int = field(default=0, metadata=_TOPOLOGY)
     # Execution (DESIGN.md "Flat-state execution engine"): executor
-    # "serial"/"batched"/"sharded"; n_shards 0 = one per CPU (capped at
-    # n_nodes); shard_partition contiguous/balanced; train_batch and
-    # eval_batch 0 = all rows at once, N = blocks of N rows; eval_batch
-    # -1 = per-node loop.
+    # "serial"/"batched"/"sharded"; n_shards 0 = one per usable CPU
+    # (capped at n_nodes); shard_partition contiguous/balanced;
+    # train_batch and eval_batch 0 = all rows at once, N = blocks of N
+    # rows.
     executor: str = field(default="serial", metadata=_EXECUTION)
     n_shards: int = field(default=0, metadata=_EXECUTION)
     shard_partition: str = field(default="contiguous", metadata=_EXECUTION)
@@ -257,8 +257,12 @@ class StudyConfig:
             )
         if self.train_batch < 0:
             raise ValueError("train_batch must be >= 0")
-        if self.eval_batch < -1:
-            raise ValueError("eval_batch must be >= -1")
+        if self.eval_batch < 0:
+            raise ValueError(
+                f"eval_batch must be >= 0, got {self.eval_batch}; -1 "
+                "selected the removed per-node observer loop, whose "
+                "results are not bitwise those of the row-batch observer"
+            )
         if self.arena_dtype not in ("float32", "float64"):
             raise ValueError("arena_dtype must be 'float32' or 'float64'")
         if self.max_global_test <= 0 or self.max_attack_samples <= 0:

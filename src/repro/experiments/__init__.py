@@ -13,7 +13,7 @@ from repro.experiments.configs import (
     table2_rows,
     dataset_model_summary,
 )
-from repro.experiments.runner import Campaign, run_experiment, run_many
+from repro.experiments.runner import Campaign
 from repro.experiments.io import (
     save_result,
     load_result,
@@ -29,8 +29,6 @@ __all__ = [
     "table2_rows",
     "dataset_model_summary",
     "Campaign",
-    "run_experiment",
-    "run_many",
     "save_result",
     "load_result",
     "result_to_csv",

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.study import StudyConfig
+from repro.core.study import run_study
 from repro.experiments.configs import scaled_config
-from repro.experiments.runner import run_experiment
 from repro.graph.mixing import simulate_lambda2_decay
 from repro.metrics.records import RunResult
 
@@ -72,7 +71,7 @@ def figure2(
                 dynamic=False,
                 seed=seed,
             )
-            per_protocol[protocol] = tradeoff_series(run_experiment(config))
+            per_protocol[protocol] = tradeoff_series(run_study(config))
         out["datasets"][dataset] = per_protocol
     return out
 
@@ -97,7 +96,7 @@ def figure3(
                 dynamic=dynamic,
                 seed=seed,
             )
-            per_setting[setting] = tradeoff_series(run_experiment(config))
+            per_setting[setting] = tradeoff_series(run_study(config))
         out["datasets"][dataset] = per_setting
     return out
 
@@ -134,7 +133,7 @@ def figure4(
                     n_canaries=n_canaries,
                     seed=seed + 1000 * run_id,
                 )
-                result = run_experiment(config)
+                result = run_study(config)
                 runs.append(result.series("canary_tpr_at_1_fpr"))
             stacked = np.vstack(runs)
             per_setting[setting] = {
@@ -176,7 +175,7 @@ def figure5(
                 dynamic=dynamic,
                 seed=seed,
             )
-            result = run_experiment(config)
+            result = run_study(config)
             rows.append(
                 {
                     "view_size": k,
@@ -214,7 +213,7 @@ def figure6(
                 seed=seed,
             )
             out["series"][f"{label}-{setting}"] = tradeoff_series(
-                run_experiment(config)
+                run_study(config)
             )
     return out
 
@@ -239,7 +238,7 @@ def figure7(
                 dynamic=dynamic,
                 seed=seed,
             )
-            series = tradeoff_series(run_experiment(config))
+            series = tradeoff_series(run_study(config))
             per_setting[setting] = {
                 "generalization_error": series["generalization_error"],
                 "mia_accuracy": series["mia_accuracy"],
@@ -266,7 +265,7 @@ def figure8(
             dynamic=dynamic,
             seed=seed,
         )
-        result = run_experiment(config)
+        result = run_study(config)
         out["settings"][setting] = {
             "rounds": np.arange(len(result.rounds)),
             "mia_accuracy": result.series("mia_accuracy"),
@@ -304,7 +303,7 @@ def figure9(
                 dp_epsilon=epsilon,
                 seed=seed,
             )
-            result = run_experiment(config)
+            result = run_study(config)
             out["rows"].append(
                 {
                     "epsilon": epsilon,

@@ -15,8 +15,6 @@ A :class:`Campaign` is an ordered set of uniquely-named
   ``<name>.json`` immediately; a re-run loads finished studies from
   disk and only executes the missing ones, so an interrupted campaign
   continues where it stopped.
-
-:func:`run_many` stays as the serial compat wrapper.
 """
 
 from __future__ import annotations
@@ -28,13 +26,14 @@ from time import perf_counter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.core.config import config_hash
 from repro.core.study import StudyConfig, run_study
 from repro.experiments.io import load_result, save_result
-from repro.gossip.shard import auto_shard_count
+from repro.gossip.shard import auto_shard_count, usable_cpus
 from repro.metrics.records import RunResult
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-__all__ = ["Campaign", "run_experiment", "run_many"]
+__all__ = ["Campaign"]
 
 
 def _study_process_demand(config: StudyConfig) -> int:
@@ -55,6 +54,17 @@ def _run_study_timed(
     started = perf_counter()
     result = run_study(config)
     return result, started - submitted_ts, perf_counter() - started
+
+
+def _same_config(stored, config: StudyConfig) -> bool:
+    """Whether a manifest entry describes ``config``. Entries compare by
+    ``config_hash``, so one written in an older spelling (the removed
+    ``engine``/``n_workers`` keys) still matches; an entry this build no
+    longer loads counts as different."""
+    try:
+        return config_hash(stored) == config.config_hash()
+    except ValueError:
+        return False
 
 
 def _axis_values(name: str, values) -> list:
@@ -201,7 +211,7 @@ class Campaign:
             manifest = json.loads(self.manifest_path.read_text())
         for config in self.configs:
             stored = manifest.get(config.name)
-            if stored is not None and stored != config.to_dict():
+            if stored is not None and not _same_config(stored, config):
                 raise ValueError(
                     f"out_dir {self.out_dir} holds results for a different "
                     f"configuration of {config.name!r} (see "
@@ -244,7 +254,7 @@ class Campaign:
         configs = self.configs if configs is None else configs
         if not configs:
             return 1
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
         demand = max(_study_process_demand(config) for config in configs)
         return max(1, min(len(configs), cpus // max(1, demand)))
 
@@ -253,12 +263,11 @@ class Campaign:
         keyed by config name, in config order.
 
         ``jobs`` is the number of studies in flight at once: 1 runs
-        them serially in-process (the exact ``run_many`` code path),
-        ``None`` picks :meth:`default_jobs`. Each finished study is
-        persisted to ``out_dir`` immediately (atomic writes), so a
-        killed campaign loses at most the studies that were mid-run;
-        the directory's manifest rejects a resume under a changed base
-        config instead of serving stale results.
+        them serially in-process, ``None`` picks :meth:`default_jobs`.
+        Each finished study is persisted to ``out_dir`` immediately
+        (atomic writes), so a killed campaign loses at most the studies
+        that were mid-run; the directory's manifest rejects a resume
+        under a changed base config instead of serving stale results.
         """
         self._check_and_write_manifest()
         results = self._load_completed()
@@ -335,25 +344,3 @@ class Campaign:
                 if first_error is not None:
                     raise first_error
         return {config.name: results[config.name] for config in self.configs}
-
-
-def run_experiment(config: StudyConfig) -> RunResult:
-    """Run one configured study (alias of :func:`repro.core.run_study`)."""
-    return run_study(config)
-
-
-def run_many(
-    configs: list[StudyConfig],
-    jobs: int = 1,
-    out_dir: str | Path | None = None,
-) -> dict[str, RunResult]:
-    """Run several studies and key results by config name.
-
-    Compat wrapper over :class:`Campaign`; the default ``jobs=1``
-    preserves the historical serial in-process behavior bit for bit
-    (including the empty-list case, which returns ``{}``).
-    Names must be unique — figures rely on them as series labels.
-    """
-    if not configs:
-        return {}
-    return Campaign(configs, out_dir=out_dir).run(jobs=jobs)

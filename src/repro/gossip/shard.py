@@ -53,7 +53,12 @@ from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
 from repro.telemetry import Registry, Telemetry
 
-__all__ = ["RowPartitioner", "ShardedExecutor", "auto_shard_count"]
+__all__ = [
+    "RowPartitioner",
+    "ShardedExecutor",
+    "auto_shard_count",
+    "usable_cpus",
+]
 
 # Cap on the automatic (n_shards=0) worker count.
 _MAX_AUTO_SHARDS = 8
@@ -131,10 +136,19 @@ class RowPartitioner:
         return [np.asarray(sorted(rows), dtype=np.intp) for rows in shards]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform exposes one (``taskset`` and container CPU sets shrink it
+    below ``os.cpu_count()``), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def auto_shard_count(n_shards: int, n_rows: int) -> int:
     """Shard workers one sharded run starts: ``n_shards``, or one per
-    CPU (capped) when 0, clamped to the arena's row count."""
-    requested = n_shards or min(os.cpu_count() or 1, _MAX_AUTO_SHARDS)
+    usable CPU (capped) when 0, clamped to the arena's row count."""
+    requested = n_shards or min(usable_cpus(), _MAX_AUTO_SHARDS)
     return max(1, min(requested, n_rows))
 
 

@@ -4,7 +4,6 @@ from repro.metrics.evaluation import (
     accuracy,
     predict_proba,
     generalization_error,
-    evaluate_model,
     BatchedEvaluator,
     ModelEvaluation,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "accuracy",
     "predict_proba",
     "generalization_error",
-    "evaluate_model",
     "BatchedEvaluator",
     "ModelEvaluation",
     "RoundRecord",

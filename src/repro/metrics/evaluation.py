@@ -6,15 +6,15 @@ local-test accuracy (Equation 8).
 
 Two evaluation paths share these formulas:
 
-* the **per-model path** (:func:`predict_proba`, :func:`accuracy`,
-  :func:`evaluate_model`) loads one model into a workspace
-  :class:`~repro.nn.layers.Module` and scores it — the reference
-  implementation, and the fallback for architectures without a batched
-  forward;
+* the **per-model helpers** (:func:`predict_proba`, :func:`accuracy`)
+  score one model loaded into a workspace
+  :class:`~repro.nn.layers.Module` — for attacks on one model, and as
+  the tests' reference;
 * the **row-batch path** (:class:`BatchedEvaluator`) scores a
   ``(B, dim)`` block of flat parameter vectors (arena rows, addressed
   by a :class:`~repro.nn.flat.StateLayout`) in blocked numpy ops
-  without touching a workspace model.
+  without touching a workspace model. The observer scores every node
+  this way.
 
 Dtype contract: both paths keep the math in the model's parameter
 dtype — inputs are cast to it, so float32 states are scored in float32
@@ -39,7 +39,6 @@ __all__ = [
     "accuracy",
     "generalization_error",
     "ModelEvaluation",
-    "evaluate_model",
     "BatchedEvaluator",
     "row_block",
 ]
@@ -113,46 +112,6 @@ class ModelEvaluation:
         return self.local_train_accuracy - self.local_test_accuracy
 
 
-def evaluate_model(
-    model: Module,
-    node_id: int,
-    x_global_test: np.ndarray,
-    y_global_test: np.ndarray,
-    x_local_train: np.ndarray,
-    y_local_train: np.ndarray,
-    x_local_test: np.ndarray,
-    y_local_test: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> ModelEvaluation:
-    """Evaluate utility and MIA vulnerability of one node's model.
-
-    The attack set is built from the node's local train (members) and
-    local test (non-members) MPE scores, balanced as in the paper.
-    """
-    from repro.privacy.mia import build_attack_data, mia_report, mpe_scores
-
-    probs_train = predict_proba(model, x_local_train)
-    probs_test = predict_proba(model, x_local_test)
-    member_scores = mpe_scores(probs_train, y_local_train)
-    nonmember_scores = mpe_scores(probs_test, y_local_test)
-    data = build_attack_data(member_scores, nonmember_scores, rng=rng)
-    report = mia_report(data)
-    probs_global = predict_proba(model, x_global_test)
-    return ModelEvaluation(
-        node_id=node_id,
-        global_test_accuracy=float(
-            (probs_global.argmax(axis=1) == y_global_test).mean()
-        ),
-        local_train_accuracy=float(
-            (probs_train.argmax(axis=1) == y_local_train).mean()
-        ),
-        local_test_accuracy=float((probs_test.argmax(axis=1) == y_local_test).mean()),
-        mia_accuracy=report.accuracy,
-        mia_tpr_at_1_fpr=report.tpr_at_1_fpr,
-        mia_auc=report.auc,
-    )
-
-
 def row_block(params: np.ndarray, rows: list[int]) -> np.ndarray:
     """``params[rows]`` as the slice view ``params[lo:hi]`` when ``rows``
     is one ascending range; a gather copy only for scattered rows."""
@@ -166,8 +125,8 @@ class BatchedEvaluator:
     """Scores many flat parameter vectors against eval data at once.
 
     ``params`` arguments are ``(B, dim)`` blocks whose rows follow the
-    evaluator's :class:`~repro.nn.flat.StateLayout` — arena rows under
-    the flat engine, packed dict states under the legacy one. Work is
+    evaluator's :class:`~repro.nn.flat.StateLayout` — arena rows, or
+    packed dict states. Work is
     blocked along both axes to bound memory: at most ``eval_batch``
     model rows (0 = all at once) and ``batch_size`` samples per kernel.
 
@@ -191,7 +150,7 @@ class BatchedEvaluator:
         if not supports_batched_forward(model):
             raise ValueError(
                 f"model {type(model).__name__} contains layers without a "
-                "batched forward; use the per-model path instead"
+                "batched forward"
             )
         self.model = model
         self.layout = layout if layout is not None else StateLayout.from_model(model)

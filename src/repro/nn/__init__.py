@@ -13,10 +13,6 @@ from repro.nn.layers import (
     ReLU,
     Conv2d,
     MaxPool2d,
-    AvgPool2d,
-    LeakyReLU,
-    Sigmoid,
-    Tanh,
     GlobalAvgPool2d,
     BatchNorm2d,
     Flatten,
@@ -25,8 +21,8 @@ from repro.nn.layers import (
     Residual,
     Identity,
 )
-from repro.nn.loss import CrossEntropyLoss, MSELoss, batched_cross_entropy_grad
-from repro.nn.optim import SGD, BatchedSGD, StepLR, ConstantLR
+from repro.nn.loss import CrossEntropyLoss, batched_cross_entropy_grad
+from repro.nn.optim import SGD, BatchedSGD
 from repro.nn.models import build_cnn, build_resnet8, build_mlp, build_model
 from repro.nn.batched import (
     BatchedModel,
@@ -51,10 +47,6 @@ __all__ = [
     "ReLU",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "GlobalAvgPool2d",
     "BatchNorm2d",
     "Flatten",
@@ -63,12 +55,9 @@ __all__ = [
     "Residual",
     "Identity",
     "CrossEntropyLoss",
-    "MSELoss",
     "batched_cross_entropy_grad",
     "SGD",
     "BatchedSGD",
-    "StepLR",
-    "ConstantLR",
     "build_cnn",
     "build_resnet8",
     "build_mlp",

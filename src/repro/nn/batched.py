@@ -1,13 +1,12 @@
 """Batched multi-model forward (and train-mode forward/backward).
 
-The observer's hot loop evaluates *every* node's model against the same
-eval split each round. Reloading one dict-``State`` at a time into a
-workspace :class:`~repro.nn.layers.Module` makes that O(n_nodes) Python
-overhead per round; this module instead takes a ``(B, dim)`` block of
-flat parameter vectors (rows of a
+The observer evaluates *every* node's model against the same eval split
+each round, and every local update trains one or more arena rows. This
+module takes a ``(B, dim)`` block of flat parameter vectors (rows of a
 :class:`~repro.gossip.engine.StateArena`, addressed by a
 :class:`~repro.nn.flat.StateLayout`) and pushes all B models through
-the network together in blocked numpy ops.
+the network together in blocked numpy ops, with no per-model reload
+into a workspace :class:`~repro.nn.layers.Module`.
 
 Contracts:
 
@@ -27,8 +26,8 @@ Contracts:
   is computed once for all B models).
 
 Supported layers are the ones the Table-2 model families use (Dense,
-Conv2d, BatchNorm2d, the poolings, the elementwise activations,
-Flatten, Dropout, Sequential, Residual, Identity); use
+Conv2d, BatchNorm2d, MaxPool2d, GlobalAvgPool2d, ReLU, Flatten,
+Dropout, Sequential, Residual, Identity); use
 :func:`supports_batched_forward` to test a model before relying on
 :func:`batched_forward`.
 
@@ -54,7 +53,6 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.flat import StateLayout
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dense,
@@ -62,14 +60,11 @@ from repro.nn.layers import (
     Flatten,
     GlobalAvgPool2d,
     Identity,
-    LeakyReLU,
     MaxPool2d,
     Module,
     ReLU,
     Residual,
     Sequential,
-    Sigmoid,
-    Tanh,
     stream_dropout_layers,
 )
 
@@ -85,12 +80,8 @@ _LEAF_TYPES = (
     Conv2d,
     BatchNorm2d,
     MaxPool2d,
-    AvgPool2d,
     GlobalAvgPool2d,
     ReLU,
-    LeakyReLU,
-    Sigmoid,
-    Tanh,
     Flatten,
     Dropout,
     Identity,
@@ -196,18 +187,10 @@ def _forward(
         return _batchnorm2d(module, prefix, block, x, shared), False
     if isinstance(module, MaxPool2d):
         return _maxpool(module.kernel_size, x), shared
-    if isinstance(module, AvgPool2d):
-        return _avgpool(module.kernel_size, x), shared
     if isinstance(module, GlobalAvgPool2d):
         return x.mean(axis=(-2, -1)), shared
     if isinstance(module, ReLU):
         return np.maximum(x, 0.0), shared
-    if isinstance(module, LeakyReLU):
-        return np.where(x > 0, x, module.slope * x), shared
-    if isinstance(module, Sigmoid):
-        return _sigmoid(x), shared
-    if isinstance(module, Tanh):
-        return np.tanh(x), shared
     if isinstance(module, Flatten):
         lead = x.shape[:1] if shared else x.shape[:2]
         return x.reshape(lead + (-1,)), shared
@@ -288,26 +271,6 @@ def _maxpool(kernel: int, x: np.ndarray) -> np.ndarray:
     lead = x.shape[:-2]
     windows = x.reshape(lead + (h // kernel, kernel, w // kernel, kernel))
     return windows.max(axis=(-3, -1))
-
-
-def _avgpool(kernel: int, x: np.ndarray) -> np.ndarray:
-    h, w = x.shape[-2:]
-    if h % kernel or w % kernel:
-        raise ValueError(
-            f"AvgPool2d requires H and W divisible by {kernel}, got {x.shape}"
-        )
-    lead = x.shape[:-2]
-    windows = x.reshape(lead + (h // kernel, kernel, w // kernel, kernel))
-    return windows.mean(axis=(-3, -1))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -444,32 +407,12 @@ class BatchedModel:
                 x.shape,
             )
             return out
-        if isinstance(module, AvgPool2d):
-            b, n, c, h, w = x.shape
-            k = module.kernel_size
-            if h % k or w % k:
-                raise ValueError(
-                    f"AvgPool2d requires H and W divisible by {k}, got {x.shape}"
-                )
-            self._cache[prefix] = x.shape
-            return x.reshape(b, n, c, h // k, k, w // k, k).mean(axis=(4, 6))
         if isinstance(module, GlobalAvgPool2d):
             self._cache[prefix] = x.shape
             return x.mean(axis=(3, 4))
         if isinstance(module, ReLU):
             self._cache[prefix] = x
             return F.relu(x)
-        if isinstance(module, LeakyReLU):
-            self._cache[prefix] = x
-            return np.where(x > 0, x, module.slope * x)
-        if isinstance(module, Sigmoid):
-            out = _sigmoid(x)
-            self._cache[prefix] = out
-            return out
-        if isinstance(module, Tanh):
-            out = np.tanh(x)
-            self._cache[prefix] = out
-            return out
         if isinstance(module, Flatten):
             self._cache[prefix] = x.shape
             return x.reshape(x.shape[0], x.shape[1], -1)
@@ -597,15 +540,6 @@ class BatchedModel:
             counts = mask.sum(axis=(4, 6), keepdims=True).astype(grad.dtype)
             expanded = grad[:, :, :, :, None, :, None] * mask / counts
             return expanded.reshape(x_shape)
-        if isinstance(module, AvgPool2d):
-            x_shape = self._cache[prefix]
-            b, n, c, h, w = x_shape
-            k = module.kernel_size
-            expanded = np.broadcast_to(
-                grad[:, :, :, :, None, :, None] * (1.0 / (k * k)),
-                (b, n, c, h // k, k, w // k, k),
-            )
-            return expanded.reshape(x_shape).copy()
         if isinstance(module, GlobalAvgPool2d):
             x_shape = self._cache[prefix]
             b, n, c, h, w = x_shape
@@ -614,15 +548,6 @@ class BatchedModel:
             ).copy()
         if isinstance(module, ReLU):
             return grad * F.relu_grad(self._cache[prefix])
-        if isinstance(module, LeakyReLU):
-            x = self._cache[prefix]
-            return grad * np.where(x > 0, 1.0, module.slope)
-        if isinstance(module, Sigmoid):
-            out = self._cache[prefix]
-            return grad * out * (1.0 - out)
-        if isinstance(module, Tanh):
-            out = self._cache[prefix]
-            return grad * (1.0 - out**2)
         if isinstance(module, Flatten):
             return grad.reshape(self._cache[prefix])
         if isinstance(module, Dropout):

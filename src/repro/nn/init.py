@@ -1,65 +1,31 @@
-"""Weight initialization schemes.
+"""Weight initialization.
 
 The paper initializes every node's model with the Kaiming normal
 function (He et al., 2015); all nodes share the same initial model, so
-initializers take an explicit ``rng`` to make that reproducible.
+the initializer takes an explicit ``rng`` to make that reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "kaiming_normal",
-    "kaiming_uniform",
-    "xavier_normal",
-    "xavier_uniform",
-    "zeros",
-]
+__all__ = ["kaiming_normal"]
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    """Compute (fan_in, fan_out) for dense and convolutional weights.
+def _fan_in(shape: tuple[int, ...]) -> int:
+    """Fan-in of dense and convolutional weights.
 
     Dense weights are ``(in, out)``; convolution weights are
     ``(out_channels, in_channels, k, k)``.
     """
     if len(shape) == 2:
-        return shape[0], shape[1]
+        return shape[0]
     if len(shape) == 4:
-        receptive = shape[2] * shape[3]
-        return shape[1] * receptive, shape[0] * receptive
+        return shape[1] * shape[2] * shape[3]
     raise ValueError(f"unsupported weight shape {shape}")
 
 
 def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He-normal initialization: N(0, sqrt(2 / fan_in))."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / fan_in)
+    std = np.sqrt(2.0 / _fan_in(shape))
     return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He-uniform initialization: U(-b, b) with b = sqrt(6 / fan_in)."""
-    fan_in, _ = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-normal initialization: N(0, sqrt(2 / (fan_in + fan_out)))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """All-zero array (bias initialization)."""
-    return np.zeros(shape, dtype=np.float64)

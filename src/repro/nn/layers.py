@@ -23,11 +23,7 @@ __all__ = [
     "ReLU",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "BatchNorm2d",
     "Flatten",
     "Dropout",
@@ -360,101 +356,6 @@ class MaxPool2d(Module):
             grad_out[:, :, :, None, :, None] * self._mask / counts
         )
         return expanded.reshape(n, c, h, w)
-
-
-class AvgPool2d(Module):
-    """Average pooling with ``kernel == stride`` (non-overlapping)."""
-
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(
-                f"AvgPool2d requires H and W divisible by {k}, got {x.shape}"
-            )
-        self._x_shape = x.shape
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        k = self.kernel_size
-        scale = 1.0 / (k * k)
-        expanded = np.broadcast_to(
-            grad_out[:, :, :, None, :, None] * scale,
-            (n, c, h // k, k, w // k, k),
-        )
-        return expanded.reshape(n, c, h, w).copy()
-
-
-class LeakyReLU(Module):
-    """Leaky rectified linear unit: x if x > 0 else slope * x."""
-
-    def __init__(self, slope: float = 0.01):
-        super().__init__()
-        if slope < 0:
-            raise ValueError("slope must be non-negative")
-        self.slope = slope
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return np.where(x > 0, x, self.slope * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * np.where(self._x > 0, 1.0, self.slope)
-
-
-class Sigmoid(Module):
-    """Logistic activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # Numerically stable piecewise evaluation, in the input's
-        # floating dtype (float32 activations stay float32).
-        x = np.asarray(x)
-        if not np.issubdtype(x.dtype, np.floating):
-            x = x.astype(np.float64)
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._out = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._out * (1.0 - self._out)
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._out**2)
 
 
 class GlobalAvgPool2d(Module):

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.nn import functional as F
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "batched_cross_entropy_grad"]
+__all__ = ["CrossEntropyLoss", "batched_cross_entropy_grad"]
 
 
 class CrossEntropyLoss:
@@ -53,34 +53,6 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
-
-
-class MSELoss:
-    """Mean squared error over arbitrary-shape predictions."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred = np.asarray(pred)
-        target = np.asarray(target)
-        if pred.shape != target.shape:
-            raise ValueError(
-                f"shape mismatch: pred {pred.shape} vs target {target.shape}"
-            )
-        # Promote only non-float inputs; float32 pairs stay float32.
-        if not np.issubdtype(np.result_type(pred, target), np.floating):
-            pred = pred.astype(np.float64)
-        self._diff = pred - target
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(pred, target)
 
 
 def batched_cross_entropy_grad(

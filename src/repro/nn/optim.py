@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers.
 
 Only SGD variants are needed: Table 2 of the paper trains every model
 with SGD, momentum in {0, 0.9} and weight decay 5e-4.
@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn.tensor import Parameter
 
-__all__ = ["SGD", "BatchedSGD", "ConstantLR", "StepLR"]
+__all__ = ["SGD", "BatchedSGD"]
 
 
 class SGD:
@@ -149,30 +149,3 @@ class BatchedSGD:
     def reset_state(self) -> None:
         """Drop momentum buffers (fresh velocity per local session)."""
         self._velocity.clear()
-
-
-class ConstantLR:
-    """Schedule that keeps the learning rate fixed."""
-
-    def __init__(self, optimizer: SGD):
-        self.optimizer = optimizer
-
-    def step(self) -> None:
-        pass
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` calls."""
-
-    def __init__(self, optimizer: SGD, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._count = 0
-
-    def step(self) -> None:
-        self._count += 1
-        if self._count % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core import OmniscientObserver, Study, StudyConfig
 
+from reference_observer import use_reference_observer
+
 
 def build_study(**overrides):
     base = dict(
@@ -78,17 +80,16 @@ class TestObserver:
 
     def test_subsampling_caps_attack_set(self):
         study = build_study(max_attack_samples=8)
-        x, y = study.observer._subsample(
-            np.zeros((100, 4)), np.zeros(100, dtype=int)
-        )
-        assert x.shape[0] == 8
+        idx = study.observer._subsample_idx(100)
+        assert idx.shape == (8,)
+        assert np.unique(idx).size == 8 and idx.max() < 100
 
     def test_subsampling_noop_when_small(self):
         study = build_study(max_attack_samples=200)
-        x, y = study.observer._subsample(
-            np.zeros((10, 4)), np.zeros(10, dtype=int)
-        )
-        assert x.shape[0] == 10
+        state = study.observer.rng.bit_generator.state
+        assert study.observer._subsample_idx(10) is None
+        # The whole split is taken without a draw.
+        assert study.observer.rng.bit_generator.state == state
 
 
 class TestModelSpread:
@@ -172,11 +173,13 @@ class TestNodeRecords:
 
 
 class TestBatchedObservation:
-    """The row-batch observation path vs the legacy per-node loop."""
+    """The row-batch observation path vs the per-node loop of
+    ``tests/reference_observer.py``."""
 
     def _pair(self, **overrides):
         batched = build_study(**overrides)
-        legacy = build_study(eval_batch=-1, **overrides)
+        legacy = build_study(**overrides)
+        use_reference_observer(legacy)
         batched.run()
         legacy.run()
         return batched.observer.records, legacy.observer.records
@@ -223,16 +226,16 @@ class TestBatchedObservation:
 
     def test_eval_batch_blocking_changes_nothing(self):
         full = build_study(rounds=1)
-        blocked = build_study(rounds=1, eval_batch=2)
         full.run()
-        blocked.run()
-        self._assert_equivalent(
-            full.observer.records, blocked.observer.records, tol=1e-12
-        )
+        blocked, legacy = self._pair(rounds=1, eval_batch=2)
+        self._assert_equivalent(full.observer.records, blocked, tol=1e-12)
+        self._assert_equivalent(blocked, legacy, tol=1e-9)
 
     def test_eval_batch_validation(self):
         with pytest.raises(ValueError):
             build_study(eval_batch=-2)
+        with pytest.raises(ValueError, match="per-node observer loop"):
+            build_study(eval_batch=-1)
 
 
 class TestShardedObservation:

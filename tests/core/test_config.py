@@ -237,6 +237,7 @@ class TestValidation:
             dict(dp_epsilon=-1.0),
             dict(dp_delta=0.0),
             dict(n_canaries=-1),
+            dict(eval_batch=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

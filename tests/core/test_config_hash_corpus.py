@@ -229,9 +229,10 @@ CHANGED: dict[str, str] = {
         "trainer; no kernel reproduces them, so loading is rejected"
     ),
     "escape-hatches": (
-        "train_batch -1 selected the removed per-row trainer; it loads "
-        "as 1 (one row per blocked call), which gives the same float64 "
-        "bits, so its config_hash is that of the upgraded payload"
+        "eval_batch -1 selected the removed per-node observer loop, which "
+        "agrees with the row-batch observer only to ~1e-9, not bit for "
+        "bit; loading it as 0 would serve per-node results under the "
+        "eval_batch 0 hash, so loading is rejected"
     ),
 }
 
@@ -304,14 +305,27 @@ def test_dropout_legacy_is_rejected():
             config_hash(payload)
 
 
-def test_escape_hatches_load_as_one_row_blocks():
+def test_escape_hatches_are_rejected():
     entry = CORPUS["escape-hatches"]
-    upgraded = dict(entry["payload"], train_batch=1)
     for payload in (entry["payload"], entry["to_dict"]):
-        config = StudyConfig.from_dict(payload)
-        assert (config.train_batch, config.eval_batch) == (1, -1)
+        with pytest.raises(ValueError, match="per-node observer loop"):
+            StudyConfig.from_dict(payload)
+        with pytest.raises(ValueError, match="per-node observer loop"):
+            config_hash(payload)
+
+
+def test_per_row_trainer_loads_as_one_row_blocks():
+    """``train_batch: -1`` (the removed per-row trainer) still loads as
+    1, one row per blocked call, which gives the same float64 bits."""
+    entry = CORPUS["escape-hatches"]
+    payload = {k: v for k, v in entry["payload"].items() if k != "eval_batch"}
+    stored = json.loads(json.dumps(entry["to_dict"]))
+    del stored["execution"]["eval_batch"]
+    upgraded = dict(payload, train_batch=1)
+    for legacy in (payload, stored):
+        config = StudyConfig.from_dict(legacy)
+        assert config.train_batch == 1
         assert config.config_hash() == config_hash(upgraded)
-    assert config_hash(upgraded) != entry["config_hash"]
 
 
 if __name__ == "__main__":

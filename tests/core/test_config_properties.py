@@ -68,7 +68,7 @@ VALUES = {
     "shard_partition": st.sampled_from(["contiguous", "balanced"]),
     "train_batch": st.integers(0, 64),
     "arena_dtype": st.sampled_from(["float32", "float64"]),
-    "eval_batch": st.integers(-1, 64),
+    "eval_batch": st.integers(0, 64),
     "max_global_test": st.integers(1, 2_048),
     "max_attack_samples": st.integers(1, 512),
     "keep_node_records": st.booleans(),

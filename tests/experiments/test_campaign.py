@@ -1,10 +1,15 @@
 """Tests for the Campaign API (sweeps, parallelism, resume)."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from repro import StudyConfig
-from repro.experiments import Campaign, load_result, run_many
+from repro.core.study import run_study
+from repro.experiments import Campaign, load_result
+from repro.gossip.shard import usable_cpus
 
 
 def tiny_config(**overrides):
@@ -81,9 +86,9 @@ class TestSweepBuilders:
 
 
 class TestExecution:
-    def test_run_matches_run_many_bitwise(self):
+    def test_serial_run_matches_run_study_bitwise(self):
         configs = [tiny_config(name=f"c{i}", seed=i) for i in range(2)]
-        serial = run_many(configs)
+        serial = {config.name: run_study(config) for config in configs}
         campaign = Campaign(configs).run(jobs=1)
         assert list(serial) == list(campaign) == ["c0", "c1"]
         for name in serial:
@@ -112,15 +117,13 @@ class TestExecution:
         assert 1 <= serial.default_jobs() <= 3
         # A sharded study occupies n_shards processes; the campaign must
         # not stack campaign-level jobs on top of them.
-        import os
-
         sharded = Campaign(
             [
                 tiny_config(name=f"sh{i}", executor="sharded", n_shards=4)
                 for i in range(3)
             ]
         )
-        assert sharded.default_jobs() <= max(1, (os.cpu_count() or 1) // 4)
+        assert sharded.default_jobs() <= max(1, usable_cpus() // 4)
 
     @pytest.mark.parametrize(
         "n_shards", [0, 16], ids=["automatic", "clamped-to-rows"]
@@ -128,8 +131,6 @@ class TestExecution:
     def test_default_jobs_agrees_with_built_executor(self, n_shards):
         """The campaign sizes its pool with the same shard-count rule
         the sharded executor uses to start its workers."""
-        import os
-
         from repro.core.study import Study
         from repro.experiments.runner import _study_process_demand
 
@@ -143,13 +144,22 @@ class TestExecution:
         with Study(configs[0]) as study:
             shards = study.simulator.executor().n_shards
         assert _study_process_demand(configs[0]) == shards
-        cpus = os.cpu_count() or 1
         assert Campaign(configs).default_jobs() == max(
-            1, min(len(configs), cpus // shards)
+            1, min(len(configs), usable_cpus() // shards)
         )
 
-    def test_run_many_empty_list_returns_empty_dict(self):
-        assert run_many([]) == {}
+    def test_one_usable_cpu_means_one_job_and_one_shard(self, monkeypatch):
+        """A process pinned to one CPU of a larger machine (``taskset``,
+        a container CPU set) sizes its pool and its automatic shard
+        count from the CPUs it may use, not from ``os.cpu_count()``."""
+        from repro.gossip.shard import auto_shard_count
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert usable_cpus() == 1
+        assert auto_shard_count(0, 64) == 1
+        configs = [tiny_config(name=f"u{i}") for i in range(3)]
+        assert Campaign(configs).default_jobs() == 1
 
 
 class TestResume:
@@ -186,6 +196,36 @@ class TestResume:
         changed = [tiny_config(name="x", rounds=3)]
         with pytest.raises(ValueError, match="different"):
             Campaign(changed, out_dir=tmp_path).run(jobs=1)
+
+    def test_resume_accepts_manifest_in_older_spelling(self, tmp_path):
+        """A manifest written while the dict engine and the process pool
+        existed spells each entry's execution section with ``engine``
+        and ``n_workers``. Entries compare by ``config_hash``, so the
+        directory still resumes (from disk, not by recomputing)."""
+        configs = [tiny_config(name="old")]
+        campaign = Campaign(configs, out_dir=tmp_path)
+        campaign.run(jobs=1)
+        manifest = json.loads(campaign.manifest_path.read_text())
+        manifest["old"]["execution"].update(engine="flat", n_workers=0)
+        campaign.manifest_path.write_text(json.dumps(manifest))
+        path = campaign.result_path("old")
+        mtime = path.stat().st_mtime_ns
+        rerun = Campaign(configs, out_dir=tmp_path).run(jobs=1)
+        assert rerun["old"].config_name == "old"
+        assert path.stat().st_mtime_ns == mtime
+
+    def test_resume_rejects_manifest_entry_that_no_longer_loads(self, tmp_path):
+        """A stored per-node-observer config (``eval_batch: -1``) is not
+        the row-batch config of the same name: its results must not be
+        served under it."""
+        configs = [tiny_config(name="gone")]
+        campaign = Campaign(configs, out_dir=tmp_path)
+        campaign.run(jobs=1)
+        manifest = json.loads(campaign.manifest_path.read_text())
+        manifest["gone"]["execution"]["eval_batch"] = -1
+        campaign.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="different"):
+            Campaign(configs, out_dir=tmp_path).run(jobs=1)
 
     def test_corrupt_result_file_is_recomputed(self, tmp_path):
         configs = [tiny_config(name="k")]

@@ -13,9 +13,10 @@ from repro.experiments import figures
 
 class TestTradeoffSeries:
     def test_keys_and_lengths(self):
-        from repro.experiments import scaled_config, run_experiment
+        from repro.core.study import run_study
+        from repro.experiments import scaled_config
 
-        result = run_experiment(
+        result = run_study(
             scaled_config("purchase100", "tiny", rounds=2, name="ts")
         )
         series = figures.tradeoff_series(result)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.study import run_study
 from repro.experiments import (
     load_result,
     result_to_csv,
     results_to_summary_csv,
-    run_experiment,
     save_result,
     scaled_config,
 )
@@ -15,7 +15,7 @@ from repro.experiments import (
 
 @pytest.fixture(scope="module")
 def result():
-    return run_experiment(
+    return run_study(
         scaled_config("purchase100", "tiny", rounds=2, name="io-test")
     )
 

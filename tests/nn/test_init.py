@@ -17,11 +17,6 @@ class TestKaiming:
         expected = np.sqrt(2.0 / (16 * 9))
         assert w.std() == pytest.approx(expected, rel=0.05)
 
-    def test_uniform_bound(self, rng):
-        w = init.kaiming_uniform((200, 100), rng)
-        bound = np.sqrt(6.0 / 200)
-        assert np.abs(w).max() <= bound
-
     def test_deterministic_given_seed(self):
         a = init.kaiming_normal((10, 10), np.random.default_rng(7))
         b = init.kaiming_normal((10, 10), np.random.default_rng(7))
@@ -30,20 +25,3 @@ class TestKaiming:
     def test_rejects_unsupported_shape(self, rng):
         with pytest.raises(ValueError):
             init.kaiming_normal((5,), rng)
-
-
-class TestXavier:
-    def test_normal_std(self, rng):
-        w = init.xavier_normal((400, 600), rng)
-        expected = np.sqrt(2.0 / 1000)
-        assert w.std() == pytest.approx(expected, rel=0.05)
-
-    def test_uniform_bound(self, rng):
-        w = init.xavier_uniform((100, 100), rng)
-        assert np.abs(w).max() <= np.sqrt(6.0 / 200)
-
-
-def test_zeros():
-    w = init.zeros((3, 4))
-    assert w.shape == (3, 4)
-    assert np.all(w == 0)

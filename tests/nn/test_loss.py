@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, MSELoss
+from repro.nn import CrossEntropyLoss
 
 
 class TestCrossEntropy:
@@ -74,32 +74,6 @@ class TestCrossEntropy:
             CrossEntropyLoss().backward()
 
 
-class TestMSE:
-    def test_zero_for_equal_inputs(self, rng):
-        x = rng.normal(size=(3, 3))
-        assert MSELoss()(x, x.copy()) == 0.0
-
-    def test_value(self):
-        loss = MSELoss()
-        assert loss(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == pytest.approx(2.5)
-
-    def test_gradient_matches_finite_differences(self, rng, fd_grad):
-        loss = MSELoss()
-        pred = rng.normal(size=(4, 2))
-        target = rng.normal(size=(4, 2))
-
-        def scalar():
-            return loss.forward(pred, target)
-
-        numeric = fd_grad(scalar, pred)
-        loss.forward(pred, target)
-        np.testing.assert_allclose(loss.backward(), numeric, atol=1e-7)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros(2), np.zeros(3))
-
-
 class TestDtypePreservation:
     """The float32 audit: loss internals must not promote to float64."""
 
@@ -122,18 +96,6 @@ class TestDtypePreservation:
         g64 = loss.backward()
         loss.forward(logits.astype(np.float32), labels)
         np.testing.assert_allclose(loss.backward(), g64, atol=1e-6)
-
-    def test_mse_preserves_float32(self, rng):
-        loss = MSELoss()
-        pred = rng.normal(size=(3, 2)).astype(np.float32)
-        target = rng.normal(size=(3, 2)).astype(np.float32)
-        loss.forward(pred, target)
-        assert loss.backward().dtype == np.float32
-
-    def test_mse_promotes_integer_inputs(self):
-        loss = MSELoss()
-        assert loss(np.array([1, 2]), np.array([0, 0])) == pytest.approx(2.5)
-        assert loss.backward().dtype == np.float64
 
 
 class TestBatchedCrossEntropyGrad:

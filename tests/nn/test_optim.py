@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import ConstantLR, Parameter, SGD, StepLR
+from repro.nn import Parameter, SGD
 
 
 def make_param(value=1.0, grad=1.0):
@@ -82,27 +82,3 @@ class TestSGD:
             p.accumulate(2 * (p.data - 3.0))
             opt.step()
         assert p.data[0] == pytest.approx(3.0, abs=1e-4)
-
-
-class TestSchedules:
-    def test_constant_keeps_lr(self):
-        opt = SGD([make_param()], lr=0.5)
-        sched = ConstantLR(opt)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == 0.5
-
-    def test_step_lr_decays(self):
-        opt = SGD([make_param()], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-        sched.step()
-        sched.step()
-        assert opt.lr == pytest.approx(0.01)
-
-    def test_step_lr_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            StepLR(SGD([make_param()], lr=1.0), step_size=0)

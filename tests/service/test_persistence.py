@@ -347,29 +347,38 @@ class TestRecoveryStateMapping:
 
     def test_legacy_dropout_job_is_dropped_with_warning(self, tmp_path, caplog):
         """``dropout_mode: "legacy"`` drew its masks in the removed
-        workspace trainer, so a journaled job carrying it no longer
+        workspace trainer, and ``eval_batch: -1`` observed on the removed
+        per-node loop, so a journaled job carrying either no longer
         loads: recovery drops it and says why."""
-        config = normalized_config()
-        config["model"] = dict(
-            config["model"], dropout=0.25, dropout_mode="legacy"
+        dropout = normalized_config()
+        dropout["model"] = dict(
+            dropout["model"], dropout=0.25, dropout_mode="legacy"
         )
+        per_node = normalized_config()
+        per_node["execution"] = dict(per_node["execution"], eval_batch=-1)
+        result = '{"config_name": "svc-test", "rounds": []}'
         self._craft(
             tmp_path,
             [
-                {"event": "submitted", "job": "job-000001", "config": config,
+                {"event": "submitted", "job": "job-000001", "config": dropout,
                  "config_hash": "abc"},
-                {"event": "done", "job": "job-000001",
-                 "result": '{"config_name": "svc-test", "rounds": []}'},
+                {"event": "done", "job": "job-000001", "result": result},
+                {"event": "submitted", "job": "job-000002",
+                 "config": per_node, "config_hash": "def"},
+                {"event": "done", "job": "job-000002", "result": result},
             ],
         )
         with caplog.at_level("WARNING", logger="repro.service.jobs"):
             manager = self._manager(tmp_path)
         assert manager.get("job-000001") is None
-        assert any(
-            "stored config no longer loads" in r.getMessage()
-            and "workspace trainer" in r.getMessage()
+        assert manager.get("job-000002") is None
+        messages = [
+            r.getMessage()
             for r in caplog.records
-        )
+            if "stored config no longer loads" in r.getMessage()
+        ]
+        assert any("workspace trainer" in m for m in messages)
+        assert any("per-node observer loop" in m for m in messages)
 
     def test_recovery_compacts_so_restart_is_idempotent(self, tmp_path):
         config = normalized_config()

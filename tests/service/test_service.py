@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.gossip.shard import usable_cpus
 from tests.service.conftest import tiny_study_payload
 
 
@@ -311,7 +312,7 @@ class TestFaultInjection:
         service.close()
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(os.cpu_count() < 2, reason="needs >= 2 CPUs")
+    @pytest.mark.skipif(usable_cpus() < 2, reason="needs >= 2 usable CPUs")
     def test_sharded_cancel_leaves_no_shm_segments(
         self, make_service, make_client
     ):

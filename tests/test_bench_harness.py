@@ -36,10 +36,13 @@ class TestUpdateBenchJson:
         assert data["unit"] == "ms"
 
     def test_src_loc_stamped_next_to_cpus(self, bench, tmp_path):
+        from repro.gossip.shard import usable_cpus
+
         path = tmp_path / "BENCH_engine.json"
         bench.update_bench_json({"engine": {"tiny": 1.5}}, path=path)
         data = json.loads(path.read_text())
-        assert "cpus" in data
+        # The CPUs the benchmarks could use, not the machine's count.
+        assert data["cpus"] == usable_cpus()
         assert data["src_loc"] == bench.src_loc() > 0
 
     def test_src_loc_counts_python_lines_only(self, bench, tmp_path):

@@ -101,6 +101,7 @@ class TestStudy:
             (["--nodes", "1"], "need at least two nodes"),
             (["--train-batch", "-1"], "train_batch must be >= 0"),
             (["--shards", "-1"], "n_shards must be non-negative"),
+            (["--eval-batch", "-1"], "per-node observer loop"),
         ],
     )
     def test_bad_config_value_is_a_usage_error(self, flags, message, capsys):
@@ -224,6 +225,63 @@ class TestStudyCheckpointResume:
             assert float(row["model_spread"]) == record.model_spread
 
 
+class TestReport:
+    def test_reports_result_and_trace(self, tmp_path, capsys):
+        from repro.metrics.records import RoundRecord, RunResult
+
+        record = RoundRecord(0, 0.5, 0.9, 0.4, 0.6, 0.1, 0.7)
+        result = tmp_path / "run.json"
+        result.write_text(RunResult(config_name="r", rounds=[record]).to_json())
+        trace = tmp_path / "spans.jsonl"
+        trace.write_text(
+            json.dumps({"span_id": "a", "name": "study.round"}) + "\n"
+            + json.dumps({"span_id": "b", "parent_id": "a", "name": "wake"})
+            + "\n"
+        )
+        assert main(["report", str(result), "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "r: 1 rounds, max_test=0.500, max_mia=0.600" in out
+        assert "study.round" in out and "  wake" in out
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            ("{truncated", "is not a saved RunResult"),
+            ('{"rounds": []}', "is not a saved RunResult"),
+        ],
+        ids=["missing", "not-json", "not-a-result"],
+    )
+    def test_bad_result_file_is_a_usage_error(
+        self, tmp_path, capsys, content, message
+    ):
+        path = tmp_path / "run.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            ('{"span_id": "a", "name": "x"}\n{oops\n', "spans.jsonl:2"),
+            ('[1, 2]\n', "not a span record"),
+        ],
+        ids=["missing", "not-json", "not-a-span"],
+    )
+    def test_bad_trace_file_is_a_usage_error(
+        self, tmp_path, capsys, content, message
+    ):
+        path = tmp_path / "spans.jsonl"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestServe:
     def test_serve_parses_and_forwards_options(self, monkeypatch):
         captured = {}
@@ -319,9 +377,11 @@ class TestCampaign:
             (["--grid", "seed=1,2", "--set", "n_nodes=1"],
              "need at least two nodes"),
             (["--grid", "no_such_knob=1"], "unknown StudyConfig field"),
+            (["--grid", "seed=0", "--jobs", "-1"], "--jobs must be >= 0"),
         ],
     )
     def test_bad_config_value_is_a_usage_error(self, args, message, capsys):
         assert main(["campaign", *args]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "studies" not in captured.out  # rejected before any run

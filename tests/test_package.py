@@ -37,8 +37,9 @@ class TestSubpackageSurface:
             ("repro.privacy", ["mpe_scores", "mia_accuracy", "tpr_at_fpr",
                                "RDPAccountant", "calibrate_sigma",
                                "ShadowModelAttack", "compare_attacks"]),
-            ("repro.metrics", ["evaluate_model", "RoundRecord", "RunResult"]),
-            ("repro.experiments", ["scaled_config", "run_experiment",
+            ("repro.metrics", ["BatchedEvaluator", "RoundRecord",
+                               "RunResult"]),
+            ("repro.experiments", ["scaled_config", "Campaign",
                                    "save_result", "figures", "tables"]),
         ],
     )
