@@ -19,15 +19,20 @@ coverage:
 	$(PYTHON) -m coverage report -m --fail-under=85
 
 ## Full benchmark harness (REPRO_BENCH_SCALE=tiny|small|paper).
-## Refreshes BENCH_engine.json (per-executor engine throughput).
+## Refreshes BENCH_engine.json (per-executor engine throughput), then
+## prints it against HEAD's (tools/bench_diff.py, report only).
 bench:
-	$(PYTHON) -m pytest benchmarks/ -q
+	$(PYTHON) -m pytest benchmarks/ -q; \
+	status=$$?; $(PYTHON) tools/bench_diff.py; exit $$status
 
 ## Fast benchmark smoke: the engine-throughput + campaign acceptance
-## checks (also refreshes BENCH_engine.json).
+## checks (also refreshes BENCH_engine.json), then the refreshed BENCH
+## against HEAD's (tools/bench_diff.py, report only). A failed check
+## still fails the target, after the report.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_engine_throughput.py \
-		benchmarks/test_campaign_throughput.py -q
+		benchmarks/test_campaign_throughput.py -q; \
+	status=$$?; $(PYTHON) tools/bench_diff.py; exit $$status
 
 ## End-to-end smoke: every workload of the benchmark (benchmarks/e2e)
 ## for a 3 s window — the three engine scenarios and the durable

@@ -28,6 +28,10 @@ Acceptance properties of the engine PRs:
   CIFAR-10 CNN as ``cnn_training`` — median, min, IQR and reps per
   side, and the paired median difference and one-row win count —
   with no gate;
+* one paper-MLP mini-batch step on the same split is recorded as
+  ``paper_mlp_step`` — median, min and IQR of its forward, backward
+  and ``BatchedSGD.step``, and reps — with no gate (the kernel level
+  of a local update);
 * sharded observation (shard workers scoring their own arena rows) is
   at least 1.5x faster than the parent row-batch path at 64 nodes
   with >= 2 shards, agreeing at 1e-9 (timing skipped when the process
@@ -68,8 +72,11 @@ from repro.gossip.shard import ShardedExecutor, usable_cpus
 from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.metrics.evaluation import BatchedEvaluator
 from repro.nn import get_state
+from repro.nn.batched import BatchedModel, parameter_column_runs
 from repro.nn.flat import StateLayout
+from repro.nn.loss import batched_cross_entropy_grad
 from repro.nn.models import build_model
+from repro.nn.optim import BatchedSGD
 from repro.nn.serialize import average_states
 from repro.privacy.dp import DPSGDConfig
 from repro.privacy.mia import mia_reports_batched
@@ -465,6 +472,62 @@ class TestPaperMlpTraining:
         payload = dict(WORKLOADS["samo-static-64"].payload, seed=0)
         values = _one_row_vs_block(payload, self.ROWS, self.REPS)
         _record("paper_mlp_training", self.ROWS, **values)
+
+
+class TestPaperMlpStep:
+    """The kernel level of a local update: one mini-batch step of the
+    paper MLP (float64, one row) on ``samo-static-64``'s per-node split,
+    timed part by part — forward, backward and ``BatchedSGD.step``
+    (momentum and weight decay on). REPS steps after a warm-up; no
+    gate."""
+
+    REPS = 50
+
+    def test_step_parts_recorded(self):
+        payload = dict(WORKLOADS["samo-static-64"].payload, seed=0)
+        with Study(StudyConfig(**payload)) as study:
+            trainer = study.protocol.trainer
+            node = study.simulator.nodes[0]
+            params = study.simulator.arena.data[:1].copy()
+        config = trainer.config
+        model = BatchedModel(trainer.model, trainer.layout)
+        optimizer = BatchedSGD(
+            parameter_column_runs(trainer.layout),
+            np.array([config.learning_rate]),
+            momentum=config.momentum,
+            weight_decay=config.weight_decay,
+        )
+        xb = node.train_x[None, : config.batch_size].astype(params.dtype)
+        yb = node.train_y[None, : config.batch_size]
+        grads = np.empty_like(params)
+        parts: dict[str, list[float]] = {
+            "forward": [], "backward": [], "step": []
+        }
+        for rep in range(-5, self.REPS):
+            begin = time.perf_counter()
+            logits = model.forward(params, xb)
+            forward_end = time.perf_counter()
+            _, grad = batched_cross_entropy_grad(
+                logits, yb, config.label_smoothing, with_losses=False
+            )
+            backward_begin = time.perf_counter()
+            model.backward(grad, grads)
+            backward_end = time.perf_counter()
+            optimizer.step(params, grads)
+            end = time.perf_counter()
+            if rep >= 0:
+                parts["forward"].append((forward_end - begin) * 1e3)
+                parts["backward"].append((backward_end - backward_begin) * 1e3)
+                parts["step"].append((end - backward_end) * 1e3)
+        values = {"reps": self.REPS, "samples": xb.shape[1]}
+        for name, series in parts.items():
+            q1, _, q3 = statistics.quantiles(series, n=4)
+            values[f"{name}_median_ms"] = statistics.median(series)
+            values[f"{name}_min_ms"] = min(series)
+            values[f"{name}_iqr_ms"] = q3 - q1
+            print_series(f"paper MLP step {name} ms", series)
+        _record("paper_mlp_step", 1, **values)
+        assert np.isfinite(params).all()
 
 
 class TestConvTraining:

@@ -77,8 +77,9 @@ def _add_study_parser(sub: argparse._SubParsersAction) -> None:
                    choices=["float32", "float64"],
                    help="flat-arena storage dtype")
     p.add_argument("--eval-batch", type=int, default=0,
-                   help="node models per blocked evaluation op "
-                        "(0 = all at once)")
+                   help="node models per blocked evaluation op (0 = row "
+                        "blocks sized by the code; identical results "
+                        "for every value)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot the session here after every round "

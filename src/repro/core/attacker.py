@@ -34,7 +34,11 @@ import numpy as np
 from repro.data.canary import CanarySet
 from repro.data.datasets import Dataset
 from repro.gossip.engine import FlatGossipSimulator
-from repro.metrics.evaluation import BatchedEvaluator, ModelEvaluation
+from repro.metrics.evaluation import (
+    ROW_BLOCK_BYTES,
+    BatchedEvaluator,
+    ModelEvaluation,
+)
 from repro.metrics.records import RoundRecord
 from repro.nn.flat import StateLayout
 from repro.nn.layers import Module
@@ -72,7 +76,10 @@ class OmniscientObserver:
     """Evaluates every node's model after each communication round.
 
     ``eval_batch`` bounds how many node models are scored per blocked
-    kernel (0 = all at once).
+    kernel: 0 sizes the row blocks by the code, so that a block's
+    activations stay in cache (see
+    :class:`~repro.metrics.evaluation.BatchedEvaluator`). Results are
+    identical for every value.
     """
 
     def __init__(
@@ -187,20 +194,23 @@ class OmniscientObserver:
         consensus distance of Section 4 measured on real training.
         Reads the state matrix (the arena, under the flat engine)
         instead of flattening one dict state per node. Rows are centred
-        8 at a time in one reused scratch, squared and summed in place:
-        exactly what ``np.linalg.norm(axis=1)`` computes for real input,
-        with no temporary larger than 8 rows."""
+        a block at a time in one reused scratch, squared and summed in
+        place: exactly what ``np.linalg.norm(axis=1)`` computes for real
+        input. A block holds as many rows as fit ``ROW_BLOCK_BYTES``
+        (at least one; one paper-MLP row), so the scratch stays in
+        cache, and each row's sum is the same in any block."""
         if params is None:
             params = simulator.state_matrix(self._get_layout())
         center = params.mean(axis=0)
         n = params.shape[0]
         norms = np.empty(n, dtype=center.dtype)
-        scratch = np.empty((min(n, 8), params.shape[1]), dtype=center.dtype)
-        for start in range(0, n, 8):
-            block = scratch[: min(n - start, 8)]
-            np.subtract(params[start : start + 8], center, out=block)
+        step = max(1, min(n, ROW_BLOCK_BYTES // max(1, center.nbytes)))
+        scratch = np.empty((step, params.shape[1]), dtype=center.dtype)
+        for start in range(0, n, step):
+            block = scratch[: min(n - start, step)]
+            np.subtract(params[start : start + step], center, out=block)
             np.multiply(block, block, out=block)
-            np.add.reduce(block, axis=1, out=norms[start : start + 8])
+            np.add.reduce(block, axis=1, out=norms[start : start + step])
         return float(np.sqrt(norms, out=norms).mean())
 
     # -- internals ------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Any, Mapping
 
 from repro.data.datasets import DATASET_BUILDERS
 from repro.gossip.protocols import PROTOCOLS
+from repro.gossip.trainer import check_sgd_hyperparameters
 from repro.graph.peer_sampling import SAMPLERS
 
 __all__ = [
@@ -154,8 +155,9 @@ class StudyConfig:
     # Execution (DESIGN.md "Flat-state execution engine"): executor
     # "serial"/"batched"/"sharded"; n_shards 0 = one per usable CPU
     # (capped at n_nodes); shard_partition contiguous/balanced;
-    # train_batch and eval_batch 0 = all rows at once, N = blocks of N
-    # rows.
+    # train_batch 0 = all rows at once, N = blocks of N rows; eval_batch
+    # 0 = row blocks sized by the code, N = blocks of N rows (identical
+    # results for every value).
     executor: str = field(default="serial", metadata=_EXECUTION)
     n_shards: int = field(default=0, metadata=_EXECUTION)
     shard_partition: str = field(default="contiguous", metadata=_EXECUTION)
@@ -203,8 +205,9 @@ class StudyConfig:
             isinstance(size, int) and size > 0 for size in self.mlp_hidden
         ):
             raise ValueError("mlp_hidden must be a sequence of positive ints")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_sgd_hyperparameters(
+            self.learning_rate, self.momentum, self.weight_decay
+        )
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be non-negative")
         if self.batch_size <= 0:

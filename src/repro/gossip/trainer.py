@@ -10,6 +10,7 @@ that the blocked kernel must reproduce bit for bit in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,23 @@ from repro.privacy.dp import DPSGDConfig, clip_block, noisy_gradient_block
 # wraps these two by name in this module, so they stay bound.
 from repro.privacy.dp import clip_per_sample, noisy_gradient  # noqa: F401
 
-__all__ = ["TrainerConfig", "BatchedTrainer"]
+__all__ = ["TrainerConfig", "BatchedTrainer", "check_sgd_hyperparameters"]
+
+
+def check_sgd_hyperparameters(
+    learning_rate: float, momentum: float, weight_decay: float
+) -> None:
+    """Reject SGD settings that fail mid-study (negative momentum) or
+    train NaN models (non-finite values, negative weight decay): the
+    learning rate must be finite and > 0, momentum and weight decay
+    finite and >= 0."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(
+            f"learning_rate must be finite and > 0, got {learning_rate!r}"
+        )
+    for name, value in (("momentum", momentum), ("weight_decay", weight_decay)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +70,9 @@ class TrainerConfig:
     dp: DPSGDConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_sgd_hyperparameters(
+            self.learning_rate, self.momentum, self.weight_decay
+        )
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be non-negative")
         if self.batch_size <= 0:

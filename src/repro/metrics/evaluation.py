@@ -30,7 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.batched import batched_forward, supports_batched_forward
+from repro.nn.batched import (
+    batched_forward,
+    peak_activation_size,
+    supports_batched_forward,
+)
 from repro.nn.flat import StateLayout
 from repro.nn.layers import Module
 
@@ -42,6 +46,15 @@ __all__ = [
     "BatchedEvaluator",
     "row_block",
 ]
+
+# Bytes one row block's largest activation may take when eval_batch=0:
+# rows per block = ROW_BLOCK_BYTES // (largest per-sample activation x
+# samples per kernel x itemsize), so a block's layer outputs stay in L2.
+# accuracy_rows on the paper MLP (float64, 2-vCPU VM, 2 MB L2 per core,
+# medians in one process): 64 rows x 512 samples 274-282 ms in one block
+# vs 208-216 ms in 2-row blocks; 128 rows x 128 samples 157 ms vs
+# 113-125 ms in 4-row blocks.
+ROW_BLOCK_BYTES = 1 << 20
 
 
 def _model_dtype(model: Module) -> np.dtype:
@@ -126,9 +139,12 @@ class BatchedEvaluator:
 
     ``params`` arguments are ``(B, dim)`` blocks whose rows follow the
     evaluator's :class:`~repro.nn.flat.StateLayout` — arena rows, or
-    packed dict states. Work is
-    blocked along both axes to bound memory: at most ``eval_batch``
-    model rows (0 = all at once) and ``batch_size`` samples per kernel.
+    packed dict states. Work is blocked along both axes: at most
+    ``batch_size`` samples per kernel, and row blocks of ``eval_batch``
+    model rows, or with ``eval_batch=0`` row blocks sized by the code
+    (:meth:`rows_per_block`) so that a block's activations stay in
+    cache. Every row's arithmetic is independent of its block, so every
+    ``eval_batch`` gives identical results.
 
     All math runs in the dtype of the ``params`` block (the arena
     dtype); metric outputs are float64/Python floats as everywhere
@@ -144,7 +160,9 @@ class BatchedEvaluator:
         batch_size: int = 256,
     ):
         if eval_batch < 0:
-            raise ValueError("eval_batch must be >= 0 (0 = all rows at once)")
+            raise ValueError(
+                "eval_batch must be >= 0 (0 = row blocks sized by the code)"
+            )
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if not supports_batched_forward(model):
@@ -156,42 +174,63 @@ class BatchedEvaluator:
         self.layout = layout if layout is not None else StateLayout.from_model(model)
         self.eval_batch = eval_batch
         self.batch_size = batch_size
+        self._peak: dict[tuple[int, ...], int] = {}
+
+    def rows_per_block(
+        self, sample_shape: tuple[int, ...], n_samples: int, dtype
+    ) -> int:
+        """Model rows per blocked kernel on inputs of ``n_samples``
+        samples shaped ``sample_shape``: ``eval_batch`` when set, else
+        as many rows as keep the largest activation within
+        :data:`ROW_BLOCK_BYTES` (at least one)."""
+        if self.eval_batch:
+            return self.eval_batch
+        shape = tuple(sample_shape)
+        if shape not in self._peak:
+            self._peak[shape] = peak_activation_size(self.model, shape)
+        row_bytes = (
+            self._peak[shape]
+            * min(self.batch_size, n_samples)
+            * np.dtype(dtype).itemsize
+        )
+        return max(1, ROW_BLOCK_BYTES // max(1, row_bytes))
 
     # -- internals ----------------------------------------------------
-
-    def _row_blocks(self, n_rows: int):
-        step = self.eval_batch or n_rows
-        for start in range(0, n_rows, step):
-            yield start, min(start + step, n_rows)
 
     def _shared_map(self, params: np.ndarray, x: np.ndarray, fn) -> np.ndarray:
         """Apply ``fn`` to blocked shared-input logits; stitch to (B, N, ...).
 
-        Blocks cover at most ``eval_batch`` parameter rows and
-        ``batch_size`` samples at a time; single-block results are
-        returned without a concatenate copy.
+        Blocks cover at most :meth:`rows_per_block` parameter rows and
+        ``batch_size`` samples at a time. The row blocks of one sample
+        chunk run back to back and share its conv patches;
+        single-block results are returned without a concatenate copy.
         """
 
         def concat(blocks, axis):
             return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis)
 
-        row_blocks = []
-        for lo, hi in self._row_blocks(params.shape[0]):
-            chunks = [
+        # Cast once, not once per row block.
+        x = np.asarray(x, dtype=params.dtype)
+        step = self.rows_per_block(x.shape[1:], x.shape[0], params.dtype)
+        chunks = []
+        for start in range(0, x.shape[0], self.batch_size):
+            patches: dict = {}
+            row_blocks = [
                 fn(
                     batched_forward(
                         self.model,
                         self.layout,
-                        params[lo:hi],
+                        params[lo : lo + step],
                         x[start : start + self.batch_size],
                         shared=True,
+                        patches=patches,
                     ),
                     start,
                 )
-                for start in range(0, x.shape[0], self.batch_size)
+                for lo in range(0, params.shape[0], step)
             ]
-            row_blocks.append(concat(chunks, 1))
-        return concat(row_blocks, 0)
+            chunks.append(concat(row_blocks, 0))
+        return concat(chunks, 1)
 
     def _proba_shared(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(B, N, C) softmax probabilities on one shared input set."""
@@ -215,8 +254,9 @@ class BatchedEvaluator:
         batched forward; ragged leftovers form their own groups. A group
         whose rows form one ascending range reads its models as a slice
         of ``params``, not a gather copy. Each group is further split
-        into ``eval_batch`` row blocks. Every row's math is independent
-        of the block it lands in, so the grouping never changes results.
+        into :meth:`rows_per_block` row blocks, and each block stacks
+        only its own inputs. Every row's math is independent of the
+        block it lands in, so the grouping never changes results.
         """
         if rows is None:
             if len(xs) != params.shape[0]:
@@ -233,21 +273,23 @@ class BatchedEvaluator:
             seen[rows[i]] += 1
         for indices in groups.values():
             block = row_block(params, [rows[i] for i in indices])
-            stacked = np.stack([xs[i] for i in indices])
-            n_samples = stacked.shape[1]
-            for lo, hi in self._row_blocks(block.shape[0]):
+            shape = xs[indices[0]].shape
+            step = self.rows_per_block(shape[1:], shape[0], params.dtype)
+            for lo in range(0, len(indices), step):
+                hi = min(lo + step, len(indices))
+                stacked = np.stack([xs[i] for i in indices[lo:hi]])
                 chunks = [
                     F.softmax(
                         batched_forward(
                             self.model,
                             self.layout,
                             block[lo:hi],
-                            stacked[lo:hi, start : start + self.batch_size],
+                            stacked[:, start : start + self.batch_size],
                             shared=False,
                         ),
                         axis=-1,
                     )
-                    for start in range(0, n_samples, self.batch_size)
+                    for start in range(0, shape[0], self.batch_size)
                 ]
                 yield indices[lo:hi], (
                     chunks[0]

@@ -72,6 +72,7 @@ __all__ = [
     "batched_forward",
     "supports_batched_forward",
     "parameter_column_runs",
+    "peak_activation_size",
     "BatchedModel",
 ]
 
@@ -121,7 +122,9 @@ def parameter_column_runs(layout: StateLayout) -> list[tuple[int, int]]:
 class _Block:
     """One (B, dim) parameter block addressed through a layout."""
 
-    def __init__(self, layout: StateLayout, params: np.ndarray):
+    def __init__(
+        self, layout: StateLayout, params: np.ndarray, patches: dict | None = None
+    ):
         if params.ndim != 2 or params.shape[1] != layout.dim:
             raise ValueError(
                 f"params must be (B, {layout.dim}), got {params.shape}"
@@ -130,6 +133,8 @@ class _Block:
         self.params = params
         self.b = params.shape[0]
         self.dtype = params.dtype
+        # Shared-input conv patches by layer prefix (batched_forward).
+        self.patches = patches
 
     def get(self, name: str) -> np.ndarray:
         """(B,) + slot.shape view of one entry across all rows."""
@@ -144,14 +149,18 @@ def batched_forward(
     params: np.ndarray,
     x: np.ndarray,
     shared: bool = True,
+    patches: dict | None = None,
 ) -> np.ndarray:
     """Logits of B models on ``x`` as one ``(B, N, classes)`` array.
 
     ``params`` is a ``(B, dim)`` block of flat parameter vectors laid
     out by ``layout``; ``x`` is ``(N, ...)`` when ``shared`` (every
     model scores the same inputs) or ``(B, N, ...)`` otherwise.
+    ``patches``, a dict the caller creates for one shared ``x``, keeps
+    that input's conv patches (``im2col``) between calls, so row blocks
+    scored on the same ``x`` extract them once.
     """
-    block = _Block(layout, np.asarray(params))
+    block = _Block(layout, np.asarray(params), patches)
     x = np.asarray(x, dtype=block.dtype)
     if not shared and x.shape[0] != block.b:
         raise ValueError(
@@ -202,6 +211,42 @@ def _forward(
     )
 
 
+def peak_activation_size(model: Module, sample_shape: tuple[int, ...]) -> int:
+    """Elements of the largest layer output one model row produces per
+    input sample of shape ``sample_shape`` in :func:`batched_forward`
+    (a dry run over shapes; nothing is computed)."""
+    peak = 0
+
+    def walk(module: Module, shape: tuple[int, ...]) -> tuple[int, ...]:
+        nonlocal peak
+        if isinstance(module, Sequential):
+            for layer in module.layers:
+                shape = walk(layer, shape)
+            return shape
+        if isinstance(module, Residual):
+            walk(module.shortcut, shape)
+            shape = walk(module.body, shape)
+        elif isinstance(module, Dense):
+            shape = shape[:-1] + (module.out_features,)
+        elif isinstance(module, Conv2d):
+            k, s, p = module.kernel_size, module.stride, module.padding
+            shape = (module.out_channels,) + tuple(
+                F.conv_output_size(size, k, s, p) for size in shape[-2:]
+            )
+        elif isinstance(module, MaxPool2d):
+            k = module.kernel_size
+            shape = shape[:-2] + (shape[-2] // k, shape[-1] // k)
+        elif isinstance(module, GlobalAvgPool2d):
+            shape = shape[:-2]
+        elif isinstance(module, Flatten):
+            shape = (int(np.prod(shape)),)
+        peak = max(peak, int(np.prod(shape)))
+        return shape
+
+    walk(model, tuple(sample_shape))
+    return peak
+
+
 def _dense(module: Dense, prefix: str, block: _Block, x: np.ndarray) -> np.ndarray:
     # One GEMM per model, (N, in) or (B, N, in) against the (B, in, out)
     # weight views: a shared input broadcasts, so no weight is copied.
@@ -218,9 +263,12 @@ def _conv2d(
         block.b, module.out_channels, -1
     )  # (B, O, K)
     if shared:
-        cols, out_h, out_w = F.im2col(
-            x, module.kernel_size, module.stride, module.padding
-        )
+        patches = block.patches if block.patches is not None else {}
+        if prefix not in patches:
+            patches[prefix] = F.im2col(
+                x, module.kernel_size, module.stride, module.padding
+            )
+        cols, out_h, out_w = patches[prefix]
         n, k, p = cols.shape
         # Shared patches are extracted ONCE; one GEMM covers all models,
         # and the bias lands while the result is still 2-D contiguous.
@@ -316,6 +364,8 @@ class BatchedModel:
         self.layout = layout
         self._block: _Block | None = None
         self._cache: dict[str, object] = {}
+        # Modules holding parameters: backward stops at the first one.
+        self._trained = {id(m) for m in model.modules() if m.parameters()}
         # Stream-mode dropout: per-layer lists of per-node generators,
         # installed by the trainer before each optimizer step.
         self._stream_layers = stream_dropout_layers(model)
@@ -351,14 +401,17 @@ class BatchedModel:
         self._cache = {}
         return self._fwd(self.model, "", x)
 
-    def backward(self, grad_out: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, grads: np.ndarray) -> None:
         """Backprop ``grad_out``, filling the ``(B, dim)`` gradient block.
 
         Every parameter slot is *written* exactly once per pass (no
         accumulation), so ``grads`` needs no zeroing between steps —
         pass an uninitialized buffer and reuse it. Buffer slots (e.g.
-        BatchNorm running statistics) are left untouched. Returns the
-        gradient with respect to the forward's input.
+        BatchNorm running statistics) are left untouched. The pass
+        stops at the first parameterised layer: nothing trains the
+        model input, so its gradient (on the paper MLP a
+        ``(B, N, 256) @ (256, 600)`` matmul per step, on the CNNs the
+        first conv's einsum and ``col2im``) is never computed.
         """
         if self._block is None:
             raise RuntimeError("backward called before forward")
@@ -367,7 +420,7 @@ class BatchedModel:
             raise ValueError(
                 f"grads must have {self._block.b} rows, got {gblock.b}"
             )
-        return self._bwd(self.model, "", grad_out, gblock)
+        self._bwd(self.model, "", grad_out, gblock, False)
 
     # -- forward dispatch ---------------------------------------------
 
@@ -504,21 +557,45 @@ class BatchedModel:
     # -- backward dispatch --------------------------------------------
 
     def _bwd(
-        self, module: Module, prefix: str, grad: np.ndarray, gblock: _Block
-    ) -> np.ndarray:
+        self,
+        module: Module,
+        prefix: str,
+        grad: np.ndarray,
+        gblock: _Block,
+        need_input: bool,
+    ) -> np.ndarray | None:
+        """Backprop one module; returns its input gradient, or None when
+        ``need_input`` is false (no earlier layer has parameters)."""
         block = self._block
+        if not need_input and id(module) not in self._trained:
+            return None
         if isinstance(module, Sequential):
-            for i in reversed(range(len(module.layers))):
+            # Layers before the first parameterised one run only when
+            # the sequence's own input gradient is needed.
+            stop = 0
+            if not need_input:
+                stop = next(
+                    i
+                    for i, layer in enumerate(module.layers)
+                    if id(layer) in self._trained
+                )
+            for i in reversed(range(stop, len(module.layers))):
                 grad = self._bwd(
-                    module.layers[i], f"{prefix}{i}.", grad, gblock
+                    module.layers[i],
+                    f"{prefix}{i}.",
+                    grad,
+                    gblock,
+                    need_input or i > stop,
                 )
             return grad
         if isinstance(module, Residual):
             pre_relu = self._cache[prefix]
             grad = grad * F.relu_grad(pre_relu)
-            return self._bwd(
-                module.body, prefix + "body.", grad, gblock
-            ) + self._bwd(module.shortcut, prefix + "shortcut.", grad, gblock)
+            body = self._bwd(module.body, prefix + "body.", grad, gblock, need_input)
+            cut = self._bwd(
+                module.shortcut, prefix + "shortcut.", grad, gblock, need_input
+            )
+            return body + cut if need_input else None
         if isinstance(module, Dense):
             x = self._cache[prefix]
             np.matmul(
@@ -526,13 +603,15 @@ class BatchedModel:
             )
             if module.bias is not None:
                 np.sum(grad, axis=1, out=gblock.get(prefix + "bias"))
+            if not need_input:
+                return None
             return np.matmul(
                 grad, block.get(prefix + "weight").transpose(0, 2, 1)
             )
         if isinstance(module, Conv2d):
-            return self._conv_bwd(module, prefix, grad, gblock)
+            return self._conv_bwd(module, prefix, grad, gblock, need_input)
         if isinstance(module, BatchNorm2d):
-            return self._batchnorm_bwd(module, prefix, grad, gblock)
+            return self._batchnorm_bwd(module, prefix, grad, gblock, need_input)
         if isinstance(module, MaxPool2d):
             mask, x_shape = self._cache[prefix]
             # Cast like the serial layer: int64 counts would promote a
@@ -560,8 +639,13 @@ class BatchedModel:
         )
 
     def _conv_bwd(
-        self, module: Conv2d, prefix: str, grad: np.ndarray, gblock: _Block
-    ) -> np.ndarray:
+        self,
+        module: Conv2d,
+        prefix: str,
+        grad: np.ndarray,
+        gblock: _Block,
+        need_input: bool,
+    ) -> np.ndarray | None:
         block = self._block
         cols, x_shape, out_h, out_w = self._cache[prefix]
         b, n = grad.shape[:2]
@@ -569,13 +653,16 @@ class BatchedModel:
         grad_flat = grad.reshape(b, n, o, out_h * out_w)
         w_mat = block.get(prefix + "weight").reshape(b, o, -1)
         gw = gblock.get(prefix + "weight").reshape(b, o, -1)
+        for i in range(b):
+            np.einsum("nop,nkp->ok", grad_flat[i], cols[i], out=gw[i])
+        if module.bias is not None:
+            np.sum(grad_flat, axis=(1, 3), out=gblock.get(prefix + "bias"))
+        if not need_input:
+            return None
         k = cols.shape[2]
         grad_cols = np.empty((b, n, k, cols.shape[3]), dtype=grad.dtype)
         for i in range(b):
-            np.einsum("nop,nkp->ok", grad_flat[i], cols[i], out=gw[i])
             np.einsum("ok,nop->nkp", w_mat[i], grad_flat[i], out=grad_cols[i])
-        if module.bias is not None:
-            np.sum(grad_flat, axis=(1, 3), out=gblock.get(prefix + "bias"))
         gx = F.col2im(
             grad_cols.reshape(b * n, k, -1),
             (b * n,) + x_shape[2:],
@@ -586,14 +673,21 @@ class BatchedModel:
         return gx.reshape(x_shape)
 
     def _batchnorm_bwd(
-        self, module: BatchNorm2d, prefix: str, grad: np.ndarray, gblock: _Block
-    ) -> np.ndarray:
+        self,
+        module: BatchNorm2d,
+        prefix: str,
+        grad: np.ndarray,
+        gblock: _Block,
+        need_input: bool,
+    ) -> np.ndarray | None:
         block = self._block
         x_hat, inv_std, x_shape = self._cache[prefix]
         _, n, _, h, w = x_shape
         m = n * h * w
         np.sum(grad * x_hat, axis=(1, 3, 4), out=gblock.get(prefix + "gamma"))
         np.sum(grad, axis=(1, 3, 4), out=gblock.get(prefix + "beta"))
+        if not need_input:
+            return None
         g = grad * block.get(prefix + "gamma")[:, None, :, None, None]
         sum_g = g.sum(axis=(1, 3, 4), keepdims=True)
         sum_gx = (g * x_hat).sum(axis=(1, 3, 4), keepdims=True)

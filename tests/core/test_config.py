@@ -257,6 +257,14 @@ class TestValidation:
             (dict(train_per_node=0), "train_per_node"),
             (dict(test_per_node=-1), "test_per_node"),
             (dict(dropout_mode="legacy"), "removed with the workspace trainer"),
+            # Negative momentum used to fail at the first local update;
+            # the others ran to completion on NaN models.
+            (dict(momentum=-0.5), "momentum must be finite and >= 0"),
+            (dict(momentum=float("nan")), "momentum"),
+            (dict(learning_rate=float("nan")), "learning_rate must be finite"),
+            (dict(learning_rate=float("inf")), "learning_rate"),
+            (dict(weight_decay=-1.0), "weight_decay must be finite and >= 0"),
+            (dict(weight_decay=float("inf")), "weight_decay"),
         ],
     )
     def test_rejects_names_and_sizes_that_fail_at_build(self, kwargs, message):

@@ -70,6 +70,16 @@ class TestTrainerConfig:
             TrainerConfig(lr_decay=0.0)
         with pytest.raises(ValueError):
             TrainerConfig(lr_decay=1.5)
+        # Negative momentum used to fail at the first step; the others
+        # trained NaN models.
+        with pytest.raises(ValueError, match="momentum must be finite"):
+            TrainerConfig(momentum=-0.5)
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainerConfig(learning_rate=float("nan"))
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainerConfig(learning_rate=float("inf"))
+        with pytest.raises(ValueError, match="weight_decay must be finite"):
+            TrainerConfig(weight_decay=-1.0)
 
     def test_set_config_rejects_non_config(self):
         trainer, _ = make_setup()

@@ -315,3 +315,113 @@ class TestPredictProbaDtype:
         probs = predict_proba(model, np.zeros((0, 10)))
         assert probs.shape == (0, 0)
         assert probs.dtype == dtype
+
+
+# The paper's three model families at the study's scale, each with
+# sizes at which eval_batch=0 splits every call into row blocks and the
+# global test set spans two sample chunks of 256: (architecture,
+# build_model kwargs, sample shape, rows, global test samples,
+# attack-set samples).
+PAPER_MODELS = [
+    (
+        "mlp",
+        dict(in_features=600, num_classes=100, hidden=(256, 128, 64)),
+        (600,), 6, 300, 256,
+    ),
+    (
+        "cnn",
+        dict(in_channels=3, image_size=16, num_classes=10, width=8),
+        (3, 16, 16), 4, 300, 48,
+    ),
+    (
+        "resnet8",
+        dict(in_channels=3, num_classes=100, width=8),
+        (3, 16, 16), 4, 300, 48,
+    ),
+]
+
+
+class TestCodeSizedRowBlocks:
+    """``eval_batch=0`` sizes the observer's row blocks by the code.
+    Every row's arithmetic is the same in any block, so the scores equal
+    those of one block over every row (the behaviour before the rule)
+    bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "arch, kwargs, sample, n_rows, n_global, n_attack",
+        PAPER_MODELS,
+        ids=[entry[0] for entry in PAPER_MODELS],
+    )
+    def test_automatic_blocks_equal_one_block(
+        self, arch, kwargs, sample, n_rows, n_global, n_attack, dtype
+    ):
+        from repro.metrics import BatchedEvaluator
+        from repro.nn import StateLayout, build_model, get_state
+
+        rng = np.random.default_rng(3)
+        model = build_model(arch, **kwargs)
+        layout = StateLayout.from_model(model)
+        params = np.empty((n_rows, layout.dim))
+        for b in range(n_rows):
+            state = {
+                k: v + 0.05 * rng.normal(size=v.shape)
+                for k, v in get_state(model).items()
+            }
+            layout.pack(state, out=params[b])
+        params = params.astype(dtype)
+        classes = kwargs["num_classes"]
+        x = rng.normal(size=(n_global,) + sample)
+        y = rng.integers(0, classes, n_global)
+        xs = [rng.normal(size=(n_attack,) + sample) for _ in range(2 * n_rows)]
+        ys = [rng.integers(0, classes, n_attack) for _ in xs]
+        rows = list(range(n_rows)) * 2
+        auto = BatchedEvaluator(model, layout, eval_batch=0)
+        one = BatchedEvaluator(model, layout, eval_batch=n_rows)
+        assert auto.rows_per_block(sample, n_global, dtype) < n_rows
+        assert auto.rows_per_block(sample, n_attack, dtype) < n_rows
+        np.testing.assert_array_equal(
+            auto.accuracy_rows(params, x, y), one.accuracy_rows(params, x, y)
+        )
+        np.testing.assert_array_equal(
+            auto.predict_proba_rows(params, x), one.predict_proba_rows(params, x)
+        )
+        for (scores, acc), (one_scores, one_acc) in zip(
+            auto.attack_observations(params, xs, ys, rows=rows),
+            one.attack_observations(params, xs, ys, rows=rows),
+        ):
+            assert scores.dtype == one_scores.dtype
+            np.testing.assert_array_equal(scores, one_scores)
+            assert acc == one_acc
+
+    def test_peak_activation_is_the_largest_layer_output(self):
+        from repro.nn import build_model
+        from repro.nn.batched import peak_activation_size
+
+        sizes = {
+            arch: peak_activation_size(build_model(arch, **kwargs), sample)
+            for arch, kwargs, sample, *_ in PAPER_MODELS
+        }
+        # MLP: the 256-unit hidden layer; CNN and ResNet-8: the first
+        # conv's 8 channels x 16 x 16.
+        assert sizes == {"mlp": 256, "cnn": 8 * 16 * 16, "resnet8": 8 * 16 * 16}
+
+    def test_samo_static_64_scores_in_several_blocks(self):
+        """The baseline study's shapes (64 nodes, the paper MLP, float64,
+        512 global test samples, 64-sample train splits) split into
+        several row blocks on both observer calls."""
+        from repro.core import StudyConfig
+        from repro.metrics import BatchedEvaluator
+        from repro.nn import build_model
+
+        cfg = StudyConfig(dataset="purchase100", n_nodes=64)
+        model = build_model(
+            "mlp", in_features=cfg.num_features, num_classes=100,
+            hidden=cfg.mlp_hidden,
+        )
+        evaluator = BatchedEvaluator(model, eval_batch=cfg.eval_batch)
+        sample = (cfg.num_features,)
+        for n_samples in (cfg.max_global_test, cfg.train_per_node):
+            assert evaluator.rows_per_block(
+                sample, n_samples, np.float64
+            ) < cfg.n_nodes

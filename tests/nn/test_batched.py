@@ -25,7 +25,7 @@ from repro.nn.batched import (
 from repro.nn.flat import StateLayout
 from repro.nn.layers import Dense, Dropout, Module, ReLU, Sequential
 from repro.nn.loss import CrossEntropyLoss, batched_cross_entropy_grad
-from repro.nn.optim import SGD, BatchedSGD
+from repro.nn.optim import CHUNK_ELEMENTS, SGD, BatchedSGD
 from repro.nn.models import build_model
 from repro.nn.serialize import get_state, set_state, state_to_vector
 from repro.nn.tensor import Parameter
@@ -291,18 +291,30 @@ class TestBatchedModelGradients:
     @pytest.mark.parametrize("arch,kwargs,xshape", ARCHS)
     def test_float32_backward_stays_float32(self, arch, kwargs, xshape):
         """No layer's backward may promote a float32 block to float64
-        (regression: MaxPool's int64 tie counts used to)."""
+        (regression: MaxPool's int64 tie counts used to). Backward
+        stops at the first parameterised layer, so the last gradient it
+        computes is the one entering that layer; every gradient on the
+        way there is recorded and must stay float32."""
         model, layout, params, states, xs, ys = make_training_block(
             arch, kwargs, xshape, n_rows=2, n=4, seed=7
         )
         params32 = params.astype(np.float32)
         batched = BatchedModel(model, layout)
+        entering: list[tuple[str, np.dtype]] = []
+        bwd = batched._bwd
+
+        def recording_bwd(module, prefix, grad, gblock, need_input):
+            entering.append((prefix, grad.dtype))
+            return bwd(module, prefix, grad, gblock, need_input)
+
+        batched._bwd = recording_bwd
         logits = batched.forward(params32, np.stack(xs))
         assert logits.dtype == np.float32
         _, grad = batched_cross_entropy_grad(logits, np.stack(ys))
         grads = np.empty_like(params32)
-        gx = batched.backward(grad, grads)
-        assert gx.dtype == np.float32
+        assert batched.backward(grad, grads) is None
+        assert entering[-1] == ("0.", np.float32)
+        assert [p for p, dtype in entering if dtype != np.float32] == []
 
     def test_backward_before_forward_raises(self):
         model = build_model("mlp", in_features=10, num_classes=4, hidden=(8,))
@@ -320,12 +332,29 @@ class TestBatchedModelGradients:
 
 
 class TestBatchedSGD:
-    def _block(self, b=3, dim=7):
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(b, dim)), rng.normal(size=(b, dim))
+    """Every case runs on a block 7 columns wide (one chunk of the
+    chunked step) and on one three chunks plus a remainder wide, whose
+    steps cross chunk edges."""
 
-    def test_matches_serial_sgd_row_for_row(self):
-        params, grads = self._block()
+    @pytest.fixture(params=[False, True], ids=["one-chunk", "three-chunks"])
+    def wide(self, request):
+        return request.param
+
+    @staticmethod
+    def _block(wide, b=3, dtype=np.float64):
+        """``(params, grads, gap)``: a random ``(b, dim)`` block pair and
+        a buffer-column range ``[lo, hi)`` that, in the wide block,
+        straddles a chunk edge."""
+        cols = max(1, CHUNK_ELEMENTS // b)
+        dim = 3 * cols + 5 if wide else 7
+        gap = (2 * cols - 2, 2 * cols + 3) if wide else (2, 5)
+        rng = np.random.default_rng(0)
+        params = rng.normal(size=(b, dim)).astype(dtype)
+        return params, rng.normal(size=(b, dim)).astype(dtype), gap
+
+    def test_matches_serial_sgd_row_for_row(self, wide):
+        params, grads, _ = self._block(wide)
+        dim = params.shape[1]
         lrs = np.array([0.1, 0.05, 0.2])
         serial_rows = []
         for b in range(3):
@@ -333,15 +362,17 @@ class TestBatchedSGD:
             p.accumulate(grads[b])
             SGD([p], lr=lrs[b], momentum=0.9, weight_decay=5e-4).step()
             serial_rows.append(p.data)
-        opt = BatchedSGD([(0, 7)], lrs, momentum=0.9, weight_decay=5e-4)
+        opt = BatchedSGD([(0, dim)], lrs, momentum=0.9, weight_decay=5e-4)
         opt.step(params, grads)
         np.testing.assert_array_equal(params, np.stack(serial_rows))
 
-    def test_momentum_accumulates_like_serial(self):
-        params, grads = self._block()
+    def test_momentum_accumulates_like_serial(self, wide):
+        params, grads, _ = self._block(wide)
         p = Parameter(params[0].copy())
         serial = SGD([p], lr=0.1, momentum=0.9)
-        batched = BatchedSGD([(0, 7)], np.full(3, 0.1), momentum=0.9)
+        batched = BatchedSGD(
+            [(0, params.shape[1])], np.full(3, 0.1), momentum=0.9
+        )
         for _ in range(3):
             p.zero_grad()
             p.accumulate(grads[0])
@@ -349,30 +380,83 @@ class TestBatchedSGD:
             batched.step(params, grads)
         np.testing.assert_array_equal(params[0], p.data)
 
-    def test_buffer_columns_never_touched(self):
-        params, grads = self._block()
+    def test_buffer_columns_never_touched(self, wide):
+        params, grads, (lo, hi) = self._block(wide)
         before = params.copy()
-        opt = BatchedSGD([(0, 2), (5, 7)], np.full(3, 0.1), momentum=0.9,
-                         weight_decay=5e-4)
+        opt = BatchedSGD(
+            [(0, lo), (hi, params.shape[1])], np.full(3, 0.1), momentum=0.9,
+            weight_decay=5e-4,
+        )
         opt.step(params, grads)
-        np.testing.assert_array_equal(params[:, 2:5], before[:, 2:5])
-        assert not np.array_equal(params[:, :2], before[:, :2])
+        opt.step(params, grads)
+        np.testing.assert_array_equal(params[:, lo:hi], before[:, lo:hi])
+        assert not np.array_equal(params[:, :lo], before[:, :lo])
+        assert not np.array_equal(params[:, hi:], before[:, hi:])
 
-    def test_grads_left_unmodified(self):
-        params, grads = self._block()
+    def test_grads_left_unmodified(self, wide):
+        params, grads, _ = self._block(wide)
         before = grads.copy()
-        BatchedSGD([(0, 7)], np.full(3, 0.1), momentum=0.9,
-                   weight_decay=5e-4).step(params, grads)
+        opt = BatchedSGD(
+            [(0, params.shape[1])], np.full(3, 0.1), momentum=0.9,
+            weight_decay=5e-4,
+        )
+        opt.step(params, grads)
+        opt.step(params, grads)
         np.testing.assert_array_equal(grads, before)
 
-    def test_reset_state_clears_velocity(self):
-        params, grads = self._block()
-        opt = BatchedSGD([(0, 7)], np.full(3, 1.0), momentum=0.9)
+    def test_reset_state_clears_velocity(self, wide):
+        params, grads, _ = self._block(wide)
+        opt = BatchedSGD(
+            [(0, params.shape[1])], np.full(3, 1.0), momentum=0.9
+        )
         opt.step(params, grads)
         opt.reset_state()
         fresh = params.copy()
         opt.step(fresh, grads)  # no history: plain -lr*grad again
         np.testing.assert_array_equal(fresh, params - 1.0 * grads)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_three_steps_match_serial_sgd(
+        self, wide, b, momentum, weight_decay, dtype
+    ):
+        """Three steps over two parameter runs around the buffer gap
+        equal the per-parameter SGD of each row, bit for bit."""
+        params, _, (lo, hi) = self._block(wide, b, dtype)
+        dim = params.shape[1]
+        lrs = np.array([0.1, 0.05, 0.2][:b])
+        rng = np.random.default_rng(1)
+        steps = [rng.normal(size=params.shape).astype(dtype) for _ in range(3)]
+        serial_rows = []
+        for row in range(b):
+            parts = [
+                Parameter(params[row, a:z].copy(), dtype=dtype)
+                for a, z in ((0, lo), (hi, dim))
+            ]
+            # A Python float lr, so float32 math stays float32 (the
+            # batched step casts its lr vector to the block dtype).
+            serial = SGD(
+                parts, lr=float(lrs[row]), momentum=momentum,
+                weight_decay=weight_decay,
+            )
+            for grads in steps:
+                for part, (a, z) in zip(parts, ((0, lo), (hi, dim))):
+                    part.zero_grad()
+                    part.accumulate(grads[row, a:z])
+                serial.step()
+            row_out = params[row].copy()
+            row_out[:lo], row_out[hi:] = parts[0].data, parts[1].data
+            serial_rows.append(row_out)
+        opt = BatchedSGD(
+            [(0, lo), (hi, dim)], lrs, momentum=momentum,
+            weight_decay=weight_decay,
+        )
+        for grads in steps:
+            opt.step(params, grads)
+        assert params.dtype == dtype
+        np.testing.assert_array_equal(params, np.stack(serial_rows))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -382,7 +466,6 @@ class TestBatchedSGD:
         opt = BatchedSGD([(0, 2)], np.array([0.1, 0.1]))
         with pytest.raises(ValueError, match="blocks"):
             opt.step(np.zeros((3, 2)), np.zeros((3, 2)))
-
 
 class TestBatchedTrainerParity:
     """The equivalence harness: blocked training reproduces the per-row

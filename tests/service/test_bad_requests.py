@@ -58,10 +58,12 @@ def test_wrongly_typed_field_is_400(service, overrides, field):
         (dict(mlp_hidden=[0]), "mlp_hidden"),
         (dict(mlp_hidden=5), "mlp_hidden"),
         (dict(train_per_node=-5), "train_per_node"),
+        (dict(momentum=-1), "momentum"),
     ],
 )
 def test_names_and_sizes_that_fail_at_build_are_400(service, overrides, field):
     """These configs used to be accepted and queued as a job that then
-    failed while building the study."""
+    failed while building the study (negative momentum: at its first
+    local update, mid-study)."""
     body = json.dumps(tiny_study_payload(**overrides)).encode()
     assert_rejected(service, post_study(service, body), field)

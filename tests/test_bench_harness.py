@@ -96,3 +96,62 @@ class TestUpdateBenchJson:
         bench.update_bench_json({"engine": {"tiny": 1.5}}, path=path)
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != path.name]
         assert leftovers == []
+
+
+class TestBenchDiff:
+    """``tools/bench_diff.py`` reports every numeric leaf and flags a
+    median that moved beyond the larger of the two recorded IQRs."""
+
+    OLD = {
+        "schema_version": 2,
+        "observe_round": {"n128": {"median_ms": 280.0, "iqr_ms": 10.0, "reps": 5}},
+        "samo_wake": {"n128": {"median_ms": 500.0, "iqr_ms": 60.0}},
+        "paper_mlp_training": {
+            "n8": {"one_row_median_ms": 50.0, "one_row_iqr_ms": 2.0}
+        },
+        "gone": {"n4": {"ms": 3.0}},
+        "label": "text is not a leaf",
+    }
+    NEW = {
+        "schema_version": 2,
+        "observe_round": {"n128": {"median_ms": 240.0, "iqr_ms": 12.0, "reps": 5}},
+        "samo_wake": {"n128": {"median_ms": 450.0, "iqr_ms": 30.0}},
+        "paper_mlp_training": {
+            "n8": {"one_row_median_ms": 53.0, "one_row_iqr_ms": 1.0}
+        },
+        "added": {"n4": {"ms": 2.0}},
+    }
+
+    def test_flags_medians_beyond_the_larger_iqr(self):
+        from tools.bench_diff import moved_beyond_iqr
+
+        # 40 > 12 and 3 > 2 move; 50 < 60 is within samo_wake's noise.
+        assert sorted(moved_beyond_iqr(self.OLD, self.NEW)) == [
+            "observe_round.n128.median_ms",
+            "paper_mlp_training.n8.one_row_median_ms",
+        ]
+
+    def test_reports_old_new_and_ratio_for_every_numeric_leaf(self):
+        from tools.bench_diff import report
+
+        lines = report(self.OLD, self.NEW)
+        rows = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
+        assert rows["observe_round.n128.median_ms"] == [
+            "280.000", "240.000", "0.857", "<-", "moved", "beyond", "IQR",
+        ]
+        assert rows["samo_wake.n128.median_ms"] == ["500.000", "450.000", "0.900"]
+        assert rows["gone.n4.ms"] == ["3.000", "-", "-"]
+        assert rows["added.n4.ms"] == ["-", "2.000", "-"]
+        assert "label" not in rows
+        assert lines[-1] == "2 median(s) moved beyond the larger IQR"
+
+    def test_only_reports(self, tmp_path, capsys):
+        from tools.bench_diff import main
+
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(self.OLD))
+        new.write_text(json.dumps(self.NEW))
+        assert main([str(old), str(new)]) == 0
+        assert "moved beyond IQR" in capsys.readouterr().out
+        assert main([str(old), str(tmp_path / "missing.json")]) == 0
+        assert "nothing to compare" in capsys.readouterr().out
