@@ -4,7 +4,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke e2e-smoke lint docs-check coverage examples serve-smoke
+.PHONY: test bench bench-smoke e2e-smoke e2e-pairs lint docs-check coverage \
+	examples serve-smoke
 
 ## Tier-1 suite: unit + integration tests and benchmarks.
 test:
@@ -44,6 +45,20 @@ e2e-smoke:
 	for w in $(E2E_SMOKE_WORKLOADS); do \
 		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seconds 3 || exit 1; \
 	done
+
+## Alternating base/change pairs of one end-to-end workload: E2E_BASE
+## is checked out in a temporary git worktree, the two sides take
+## turns running first, and the compare verdicts end the output
+## (tools/e2e_pairs.py; its exit status is compare's).
+E2E_BASE ?= HEAD
+E2E_WORKLOAD ?= base-peerswap-dp-16
+E2E_PAIRS ?= 10
+E2E_SECONDS ?= 20
+E2E_SEED ?= 0
+e2e-pairs:
+	$(PYTHON) tools/e2e_pairs.py --base $(E2E_BASE) \
+		--workload $(E2E_WORKLOAD) --pairs $(E2E_PAIRS) \
+		--seconds $(E2E_SECONDS) --seed $(E2E_SEED)
 
 ## Smoke-run every script in examples/ at tiny scale.
 examples:

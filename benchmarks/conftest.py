@@ -9,9 +9,10 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Each benchmark prints the regenerated rows/series (compare them with
-EXPERIMENTS.md) and asserts the qualitative *shape* of the paper's
-result — who wins, in which direction — not absolute numbers.
+Each benchmark prints the regenerated rows/series and asserts the
+qualitative *shape* of the paper's result — who wins, in which
+direction — not absolute numbers. README.md lists what each benchmark
+checks; ROADMAP.md item 4 says which claims resolve at which scale.
 """
 
 from __future__ import annotations

@@ -32,6 +32,10 @@ Acceptance properties of the engine PRs:
   ``paper_mlp_step`` — median, min and IQR of its forward, backward
   and ``BatchedSGD.step``, and reps — with no gate (the kernel level
   of a local update);
+* one DP-SGD local update at ``base-peerswap-dp-16``'s shape is
+  recorded as ``paper_mlp_dp_update`` — median, min and IQR of its
+  per-sample pass, clip and sum, noise and optimizer step, and reps —
+  with no gate;
 * sharded observation (shard workers scoring their own arena rows) is
   at least 1.5x faster than the parent row-batch path at 64 nodes
   with >= 2 shards, agreeing at 1e-9 (timing skipped when the process
@@ -78,7 +82,7 @@ from repro.nn.loss import batched_cross_entropy_grad
 from repro.nn.models import build_model
 from repro.nn.optim import BatchedSGD
 from repro.nn.serialize import average_states
-from repro.privacy.dp import DPSGDConfig
+from repro.privacy.dp import DPSGDConfig, clip_block, noisy_gradient_block
 from repro.privacy.mia import mia_reports_batched
 
 from benchmarks.conftest import print_series, run_once, update_bench_json
@@ -528,6 +532,101 @@ class TestPaperMlpStep:
             print_series(f"paper MLP step {name} ms", series)
         _record("paper_mlp_step", 1, **values)
         assert np.isfinite(params).all()
+
+
+class TestPaperMlpDPUpdate:
+    """One DP-SGD local update at ``base-peerswap-dp-16``'s shape (the
+    paper MLP in float64, one row, 64 samples in two steps of 32, the
+    study's calibrated sigma), timed part by part and summed over the
+    update's steps: the per-sample pass (forward, loss gradient,
+    backward), clip and sum (each sample's gradient written, clipped
+    and added), noise, and ``BatchedSGD.step``. The parts replay
+    ``BatchedTrainer.train_block`` and must land on its bits. REPS
+    updates after a warm-up; no gate."""
+
+    REPS = 20
+
+    def test_update_parts_recorded(self):
+        payload = dict(WORKLOADS["base-peerswap-dp-16"].payload, seed=0)
+        with Study(StudyConfig(**payload)) as study:
+            trainer = study.protocol.trainer
+            node = study.simulator.nodes[0]
+            start = study.simulator.arena.data[:1].copy()
+        config, layout = trainer.config, trainer.layout
+        dp = config.dp
+        model = BatchedModel(trainer.model, layout)
+        segments = [
+            (layout.slot(name).offset,
+             layout.slot(name).offset + layout.slot(name).size)
+            for name, _ in trainer.model.named_parameters()
+        ]
+        squares = np.empty(max(stop - begin for begin, stop in segments))
+        x = node.train_x[None].astype(start.dtype)
+        y = node.train_y[None]
+        n = x.shape[1]
+        parts: dict[str, list[float]] = {
+            "pass": [], "clip_sum": [], "noise": [], "step": []
+        }
+        for rep in range(-3, self.REPS):
+            params = start.copy()
+            rng = np.random.default_rng(100 + rep)
+            optimizer = BatchedSGD(
+                parameter_column_runs(layout),
+                np.array([config.learning_rate]),
+                momentum=config.momentum,
+                weight_decay=config.weight_decay,
+            )
+            grads = np.zeros_like(params)
+            summed = np.empty_like(params)
+            spent = dict.fromkeys(parts, 0.0)
+            for _ in range(config.local_epochs):
+                order = rng.permutation(n)
+                for first in range(0, n, config.batch_size):
+                    batch = order[first : first + config.batch_size]
+                    k = batch.size
+                    t0 = time.perf_counter()
+                    logits = model.forward_per_sample(params, x[:, batch])
+                    _, grad = batched_cross_entropy_grad(
+                        logits.reshape(k, 1, -1), y[:, batch].reshape(k, 1),
+                        config.label_smoothing, with_losses=False,
+                    )
+                    model.backward_per_sample(grad.reshape(logits.shape))
+                    t1 = time.perf_counter()
+                    for i in range(k):
+                        model.sample_gradient(i, grads)
+                        clip_block(grads, segments, dp.clip_norm, squares)
+                        if i == 0:
+                            summed[...] = grads
+                        else:
+                            summed += grads
+                    t2 = time.perf_counter()
+                    averaged = noisy_gradient_block(
+                        summed, k, dp, [rng], segments, out=grads
+                    )
+                    t3 = time.perf_counter()
+                    optimizer.step(params, averaged)
+                    t4 = time.perf_counter()
+                    for name, (begin, end) in zip(
+                        parts, ((t0, t1), (t1, t2), (t2, t3), (t3, t4))
+                    ):
+                        spent[name] += (end - begin) * 1e3
+            if rep >= 0:
+                for name in parts:
+                    parts[name].append(spent[name])
+        check = start.copy()
+        trainer.train_block(
+            check, [node.train_x], [node.train_y],
+            [np.random.default_rng(100 + self.REPS - 1)], [0], node_ids=[0],
+        )
+        np.testing.assert_array_equal(params, check)
+        values = {"reps": self.REPS, "samples": n, "batch": config.batch_size}
+        for name, series in parts.items():
+            q1, _, q3 = statistics.quantiles(series, n=4)
+            values[f"{name}_median_ms"] = statistics.median(series)
+            values[f"{name}_min_ms"] = min(series)
+            values[f"{name}_iqr_ms"] = q3 - q1
+            print_series(f"paper MLP DP update {name} ms", series)
+        _record("paper_mlp_dp_update", 1, **values)
 
 
 class TestConvTraining:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -273,12 +274,22 @@ class StudyConfig:
                 "max_global_test and max_attack_samples must be positive"
             )
         # Privacy.
-        if self.dp_epsilon is not None and self.dp_epsilon <= 0:
-            raise ValueError("dp_epsilon must be positive (or None)")
+        # ``x <= 0`` lets NaN through, and a NaN or infinite epsilon
+        # calibrates to the floor of the sigma search (almost no noise).
+        if self.dp_epsilon is not None and not (
+            math.isfinite(self.dp_epsilon) and self.dp_epsilon > 0
+        ):
+            raise ValueError(
+                "dp_epsilon must be finite and > 0 (or None), "
+                f"got {self.dp_epsilon!r}"
+            )
         if not 0.0 < self.dp_delta < 1.0:
             raise ValueError("dp_delta must be in (0, 1)")
-        if self.dp_clip_norm <= 0:
-            raise ValueError("dp_clip_norm must be positive")
+        if not (math.isfinite(self.dp_clip_norm) and self.dp_clip_norm > 0):
+            raise ValueError(
+                "dp_clip_norm must be finite and > 0, "
+                f"got {self.dp_clip_norm!r}"
+            )
         if self.n_canaries < 0:
             raise ValueError("n_canaries must be non-negative")
 

@@ -99,8 +99,10 @@ class BatchedTrainer:
     The caller (the executor) groups rows so that every row of a block
     holds the same number of local samples (lockstep mini-batch
     geometry). DP-SGD and stream-mode dropout run on the same kernel:
-    dropout masks come from per-row counter-based streams, and DP-SGD
-    takes one forward/backward pass per sample over the live rows.
+    dropout masks come from per-row counter-based streams, and a DP-SGD
+    step is one per-sample forward/backward over the live rows (every
+    sample its own microbatch of one), after which each sample's
+    gradient is written, clipped and summed in turn in reused scratch.
     """
 
     def __init__(
@@ -125,6 +127,11 @@ class BatchedTrainer:
             )
             for name, _ in model.named_parameters()
         ]
+        # Row width of the DP clip's squares scratch: the widest
+        # parameter.
+        self._widest_segment = max(
+            (stop - start for start, stop in self._param_segments), default=0
+        )
         self._stream_layers = stream_dropout_layers(model)
         self.steps_taken = 0
 
@@ -219,6 +226,7 @@ class BatchedTrainer:
         else:
             grads = np.zeros_like(params)
             summed = np.empty_like(params)
+            squares = np.empty(b * self._widest_segment, dtype=dtype)
         rows = np.arange(b)[:, None]
         step_idx = 0
         for _ in range(config.local_epochs):
@@ -227,64 +235,69 @@ class BatchedTrainer:
                 batch = np.stack(
                     [order[start : start + config.batch_size] for order in orders]
                 )
-                # One stream per row and step: DP's per-sample passes
-                # draw consecutive masks from it.
+                # One stream per row and step: DP's per-sample pass
+                # draws consecutive masks from it.
                 self._install_mask_streams(node_ids, sessions, step_idx)
+                xb, yb = x_all[rows, batch], y_all[rows, batch]
                 if config.dp is None:
-                    self._gradient(
-                        params, x_all[rows, batch], y_all[rows, batch], grads
+                    logits = self._batched.forward(params, xb)
+                    _, grad = batched_cross_entropy_grad(
+                        logits, yb, config.label_smoothing, with_losses=False
                     )
+                    self._batched.backward(grad, grads)
                     optimizer.step(params, grads)
                 else:
                     averaged = self._dp_gradient(
-                        params, x_all, y_all, rows, batch, rngs, grads, summed
+                        params, xb, yb, rngs, grads, summed, squares
                     )
                     optimizer.step(params, averaged.astype(dtype, copy=False))
                 self.steps_taken += 1
                 step_idx += 1
+        self._batched.release()
         return params
-
-    def _gradient(
-        self, params: np.ndarray, xb: np.ndarray, yb: np.ndarray, grads: np.ndarray
-    ) -> None:
-        """Fill ``grads`` with each row's loss gradient on its batch."""
-        logits = self._batched.forward(params, xb)
-        _, grad = batched_cross_entropy_grad(
-            logits, yb, self.config.label_smoothing, with_losses=False
-        )
-        self._batched.backward(grad, grads)
 
     def _dp_gradient(
         self,
         params: np.ndarray,
-        x_all: np.ndarray,
-        y_all: np.ndarray,
-        rows: np.ndarray,
-        batch: np.ndarray,
+        xb: np.ndarray,
+        yb: np.ndarray,
         rngs: Sequence[np.random.Generator],
         grads: np.ndarray,
         summed: np.ndarray,
+        squares: np.ndarray,
     ) -> np.ndarray:
         """DP-SGD: per-sample clipped gradients, summed, noised, averaged.
 
-        Each sample runs as its own size-1 microbatch, as one
-        forward/backward over the live rows (BatchNorm folds each
-        microbatch into the running statistics in sample order). Its
-        gradient is clipped per row (:func:`clip_block`) and added to a
-        left-to-right sum; :func:`noisy_gradient_block` then draws each
-        row's noise from that row's generator. Scratch is two blocks,
-        whatever the batch size.
+        One per-sample forward/backward runs every sample of the step
+        as its own microbatch of one (BatchNorm folds each sample into
+        the running statistics in sample order). Then, sample by
+        sample, its gradient is written into ``grads``, clipped per row
+        (:func:`clip_block`, squaring into ``squares``) and added to a
+        left-to-right sum in ``summed``; :func:`noisy_gradient_block`
+        then draws each row's noise from that row's generator, into
+        ``grads`` when it is float64. Only one sample's gradient exists
+        at a time: scratch is two blocks and the squares, whatever the
+        batch size.
         """
         dp = self.config.dp
-        k = batch.shape[1]
+        b, k = yb.shape
+        logits = self._batched.forward_per_sample(params, xb)
+        # A microbatch of one: each sample's loss gradient divides by 1.
+        _, grad = batched_cross_entropy_grad(
+            logits.reshape(b * k, 1, -1),
+            yb.reshape(b * k, 1),
+            self.config.label_smoothing,
+            with_losses=False,
+        )
+        self._batched.backward_per_sample(grad.reshape(logits.shape))
         for i in range(k):
-            sample = batch[:, i : i + 1]
-            self._gradient(params, x_all[rows, sample], y_all[rows, sample], grads)
-            clip_block(grads, self._param_segments, dp.clip_norm)
+            self._batched.sample_gradient(i, grads)
+            clip_block(grads, self._param_segments, dp.clip_norm, squares)
             if i == 0:
                 summed[...] = grads
             else:
                 summed += grads
         return noisy_gradient_block(
-            summed, k, dp, list(rngs), self._param_segments
+            summed, k, dp, list(rngs), self._param_segments,
+            out=grads if grads.dtype == np.float64 else None,
         )

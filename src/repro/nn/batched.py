@@ -43,10 +43,12 @@ path. Stream-mode Dropout (masks keyed by ``(node, session, step)``,
 see :func:`~repro.nn.layers.mask_stream_rng`) batches: install each
 row's per-step generators with :meth:`BatchedModel.set_mask_streams`
 before the forward. Every model with a batched forward also has a
-batched backward.
+batched backward, and a per-sample pass for DP-SGD.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -336,6 +338,14 @@ class BatchedModel:
     parameter gradients into a ``(B, dim)`` gradient block addressed by
     the same layout as the parameter block.
 
+    DP-SGD needs one gradient per sample. ``forward_per_sample`` and
+    ``backward_per_sample`` run a ``(B, k, ...)`` block in one pass in
+    which every sample is its own microbatch of one (Dense runs one
+    GEMV per (row, sample); BatchNorm uses each sample's statistics).
+    The backward keeps each parameterised layer's input and output
+    gradient, from which ``sample_gradient`` writes one sample's
+    gradient at a time into the ``(B, dim)`` block.
+
     Contracts (on top of the module-level layout/dtype contracts):
 
     * **Training semantics** — BatchNorm normalizes with each row's
@@ -348,10 +358,12 @@ class BatchedModel:
       workspace path bit for bit. Conv contractions therefore run the
       serial einsum per row instead of one fused contraction — the win
       for conv models is the batched everything-else; dense models
-      batch end to end.
+      batch end to end. A per-sample pass reproduces k passes over
+      microbatches of one, bit for bit.
     * **One forward at a time** — caches are keyed per layer and
-      overwritten by the next ``forward``; call ``backward`` before the
-      next step, with the forward's parameter block still alive.
+      overwritten by the next forward; call the matching backward
+      before the next step, with the forward's parameter block still
+      alive.
     """
 
     def __init__(self, model: Module, layout: StateLayout):
@@ -371,6 +383,13 @@ class BatchedModel:
         self._stream_layers = stream_dropout_layers(model)
         self._stream_index = {id(m): i for i, m in enumerate(self._stream_layers)}
         self._mask_streams: list[list[np.random.Generator]] | None = None
+        self._per_sample = False
+        # (module, prefix, layer input, output gradient) of every
+        # parameterised layer, kept by backward_per_sample; None until
+        # it runs after a forward_per_sample.
+        self._factors: (
+            list[tuple[Module, str, np.ndarray, np.ndarray]] | None
+        ) = None
 
     def set_mask_streams(
         self, streams: list[list[np.random.Generator]] | None
@@ -379,9 +398,9 @@ class BatchedModel:
 
         ``streams[i][j]`` is the generator of stream-dropout layer ``i``
         (in :func:`~repro.nn.layers.stream_dropout_layers` order) for
-        block row ``j``. The streams persist until the next install, so
-        several forwards within one step (DP-SGD's per-sample passes)
-        draw consecutive masks from them.
+        block row ``j``. The streams persist until the next install; a
+        per-sample pass draws each row's k masks from them one after
+        another.
         """
         if streams is not None and len(streams) != len(self._stream_layers):
             raise ValueError(
@@ -392,6 +411,23 @@ class BatchedModel:
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Logits of row b's model on ``x[b]``: ``(B, N, ...) -> (B, N, C)``."""
+        return self._start(params, x, per_sample=False)
+
+    def forward_per_sample(
+        self, params: np.ndarray, x: np.ndarray
+    ) -> np.ndarray:
+        """Logits of every sample ``x[b, i]`` as its own microbatch of one.
+
+        ``(B, k, ...) -> (B, k, C)``: the same bits as k forwards over
+        ``x[:, i : i + 1]`` in sample order (BatchNorm running buffers
+        and dropout mask streams advance once per sample, in order).
+        Follow it with :meth:`backward_per_sample`.
+        """
+        return self._start(params, x, per_sample=True)
+
+    def _start(
+        self, params: np.ndarray, x: np.ndarray, per_sample: bool
+    ) -> np.ndarray:
         self._block = _Block(self.layout, np.asarray(params))
         x = np.asarray(x, dtype=self._block.dtype)
         if x.shape[0] != self._block.b:
@@ -399,6 +435,8 @@ class BatchedModel:
                 f"input must have leading size {self._block.b}, got {x.shape}"
             )
         self._cache = {}
+        self._factors = None
+        self._per_sample = per_sample
         return self._fwd(self.model, "", x)
 
     def backward(self, grad_out: np.ndarray, grads: np.ndarray) -> None:
@@ -413,14 +451,66 @@ class BatchedModel:
         ``(B, N, 256) @ (256, 600)`` matmul per step, on the CNNs the
         first conv's einsum and ``col2im``) is never computed.
         """
-        if self._block is None:
-            raise RuntimeError("backward called before forward")
+        self._check_mode(False)
+        self._bwd(self.model, "", grad_out, self._grad_block(grads), False)
+
+    def backward_per_sample(self, grad_out: np.ndarray) -> None:
+        """Backprop per-sample logits gradients ``(B, k, C)``.
+
+        ``grad_out[b, i]`` is the gradient of sample i's own loss (a
+        microbatch of one, so N = 1). Like :meth:`backward` the pass
+        stops at the first parameterised layer; instead of writing
+        parameter gradients it keeps each parameterised layer's input
+        and output gradient, from which :meth:`sample_gradient` writes
+        any one sample's gradient.
+        """
+        self._check_mode(True)
+        self._factors = []
+        self._bwd(self.model, "", grad_out, None, False)
+
+    def sample_gradient(self, i: int, grads: np.ndarray) -> None:
+        """Write sample i's parameter gradient into the ``(B, dim)`` block.
+
+        The same bits as :meth:`backward` over the microbatch
+        ``x[:, i : i + 1]`` would write: every parameter slot is
+        written, buffer slots are left untouched.
+        """
+        if self._factors is None:
+            raise RuntimeError(
+                "sample_gradient called before backward_per_sample"
+            )
+        gblock = self._grad_block(grads)
+        sample = slice(i, i + 1)
+        for module, prefix, inp, grad in self._factors:
+            self._param_grads(
+                module, prefix, inp[:, sample], grad[:, sample], gblock
+            )
+
+    def release(self) -> None:
+        """Drop the cached activations, the per-sample factors and the
+        parameter block until the next forward. A per-sample pass
+        caches k samples' activations; released when a local update
+        ends, they do not stay alive while other code runs."""
+        self._block = None
+        self._cache = {}
+        self._factors = None
+
+    def _grad_block(self, grads: np.ndarray) -> _Block:
         gblock = _Block(self.layout, np.asarray(grads))
         if gblock.b != self._block.b:
             raise ValueError(
                 f"grads must have {self._block.b} rows, got {gblock.b}"
             )
-        self._bwd(self.model, "", grad_out, gblock, False)
+        return gblock
+
+    def _check_mode(self, per_sample: bool) -> None:
+        if self._block is None:
+            raise RuntimeError("backward called before forward")
+        if self._per_sample != per_sample:
+            raise RuntimeError(
+                "backward_per_sample pairs with forward_per_sample, "
+                "backward with forward"
+            )
 
     # -- forward dispatch ---------------------------------------------
 
@@ -438,7 +528,7 @@ class BatchedModel:
             return F.relu(out)
         if isinstance(module, Dense):
             self._cache[prefix] = x
-            out = np.matmul(x, block.get(prefix + "weight"))
+            out = self._dense_matmul(x, block.get(prefix + "weight"))
             if module.bias is not None:
                 out = out + block.get(prefix + "bias")[:, None, :]
             return out
@@ -476,6 +566,16 @@ class BatchedModel:
         raise NotImplementedError(
             f"no batched train-mode forward for {type(module).__name__}"
         )
+
+    def _dense_matmul(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """``x @ weight[b]`` per row, ``(B, N, i) -> (B, N, o)``. In a
+        per-sample pass every sample is a microbatch of one, so the
+        broadcast matmul runs one GEMV per (row, sample): the kernel a
+        size-1 microbatch runs, not a GEMM over the k samples."""
+        if not self._per_sample:
+            return np.matmul(x, weight)
+        out = np.matmul(x[:, :, None, :], weight[:, None])  # (B, k, 1, o)
+        return out.reshape(out.shape[:2] + out.shape[3:])
 
     def _dropout_fwd(
         self, module: Dropout, prefix: str, x: np.ndarray
@@ -532,20 +632,25 @@ class BatchedModel:
         self, module: BatchNorm2d, prefix: str, x: np.ndarray
     ) -> np.ndarray:
         block = self._block
-        mean = x.mean(axis=(1, 3, 4))  # each row's own batch statistics
-        var = x.var(axis=(1, 3, 4))
+        # Statistics of each microbatch (a row's batch, or in a
+        # per-sample pass each sample alone), kept as (B, n, C, 1, 1).
+        axes = self._microbatch_axes()
+        mean = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
         running_mean = block.get("buffer:" + prefix + "running_mean")
         running_var = block.get("buffer:" + prefix + "running_var")
-        running_mean[...] = (
-            (1 - module.momentum) * running_mean + module.momentum * mean
-        )
-        running_var[...] = (
-            (1 - module.momentum) * running_var + module.momentum * var
-        )
+        # One fold per microbatch, in sample order.
+        for i in range(mean.shape[1]):
+            running_mean[...] = (
+                (1 - module.momentum) * running_mean
+                + module.momentum * mean[:, i, :, 0, 0]
+            )
+            running_var[...] = (
+                (1 - module.momentum) * running_var
+                + module.momentum * var[:, i, :, 0, 0]
+            )
         inv_std = 1.0 / np.sqrt(var + module.eps)
-        x_hat = (x - mean[:, None, :, None, None]) * inv_std[
-            :, None, :, None, None
-        ]
+        x_hat = (x - mean) * inv_std
         self._cache[prefix] = (x_hat, inv_std, x.shape)
         gamma = block.get(prefix + "gamma")
         beta = block.get(prefix + "beta")
@@ -554,6 +659,11 @@ class BatchedModel:
             + beta[:, None, :, None, None]
         )
 
+    def _microbatch_axes(self) -> tuple[int, ...]:
+        """Axes of a ``(B, N, C, H, W)`` activation one microbatch's
+        BatchNorm statistics reduce over."""
+        return (3, 4) if self._per_sample else (1, 3, 4)
+
     # -- backward dispatch --------------------------------------------
 
     def _bwd(
@@ -561,11 +671,13 @@ class BatchedModel:
         module: Module,
         prefix: str,
         grad: np.ndarray,
-        gblock: _Block,
+        gblock: _Block | None,
         need_input: bool,
     ) -> np.ndarray | None:
         """Backprop one module; returns its input gradient, or None when
-        ``need_input`` is false (no earlier layer has parameters)."""
+        ``need_input`` is false (no earlier layer has parameters).
+        Parameter gradients go to ``gblock``, or in a per-sample pass
+        (``gblock`` None) are kept as factors for sample_gradient."""
         block = self._block
         if not need_input and id(module) not in self._trained:
             return None
@@ -597,15 +709,12 @@ class BatchedModel:
             )
             return body + cut if need_input else None
         if isinstance(module, Dense):
-            x = self._cache[prefix]
-            np.matmul(
-                x.transpose(0, 2, 1), grad, out=gblock.get(prefix + "weight")
+            self._param_grads(
+                module, prefix, self._cache[prefix], grad, gblock
             )
-            if module.bias is not None:
-                np.sum(grad, axis=1, out=gblock.get(prefix + "bias"))
             if not need_input:
                 return None
-            return np.matmul(
+            return self._dense_matmul(
                 grad, block.get(prefix + "weight").transpose(0, 2, 1)
             )
         if isinstance(module, Conv2d):
@@ -643,7 +752,7 @@ class BatchedModel:
         module: Conv2d,
         prefix: str,
         grad: np.ndarray,
-        gblock: _Block,
+        gblock: _Block | None,
         need_input: bool,
     ) -> np.ndarray | None:
         block = self._block
@@ -651,14 +760,10 @@ class BatchedModel:
         b, n = grad.shape[:2]
         o = module.out_channels
         grad_flat = grad.reshape(b, n, o, out_h * out_w)
-        w_mat = block.get(prefix + "weight").reshape(b, o, -1)
-        gw = gblock.get(prefix + "weight").reshape(b, o, -1)
-        for i in range(b):
-            np.einsum("nop,nkp->ok", grad_flat[i], cols[i], out=gw[i])
-        if module.bias is not None:
-            np.sum(grad_flat, axis=(1, 3), out=gblock.get(prefix + "bias"))
+        self._param_grads(module, prefix, cols, grad_flat, gblock)
         if not need_input:
             return None
+        w_mat = block.get(prefix + "weight").reshape(b, o, -1)
         k = cols.shape[2]
         grad_cols = np.empty((b, n, k, cols.shape[3]), dtype=grad.dtype)
         for i in range(b):
@@ -677,20 +782,63 @@ class BatchedModel:
         module: BatchNorm2d,
         prefix: str,
         grad: np.ndarray,
-        gblock: _Block,
+        gblock: _Block | None,
         need_input: bool,
     ) -> np.ndarray | None:
         block = self._block
         x_hat, inv_std, x_shape = self._cache[prefix]
-        _, n, _, h, w = x_shape
-        m = n * h * w
-        np.sum(grad * x_hat, axis=(1, 3, 4), out=gblock.get(prefix + "gamma"))
-        np.sum(grad, axis=(1, 3, 4), out=gblock.get(prefix + "beta"))
+        self._param_grads(module, prefix, x_hat, grad, gblock)
         if not need_input:
             return None
+        axes = self._microbatch_axes()
+        m = math.prod(x_shape[a] for a in axes)
         g = grad * block.get(prefix + "gamma")[:, None, :, None, None]
-        sum_g = g.sum(axis=(1, 3, 4), keepdims=True)
-        sum_gx = (g * x_hat).sum(axis=(1, 3, 4), keepdims=True)
-        return inv_std[:, None, :, None, None] * (
-            g - sum_g / m - x_hat * sum_gx / m
-        )
+        sum_g = g.sum(axis=axes, keepdims=True)
+        sum_gx = (g * x_hat).sum(axis=axes, keepdims=True)
+        return inv_std * (g - sum_g / m - x_hat * sum_gx / m)
+
+    def _param_grads(
+        self,
+        module: Module,
+        prefix: str,
+        inp: np.ndarray,
+        grad: np.ndarray,
+        gblock: _Block | None,
+    ) -> None:
+        """Write one layer's parameter gradients over a microbatch.
+
+        ``inp`` is what the gradient reads of the forward (a Dense
+        input, a conv's im2col patches, BatchNorm's ``x_hat``) and
+        ``grad`` the layer's output gradient, both ``(B, n, ...)``. In
+        a per-sample pass (``gblock`` None) the two are kept instead,
+        for :meth:`sample_gradient` to call back with one sample.
+        """
+        if gblock is None:
+            self._factors.append((module, prefix, inp, grad))
+            return
+        if isinstance(module, Dense):
+            weight = gblock.get(prefix + "weight")
+            if inp.shape[1] == 1:
+                # Outer product as 0 + x * g: the serial layer's K = 1
+                # ``x.T @ g`` runs numpy's non-BLAS loop, which writes a
+                # -0.0 product as +0.0; so does einsum, while a plain
+                # multiply would keep -0.0.
+                np.einsum("bi,bj->bij", inp[:, 0], grad[:, 0], out=weight)
+            else:
+                np.matmul(inp.transpose(0, 2, 1), grad, out=weight)
+            if module.bias is not None:
+                np.sum(grad, axis=1, out=gblock.get(prefix + "bias"))
+        elif isinstance(module, Conv2d):
+            b = grad.shape[0]
+            gw = gblock.get(prefix + "weight").reshape(
+                b, module.out_channels, -1
+            )
+            for i in range(b):
+                np.einsum("nop,nkp->ok", grad[i], inp[i], out=gw[i])
+            if module.bias is not None:
+                np.sum(grad, axis=(1, 3), out=gblock.get(prefix + "bias"))
+        else:  # BatchNorm2d
+            np.sum(
+                grad * inp, axis=(1, 3, 4), out=gblock.get(prefix + "gamma")
+            )
+            np.sum(grad, axis=(1, 3, 4), out=gblock.get(prefix + "beta"))

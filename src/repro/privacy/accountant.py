@@ -8,6 +8,7 @@ improved RDP->(eps, delta) conversion of Balle et al. (2020).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,10 +28,17 @@ DEFAULT_ALPHAS: tuple[float, ...] = tuple(
 )
 
 
-def _log_comb(n: int, k: int) -> float:
-    return float(
-        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+@functools.cache
+def _log_combs(n: int) -> np.ndarray:
+    """``log C(n, j)`` for j = 0..n (read-only; depends on n alone)."""
+    j = np.arange(n + 1)
+    out = (
+        special.gammaln(n + 1)
+        - special.gammaln(j + 1)
+        - special.gammaln(n - j + 1)
     )
+    out.setflags(write=False)
+    return out
 
 
 def _rdp_gaussian(alpha: float, sigma: float) -> float:
@@ -39,15 +47,16 @@ def _rdp_gaussian(alpha: float, sigma: float) -> float:
 
 
 def _rdp_subsampled_int(alpha: int, q: float, sigma: float) -> float:
-    """RDP at integer order via the binomial expansion (Mironov et al. eq. 3)."""
-    log_terms = []
-    for j in range(alpha + 1):
-        log_coef = (
-            _log_comb(alpha, j)
-            + j * math.log(q)
-            + (alpha - j) * math.log1p(-q)
-        )
-        log_terms.append(log_coef + (j * j - j) / (2.0 * sigma**2))
+    """RDP at integer order via the binomial expansion (Mironov et al. eq. 3).
+
+    The terms j = 0..alpha are one array expression, each element the
+    same float64 operations, in the same order, as a term-by-term loop.
+    """
+    j = np.arange(alpha + 1)
+    log_coef = (
+        _log_combs(alpha) + j * math.log(q) + (alpha - j) * math.log1p(-q)
+    )
+    log_terms = log_coef + (j * j - j) / (2.0 * sigma**2)
     log_sum = special.logsumexp(log_terms)
     return float(log_sum) / (alpha - 1)
 
@@ -59,13 +68,21 @@ def rdp_subsampled_gaussian(
 
     Fractional orders are bounded by linear interpolation between the
     neighboring integer orders (RDP is convex in alpha), which is the
-    standard practical treatment.
+    standard practical treatment. Each integer order is computed once
+    per call, however many fractional orders it bounds.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"sampling rate must be in [0, 1], got {q}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     out = np.empty(len(alphas))
+    at_int: dict[int, float] = {}
+
+    def rdp_int(order: int) -> float:
+        if order not in at_int:
+            at_int[order] = _rdp_subsampled_int(order, q, sigma)
+        return at_int[order]
+
     for i, alpha in enumerate(alphas):
         if alpha <= 1.0:
             raise ValueError("RDP orders must be > 1")
@@ -74,15 +91,15 @@ def rdp_subsampled_gaussian(
         elif q == 0.0:
             out[i] = 0.0
         elif float(alpha).is_integer():
-            out[i] = _rdp_subsampled_int(int(alpha), q, sigma)
+            out[i] = rdp_int(int(alpha))
         else:
             lo, hi = int(math.floor(alpha)), int(math.ceil(alpha))
             if lo < 2:
                 # Order in (1, 2): bound by the value at 2.
-                out[i] = _rdp_subsampled_int(2, q, sigma)
+                out[i] = rdp_int(2)
             else:
-                r_lo = _rdp_subsampled_int(lo, q, sigma)
-                r_hi = _rdp_subsampled_int(hi, q, sigma)
+                r_lo = rdp_int(lo)
+                r_hi = rdp_int(hi)
                 frac = alpha - lo
                 out[i] = (1 - frac) * r_lo + frac * r_hi
     return out
@@ -151,8 +168,10 @@ def calibrate_sigma(
     Mirrors Opacus's ``get_noise_multiplier``: epsilon decreases
     monotonically in sigma, so bisection converges.
     """
-    if target_epsilon <= 0:
-        raise ValueError("target_epsilon must be positive")
+    if not (math.isfinite(target_epsilon) and target_epsilon > 0):
+        raise ValueError(
+            f"target_epsilon must be finite and > 0, got {target_epsilon!r}"
+        )
 
     def eps_for(sigma: float) -> float:
         acct = RDPAccountant()

@@ -9,6 +9,7 @@ provides the accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,17 @@ class DPSGDConfig:
     target_delta: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.noise_multiplier is not None and self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be non-negative")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(
+                f"clip_norm must be finite and > 0, got {self.clip_norm!r}"
+            )
+        if self.noise_multiplier is not None and not (
+            math.isfinite(self.noise_multiplier) and self.noise_multiplier >= 0
+        ):
+            raise ValueError(
+                "noise_multiplier must be finite and >= 0, "
+                f"got {self.noise_multiplier!r}"
+            )
         if self.noise_multiplier is None and self.target_epsilon is None:
             raise ValueError("provide noise_multiplier or target_epsilon")
 
@@ -109,20 +117,33 @@ def noisy_gradient(
 
 
 def clip_block(
-    grads: np.ndarray, segments: Segments, clip_norm: float
+    grads: np.ndarray,
+    segments: Segments,
+    clip_norm: float,
+    squares: np.ndarray | None = None,
 ) -> np.ndarray:
     """Clip every row of a per-sample gradient block in place.
 
     The per-row global norm accumulates one float64 per-parameter sum
     at a time, in segment order — the same left fold as the Python
     ``sum()`` in :func:`clip_per_sample` — and the scale is applied in
-    the block dtype, matching the serial ``g * scale``. Returns the
+    the block dtype, matching the serial ``g * scale``. Each segment is
+    squared into ``squares``, a flat scratch of the block dtype with at
+    least ``R * (widest segment)`` elements (allocated when None, so a
+    caller clipping many blocks passes one and reuses it). Returns the
     pre-clip norms as a float64 ``(R,)`` array.
     """
-    total = np.zeros(grads.shape[0], dtype=np.float64)
+    rows = grads.shape[0]
+    if squares is None:
+        widest = max((stop - start for start, stop in segments), default=0)
+        squares = np.empty(rows * widest, dtype=grads.dtype)
+    total = np.zeros(rows, dtype=np.float64)
     for start, stop in segments:
         seg = grads[:, start:stop]
-        total = total + np.sum(seg * seg, axis=1).astype(np.float64)
+        # A contiguous (R, width) view, laid out like ``seg * seg``.
+        sq = squares[: rows * (stop - start)].reshape(rows, stop - start)
+        np.multiply(seg, seg, out=sq)
+        total += np.sum(sq, axis=1)
     norms = np.sqrt(total)
     scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
     scale = scale.astype(grads.dtype, copy=False)[:, None]
@@ -138,14 +159,24 @@ def noisy_gradient_block(
     config: DPSGDConfig,
     rngs: list[np.random.Generator],
     segments: Segments,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Blocked :func:`noisy_gradient`: noise + average a (B, dim) block.
 
     ``summed_clipped[b]`` is row b's sum of clipped per-sample
     gradients and ``rngs[b]`` its task generator; each row draws its
     noise parameter by parameter in segment order, consuming the
-    generator exactly as the serial loop does. Returns a new block
-    (float64 when noise was added, promoting like ``g + noise``).
+    generator exactly as the serial loop does. Each segment's draws
+    land straight in ``out`` (``rng.standard_normal(out=...)``, then
+    scaled by sigma * C: the draws and bits of ``rng.normal(0, sigma
+    * C)``), so no noise temporary is made.
+
+    ``out``, when given, receives the result: a C-contiguous block of
+    the result dtype (float64 when noise is added, promoting like ``g +
+    noise``; the gradient dtype otherwise) that, when noise is added,
+    does not overlap ``summed_clipped``. Noise lands in the segments'
+    columns only; every column is divided by ``n_samples``. When None,
+    a new block is returned (with noise, zeros outside the segments).
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -158,10 +189,16 @@ def noisy_gradient_block(
     if std == 0:
         # Mirror the serial dtype semantics: with no noise the average
         # stays in the gradient dtype instead of promoting to float64.
-        return summed_clipped / n_samples
-    out = summed_clipped.astype(np.float64, copy=True)
+        return np.divide(summed_clipped, n_samples, out=out)
+    if out is None:
+        out = np.zeros(summed_clipped.shape, dtype=np.float64)
+    elif np.may_share_memory(out, summed_clipped):
+        raise ValueError("out must not overlap summed_clipped")
     for b, rng in enumerate(rngs):
         for start, stop in segments:
-            out[b, start:stop] += rng.normal(0.0, std, size=stop - start)
+            noise = out[b, start:stop]
+            rng.standard_normal(out=noise)
+            noise *= std
+            noise += summed_clipped[b, start:stop]
     out /= n_samples
     return out

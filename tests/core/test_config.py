@@ -265,6 +265,12 @@ class TestValidation:
             (dict(learning_rate=float("inf")), "learning_rate"),
             (dict(weight_decay=-1.0), "weight_decay must be finite and >= 0"),
             (dict(weight_decay=float("inf")), "weight_decay"),
+            # A NaN or infinite epsilon calibrated to sigma ~0.1, the
+            # floor of the search: a study labelled DP with no noise.
+            (dict(dp_epsilon=float("nan")), "dp_epsilon must be finite"),
+            (dict(dp_epsilon=float("inf")), "dp_epsilon"),
+            (dict(dp_clip_norm=float("nan")), "dp_clip_norm must be finite"),
+            (dict(dp_clip_norm=float("inf")), "dp_clip_norm"),
         ],
     )
     def test_rejects_names_and_sizes_that_fail_at_build(self, kwargs, message):

@@ -12,11 +12,12 @@ import pytest
 
 from reference_trainer import LocalTrainer
 from repro.gossip import BatchedTrainer, TrainerConfig
+from repro.gossip import trainer as trainer_module
 from repro.nn import build_mlp, get_state
 from repro.nn.flat import StateLayout
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.serialize import set_state
-from repro.privacy import DPSGDConfig
+from repro.privacy import DPSGDConfig, noisy_gradient_block
 
 
 def make_config(**overrides):
@@ -169,6 +170,35 @@ class TestDPSGDTrainer:
         drift_small = np.linalg.norm(run(0.1) - clean)
         drift_large = np.linalg.norm(run(5.0) - clean)
         assert drift_large > drift_small
+
+    def test_zero_noise_dp_gradient_has_no_negative_zero(self, monkeypatch):
+        """Where a sample's gradient entry is zero, the averaged DP
+        gradient holds +0.0, as in the serial loop, whose K = 1 weight
+        matmul and size-1 bias sum compute ``0 + x * g``. Binary inputs
+        with a feature that is zero in every sample, one sample per
+        step and no noise make -0.0 products (0 times a negative delta)
+        and -0.0 deltas (ReLU-masked) that a plain multiply or copy
+        would keep."""
+        dp = DPSGDConfig(clip_norm=1.0, noise_multiplier=0.0)
+        trainer, row = make_setup(dp=dp, local_epochs=1, batch_size=1)
+        rng = np.random.default_rng(0)
+        x = (rng.random((12, 8)) < 0.5).astype(np.float64)
+        x[:, 3] = 0.0
+        y = rng.integers(0, 3, size=12)
+        averaged = []
+
+        def recording(*args, **kwargs):
+            out = noisy_gradient_block(*args, **kwargs)
+            averaged.append(out.copy())
+            return out
+
+        monkeypatch.setattr(trainer_module, "noisy_gradient_block", recording)
+        train(trainer, row, x, y)
+        grads = np.stack(averaged)
+        assert grads.shape == (12, 1, trainer.layout.dim)
+        zeros = grads == 0.0
+        assert zeros.sum() >= 12 * 16  # feature 3's weight row, per step
+        assert not np.signbit(grads[zeros]).any()
 
     def test_dp_peak_memory_stays_near_one_row(self):
         """One DP update of one paper-MLP row (600-256-128-64-100, 64

@@ -561,33 +561,49 @@ class TestBatchedTrainerParity:
 
     @pytest.mark.parametrize("arch,kwargs,xshape", ARCHS)
     def test_dp_exact_in_float64(self, arch, kwargs, xshape):
-        """Vectorized per-sample-gradient DP-SGD must reproduce the
-        serial clip-and-noise path bit for bit — including the
-        BatchNorm statistics fold for the conv families."""
+        """One-pass DP-SGD (every sample its own microbatch of one in a
+        single per-sample pass, then clip and sum sample by sample) must
+        reproduce the serial per-sample loop bit for bit: on 4, 1 and 3
+        rows, with label smoothing, a batch tail of exactly one sample
+        (11 samples in batches of 5), the BatchNorm statistics fold for
+        the conv families and stream dropout on the MLP."""
         from repro.privacy.dp import DPSGDConfig
 
-        model, layout, params, states, xs, ys = make_training_block(
-            arch, kwargs, xshape, n_rows=4, n=12, seed=8
-        )
         dp_config = TrainerConfig(
             learning_rate=0.05,
             momentum=0.9,
             weight_decay=5e-4,
             local_epochs=2,
             batch_size=5,
+            label_smoothing=0.1,
             dp=DPSGDConfig(clip_norm=1.0, noise_multiplier=0.7),
         )
-        serial = np.empty_like(params)
-        trainer = LocalTrainer(model, dp_config)
-        for b, state in enumerate(states):
-            out = trainer.train(
-                state, xs[b], ys[b], np.random.default_rng(30 + b), session=0
-            )
-            layout.pack(out, out=serial[b])
-        batched = BatchedTrainer(model, dp_config, layout)
-        rngs = [np.random.default_rng(30 + b) for b in range(4)]
-        batched.train_block(params, xs, ys, rngs, [0] * 4)
-        np.testing.assert_array_equal(params, serial)
+        variants = [kwargs]
+        if arch == "mlp":
+            variants.append(dict(kwargs, dropout=0.3))
+        for model_kwargs in variants:
+            for n_rows, n in ((4, 12), (1, 11), (3, 11)):
+                model, layout, params, states, xs, ys = make_training_block(
+                    arch, model_kwargs, xshape, n_rows=n_rows, n=n, seed=8
+                )
+                node_ids = [5 + b for b in range(n_rows)]
+                serial = np.empty_like(params)
+                trainer = LocalTrainer(model, dp_config)
+                for b, state in enumerate(states):
+                    out = trainer.train(
+                        state, xs[b], ys[b], np.random.default_rng(30 + b),
+                        node_id=node_ids[b], session=0,
+                    )
+                    layout.pack(out, out=serial[b])
+                batched = BatchedTrainer(model, dp_config, layout)
+                rngs = [np.random.default_rng(30 + b) for b in range(n_rows)]
+                batched.train_block(
+                    params, xs, ys, rngs, [0] * n_rows, node_ids=node_ids
+                )
+                np.testing.assert_array_equal(
+                    params, serial,
+                    err_msg=f"{n_rows} rows, {n} samples, {model_kwargs}",
+                )
 
     def test_dp_runs_blocked(self):
         # DP-SGD no longer falls back per row: the vectorized

@@ -1,10 +1,18 @@
 """Tests for the RDP accountant against known reference values."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_accountant as reference
+from benchmarks.e2e.workloads import WORKLOADS
+from repro.core import study as study_module
+from repro.core.config import StudyConfig
+from repro.core.study import Study
 from repro.privacy import (
     DEFAULT_ALPHAS,
     RDPAccountant,
@@ -140,6 +148,12 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_sigma(0.0, 1e-5, q=0.1, steps=10)
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_rejects_non_finite_target(self, target):
+        """Both used to return the search's floor, sigma ~0.1."""
+        with pytest.raises(ValueError, match="target_epsilon must be finite"):
+            calibrate_sigma(target, 1e-5, q=0.5, steps=40)
+
     def test_rejects_unreachable_target(self):
         with pytest.raises(ValueError):
             calibrate_sigma(1e-6, 1e-5, q=1.0, steps=10_000, sigma_max=5.0)
@@ -207,3 +221,63 @@ class TestAccountantProperties:
         assert _epsilon(q, sigma, steps) <= target
         if sigma - tol > sigma_min:
             assert _epsilon(q, sigma - tol, steps) > target
+
+
+class TestMatchesReference:
+    """The accountant computes each integer order once per call and
+    caches the log-binomial terms; ``tests/reference_accountant.py``
+    recomputes both term by term. Same float64 bits everywhere."""
+
+    @pytest.mark.parametrize("q", [0.0, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.999, 1.0])
+    def test_rdp_vector_bitwise(self, q):
+        for sigma in (0.1, 0.5, 0.7, 1.0, 1.8454952239990234, 3.0, 150.0):
+            expected = reference.rdp_subsampled_gaussian(q, sigma)
+            got = rdp_subsampled_gaussian(q, sigma)
+            assert got.tobytes() == expected.tobytes(), (q, sigma)
+
+    @pytest.mark.parametrize("steps", [1, 30, 78, 2_000])
+    def test_epsilon_bitwise(self, steps):
+        for q, sigma in ((0.1, 1.0), (0.5, 1.8454952239990234), (0.9, 4.0)):
+            assert _epsilon(q, sigma, steps) == reference.epsilon(
+                q, sigma, steps, 1e-5
+            )
+
+    @pytest.mark.parametrize(
+        "target, delta, q, steps",
+        [(8.0, 1e-5, 0.5, 40), (1.0, 1e-6, 0.1, 500), (50.0, 1e-5, 0.9, 3)],
+    )
+    def test_calibrated_sigma_bitwise(self, target, delta, q, steps):
+        assert calibrate_sigma(target, delta, q, steps) == (
+            reference.calibrate_sigma(target, delta, q, steps)
+        )
+
+    def test_study_sigmas_bitwise(self, monkeypatch):
+        """Every DP config of the config-hash corpus, and the end-to-end
+        DP workload, calibrates the same sigma as the reference."""
+        corpus = json.loads(
+            (Path(__file__).parents[1] / "core" / "config_hash_corpus.json")
+            .read_text()
+        )
+        payloads = [
+            entry["to_dict"]
+            for entry in corpus.values()
+            if entry["to_dict"]["privacy"]["dp_epsilon"] is not None
+        ]
+        payloads.append(WORKLOADS["base-peerswap-dp-16"].payload)
+        # The corpus spells some configs several ways: build each once.
+        configs = {}
+        for payload in payloads:
+            config = StudyConfig.from_dict(payload)
+            configs[config.config_hash()] = config
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return calibrate_sigma(*args)
+
+        monkeypatch.setattr(study_module, "calibrate_sigma", recording)
+        for config in configs.values():
+            with Study(config) as study:
+                sigma = study.protocol.trainer.config.dp.noise_multiplier
+            assert sigma == reference.calibrate_sigma(*calls[-1])
+        assert len(calls) == len(configs) >= 3

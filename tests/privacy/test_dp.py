@@ -28,6 +28,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             DPSGDConfig(noise_multiplier=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(clip_norm=float("nan")), "clip_norm must be finite"),
+            (dict(clip_norm=float("inf")), "clip_norm"),
+            (dict(noise_multiplier=float("nan")), "noise_multiplier must be"),
+            (dict(noise_multiplier=float("inf")), "noise_multiplier"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, kwargs, message):
+        """NaN used to pass the ``<= 0`` / ``< 0`` checks."""
+        with pytest.raises(ValueError, match=message):
+            DPSGDConfig(**kwargs)
+
     def test_requires_sigma_or_target(self):
         with pytest.raises(ValueError):
             DPSGDConfig(noise_multiplier=None, target_epsilon=None)
@@ -136,12 +150,20 @@ class TestBlockOps:
             )
             expected_rows.append(np.concatenate(clipped))
             expected_norms.append(norm)
+        again = grads.copy()
         norms = clip_block(grads, segments, clip_norm=1.0)
         np.testing.assert_array_equal(norms, np.asarray(expected_norms))
         np.testing.assert_array_equal(
             grads[:, :16], np.stack(expected_rows)
         )
         np.testing.assert_array_equal(grads[:, 16], 999.0)
+        # A caller's squares scratch (here larger than needed) gives
+        # the same bits.
+        squares = np.full(100, np.nan)
+        np.testing.assert_array_equal(
+            clip_block(again, segments, 1.0, squares), norms
+        )
+        np.testing.assert_array_equal(again, grads)
 
     def test_clip_block_float32_scale_applied_in_dtype(self, rng):
         from repro.privacy import clip_block
@@ -174,9 +196,23 @@ class TestBlockOps:
             [np.random.default_rng(100 + b) for b in range(4)],
             segments,
         )
+        into = np.full_like(summed, np.nan)
+        returned = noisy_gradient_block(
+            summed, 3, config,
+            [np.random.default_rng(100 + b) for b in range(4)],
+            segments, out=into,
+        )
+        assert returned is into
         for b in range(4):
             np.testing.assert_array_equal(
                 out[b], np.concatenate(serial[b])
+            )
+            np.testing.assert_array_equal(into[b], out[b])
+        with pytest.raises(ValueError, match="overlap"):
+            noisy_gradient_block(
+                summed, 3, config,
+                [np.random.default_rng(b) for b in range(4)],
+                segments, out=summed,
             )
 
     def test_noisy_gradient_block_zero_noise_keeps_dtype(self, rng):

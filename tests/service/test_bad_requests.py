@@ -59,6 +59,8 @@ def test_wrongly_typed_field_is_400(service, overrides, field):
         (dict(mlp_hidden=5), "mlp_hidden"),
         (dict(train_per_node=-5), "train_per_node"),
         (dict(momentum=-1), "momentum"),
+        # json.dumps writes NaN and the service's json.loads reads it.
+        (dict(dp_epsilon=float("nan")), "dp_epsilon"),
     ],
 )
 def test_names_and_sizes_that_fail_at_build_are_400(service, overrides, field):

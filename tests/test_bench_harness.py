@@ -155,3 +155,79 @@ class TestBenchDiff:
         assert "moved beyond IQR" in capsys.readouterr().out
         assert main([str(old), str(tmp_path / "missing.json")]) == 0
         assert "nothing to compare" in capsys.readouterr().out
+
+
+class TestE2EPairs:
+    """``tools/e2e_pairs.py``: which side runs first alternates from
+    pair to pair, every run writes its own file and imports the
+    program of its own checkout, and ``--dry-run`` runs nothing."""
+
+    def test_pair_order_alternates_the_first_side(self):
+        from tools.e2e_pairs import pair_order
+
+        assert pair_order(3) == [
+            (0, "base"), (0, "new"),
+            (1, "new"), (1, "base"),
+            (2, "base"), (2, "new"),
+        ]
+
+    def test_plan_runs_each_side_in_its_own_checkout(self, tmp_path):
+        from tools.e2e_pairs import plan
+
+        base, new, out = tmp_path / "base", tmp_path / "new", tmp_path / "runs"
+        add, *runs, compare, remove = plan(
+            "abc123", base, new, out, "base-peerswap-dp-16", 3, 5.0, 2
+        )
+        assert add[0] == ["git", "worktree", "add", "--detach", str(base), "abc123"]
+        assert remove[0] == ["git", "worktree", "remove", "--force", str(base)]
+        files = []
+        for argv, cwd, env in runs:
+            out_file = Path(argv[argv.index("--out") + 1])
+            files.append(out_file.name)
+            side_root = base if out_file.name.startswith("base-") else new
+            assert cwd == side_root
+            assert env == {"PYTHONPATH": str(side_root / "src")}
+            assert argv[1] == str(Path("benchmarks") / "e2e" / "run.py")
+            assert argv[argv.index("--workload") + 1] == "base-peerswap-dp-16"
+            assert argv[argv.index("--seed") + 1] == "3"
+            assert argv[argv.index("--seconds") + 1] == "5"
+        assert files == ["base-00.json", "new-00.json", "new-01.json", "base-01.json"]
+        argv, cwd, _ = compare
+        assert cwd == new
+        assert argv[1:] == [
+            "-m", "benchmarks.e2e.compare",
+            "--base", str(out / "base-00.json"), str(out / "base-01.json"),
+            "--new", str(out / "new-00.json"), str(out / "new-01.json"),
+        ]
+
+    def test_dry_run_prints_the_sequence_and_runs_nothing(
+        self, tmp_path, capsys
+    ):
+        from tools.e2e_pairs import main
+
+        out = tmp_path / "runs"
+        status = main([
+            "--base", "HEAD", "--workload", "samo-static-64", "--pairs", "2",
+            "--seconds", "3", "--out-dir", str(out), "--dry-run",
+        ])
+        assert status == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 4 + 1 + 1
+        assert "git worktree add --detach" in lines[0]
+        assert "git worktree remove --force" in lines[-1]
+        assert [line.split("--out ")[1].rstrip(")") for line in lines[1:5]] == [
+            str(out / name)
+            for name in ("base-00.json", "new-00.json", "new-01.json", "base-01.json")
+        ]
+        assert "-m benchmarks.e2e.compare --base" in lines[5]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--pairs", "1"], ["--seconds", "0"]]
+    )
+    def test_rejects_runs_compare_cannot_use(self, extra):
+        from tools.e2e_pairs import main
+
+        with pytest.raises(SystemExit):
+            main(["--base", "HEAD", "--workload", "samo-static-64",
+                  "--dry-run", *extra])
