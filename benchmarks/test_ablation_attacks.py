@@ -11,8 +11,7 @@ prediction entropy, and MPE is competitive with the best.
 import numpy as np
 
 from repro.core import Study, StudyConfig
-from repro.metrics.evaluation import predict_proba
-from repro.nn.serialize import set_state
+from repro.metrics.evaluation import BatchedEvaluator
 from repro.privacy import ATTACKS, run_attack
 
 from benchmarks.conftest import run_once
@@ -22,10 +21,12 @@ def attack_all_nodes(study):
     """Attack every node's final model with every estimator."""
     accuracies = {name: [] for name in ATTACKS}
     rng = np.random.default_rng(0)
+    evaluator = BatchedEvaluator(study.model, study.simulator.layout)
+    params = study.simulator.state_matrix()
     for node in study.simulator.nodes:
-        set_state(study.model, node.state)
-        member_probs = predict_proba(study.model, node.train_x)
-        nonmember_probs = predict_proba(study.model, node.test_x)
+        victim = params[node.node_id : node.node_id + 1]
+        member_probs = evaluator.predict_proba_rows(victim, node.train_x)[0]
+        nonmember_probs = evaluator.predict_proba_rows(victim, node.test_x)[0]
         for name in ATTACKS:
             report = run_attack(
                 name,

@@ -12,9 +12,8 @@ import time
 import numpy as np
 
 from repro.core import Study, StudyConfig
-from repro.metrics.evaluation import predict_proba
+from repro.metrics.evaluation import BatchedEvaluator
 from repro.nn.models import build_mlp
-from repro.nn.serialize import set_state
 from repro.privacy import run_attack
 from repro.privacy.shadow import ShadowAttackConfig, ShadowModelAttack
 
@@ -67,10 +66,12 @@ def test_ablation_shadow_vs_threshold(benchmark, scale):
         rng = np.random.default_rng(1)
         mpe_acc, shadow_acc = [], []
         t_mpe = t_shadow = 0.0
+        evaluator = BatchedEvaluator(study.model, study.simulator.layout)
+        params = study.simulator.state_matrix()
         for node in study.simulator.nodes:
-            set_state(study.model, node.state)
-            member_probs = predict_proba(study.model, node.train_x)
-            nonmember_probs = predict_proba(study.model, node.test_x)
+            victim = params[node.node_id : node.node_id + 1]
+            member_probs = evaluator.predict_proba_rows(victim, node.train_x)[0]
+            nonmember_probs = evaluator.predict_proba_rows(victim, node.test_x)[0]
             t0 = time.perf_counter()
             mpe_acc.append(
                 run_attack(

@@ -14,11 +14,10 @@ import os
 import numpy as np
 
 from repro.core import Study, StudyConfig
+from repro.metrics.evaluation import BatchedEvaluator
+from repro.privacy import ATTACKS, run_attack
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
-from repro.metrics.evaluation import predict_proba
-from repro.nn.serialize import set_state
-from repro.privacy import ATTACKS, run_attack
 
 
 def main() -> None:
@@ -50,10 +49,14 @@ def main() -> None:
 
     rng = np.random.default_rng(0)
     rows = {name: {"acc": [], "tpr": [], "auc": []} for name in ATTACKS}
+    # Every node's model is one row of the simulator's arena; score each
+    # as a one-row block.
+    evaluator = BatchedEvaluator(study.model, study.simulator.layout)
+    params = study.simulator.state_matrix()
     for node in study.simulator.nodes:
-        set_state(study.model, node.state)
-        member_probs = predict_proba(study.model, node.train_x)
-        nonmember_probs = predict_proba(study.model, node.test_x)
+        victim = params[node.node_id : node.node_id + 1]
+        member_probs = evaluator.predict_proba_rows(victim, node.train_x)[0]
+        nonmember_probs = evaluator.predict_proba_rows(victim, node.test_x)[0]
         for name in ATTACKS:
             report = run_attack(
                 name, member_probs, node.train_y,

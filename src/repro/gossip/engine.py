@@ -19,9 +19,10 @@ are delivered, then every surviving wake merges / trains / sends, and
 sends become visible to receivers only after all wakes of the tick
 have been processed.
 
-``GossipNode.state`` is a live dict *view* over the node's arena row,
-so attacks, metrics and ``states()`` snapshots read dict states on top
-of the flat representation.
+Models exist only as arena rows: the observer and attacks read them
+through :meth:`FlatGossipSimulator.state_matrix` (scored as row blocks
+by :class:`~repro.metrics.evaluation.BatchedEvaluator`), messages carry
+read-only flat copies, and checkpoints pickle the arena itself.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.graph.peer_sampling import PeerSampler, make_sampler_by_name
 from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
-from repro.nn.serialize import State, normalize_weights
+from repro.nn.serialize import State
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
@@ -69,18 +70,16 @@ class StateArena:
 
     Layout contract: row ``i`` is node ``i``'s model flattened by the
     arena's :class:`~repro.nn.flat.StateLayout` (sorted-name slot
-    order, interchangeable with ``state_to_vector``). Dtype contract:
-    ``data`` is stored and aggregated in ``dtype`` (float32 or
-    float64); dict states packed in are cast to it, and views unpacked
-    out carry it. Aggregation primitives (:meth:`average_rows`,
-    :meth:`merge_row`, :meth:`mix`) mutate or read rows in place —
-    dict-``State`` views over rows stay live across all of them.
+    order). Dtype contract: ``data`` is stored and aggregated in
+    ``dtype`` (float32 or float64); dict states packed in are cast to
+    it. :meth:`merge_row` mutates a row in place; :meth:`mix` reads all
+    rows at once.
 
     ``shared=True`` places ``data`` in a :class:`~repro.nn.flat.SharedArena`
     (a named shared-memory segment) so shard worker processes can attach
     to the same rows by name; :meth:`release` detaches, keeping a
     private copy readable. Callers holding row views across a release
-    must rebuild them (the flat simulator rebinds its node views).
+    must take them again.
     """
 
     def __init__(
@@ -131,23 +130,9 @@ class StateArena:
         """The node's flat model vector (a live view, not a copy)."""
         return self.data[node_id]
 
-    def state_view(self, node_id: int) -> State:
-        """Dict-``State`` view over the node's row (compat layer)."""
-        return self.layout.unpack(self.data[node_id])
-
     def load_state(self, node_id: int, state: State) -> None:
         """Pack a dict state into the node's row (casting to the arena dtype)."""
         self.layout.pack(state, out=self.data[node_id])
-
-    def average_rows(
-        self, node_ids: Sequence[int], weights: Sequence[float] | None = None
-    ) -> np.ndarray:
-        """Weighted average of the selected rows as one vectorized op."""
-        block = self.data[np.asarray(node_ids, dtype=np.intp)]
-        if weights is None:
-            return block.mean(axis=0)
-        w = np.asarray(normalize_weights(list(weights)), dtype=self.dtype)
-        return w @ block
 
     def merge_row(self, node_id: int, payload: np.ndarray, weight: float) -> None:
         """Pairwise merge ``row <- (1-weight)*row + weight*payload`` in place."""
@@ -160,7 +145,7 @@ class StateArena:
 
         ``weights`` is an ``(n_nodes, n_nodes)`` mixing matrix (row i =
         the weights node i gives every model, zeros for non-neighbors);
-        one BLAS call replaces n_nodes dict-``State`` averages.
+        one BLAS call covers every node's average.
         """
         w = np.asarray(weights, dtype=self.dtype)
         if w.shape != (self.n_nodes, self.n_nodes):
@@ -168,10 +153,6 @@ class StateArena:
                 f"weights must be ({self.n_nodes}, {self.n_nodes}), got {w.shape}"
             )
         return w @ self.data
-
-    def apply_mix(self, weights: np.ndarray) -> None:
-        """In-place :meth:`mix`; existing state views remain live."""
-        self.data[...] = self.mix(weights)
 
 
 def mean_vectors(
@@ -329,10 +310,10 @@ class FlatGossipSimulator:
 
     Dtype contract: all gossip aggregation, local training and
     evaluation reads run in ``config.arena_dtype``.
-    :meth:`state_matrix` exposes the arena zero-copy to the row-batch
-    evaluation path (:class:`~repro.metrics.evaluation.BatchedEvaluator`),
-    so the per-round attack observation never materializes per-node
-    dict views.
+    :meth:`state_matrix` exposes the arena zero-copy and read-only to
+    the row-batch evaluation path
+    (:class:`~repro.metrics.evaluation.BatchedEvaluator`), which is how
+    the observer and attacks read models.
 
     Use it as a context manager (``with FlatGossipSimulator(...) as
     sim:``) so :meth:`close` releases shard workers and shared-memory
@@ -385,8 +366,7 @@ class FlatGossipSimulator:
         self.log = MessageLog(keep_payloads=keep_payloads)
         self.layout = StateLayout.from_state(initial_state)
         # The sharded executor's workers attach to the arena by name, so
-        # it must be born in shared memory — migrating it later would
-        # orphan every node-state view handed out below.
+        # it must be born in shared memory.
         self.arena = StateArena(
             self.layout,
             config.n_nodes,
@@ -394,14 +374,13 @@ class FlatGossipSimulator:
             shared=config.executor == "sharded",
         )
         # Pack the shared initial model once and broadcast it into all
-        # rows; node states are live views over their row.
+        # rows.
         self.arena.data[:] = self.layout.pack(
             initial_state, dtype=self.arena.dtype
         )
         self.nodes = [
             GossipNode(
                 node_id=split.node_id,
-                state=self.arena.state_view(split.node_id),
                 split=split,
                 rng=np.random.default_rng(
                     self.rng.integers(0, 2**63 - 1)
@@ -503,15 +482,11 @@ class FlatGossipSimulator:
     def close(self) -> None:
         """Release executor resources (worker processes and shared
         memory). Idempotent; arena data stays readable afterwards —
-        a shared-backed arena is copied private and node-state views
-        are rebound over the copy."""
+        a shared-backed arena is copied private."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None
-        if self.arena.shared_name is not None:
-            self.arena.release()
-            for node in self.nodes:
-                node.state = self.arena.state_view(node.node_id)
+        self.arena.release()
 
     def __enter__(self) -> "FlatGossipSimulator":
         return self
@@ -611,9 +586,8 @@ class FlatGossipSimulator:
             node.rng.bit_generator.state = saved["rng"]
             node.updates_performed = saved["updates_performed"]
             node.models_received = saved["models_received"]
-        # Written in place so existing node-state views (and, for the
-        # sharded executor, the shared-memory segment the workers are
-        # attached to) stay bound to the restored rows.
+        # Written in place so the sharded executor's workers, attached
+        # to the shared-memory segment, see the restored rows.
         self.arena.data[...] = state["arena"]
         self._sessions = list(state["sessions"])
         self._pending = [
@@ -622,10 +596,6 @@ class FlatGossipSimulator:
         ]
 
     # -- introspection ------------------------------------------------
-
-    def states(self) -> list[State]:
-        """Snapshot of every node's current model (attacker's view)."""
-        return [node.snapshot() for node in self.nodes]
 
     @property
     def messages_sent(self) -> int:
@@ -676,15 +646,12 @@ class FlatGossipSimulator:
         delay = self._transmission_delay(sender, receiver)
         if delay is None:
             return
-        # Building the dict view is per-slot work the log discards
-        # unless it actually retains payloads.
-        logged = self.layout.unpack(payload) if self.log.keep_payloads else {}
         self.log.record(
             ModelMessage(
                 sender=sender,
                 receiver=receiver,
                 tick=self.clock.tick,
-                payload=logged,
+                payload=payload,
             )
         )
         if delay == 0:

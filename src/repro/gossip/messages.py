@@ -19,19 +19,19 @@ __all__ = ["ModelMessage", "MessageLog"]
 class ModelMessage:
     """One model sent from ``sender`` to ``receiver`` at ``tick``.
 
-    The payload is the sender's model state (a name -> array dict); it
-    is stored by reference — senders must pass a snapshot copy.
+    The payload is the sender's flat model vector, stored by reference —
+    senders pass the read-only snapshot the send already holds.
     """
 
     sender: int
     receiver: int
     tick: int
-    payload: dict[str, np.ndarray]
+    payload: np.ndarray
 
     @property
     def payload_size(self) -> int:
         """Number of scalars transferred (proxy for bytes on the wire)."""
-        return int(sum(arr.size for arr in self.payload.values()))
+        return int(self.payload.size)
 
 
 @dataclass

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.partition import NodeSplit
-from repro.nn.serialize import State
 
 __all__ = ["GossipNode"]
 
@@ -16,16 +15,16 @@ __all__ = ["GossipNode"]
 class GossipNode:
     """State owned by one participant.
 
+    The node's model (theta_i) is its row of the simulator's arena
+    (``FlatGossipSimulator.arena.row(node_id)``), not a field here.
+
     Attributes
     ----------
-    state:
-        The node's current model parameters (theta_i), a live dict
-        view over the node's arena row.
     inbox:
         Flat model vectors received since the last wake-up. Base Gossip
         consumes them immediately on reception; SAMO stores them here
         until the next wake-up (the set Theta_i of Algorithm 2,
-        excluding the node's own model which lives in ``state``).
+        excluding the node's own model, which lives in the arena).
     split:
         The node's local train/test data.
     rng:
@@ -34,16 +33,11 @@ class GossipNode:
     """
 
     node_id: int
-    state: State
     split: NodeSplit
     rng: np.random.Generator
     inbox: list[np.ndarray] = field(default_factory=list)
     updates_performed: int = 0
     models_received: int = 0
-
-    def snapshot(self) -> State:
-        """Copy of the current model state, detached from the arena."""
-        return {name: arr.copy() for name, arr in self.state.items()}
 
     @property
     def train_x(self) -> np.ndarray:

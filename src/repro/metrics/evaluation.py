@@ -4,22 +4,17 @@ Implements the metrics of Section 3.2: top-1 accuracy on the global
 test set (Equation 5) and the generalization error as local-train minus
 local-test accuracy (Equation 8).
 
-Two evaluation paths share these formulas:
+:class:`BatchedEvaluator` scores a ``(B, dim)`` block of flat parameter
+vectors (arena rows, addressed by a :class:`~repro.nn.flat.StateLayout`)
+in blocked numpy ops; the observer scores every node this way, and
+the shadow-model attack scores its shadows and classifier as one-row
+blocks. One-model helpers on the per-layer passes (``predict_proba``,
+``accuracy``) are the test suite's oracle, in ``tests/reference_nn.py``.
 
-* the **per-model helpers** (:func:`predict_proba`, :func:`accuracy`)
-  score one model loaded into a workspace
-  :class:`~repro.nn.layers.Module` — for attacks on one model, and as
-  the tests' reference;
-* the **row-batch path** (:class:`BatchedEvaluator`) scores a
-  ``(B, dim)`` block of flat parameter vectors (arena rows, addressed
-  by a :class:`~repro.nn.flat.StateLayout`) in blocked numpy ops
-  without touching a workspace model. The observer scores every node
-  this way.
-
-Dtype contract: both paths keep the math in the model's parameter
-dtype — inputs are cast to it, so float32 states are scored in float32
-end to end instead of being promoted to float64. Probabilities come
-back in that dtype; metric scalars are Python floats.
+Dtype contract: the math runs in the dtype of the parameter block —
+inputs are cast to it, so float32 states are scored in float32 end to
+end instead of being promoted to float64. Probabilities come back in
+that dtype; metric scalars are Python floats.
 """
 
 from __future__ import annotations
@@ -39,9 +34,6 @@ from repro.nn.flat import StateLayout
 from repro.nn.layers import Module
 
 __all__ = [
-    "predict_proba",
-    "accuracy",
-    "generalization_error",
     "ModelEvaluation",
     "BatchedEvaluator",
     "row_block",
@@ -55,57 +47,6 @@ __all__ = [
 # vs 208-216 ms in 2-row blocks; 128 rows x 128 samples 157 ms vs
 # 113-125 ms in 4-row blocks.
 ROW_BLOCK_BYTES = 1 << 20
-
-
-def _model_dtype(model: Module) -> np.dtype:
-    """The dtype evaluation math should run in (first parameter's)."""
-    for param in model.parameters():
-        return param.data.dtype
-    return np.dtype(np.float64)
-
-
-def predict_proba(
-    model: Module, x: np.ndarray, batch_size: int = 256
-) -> np.ndarray:
-    """Softmax probabilities in eval mode, batched to bound memory.
-
-    Inputs are cast to the model's parameter dtype so a float32 model
-    is scored in float32 (the arena-dtype contract) rather than letting
-    float64 eval data promote every activation.
-    """
-    was_training = model.training
-    model.eval()
-    x = np.asarray(x, dtype=_model_dtype(model))
-    try:
-        outputs = []
-        for start in range(0, x.shape[0], batch_size):
-            logits = model.forward(x[start : start + batch_size])
-            outputs.append(F.softmax(logits, axis=1))
-        return np.concatenate(outputs) if outputs else np.empty((0, 0), x.dtype)
-    finally:
-        if was_training:
-            model.train()
-
-
-def accuracy(
-    model: Module, x: np.ndarray, y: np.ndarray, batch_size: int = 256
-) -> float:
-    """Top-1 accuracy (Equation 5)."""
-    if x.shape[0] == 0:
-        raise ValueError("cannot compute accuracy on an empty set")
-    probs = predict_proba(model, x, batch_size)
-    return float((probs.argmax(axis=1) == np.asarray(y)).mean())
-
-
-def generalization_error(
-    model: Module,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_test: np.ndarray,
-    y_test: np.ndarray,
-) -> float:
-    """Local train minus local test accuracy (Equation 8)."""
-    return accuracy(model, x_train, y_train) - accuracy(model, x_test, y_test)
 
 
 @dataclass
@@ -148,7 +89,7 @@ class BatchedEvaluator:
 
     All math runs in the dtype of the ``params`` block (the arena
     dtype); metric outputs are float64/Python floats as everywhere
-    else. Results match the per-model path within dtype tolerance —
+    else. Results match the per-layer oracle within dtype tolerance —
     the ops are algebraically identical but associate differently.
     """
 
@@ -303,7 +244,7 @@ class BatchedEvaluator:
         """Softmax probabilities of every row on shared ``x``: (B, N, C)."""
         x = np.asarray(x)
         if x.shape[0] == 0:
-            # Mirror predict_proba's empty-input contract.
+            # No samples: an empty (B, 0, 0) block.
             return np.empty((params.shape[0], 0, 0), params.dtype)
         return self._proba_shared(params, x)
 

@@ -1,9 +1,17 @@
 """Numpy deep-learning substrate.
 
-This subpackage replaces PyTorch (used by the paper) with a from-scratch
-layer framework: explicit forward/backward passes, SGD with momentum and
-weight decay, Kaiming initialization, and the three model families from
-Table 2 of the paper (light CNN, ResNet-8, 4-layer MLP).
+This subpackage replaces PyTorch (used by the paper) in two parts:
+
+* **layer specs** (:mod:`repro.nn.layers`) — the architecture and the
+  Kaiming-initialized parameters of the three model families from
+  Table 2 of the paper (light CNN, ResNet-8, 4-layer MLP);
+* **the blocked kernel** (:mod:`repro.nn.batched`, :mod:`repro.nn.loss`,
+  :mod:`repro.nn.optim`) — forward, backward, cross-entropy and SGD
+  with momentum and weight decay over ``(B, dim)`` blocks of flat
+  parameter vectors laid out by :class:`~repro.nn.flat.StateLayout`.
+
+Every model runs on the kernel. Per-layer passes over the same specs
+are the test suite's float64 oracle (``tests/reference_nn.py``).
 """
 
 from repro.nn.tensor import Parameter
@@ -21,8 +29,8 @@ from repro.nn.layers import (
     Residual,
     Identity,
 )
-from repro.nn.loss import CrossEntropyLoss, batched_cross_entropy_grad
-from repro.nn.optim import SGD, BatchedSGD
+from repro.nn.loss import batched_cross_entropy_grad
+from repro.nn.optim import BatchedSGD
 from repro.nn.models import build_cnn, build_resnet8, build_mlp, build_model
 from repro.nn.batched import (
     BatchedModel,
@@ -31,14 +39,7 @@ from repro.nn.batched import (
     supports_batched_forward,
 )
 from repro.nn.flat import StateLayout
-from repro.nn.serialize import (
-    get_state,
-    set_state,
-    state_to_vector,
-    vector_to_state,
-    average_states,
-    num_parameters,
-)
+from repro.nn.serialize import get_state, num_parameters
 
 __all__ = [
     "Parameter",
@@ -54,9 +55,7 @@ __all__ = [
     "Sequential",
     "Residual",
     "Identity",
-    "CrossEntropyLoss",
     "batched_cross_entropy_grad",
-    "SGD",
     "BatchedSGD",
     "build_cnn",
     "build_resnet8",
@@ -68,9 +67,5 @@ __all__ = [
     "supports_batched_forward",
     "StateLayout",
     "get_state",
-    "set_state",
-    "state_to_vector",
-    "vector_to_state",
-    "average_states",
     "num_parameters",
 ]

@@ -5,20 +5,19 @@ each round, and every local update trains one or more arena rows. This
 module takes a ``(B, dim)`` block of flat parameter vectors (rows of a
 :class:`~repro.gossip.engine.StateArena`, addressed by a
 :class:`~repro.nn.flat.StateLayout`) and pushes all B models through
-the network together in blocked numpy ops, with no per-model reload
-into a workspace :class:`~repro.nn.layers.Module`.
+the network together in blocked numpy ops. Layers are the specs of
+:mod:`repro.nn.layers`; this module is the only code that runs them.
 
 Contracts:
 
 * **Layout** — ``params[b]`` must follow ``layout`` (sorted-name slot
-  order, the same order as ``state_to_vector``). Parameters and buffers
-  are read as views into the block; nothing is copied into a model.
+  order). Parameters and buffers are read as views into the block;
+  nothing is copied into a model.
 * **Dtype** — all math runs in ``params.dtype``. Inputs are cast to it
   on entry, so a float32 arena is scored in float32 end to end instead
   of being silently promoted to float64.
-* **Eval mode only** — layers behave as in ``model.eval()``: BatchNorm
-  uses each row's running statistics, Dropout is the identity. There is
-  no backward pass.
+* **Eval mode only** — BatchNorm uses each row's running statistics,
+  Dropout is the identity. There is no backward pass.
 * **Input sharing** — ``x`` is either one array shared by every model
   (``(N, ...)``, e.g. the global test set) or one array per model
   (``(B, N, ...)``, e.g. per-node attack sets). Shared inputs stay
@@ -35,14 +34,15 @@ Dropout, Sequential, Residual, Identity); use
 a blocked forward that caches what the backward needs, and a blocked
 backward that accumulates per-row parameter gradients into a
 ``(B, dim)`` gradient block laid out like the parameter block. Each
-row's math reproduces the per-model :class:`~repro.nn.layers.Module`
-pass operation for operation (BatchNorm runs in training mode and
-updates each row's running statistics *inside* the parameter block),
-so a float64 block trains bit-identically to the row-by-row workspace
-path. Stream-mode Dropout (masks keyed by ``(node, session, step)``,
-see :func:`~repro.nn.layers.mask_stream_rng`) batches: install each
-row's per-step generators with :meth:`BatchedModel.set_mask_streams`
-before the forward. Every model with a batched forward also has a
+row's math reproduces the per-layer oracle pass of the test suite
+(``tests/reference_nn.py``) operation for operation (BatchNorm runs in
+training mode and updates each row's running statistics *inside* the
+parameter block), so a float64 block trains bit-identically to one
+model trained layer by layer. Stream-mode Dropout (masks keyed by
+``(node, session, step)``, see
+:func:`~repro.nn.layers.mask_stream_rng`) batches: install each row's
+per-step generators with :meth:`BatchedModel.set_mask_streams` before
+the forward. Every model with a batched forward also has a
 batched backward, and a per-sample pass for DP-SGD.
 """
 
@@ -350,12 +350,12 @@ class BatchedModel:
 
     * **Training semantics** — BatchNorm normalizes with each row's
       mini-batch statistics and updates that row's running buffers in
-      place *inside* the parameter block, exactly as ``model.train()``
-      would on the workspace module.
+      place *inside* the parameter block, exactly as the per-layer
+      oracle does in training mode.
     * **Row-for-row parity** — every per-row slice computation uses the
-      same primitive (and the same operand layout) as the corresponding
-      ``Module.forward``/``backward``, so a float64 block reproduces the
-      workspace path bit for bit. Conv contractions therefore run the
+      same primitive (and the same operand layout) as the oracle's
+      per-layer forward/backward, so a float64 block reproduces it bit
+      for bit. Conv contractions therefore run the
       serial einsum per row instead of one fused contraction — the win
       for conv models is the batched everything-else; dense models
       batch end to end. A per-sample pass reproduces k passes over

@@ -1,16 +1,11 @@
 """Flat-buffer state layout: map a model State onto one contiguous vector.
 
 The gossip hot path treats models as elements of R^d (Section 4 of the
-paper). The dict-``State`` representation walks a Python dict per node,
-per message, per average; a :class:`StateLayout` computes the name ->
-(offset, shape, dtype) mapping *once* per model so every node's state
-can live as one row of a contiguous ``(n_nodes, dim)`` arena and gossip
-aggregation becomes a single vectorized numpy op over rows (see
-DESIGN.md, "Flat-state execution engine").
-
-Entries are laid out in sorted-name order, matching
-:func:`repro.nn.serialize.state_to_vector`, so flat vectors produced by
-either path are interchangeable.
+paper). A :class:`StateLayout` computes the name -> (offset, shape,
+dtype) mapping *once* per model so every node's state lives as one row
+of a contiguous ``(n_nodes, dim)`` arena and gossip aggregation is a
+vectorized numpy op over rows (see DESIGN.md, "Flat-state execution
+engine"). Entries are laid out in sorted-name order.
 
 :class:`SharedArena` is the cross-process backing for such buffers: one
 named POSIX shared-memory segment holding an ``(n_rows, dim)`` array
@@ -46,16 +41,13 @@ class StateSlot(NamedTuple):
 class StateLayout:
     """Immutable name -> slice mapping for one model architecture.
 
-    Layout contract: slots are laid out in sorted-name order (the
-    ``state_to_vector`` order), so flat vectors from either path are
-    interchangeable. Dtype contract: a layout records each entry's
-    template dtype but does not impose it — :meth:`pack` casts into the
-    target vector's dtype and :meth:`unpack` views carry the vector's
-    dtype (the arena dtype), while :meth:`unpack_copy` restores the
-    template dtypes.
+    Layout contract: slots are laid out in sorted-name order. Dtype
+    contract: a layout records each entry's template dtype but does not
+    impose it — :meth:`pack` casts into the target vector's dtype (the
+    arena dtype).
 
-    Instances are plain data (picklable) so shard workers can rebuild
-    views on their side of the fence.
+    Instances are plain data (picklable) so shard workers address rows
+    with the same layout on their side of the fence.
     """
 
     def __init__(self, slots: list[StateSlot]):
@@ -115,7 +107,7 @@ class StateLayout:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateLayout(entries={len(self.slots)}, dim={self.dim})"
 
-    # -- pack / unpack ------------------------------------------------
+    # -- pack ---------------------------------------------------------
 
     def check_state(self, state: State) -> None:
         """Raise if ``state`` does not match this layout."""
@@ -153,34 +145,6 @@ class StateLayout:
                 state[slot.name]
             ).ravel()
         return out
-
-    def unpack(self, vector: np.ndarray) -> State:
-        """Dict of *views* into ``vector`` — the State compatibility layer.
-
-        Mutating a value in the returned dict mutates the vector (and
-        vice versa); call sites that need ownership must copy, exactly
-        as with :meth:`GossipNode.snapshot`. Views carry the vector's
-        dtype, not the template's.
-        """
-        vector = np.ascontiguousarray(vector)
-        if vector.shape != (self.dim,):
-            raise ValueError(
-                f"vector has shape {vector.shape}, expected ({self.dim},)"
-            )
-        return {
-            slot.name: vector[slot.offset : slot.offset + slot.size].reshape(
-                slot.shape
-            )
-            for slot in self.slots
-        }
-
-    def unpack_copy(self, vector: np.ndarray) -> State:
-        """Like :meth:`unpack` but with owned arrays in the slot dtypes."""
-        views = self.unpack(vector)
-        return {
-            slot.name: views[slot.name].astype(slot.dtype, copy=True)
-            for slot in self.slots
-        }
 
     def empty(self, dtype: np.dtype | str = np.float64) -> np.ndarray:
         """Zero-filled flat vector of this layout's dimension."""

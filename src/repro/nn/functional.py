@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "softmax",
     "log_softmax",
-    "one_hot",
     "relu",
     "relu_grad",
     "im2col",
@@ -27,24 +26,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax along ``axis``."""
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def one_hot(
-    labels: np.ndarray, num_classes: int, dtype: np.dtype | str = np.float64
-) -> np.ndarray:
-    """Return the one-hot encoding of integer ``labels``.
-
-    ``dtype`` selects the output dtype — the cross-entropy loss passes
-    its logits dtype so float32 training stays float32 end to end.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("labels out of range for one_hot")
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:

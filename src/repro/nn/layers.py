@@ -1,10 +1,14 @@
-"""Neural-network layers with explicit forward/backward passes.
+"""Layer specs: the architecture and parameters of every model.
 
-Every layer is a :class:`Module`. ``forward`` caches whatever the
-corresponding ``backward`` needs; ``backward`` accumulates parameter
-gradients into :class:`~repro.nn.tensor.Parameter` objects and returns
-the gradient with respect to the layer input so callers can chain
-layers without a tape.
+Every layer is a :class:`Module` that registers its parameters and
+buffers and records its hyperparameters; nothing here runs a pass.
+:class:`~repro.nn.batched.BatchedModel` and
+:func:`~repro.nn.batched.batched_forward` read these specs to push
+``(B, dim)`` blocks of flat parameter vectors through the network, and
+:class:`~repro.nn.flat.StateLayout` reads the registered arrays to lay
+them out. Per-layer forward/backward passes over these specs live in
+the test suite, as the float64 oracle the blocked kernel must
+reproduce (``tests/reference_nn.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn import init as init_mod
 from repro.nn.tensor import Parameter
 
@@ -71,13 +74,12 @@ def stream_dropout_layers(model: "Module") -> list["Dropout"]:
 
 
 class Module:
-    """Base class for all layers and models."""
+    """Base class for all layer specs and models."""
 
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}
         self._buffers: dict[str, np.ndarray] = {}
         self._children: dict[str, "Module"] = {}
-        self.training = True
 
     # -- registration -------------------------------------------------
 
@@ -143,22 +145,6 @@ class Module:
             module = module._children[part]
         return module._buffers[parts[-1]]
 
-    # -- train / eval -------------------------------------------------
-
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
     def astype(self, dtype: np.dtype | str) -> "Module":
         """Cast every parameter and buffer of the module tree in place."""
         for _, param in self.named_parameters():
@@ -167,26 +153,9 @@ class Module:
             self.set_buffer(name, buf.astype(dtype, copy=False))
         return self
 
-    # -- interface ----------------------------------------------------
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
 
 class Identity(Module):
     """Pass-through layer (the shortcut branch of residual blocks)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out
 
 
 class Dense(Module):
@@ -211,50 +180,14 @@ class Dense(Module):
             self.bias = self.register_parameter(
                 "bias", Parameter(np.zeros(out_features))
             )
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Dense expected (N, {self.in_features}), got {x.shape}"
-            )
-        self._x = x
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.accumulate(self._x.T @ grad_out)
-        if self.bias is not None:
-            self.bias.accumulate(grad_out.sum(axis=0))
-        return grad_out @ self.weight.data.T
 
 
 class ReLU(Module):
     """Rectified linear activation."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return F.relu(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * F.relu_grad(self._x)
-
 
 class Conv2d(Module):
-    """2-D convolution implemented with im2col.
-
-    Input and output are ``(N, C, H, W)``.
-    """
+    """2-D convolution (im2col patches); input and output ``(N, C, H, W)``."""
 
     def __init__(
         self,
@@ -282,39 +215,6 @@ class Conv2d(Module):
             self.bias = self.register_parameter(
                 "bias", Parameter(np.zeros(out_channels))
             )
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
-            )
-        cols, out_h, out_w = F.im2col(x, self.kernel_size, self.stride, self.padding)
-        self._cols = cols
-        self._x_shape = x.shape
-        n = x.shape[0]
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = np.einsum("ok,nkp->nop", w_mat, cols)
-        if self.bias is not None:
-            out = out + self.bias.data[None, :, None]
-        return out.reshape(n, self.out_channels, out_h, out_w)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, _, out_h, out_w = grad_out.shape
-        grad_flat = grad_out.reshape(n, self.out_channels, out_h * out_w)
-        # dW = sum_n dY_n . cols_n^T
-        grad_w = np.einsum("nop,nkp->ok", grad_flat, self._cols)
-        self.weight.accumulate(grad_w.reshape(self.weight.data.shape))
-        if self.bias is not None:
-            self.bias.accumulate(grad_flat.sum(axis=(0, 2)))
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        grad_cols = np.einsum("ok,nop->nkp", w_mat, grad_flat)
-        return F.col2im(
-            grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding
-        )
 
 
 class MaxPool2d(Module):
@@ -323,60 +223,10 @@ class MaxPool2d(Module):
     def __init__(self, kernel_size: int):
         super().__init__()
         self.kernel_size = kernel_size
-        self._mask: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(
-                f"MaxPool2d requires H and W divisible by {k}, got {x.shape}"
-            )
-        out_h, out_w = h // k, w // k
-        windows = x.reshape(n, c, out_h, k, out_w, k)
-        out = windows.max(axis=(3, 5))
-        self._mask = windows == out[:, :, :, None, :, None]
-        self._x_shape = x.shape
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        k = self.kernel_size
-        # Ties route the gradient to every maximal element; dividing by the
-        # tie count keeps the operator a true adjoint. Counts are cast to
-        # the gradient dtype — an int64 divisor would promote a float32
-        # backward pass to float64.
-        counts = self._mask.sum(axis=(3, 5), keepdims=True).astype(
-            grad_out.dtype
-        )
-        expanded = (
-            grad_out[:, :, :, None, :, None] * self._mask / counts
-        )
-        return expanded.reshape(n, c, h, w)
 
 
 class GlobalAvgPool2d(Module):
     """Average over the spatial dimensions: (N, C, H, W) -> (N, C)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        scale = 1.0 / (h * w)
-        return np.broadcast_to(
-            grad_out[:, :, None, None] * scale, (n, c, h, w)
-        ).copy()
 
 
 class BatchNorm2d(Module):
@@ -395,81 +245,20 @@ class BatchNorm2d(Module):
         self.beta = self.register_parameter("beta", Parameter(np.zeros(num_features)))
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm2d expected (N, {self.num_features}, H, W), got {x.shape}"
-            )
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            self._buffers["running_mean"] = (
-                (1 - self.momentum) * self._buffers["running_mean"]
-                + self.momentum * mean
-            )
-            self._buffers["running_var"] = (
-                (1 - self.momentum) * self._buffers["running_var"]
-                + self.momentum * var
-            )
-        else:
-            mean = self._buffers["running_mean"]
-            var = self._buffers["running_var"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (x_hat, inv_std, x.shape)
-        return (
-            self.gamma.data[None, :, None, None] * x_hat
-            + self.beta.data[None, :, None, None]
-        )
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, inv_std, shape = self._cache
-        n, c, h, w = shape
-        m = n * h * w
-        self.gamma.accumulate((grad_out * x_hat).sum(axis=(0, 2, 3)))
-        self.beta.accumulate(grad_out.sum(axis=(0, 2, 3)))
-        g = grad_out * self.gamma.data[None, :, None, None]
-        if not self.training:
-            return g * inv_std[None, :, None, None]
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        return (
-            inv_std[None, :, None, None]
-            * (g - sum_g / m - x_hat * sum_gx / m)
-        )
 
 
 class Flatten(Module):
     """Reshape (N, ...) to (N, features)."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._x_shape)
-
 
 class Dropout(Module):
-    """Inverted dropout; identity when not training.
+    """Inverted dropout in training; identity in evaluation.
 
     Masks come from a counter-based generator keyed by ``(stream_seed,
-    node, session, step, layer_index)`` and installed by the trainer
-    before every optimizer step via :meth:`set_mask_rng` (see
-    :func:`mask_stream_rng`). Because the stream is a pure function of
-    the key, masks are identical across serial, batched and sharded
-    execution and survive checkpoint/resume — which is what makes
-    ``p > 0`` batchable.
+    node, session, step, layer_index)`` (see :func:`mask_stream_rng`),
+    drawn per row and step by the blocked kernel. Because the stream is
+    a pure function of the key, masks are identical across serial,
+    batched and sharded execution and survive checkpoint/resume.
     """
 
     def __init__(self, p: float = 0.5, stream_seed: int = 0):
@@ -478,42 +267,6 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.stream_seed = int(stream_seed)
-        self._stream_rng: np.random.Generator | None = None
-        self._mask: np.ndarray | None = None
-
-    def set_mask_rng(self, rng: np.random.Generator | None) -> None:
-        """Install the per-step stream generator.
-
-        The generator persists across every forward within the step, so
-        DP-SGD's per-sample microbatch forwards consume consecutive
-        draws from the same stream — exactly matching one blocked
-        ``(n_samples, ...)`` draw.
-        """
-        self._stream_rng = rng
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        rng = self._stream_rng
-        if rng is None:
-            raise RuntimeError(
-                "Dropout used without a mask stream; call "
-                "set_mask_rng() (see mask_stream_rng) before training"
-            )
-        keep = 1.0 - self.p
-        mask = (rng.random(x.shape) < keep) / keep
-        if np.issubdtype(x.dtype, np.floating):
-            # Keep float32 activations float32 (a float64 mask would
-            # silently promote the rest of the forward pass).
-            mask = mask.astype(x.dtype, copy=False)
-        self._mask = mask
-        return x * mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
 
 
 class Sequential(Module):
@@ -524,16 +277,6 @@ class Sequential(Module):
         self.layers = list(layers)
         for i, layer in enumerate(self.layers):
             self.register_child(str(i), layer)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -549,15 +292,3 @@ class Residual(Module):
         super().__init__()
         self.body = self.register_child("body", body)
         self.shortcut = self.register_child("shortcut", shortcut or Identity())
-        self._pre_relu: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.body.forward(x) + self.shortcut.forward(x)
-        self._pre_relu = out
-        return F.relu(out)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._pre_relu is None:
-            raise RuntimeError("backward called before forward")
-        grad = grad_out * F.relu_grad(self._pre_relu)
-        return self.body.backward(grad) + self.shortcut.backward(grad)

@@ -1,6 +1,6 @@
-"""Loss functions returning (value, input-gradient) pairs.
+"""Softmax cross-entropy over a block of models.
 
-Dtype contract: all losses compute in the prediction's floating dtype —
+Dtype contract: the loss computes in the logits' floating dtype —
 float32 logits produce float32 gradients (no silent float64 promotion),
 so float32 arenas train in float32 end to end.
 """
@@ -11,48 +11,7 @@ import numpy as np
 
 from repro.nn import functional as F
 
-__all__ = ["CrossEntropyLoss", "batched_cross_entropy_grad"]
-
-
-class CrossEntropyLoss:
-    """Softmax cross-entropy over integer class labels.
-
-    ``forward`` returns the mean loss; ``backward`` returns the gradient
-    with respect to the logits (already divided by the batch size, so it
-    composes directly with ``Module.backward``).
-    """
-
-    def __init__(self, label_smoothing: float = 0.0):
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
-        self.label_smoothing = label_smoothing
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-
-    def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be (N, C), got {logits.shape}")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape[0] != logits.shape[0]:
-            raise ValueError("batch size mismatch between logits and labels")
-        num_classes = logits.shape[1]
-        log_probs = F.log_softmax(logits, axis=1)
-        targets = F.one_hot(labels, num_classes, dtype=log_probs.dtype)
-        if self.label_smoothing > 0.0:
-            eps = self.label_smoothing
-            targets = (1.0 - eps) * targets + eps / num_classes
-        self._probs = np.exp(log_probs)
-        self._targets = targets
-        return float(-(targets * log_probs).sum(axis=1).mean())
-
-    def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None:
-            raise RuntimeError("backward called before forward")
-        n = self._probs.shape[0]
-        return (self._probs - self._targets) / n
-
-    def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        return self.forward(logits, labels)
+__all__ = ["batched_cross_entropy_grad"]
 
 
 def batched_cross_entropy_grad(
@@ -63,10 +22,11 @@ def batched_cross_entropy_grad(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-row mean losses ``(B,)`` and logits gradient ``(B, N, C)``.
 
-    The blocked counterpart of :class:`CrossEntropyLoss` for B models at
-    once: row ``b`` of the result is exactly what the scalar loss would
-    compute on ``(logits[b], labels[b])`` — same math, same operand
-    layout per slice, in the logits dtype. The gradient is already
+    Softmax cross-entropy over integer labels for B models at once: row
+    ``b`` of the result is exactly what the test suite's scalar
+    ``CrossEntropyLoss`` oracle (``tests/reference_nn.py``) computes on
+    ``(logits[b], labels[b])`` — same math, same operand layout per
+    slice, in the logits dtype. The gradient is already
     divided by the per-row batch size ``N``, composing directly with
     :meth:`~repro.nn.batched.BatchedModel.backward`. ``with_losses=False``
     skips the loss values (returns ``None`` in their place) — the

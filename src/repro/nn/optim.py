@@ -1,16 +1,14 @@
-"""Optimizers.
+"""The optimizer: SGD over a block of models.
 
-Only SGD variants are needed: Table 2 of the paper trains every model
-with SGD, momentum in {0, 0.9} and weight decay 5e-4.
+Table 2 of the paper trains every model with SGD, momentum in {0, 0.9}
+and weight decay 5e-4.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Parameter
-
-__all__ = ["SGD", "BatchedSGD"]
+__all__ = ["BatchedSGD"]
 
 # Elements of one (B, columns) chunk of BatchedSGD's elementwise update:
 # the chunk's parameters, gradient, velocity and scratch (~1 MB in
@@ -23,72 +21,18 @@ __all__ = ["SGD", "BatchedSGD"]
 CHUNK_ELEMENTS = 32_768
 
 
-class SGD:
-    """Stochastic gradient descent with momentum and weight decay.
-
-    The update matches PyTorch's convention: weight decay is added to
-    the gradient, momentum buffers accumulate the decayed gradient, and
-    (optionally) Nesterov lookahead is applied.
-    """
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if momentum < 0:
-            raise ValueError(f"momentum must be non-negative, got {momentum}")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        for i, param in enumerate(self.params):
-            if not param.requires_grad:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                buf = self._velocity.get(i)
-                if buf is None:
-                    buf = grad.copy()
-                else:
-                    buf = self.momentum * buf + grad
-                self._velocity[i] = buf
-                grad = grad + self.momentum * buf if self.nesterov else buf
-            param.data -= self.lr * grad
-
-    def reset_state(self) -> None:
-        """Drop momentum buffers (used after a model is overwritten by
-        gossip aggregation, where stale velocity is meaningless)."""
-        self._velocity.clear()
-
-
 class BatchedSGD:
     """SGD over a ``(B, dim)`` parameter block, one model row each.
 
     Row ``r`` steps with its own learning rate ``lr[r]`` (the batched
     trainer passes ``learning_rate * lr_decay ** session`` per row);
     momentum and weight decay are shared hyperparameters. The update
-    matches :class:`SGD` element for element — weight decay is added to
-    the gradient and momentum buffers accumulate the decayed gradient —
-    and runs in the block dtype (learning rates are cast to it, exactly
-    as numpy casts :class:`SGD`'s scalar ``lr`` into float32 math).
+    follows PyTorch's convention and matches the test suite's
+    per-parameter ``SGD`` oracle (``tests/reference_nn.py``) element for
+    element — weight decay is added to the gradient and momentum
+    buffers accumulate the decayed gradient — and runs in the block
+    dtype (learning rates are cast to it, exactly as numpy casts a
+    scalar ``lr`` into float32 math).
 
     ``param_runs`` lists the ``[start, stop)`` column ranges holding
     trainable parameters (see
@@ -129,7 +73,7 @@ class BatchedSGD:
         The hot loop is allocation-free in steady state: temporaries
         live in one chunk-sized scratch buffer, and every in-place
         expression computes the same values in the same order as the
-        per-parameter :class:`SGD` step (``grads`` itself is never
+        per-parameter oracle step (``grads`` itself is never
         written). The first step writes the decayed gradient straight
         into the velocity buffer.
         """

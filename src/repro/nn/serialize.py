@@ -1,9 +1,10 @@
-"""Model-state flattening and averaging.
+"""Model states: a model's parameters and buffers by name.
 
 Gossip aggregation (Algorithms 1 and 2 of the paper) averages whole
-models; these helpers turn a model into an ordered state dictionary or
-a flat vector and back, so protocols can treat models as elements of
-R^d exactly as Section 4's analysis does.
+models. :func:`get_state` snapshots a model into an ordered state
+dictionary, which a :class:`~repro.nn.flat.StateLayout` packs into one
+flat vector — an element of R^d, as in Section 4's analysis — and every
+later step runs on those vectors.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ import numpy as np
 
 from repro.nn.layers import Module
 
-__all__ = [
-    "get_state",
-    "set_state",
-    "state_to_vector",
-    "vector_to_state",
-    "average_states",
-    "normalize_weights",
-    "num_parameters",
-]
+__all__ = ["get_state", "num_parameters"]
 
 State = dict[str, np.ndarray]
 
@@ -33,107 +26,6 @@ def get_state(model: Module) -> State:
     for name, buf in model.named_buffers():
         state["buffer:" + name] = buf.copy()
     return state
-
-
-def set_state(model: Module, state: State) -> None:
-    """Load a state dictionary produced by :func:`get_state`."""
-    param_names = set()
-    for name, param in model.named_parameters():
-        if name not in state:
-            raise KeyError(f"state missing parameter {name!r}")
-        if state[name].shape != param.data.shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: "
-                f"{state[name].shape} vs {param.data.shape}"
-            )
-        param.data = state[name].copy()
-        # Keep the gradient buffer in the parameter's dtype: loading a
-        # float32 state must not leave a float64 accumulator behind
-        # (gradient math would silently promote).
-        if param.grad.dtype != param.data.dtype:
-            param.grad = np.zeros_like(param.data)
-        param_names.add(name)
-    for name, _ in model.named_buffers():
-        key = "buffer:" + name
-        if key not in state:
-            raise KeyError(f"state missing buffer {name!r}")
-        model.set_buffer(name, state[key].copy())
-        param_names.add(key)
-    extra = set(state) - param_names
-    if extra:
-        raise KeyError(f"state has unknown entries: {sorted(extra)}")
-
-
-def state_to_vector(state: State) -> np.ndarray:
-    """Concatenate all state entries (sorted by name) into one vector."""
-    return np.concatenate([state[name].ravel() for name in sorted(state)])
-
-
-def vector_to_state(vector: np.ndarray, template: State) -> State:
-    """Inverse of :func:`state_to_vector` given a shape template.
-
-    Each entry is cast back to the template entry's dtype, so float32
-    states round-trip without being silently promoted to float64.
-    """
-    vector = np.asarray(vector)
-    expected = sum(arr.size for arr in template.values())
-    if vector.size != expected:
-        raise ValueError(f"vector has {vector.size} entries, expected {expected}")
-    out: State = {}
-    offset = 0
-    for name in sorted(template):
-        arr = template[name]
-        out[name] = (
-            vector[offset : offset + arr.size]
-            .reshape(arr.shape)
-            .astype(arr.dtype, copy=True)
-        )
-        offset += arr.size
-    return out
-
-
-def normalize_weights(weights: list[float]) -> list[float]:
-    """Validate and normalize averaging weights to sum to one.
-
-    All-zero or sign-cancelling weights would silently divide the
-    average into NaN/inf; refuse them instead. Shared by the dict
-    path here and the flat arena so the rule cannot diverge.
-    """
-    total = float(sum(weights))
-    # Exact-zero comparison on purpose: sign-cancelling totals ([1, -1],
-    # [0.3, -0.3], ...) cancel to exactly 0.0 in IEEE arithmetic, while
-    # legitimately tiny totals (e.g. [5e-9, 5e-9]) stay normalizable.
-    if not np.isfinite(total) or total == 0.0:
-        raise ValueError(
-            f"weights must sum to a finite nonzero total, got {total!r}"
-        )
-    if np.isclose(total, 1.0):
-        return list(weights)
-    return [w / total for w in weights]
-
-
-def average_states(states: list[State], weights: list[float] | None = None) -> State:
-    """Weighted average of state dictionaries (uniform by default)."""
-    if not states:
-        raise ValueError("cannot average zero states")
-    if weights is None:
-        weights = [1.0 / len(states)] * len(states)
-    if len(weights) != len(states):
-        raise ValueError("weights and states must have equal length")
-    weights = normalize_weights(weights)
-    keys = set(states[0])
-    for state in states[1:]:
-        if set(state) != keys:
-            raise KeyError("states have mismatched keys")
-    out: State = {}
-    # Sorted so the output State has a deterministic key order (set
-    # iteration is hash-ordered, and downstream packing walks the dict).
-    for name in sorted(keys):
-        acc = np.zeros_like(states[0][name])
-        for weight, state in zip(weights, states):
-            acc += weight * state[name]
-        out[name] = acc
-    return out
 
 
 def num_parameters(model: Module) -> int:

@@ -1,8 +1,9 @@
-"""Parameter container with gradient bookkeeping.
+"""Named parameter arrays.
 
-The framework uses explicit backward passes rather than a tape-based
-autograd: every layer computes its own input gradient and accumulates
-parameter gradients into :class:`Parameter` objects.
+A :class:`Parameter` is one trainable slot of a layer spec: its value
+and its qualified name. Gradients never live here — the blocked kernel
+(:class:`~repro.nn.batched.BatchedModel`) writes them into a ``(B,
+dim)`` block laid out like the parameter block.
 """
 
 from __future__ import annotations
@@ -13,41 +14,33 @@ __all__ = ["Parameter"]
 
 
 class Parameter:
-    """A trainable array together with its accumulated gradient.
+    """A trainable array and its name.
 
     Parameters
     ----------
     data:
-        Initial value. Stored as ``float64`` by default for numerically
-        stable gradient checks; pass ``dtype`` to keep a narrower type
-        (the flat-state arena uses ``float32``-capable parameters).
+        Initial value. Stored as ``float64`` by default; pass ``dtype``
+        to keep a narrower type.
     name:
-        Human-readable identifier used in state dictionaries.
-    requires_grad:
-        When ``False`` the optimizer skips this parameter (used for
-        frozen layers and batch-norm running statistics).
+        Identifier used in state dictionaries.
     dtype:
-        Storage dtype for the value and its gradient.
+        Storage dtype of the value.
     """
 
-    __slots__ = ("data", "grad", "name", "requires_grad")
+    __slots__ = ("data", "name")
 
     def __init__(
         self,
         data: np.ndarray,
         name: str = "",
-        requires_grad: bool = True,
         dtype: np.dtype | str = np.float64,
     ):
         self.data = np.asarray(data, dtype=dtype)
-        self.grad = np.zeros_like(self.data)
         self.name = name
-        self.requires_grad = requires_grad
 
     def astype(self, dtype: np.dtype | str) -> "Parameter":
-        """Cast value and gradient in place; returns self for chaining."""
+        """Cast the value in place; returns self for chaining."""
         self.data = self.data.astype(dtype, copy=False)
-        self.grad = self.grad.astype(dtype, copy=False)
         return self
 
     @property
@@ -57,26 +50,6 @@ class Parameter:
     @property
     def size(self) -> int:
         return int(self.data.size)
-
-    def zero_grad(self) -> None:
-        """Reset the accumulated gradient to zero in place."""
-        self.grad[...] = 0.0
-
-    def accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` to the stored gradient (shape-checked)."""
-        grad = np.asarray(grad)
-        if grad.shape != self.data.shape:
-            raise ValueError(
-                f"gradient shape {grad.shape} does not match parameter "
-                f"{self.name!r} shape {self.data.shape}"
-            )
-        self.grad += grad
-
-    def copy(self) -> "Parameter":
-        """Deep copy (data and gradient)."""
-        out = Parameter(self.data.copy(), name=self.name, requires_grad=self.requires_grad)
-        out.grad = self.grad.copy()
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"

@@ -16,6 +16,11 @@ trade-off can be measured:
    member vs non-member from these features.
 4. The trained attack model is applied to the victim's outputs.
 
+Every model trains and scores on the blocked kernel, as a one-row
+block: :meth:`~repro.gossip.trainer.BatchedTrainer.train_block` (one
+call per model, so momentum runs across all its epochs) and
+:meth:`~repro.metrics.evaluation.BatchedEvaluator.predict_proba_rows`.
+
 The attack needs no access to the victim's training data — only to its
 prediction API and to same-distribution data, matching Shokri et al.'s
 threat model.
@@ -28,10 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.layers import Module
-from repro.nn.loss import CrossEntropyLoss
 from repro.nn.models import build_mlp
-from repro.nn.optim import SGD
-from repro.nn.serialize import get_state, set_state
+from repro.nn.serialize import get_state
 from repro.privacy.attacks import (
     confidence_scores,
     entropy_scores,
@@ -61,7 +64,12 @@ def membership_features(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShadowAttackConfig:
-    """Attacker-side training configuration."""
+    """Attacker-side training configuration.
+
+    Shadow models train in mini-batches of 32 and the classifier in
+    mini-batches of 64, both with momentum 0.9 and no weight decay.
+    ``attack_hidden=()`` makes the classifier linear.
+    """
 
     n_shadows: int = 4
     shadow_epochs: int = 30
@@ -72,10 +80,35 @@ class ShadowAttackConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Imported here: repro.gossip.trainer imports repro.privacy.dp,
+        # so a module-level import closes a cycle through this package.
+        from repro.gossip.trainer import check_sgd_hyperparameters
+
+        for name in ("n_shadows", "shadow_epochs", "attack_epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_shadows < 1:
-            raise ValueError("need at least one shadow model")
+            raise ValueError("n_shadows must be >= 1 (one shadow model at least)")
         if self.shadow_epochs < 1 or self.attack_epochs < 1:
-            raise ValueError("epoch counts must be positive")
+            raise ValueError("shadow_epochs and attack_epochs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        for name in ("shadow_lr", "attack_lr"):
+            try:
+                check_sgd_hyperparameters(getattr(self, name), 0.9, 0.0)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        if not all(
+            isinstance(width, (int, np.integer))
+            and not isinstance(width, bool)
+            and width > 0
+            for width in self.attack_hidden
+        ):
+            raise ValueError(
+                "attack_hidden must be a tuple of positive ints, "
+                f"got {self.attack_hidden!r}"
+            )
 
 
 class ShadowModelAttack:
@@ -90,11 +123,10 @@ class ShadowModelAttack:
         config: ShadowAttackConfig | None = None,
     ):
         """``target_template`` is a model with the victim's
-        architecture (shadow models share it, per Shokri et al.);
-        ``x_attacker/y_attacker`` is attacker-owned data from the same
-        distribution as the victim's."""
+        architecture (shadow models share it and start from its state,
+        per Shokri et al.); ``x_attacker/y_attacker`` is attacker-owned
+        data from the same distribution as the victim's."""
         self.template = target_template
-        self.template_state = get_state(target_template)
         self.x = np.asarray(x_attacker, dtype=np.float64)
         self.y = np.asarray(y_attacker, dtype=np.int64)
         self.config = config or ShadowAttackConfig()
@@ -102,30 +134,57 @@ class ShadowModelAttack:
             raise ValueError(
                 "attacker data too small for the requested shadow count"
             )
+        # The classifier: its architecture, and its trained parameters
+        # as a (1, dim) row once fit() ran.
         self.attack_model: Module | None = None
+        self.attack_params: np.ndarray | None = None
         self._feature_mean: np.ndarray | None = None
         self._feature_std: np.ndarray | None = None
 
-    # -- shadow training -------------------------------------------------
+    # -- the kernel ----------------------------------------------------
 
-    def _train_shadow(
-        self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Fit the shared template on one shadow split (in place)."""
-        set_state(self.template, self.template_state)
-        self.template.train()
-        loss_fn = CrossEntropyLoss()
-        optimizer = SGD(
-            self.template.parameters(), lr=self.config.shadow_lr, momentum=0.9
+    def _train(
+        self,
+        model: Module,
+        x: np.ndarray,
+        y: np.ndarray,
+        lr: float,
+        epochs: int,
+        batch_size: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``model``'s state trained on ``(x, y)``, as a ``(1, dim)`` row.
+
+        One ``train_block`` call runs every epoch with one momentum-0.9
+        velocity; ``rng`` draws each epoch's batch order. ``model``
+        itself is not changed.
+        """
+        # Imported here: repro.gossip.trainer imports repro.privacy.dp.
+        from repro.gossip.trainer import BatchedTrainer, TrainerConfig
+
+        trainer = BatchedTrainer(
+            model,
+            TrainerConfig(
+                learning_rate=lr,
+                momentum=0.9,
+                weight_decay=0.0,
+                local_epochs=epochs,
+                batch_size=batch_size,
+            ),
         )
-        for _ in range(self.config.shadow_epochs):
-            order = rng.permutation(x.shape[0])
-            for start in range(0, x.shape[0], 32):
-                batch = order[start : start + 32]
-                optimizer.zero_grad()
-                loss_fn(self.template.forward(x[batch]), y[batch])
-                self.template.backward(loss_fn.backward())
-                optimizer.step()
+        params = trainer.layout.pack(get_state(model))[None]
+        return trainer.train_block(params, [x], [y], [rng], sessions=[0])
+
+    def _predict(
+        self, model: Module, params: np.ndarray, x: np.ndarray
+    ) -> np.ndarray:
+        """Softmax probabilities ``(N, C)`` of the ``(1, dim)`` row
+        ``params`` of ``model``'s architecture on ``x``."""
+        from repro.metrics.evaluation import BatchedEvaluator
+
+        return BatchedEvaluator(model).predict_proba_rows(params, x)[0]
+
+    # -- shadow training -------------------------------------------------
 
     def _shadow_features(self) -> tuple[np.ndarray, np.ndarray]:
         """Train all shadows; return (features, membership labels)."""
@@ -137,18 +196,20 @@ class ShadowModelAttack:
         for s in range(self.config.n_shadows):
             member_idx = splits[2 * s]
             nonmember_idx = splits[2 * s + 1]
-            self._train_shadow(self.x[member_idx], self.y[member_idx], rng)
-            self.template.eval()
+            shadow = self._train(
+                self.template,
+                self.x[member_idx],
+                self.y[member_idx],
+                self.config.shadow_lr,
+                self.config.shadow_epochs,
+                32,
+                rng,
+            )
             for idx, is_member in ((member_idx, 1), (nonmember_idx, 0)):
-                probs = self._predict(self.x[idx])
+                probs = self._predict(self.template, shadow, self.x[idx])
                 features.append(membership_features(probs, self.y[idx]))
                 labels.append(np.full(idx.shape[0], is_member, dtype=np.int64))
         return np.concatenate(features), np.concatenate(labels)
-
-    def _predict(self, x: np.ndarray) -> np.ndarray:
-        from repro.metrics.evaluation import predict_proba
-
-        return predict_proba(self.template, x)
 
     # -- attack-model training ---------------------------------------------
 
@@ -162,18 +223,15 @@ class ShadowModelAttack:
         self.attack_model = build_mlp(
             features.shape[1], 2, hidden=self.config.attack_hidden, rng=rng
         )
-        loss_fn = CrossEntropyLoss()
-        optimizer = SGD(
-            self.attack_model.parameters(), lr=self.config.attack_lr, momentum=0.9
+        self.attack_params = self._train(
+            self.attack_model,
+            features,
+            labels,
+            self.config.attack_lr,
+            self.config.attack_epochs,
+            64,
+            rng,
         )
-        for _ in range(self.config.attack_epochs):
-            order = rng.permutation(features.shape[0])
-            for start in range(0, features.shape[0], 64):
-                batch = order[start : start + 64]
-                optimizer.zero_grad()
-                loss_fn(self.attack_model.forward(features[batch]), labels[batch])
-                self.attack_model.backward(loss_fn.backward())
-                optimizer.step()
         return self
 
     # -- inference --------------------------------------------------------
@@ -182,14 +240,13 @@ class ShadowModelAttack:
         self, probs: np.ndarray, labels: np.ndarray
     ) -> np.ndarray:
         """Low score = member, matching the threshold-attack convention."""
-        if self.attack_model is None:
+        if self.attack_params is None:
             raise RuntimeError("call fit() before scoring")
         features = membership_features(probs, labels)
         features = (features - self._feature_mean) / self._feature_std
-        from repro.nn import functional as F
-
-        logits = self.attack_model.forward(features)
-        member_prob = F.softmax(logits, axis=1)[:, 1]
+        member_prob = self._predict(
+            self.attack_model, self.attack_params, features
+        )[:, 1]
         return 1.0 - member_prob
 
     def attack(

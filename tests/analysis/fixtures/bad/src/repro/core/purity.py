@@ -1,10 +1,13 @@
 """Purity violations: mutable defaults, non-JSON config fields,
-telemetry objects riding inside configs and task payloads."""
+telemetry objects riding inside configs and task payloads, imports of
+the test suite."""
 
 from dataclasses import dataclass
 from typing import Callable
 
+import reference_trainer  # purity-oracle-import: a test oracle
 from repro.telemetry import Telemetry
+from tests.reference_nn import SGD  # purity-oracle-import: the tests package
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """The compliant twin of bad/src/repro/core/purity.py: JSON-clean
-configs, telemetry by reference, None defaults."""
+configs, telemetry by reference, None defaults, package imports only."""
 
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence
+
+from repro.nn.optim import BatchedSGD  # ok: the package's own kernel
 
 
 @dataclass

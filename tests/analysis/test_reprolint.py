@@ -68,6 +68,7 @@ class TestFixtureCorpus:
             "purity-config-field",
             "purity-telemetry-field",
             "purity-config-import",
+            "purity-oracle-import",
         }
         # Findings land in the files that stage them — scoping routes
         # each family to its package.
@@ -104,6 +105,7 @@ class TestFixtureCorpus:
         assert counts["lock-blocking-call"] == 4  # open/dump/record/callback
         assert counts["lifecycle-unmanaged"] == 2  # direct + subclass
         assert counts["purity-mutable-default"] == 2  # list + dict literal
+        assert counts["purity-oracle-import"] == 2  # oracle + tests package
 
     def test_clean_tree_is_quiet(self, capsys):
         code, lines = run_lint(

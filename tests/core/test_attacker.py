@@ -112,12 +112,16 @@ class TestModelSpread:
 
     def test_spread_matches_manual_computation(self):
         import numpy as np
-        from repro.nn.serialize import state_to_vector
+        from reference_nn import state_to_vector, unpack
 
         study = build_study(rounds=1)
         study.run()
+        sim = study.simulator
         vectors = np.stack(
-            [state_to_vector(n.state) for n in study.simulator.nodes]
+            [
+                state_to_vector(unpack(sim.layout, sim.arena.row(n.node_id)))
+                for n in sim.nodes
+            ]
         )
         center = vectors.mean(axis=0)
         expected = float(np.linalg.norm(vectors - center, axis=1).mean())

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference_nn import state_to_vector, unpack
 from reference_trainer import ReferenceExecutor, use_reference
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
@@ -23,7 +24,6 @@ from repro.gossip import (
 from repro.gossip.engine import mean_vectors
 from repro.nn import build_mlp, get_state
 from repro.nn.flat import StateLayout
-from repro.nn.serialize import state_to_vector
 
 MODEL_BUILDER = partial(build_mlp, 16, 4, hidden=(8,))
 
@@ -97,7 +97,7 @@ class TestStateArena:
     def test_load_and_view_round_trip(self):
         arena, state = self._arena()
         arena.load_state(2, state)
-        view = arena.state_view(2)
+        view = unpack(arena.layout, arena.row(2))
         np.testing.assert_array_equal(
             state_to_vector(view), state_to_vector(state)
         )
@@ -105,29 +105,26 @@ class TestStateArena:
     def test_views_are_live(self):
         arena, state = self._arena()
         arena.load_state(0, state)
-        view = arena.state_view(0)
+        view = unpack(arena.layout, arena.row(0))
         arena.row(0)[:] = 7.0
         name = arena.layout.names[0]
         assert view[name].flat[0] == 7.0
 
-    def test_average_rows_matches_numpy_mean(self):
+    def test_mix_rows_are_weighted_averages(self):
         arena, _ = self._arena()
         rng = np.random.default_rng(3)
         arena.data[:] = rng.normal(size=arena.data.shape)
-        avg = arena.average_rows([0, 1, 3])
-        np.testing.assert_allclose(avg, arena.data[[0, 1, 3]].mean(axis=0))
-
-    def test_average_rows_weighted(self):
-        arena, _ = self._arena()
-        arena.data[0] = 0.0
-        arena.data[1] = 6.0
-        avg = arena.average_rows([0, 1], weights=[2.0, 1.0])
-        np.testing.assert_allclose(avg, np.full(arena.dim, 2.0))
-
-    def test_average_rows_rejects_zero_weight_total(self):
-        arena, _ = self._arena()
-        with pytest.raises(ValueError):
-            arena.average_rows([0, 1], weights=[1.0, -1.0])
+        weights = np.zeros((4, 4))
+        weights[0, [0, 1, 3]] = 1.0 / 3.0
+        weights[1, [0, 1]] = [2.0 / 3.0, 1.0 / 3.0]
+        mixed = arena.mix(weights)
+        np.testing.assert_allclose(mixed[0], arena.data[[0, 1, 3]].mean(axis=0))
+        np.testing.assert_allclose(
+            mixed[1], (2.0 * arena.data[0] + arena.data[1]) / 3.0
+        )
+        np.testing.assert_array_equal(mixed[2:], 0.0)
+        with pytest.raises(ValueError, match="weights"):
+            arena.mix(np.ones((3, 4)))
 
     def test_merge_row_pairwise(self):
         arena, _ = self._arena()
@@ -140,7 +137,9 @@ class TestStateArena:
         arena, state = self._arena(dtype=np.float32)
         arena.load_state(0, state)
         assert arena.data.dtype == np.float32
-        assert arena.state_view(0)[arena.layout.names[0]].dtype == np.float32
+        np.testing.assert_array_equal(
+            arena.row(0), arena.layout.pack(state).astype(np.float32)
+        )
 
 
 @st.composite
@@ -198,18 +197,6 @@ class TestFlatSimulator:
         sim = build_flat()
         assert np.all(sim.arena.data == sim.arena.data[0])
 
-    def test_node_state_is_arena_view(self):
-        """The dict-State compat layer: node.state reads through to the
-        arena, so attacks and metrics code see live models."""
-        sim = build_flat()
-        sim.arena.row(3)[:] = 42.0
-        name = sim.layout.names[0]
-        assert sim.nodes[3].state[name].flat[0] == 42.0
-        # snapshot() still detaches.
-        snap = sim.nodes[3].snapshot()
-        sim.arena.row(3)[:] = 0.0
-        assert snap[name].flat[0] == 42.0
-
     @pytest.mark.parametrize("protocol_name", ["samo", "base_gossip"])
     def test_run_trains_and_communicates(self, protocol_name):
         sim = build_flat(protocol_name)
@@ -220,14 +207,6 @@ class TestFlatSimulator:
         assert sum(n.updates_performed for n in sim.nodes) > 0
         assert not np.array_equal(sim.arena.data, initial)
         assert np.isfinite(sim.arena.data).all()
-
-    def test_states_snapshot_detached(self):
-        sim = build_flat()
-        sim.run(1)
-        states = sim.states()
-        before = state_to_vector(states[0]).copy()
-        sim.arena.data[:] += 1.0
-        np.testing.assert_array_equal(state_to_vector(states[0]), before)
 
     def test_update_cap_respected(self):
         sim = build_flat(max_updates=2)
@@ -244,7 +223,7 @@ class TestFlatSimulator:
         sim = build_flat(arena_dtype="float32")
         sim.run(2)
         assert sim.arena.data.dtype == np.float32
-        assert sim.states()[0][sim.layout.names[0]].dtype == np.float32
+        assert sim.state_matrix().dtype == np.float32
         assert np.isfinite(sim.arena.data).all()
 
     def test_message_drop_and_failure_injection(self):
@@ -663,6 +642,8 @@ class TestMessageLogPayloads:
         assert sim.log.messages == []  # default: counters only
 
     def test_keep_payloads_records_snapshot_dicts(self):
+        """With keep_payloads, each logged message holds the read-only
+        flat snapshot its send enqueued."""
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
         trainer = BatchedTrainer(
             model,
@@ -687,7 +668,8 @@ class TestMessageLogPayloads:
             sim.run(1)
         assert sim.log.messages
         message = sim.log.messages[0]
-        assert set(message.payload) == set(sim.layout.names)
+        assert message.payload.shape == (sim.layout.dim,)
+        assert not message.payload.flags.writeable
         assert message.payload_size == sim.layout.dim
 
 
@@ -829,14 +811,13 @@ class TestStateMatrix:
             sim.state_matrix(wrong)
 
     def test_rows_match_node_states(self):
-        from repro.nn.serialize import state_to_vector
-
         sim = build_flat()
         sim.run(1)
         matrix = sim.state_matrix()
         for node in sim.nodes:
+            state = unpack(sim.layout, sim.arena.row(node.node_id))
             np.testing.assert_array_equal(
-                matrix[node.node_id], state_to_vector(node.state)
+                matrix[node.node_id], state_to_vector(state)
             )
 
     def test_dtype_only_layout_difference_accepted(self):
@@ -847,7 +828,7 @@ class TestStateMatrix:
         sim = build_flat()
         state32 = {
             k: np.asarray(v, dtype=np.float32)
-            for k, v in sim.nodes[0].state.items()
+            for k, v in unpack(sim.layout, sim.arena.row(0)).items()
         }
         layout32 = StateLayout.from_state(state32)
         assert layout32.compatible_with(sim.layout)

@@ -4,6 +4,7 @@ partial-aggregation protocol variant."""
 import numpy as np
 import pytest
 
+from reference_nn import average_states, state_to_vector, unpack
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     FlatGossipSimulator,
@@ -14,7 +15,6 @@ from repro.gossip import (
     make_protocol,
 )
 from repro.nn import build_mlp, get_state
-from repro.nn.serialize import average_states, state_to_vector
 
 
 def build_simulator(drop_prob=0.0, failure_prob=0.0, sampler=None,
@@ -58,11 +58,9 @@ class TestMessageLoss:
         """Gossip degrades gracefully: even at 70% loss, training
         continues and models evolve."""
         sim = build_simulator(drop_prob=0.7)
-        init = state_to_vector(sim.states()[0]).copy()
+        init = sim.arena.row(0).copy()
         sim.run(rounds=3)
-        assert any(
-            not np.allclose(state_to_vector(s), init) for s in sim.states()
-        )
+        assert any(not np.allclose(row, init) for row in sim.state_matrix())
 
     def test_drop_prob_validation(self):
         with pytest.raises(ValueError):
@@ -144,9 +142,7 @@ class TestPartialMerge:
             incoming = sim.arena.row(1) + 1.0
             sim._pending.append((1, 0, incoming))
             sim._process_pending()  # node 0 receives
-            return np.linalg.norm(
-                state_to_vector(sim.nodes[0].state) - state_to_vector(init)
-            )
+            return np.linalg.norm(sim.arena.row(0) - state_to_vector(init))
 
         full = merged_distance(BaseGossipProtocol(trainer))
         partial = merged_distance(PartialMergeGossipProtocol(trainer))
@@ -209,7 +205,6 @@ class TestMessageLatency:
     def test_latency_slows_mixing(self):
         """Stale models mix worse: with large delays the node models
         stay further apart after the same number of rounds."""
-        from repro.nn.serialize import state_to_vector
 
         def spread(delay):
             sim = build_simulator(seed=4)
@@ -220,14 +215,15 @@ class TestMessageLatency:
             )
             sim2 = FlatGossipSimulator(
                 config, sim.protocol, [n.split for n in sim.nodes],
-                sim.nodes[0].snapshot(),
+                unpack(sim.layout, sim.arena.row(0)),
             )
             rng = np.random.default_rng(42)
             for node in sim2.nodes:
-                for arr in node.state.values():
+                row = sim2.arena.row(node.node_id)
+                for arr in unpack(sim2.layout, row).values():
                     arr += rng.normal(0, 1.0, size=arr.shape)
             sim2.run(rounds=4)
-            vecs = np.stack([state_to_vector(s) for s in sim2.states()])
+            vecs = sim2.state_matrix().copy()
             sim2.close()
             return np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
 

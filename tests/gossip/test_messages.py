@@ -10,13 +10,13 @@ def msg(sender=0, receiver=1, tick=5, size=4):
         sender=sender,
         receiver=receiver,
         tick=tick,
-        payload={"w": np.zeros(size)},
+        payload=np.zeros(size),
     )
 
 
 class TestModelMessage:
     def test_payload_size(self):
-        m = ModelMessage(0, 1, 0, {"a": np.zeros((2, 3)), "b": np.zeros(4)})
+        m = ModelMessage(0, 1, 0, np.zeros(10))
         assert m.payload_size == 10
 
     def test_frozen(self):

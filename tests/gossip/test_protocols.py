@@ -9,6 +9,7 @@ small simulator, with the node's view pinned per test.
 import numpy as np
 import pytest
 
+from reference_nn import average_states, state_to_vector, unpack
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BaseGossipProtocol,
@@ -20,7 +21,6 @@ from repro.gossip import (
     make_protocol,
 )
 from repro.nn import build_mlp, get_state
-from repro.nn.serialize import average_states, state_to_vector
 
 
 @pytest.fixture
@@ -92,7 +92,7 @@ class TestBaseGossip:
         assert node.updates_performed == before_updates + 1
         # The state should be near the pairwise average (training then
         # perturbs it, but aggregation is exact before local steps).
-        expected_avg = average_states([init, sim.layout.unpack(incoming)])
+        expected_avg = average_states([init, unpack(sim.layout, incoming)])
         # After training it moved, but should be closer to the average
         # than to either endpoint by construction of one small step.
         d_avg = np.linalg.norm(row(sim) - state_to_vector(expected_avg))

@@ -12,7 +12,6 @@ from repro.gossip import (
     make_protocol,
 )
 from repro.nn import build_mlp, get_state
-from repro.nn.serialize import state_to_vector
 
 
 def build_simulator(
@@ -56,7 +55,7 @@ def build_simulator(
 class TestConstruction:
     def test_all_nodes_start_from_shared_model(self):
         sim, _ = build_simulator()
-        vecs = [state_to_vector(s) for s in sim.states()]
+        vecs = sim.state_matrix()
         for v in vecs[1:]:
             np.testing.assert_array_equal(v, vecs[0])
 
@@ -82,9 +81,9 @@ class TestExecution:
 
     def test_models_diverge_from_init_and_each_other(self):
         sim, _ = build_simulator()
-        init = state_to_vector(sim.states()[0]).copy()
+        init = sim.arena.row(0).copy()
         sim.run(rounds=3)
-        vecs = [state_to_vector(s) for s in sim.states()]
+        vecs = sim.state_matrix()
         assert any(not np.allclose(v, init) for v in vecs)
         # Nodes hold different data, so models differ across nodes.
         assert any(not np.allclose(vecs[0], v) for v in vecs[1:])
@@ -119,8 +118,7 @@ class TestExecution:
         b, _ = build_simulator(seed=11)
         a.run(rounds=2)
         b.run(rounds=2)
-        for sa, sb in zip(a.states(), b.states()):
-            np.testing.assert_array_equal(state_to_vector(sa), state_to_vector(sb))
+        np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
 
     def test_different_seeds_differ(self):
         a, _ = build_simulator(seed=11)
@@ -128,8 +126,8 @@ class TestExecution:
         a.run(rounds=2)
         b.run(rounds=2)
         assert any(
-            not np.array_equal(state_to_vector(sa), state_to_vector(sb))
-            for sa, sb in zip(a.states(), b.states())
+            not np.array_equal(ra, rb)
+            for ra, rb in zip(a.state_matrix(), b.state_matrix())
         )
 
     def test_dynamic_topology_changes_views(self):
@@ -159,7 +157,7 @@ class TestConvergence:
         Section 4 formalizes."""
         sim, _ = build_simulator(protocol_name="samo", view_size=3, seed=2)
         sim.run(rounds=4)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = sim.state_matrix()
         spread_gossip = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
 
         # Isolated: same trainer, no communication.
@@ -171,7 +169,7 @@ class TestConvergence:
                     [node.train_x], [node.train_y], [node.rng], [0],
                     node_ids=[node.node_id],
                 )
-        iso_vecs = np.stack([state_to_vector(s) for s in iso.states()])
+        iso_vecs = iso.state_matrix()
         spread_iso = np.linalg.norm(
             iso_vecs - iso_vecs.mean(axis=0), axis=1
         ).mean()

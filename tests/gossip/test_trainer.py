@@ -10,13 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference_nn import CrossEntropyLoss, reference, set_state, unpack
 from reference_trainer import LocalTrainer
 from repro.gossip import BatchedTrainer, TrainerConfig
 from repro.gossip import trainer as trainer_module
 from repro.nn import build_mlp, get_state
 from repro.nn.flat import StateLayout
-from repro.nn.loss import CrossEntropyLoss
-from repro.nn.serialize import set_state
 from repro.privacy import DPSGDConfig, noisy_gradient_block
 
 
@@ -108,9 +107,11 @@ class TestBatchedTrainer:
         x, y = make_data()
         loss = CrossEntropyLoss()
 
+        model = reference(trainer.model)
+
         def loss_at(vector):
-            set_state(trainer.model, trainer.layout.unpack(vector[0]))
-            return loss(trainer.model.forward(x), y)
+            set_state(model, unpack(trainer.layout, vector[0]))
+            return loss(model.forward(x), y)
 
         before = loss_at(row)
         out = row.copy()

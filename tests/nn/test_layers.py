@@ -1,5 +1,7 @@
 """Layer tests, including finite-difference gradient checks.
 
+The layers here are the per-layer oracle of ``reference_nn`` (the spec
+classes of :mod:`repro.nn.layers` with their forward/backward passes).
 Every layer's backward pass is verified against central finite
 differences through a scalar head (sum of outputs weighted by a fixed
 random projection), which exercises arbitrary output gradients.
@@ -8,7 +10,7 @@ random projection), which exercises arbitrary output gradients.
 import numpy as np
 import pytest
 
-from repro.nn import (
+from reference_nn import (
     BatchNorm2d,
     Conv2d,
     Dense,

@@ -1,9 +1,14 @@
-"""Tests for loss functions, including gradient checks."""
+"""Tests for loss functions, including gradient checks.
+
+``CrossEntropyLoss`` is the scalar loss of the per-layer oracle
+(``reference_nn``); the blocked ``batched_cross_entropy_grad`` of
+``src/`` must match it row for row.
+"""
 
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss
+from reference_nn import CrossEntropyLoss
 
 
 class TestCrossEntropy:

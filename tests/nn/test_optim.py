@@ -1,9 +1,9 @@
-"""Tests for SGD and learning-rate schedules."""
+"""Tests for the per-parameter SGD of the per-layer oracle (``reference_nn``)."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Parameter, SGD
+from reference_nn import Parameter, SGD
 
 
 def make_param(value=1.0, grad=1.0):

@@ -1,22 +1,23 @@
-"""Tests for model-state flattening and averaging."""
+"""Tests for model-state snapshots (``get_state``) and the dict-State
+helpers of the per-layer oracle (``reference_nn``): loading, flattening
+and averaging."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nn import (
+from reference_nn import (
     BatchNorm2d,
     Conv2d,
     Dense,
     Sequential,
     average_states,
-    build_mlp,
-    get_state,
     set_state,
     state_to_vector,
     vector_to_state,
 )
+from repro.nn import build_mlp, get_state
 
 
 def small_model(seed=0):

@@ -1,9 +1,10 @@
-"""Tests for Parameter gradient bookkeeping."""
+"""Tests for Parameter: the value half in ``repro.nn.tensor``, and the
+gradient bookkeeping the per-layer oracle (``reference_nn``) adds."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Parameter
+from reference_nn import Parameter
 
 
 class TestParameter:

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from reference_nn import (
+    SGD,
+    CrossEntropyLoss,
+    ReferenceShadowAttack,
+    predict_proba,
+    reference,
+)
 from repro.data import make_synthetic_tabular_dataset
-from repro.nn import CrossEntropyLoss, SGD, build_mlp
+from repro.nn import build_mlp
 from repro.privacy.shadow import (
     ShadowAttackConfig,
     ShadowModelAttack,
@@ -24,7 +31,9 @@ def victim_setup():
     victim_nonmembers = order[60:120]
     attacker_pool = order[120:]
 
-    victim = build_mlp(32, 20, hidden=(64,), rng=np.random.default_rng(1))
+    victim = reference(
+        build_mlp(32, 20, hidden=(64,), rng=np.random.default_rng(1))
+    )
     loss_fn = CrossEntropyLoss()
     opt = SGD(victim.parameters(), lr=0.1, momentum=0.9)
     x_m, y_m = train.x[victim_members], train.y[victim_members]
@@ -33,8 +42,6 @@ def victim_setup():
         loss_fn(victim.forward(x_m), y_m)
         victim.backward(loss_fn.backward())
         opt.step()
-
-    from repro.metrics.evaluation import predict_proba
 
     victim.eval()
     member_probs = predict_proba(victim, x_m)
@@ -67,6 +74,34 @@ class TestConfig:
             ShadowAttackConfig(n_shadows=0)
         with pytest.raises(ValueError):
             ShadowAttackConfig(shadow_epochs=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("shadow_lr", float("nan")),
+            ("shadow_lr", -0.1),
+            ("shadow_lr", 0.0),
+            ("attack_lr", float("inf")),
+            ("attack_hidden", (0,)),
+            ("attack_hidden", (16, -2)),
+            ("attack_hidden", (8.5,)),
+            ("n_shadows", 2.5),
+            ("shadow_epochs", 3.0),
+            ("attack_epochs", True),
+            ("seed", -1),
+        ],
+    )
+    def test_rejects_bad_value_naming_the_field(self, field, value):
+        """Values that used to construct and then fail inside fit(), or
+        train NaN scores, fail at construction with the field named."""
+        with pytest.raises(ValueError, match=field):
+            ShadowAttackConfig(**{field: value})
+
+    def test_linear_classifier_and_numpy_ints_accepted(self):
+        config = ShadowAttackConfig(
+            attack_hidden=(), n_shadows=np.int64(2), seed=np.int64(0)
+        )
+        assert config.attack_hidden == ()
 
 
 class TestShadowAttack:
@@ -130,3 +165,31 @@ class TestShadowAttack:
             victim_setup["nonmember_probs"], victim_setup["nonmember_labels"]
         )
         assert m.mean() < n.mean()
+
+
+def test_matches_reference_loop(victim_setup):
+    """The kernel attack (one ``train_block`` call per model, one-row
+    ``predict_proba_rows`` scoring) reproduces the per-layer loop of
+    ``reference_nn`` bit for bit: the same membership scores and the
+    same trained classifier."""
+    idx = victim_setup["attacker_idx"]
+    config = ShadowAttackConfig(n_shadows=2, shadow_epochs=15, attack_epochs=40)
+    attacks = [
+        cls(
+            build_mlp(32, 20, hidden=(64,), rng=np.random.default_rng(2)),
+            victim_setup["train"].x[idx],
+            victim_setup["train"].y[idx],
+            config,
+        ).fit()
+        for cls in (ShadowModelAttack, ReferenceShadowAttack)
+    ]
+    kernel, oracle = attacks
+    np.testing.assert_array_equal(kernel.attack_params, oracle.attack_params)
+    for probs, labels in (
+        (victim_setup["member_probs"], victim_setup["member_labels"]),
+        (victim_setup["nonmember_probs"], victim_setup["nonmember_labels"]),
+    ):
+        np.testing.assert_array_equal(
+            kernel.membership_scores(probs, labels),
+            oracle.membership_scores(probs, labels),
+        )

@@ -4,9 +4,9 @@
 are scored as blocks of arena rows by a
 :class:`~repro.metrics.evaluation.BatchedEvaluator`, in process or on
 the shard workers. This module keeps the independent implementation it
-replaced: load one node's state into the shared workspace
-:class:`~repro.nn.layers.Module`, subsample its attack sets with the
-observer RNG, and score it through the module's own forward. The two
+replaced: load one node's state into the shared workspace model,
+subsample its attack sets with the observer RNG, and score it through
+the per-layer passes of ``reference_nn``. The two
 draw the observer RNG in the same order, so tests check that they
 agree within float tolerance.
 
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_nn import Module, predict_proba, reference, set_state, unpack
 from repro.core.attacker import OmniscientObserver
 from repro.core.study import Study
 from repro.gossip.engine import FlatGossipSimulator
-from repro.metrics.evaluation import ModelEvaluation, predict_proba
+from repro.metrics.evaluation import ModelEvaluation
 from repro.metrics.records import RoundRecord
-from repro.nn.layers import Module
-from repro.nn.serialize import set_state
 from repro.privacy.mia import build_attack_data, mia_report, mpe_scores
 
 
@@ -89,6 +88,11 @@ def evaluate_node(
     )
 
 
+def node_state(simulator: FlatGossipSimulator, node_id: int):
+    """Dict view over the node's arena row."""
+    return unpack(simulator.layout, simulator.arena.row(node_id))
+
+
 class ReferenceObserver(OmniscientObserver):
     """Observes every round one node at a time on the workspace model."""
 
@@ -127,8 +131,9 @@ class ReferenceObserver(OmniscientObserver):
         x_tr, y_tr = self._subsample(node.train_x, node.train_y)
         x_te, y_te = self._subsample(node.test_x, node.test_y)
         return evaluate_node(
-            self.model, node_id, node.state, self.x_global, self.y_global,
-            x_tr, y_tr, x_te, y_te, rng=self.rng,
+            self.model, node_id, node_state(simulator, node_id),
+            self.x_global, self.y_global, x_tr, y_tr, x_te, y_te,
+            rng=self.rng,
         )
 
     def _canary_loop(self, simulator: FlatGossipSimulator) -> float:
@@ -140,7 +145,7 @@ class ReferenceObserver(OmniscientObserver):
             holdouts = self.canaries.holdouts_for_node(node_id)
             if members.size == 0 and holdouts.size == 0:
                 continue
-            set_state(self.model, simulator.nodes[node_id].state)
+            set_state(self.model, node_state(simulator, node_id))
             for indices, bucket in ((members, member_scores), (holdouts, holdout_scores)):
                 if indices.size == 0:
                     continue
@@ -155,7 +160,9 @@ def use_reference_observer(study: Study) -> ReferenceObserver:
 
     Swapping the class keeps the observer's state (RNG stream, fixed
     global-test subsample, epsilon callback), so the swap must happen
-    before the first round, while that state is still as built.
+    before the first round, while that state is still as built. The
+    observer's model gets its per-layer passes in place.
     """
     study.observer.__class__ = ReferenceObserver
+    reference(study.observer.model)
     return study.observer

@@ -4,8 +4,8 @@
 :meth:`repro.gossip.trainer.BatchedTrainer.train_block`, over ``(B,
 dim)`` blocks of arena rows. This module keeps the independent
 implementation it replaced: load one node's state into a shared
-:class:`~repro.nn.layers.Module`, train it through the module's own
-forward/backward (DP-SGD as one microbatch per sample), and pack the
+workspace model, train it through the per-layer passes of
+``reference_nn`` (DP-SGD as one microbatch per sample), and pack the
 state back. Tests check the blocked kernel against it bit for bit on
 float64 arenas.
 
@@ -29,19 +29,22 @@ from repro.gossip.engine import (
     UpdateTask,
     as_split_arrays,
 )
+from reference_nn import CrossEntropyLoss, SGD, reference, set_state, unpack
 from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.nn.layers import Module, mask_stream_rng, stream_dropout_layers
-from repro.nn.loss import CrossEntropyLoss
-from repro.nn.optim import SGD
-from repro.nn.serialize import State, get_state, set_state
+from repro.nn.serialize import State, get_state
 from repro.privacy.dp import clip_per_sample, noisy_gradient
 
 
 class LocalTrainer:
-    """Runs local SGD epochs on a shared workspace model."""
+    """Runs local SGD epochs on a shared workspace model.
+
+    ``model`` gets its per-layer passes in place (see
+    :func:`reference_nn.reference`).
+    """
 
     def __init__(self, model: Module, config: TrainerConfig):
-        self.model = model
+        self.model = reference(model)
         self.config = config
         self._stream_layers = stream_dropout_layers(model)
 
@@ -165,7 +168,7 @@ class ReferenceExecutor(Executor):
         for task in tasks:
             x, y = self.splits[task.node_id]
             state = self.loop.train(
-                layout.unpack(task.vector), x, y, task.rng,
+                unpack(layout, task.vector), x, y, task.rng,
                 node_id=task.node_id, session=task.session,
             )
             layout.pack(state, out=task.vector)

@@ -11,6 +11,13 @@
   object on a ``*Config`` or ``*Task`` dataclass would ride into
   ``config_hash``, the response cache and the shard wire codec.
   Annotations are the statically visible surface of that contract.
+* ``purity-config-import`` (``src/repro/core/config.py``) — the config
+  layer never imports ``repro.telemetry``.
+* ``purity-oracle-import`` (``src/``) — the package never imports the
+  test suite: ``tests``, ``conftest`` or a ``reference_*`` oracle
+  module. Those import only because ``tests/conftest.py`` puts
+  ``tests/`` on ``sys.path``, so such an import passes under pytest and
+  breaks ``import repro`` everywhere else.
 """
 
 from __future__ import annotations
@@ -240,9 +247,46 @@ class ConfigTelemetryImportRule(Rule):
                 )
 
 
+def _is_test_module(name: str) -> bool:
+    """``tests``/``conftest`` packages and ``reference_*`` oracles."""
+    top = name.split(".")[0]
+    leaf = name.split(".")[-1]
+    return top in ("tests", "conftest") or leaf.startswith("reference_")
+
+
+class OracleImportRule(Rule):
+    name = "purity-oracle-import"
+    summary = "src/ never imports tests, conftest or a reference_* oracle"
+
+    def applies(self, ctx: ModuleContext) -> bool:
+        return ctx.in_source_tree
+
+    def check(self, ctx: ModuleContext):
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                module = node.module or ""
+                names = [module] + [
+                    f"{module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            hits = sorted({name for name in names if _is_test_module(name)})
+            if hits:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"imports test-suite code ({', '.join(hits)}); it "
+                    "resolves only under pytest, which puts tests/ on "
+                    "sys.path, so `import repro` breaks everywhere else",
+                )
+
+
 RULES = [
     MutableDefaultRule,
     ConfigFieldTypeRule,
     TelemetryFieldRule,
     ConfigTelemetryImportRule,
+    OracleImportRule,
 ]
