@@ -17,8 +17,10 @@ The same workers double as **observer shards**: after a one-time
 row's attack arrays, a per-round ``observe`` message carries only
 subsample index arrays. Each worker scores its own arena rows with a
 :class:`~repro.metrics.evaluation.BatchedEvaluator` (evaluation and MPE
-scoring never leave the shard) and replies with per-row score vectors
-and accuracies; the parent merges, balances, and builds the reports.
+scoring never leave the shard) and replies with its rows' score vectors
+and accuracies packed into a few arrays; the parent merges, balances,
+and builds the reports. The parent takes every reply in the order it
+arrives.
 
 Determinism: each task travels with its node's exact generator state
 and lr_decay session index, and every shard trains through the same
@@ -33,6 +35,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
+from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -159,6 +162,27 @@ def _restore_generator(state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
+def _restore_generators(
+    states: Sequence[dict], pool: list[np.random.Generator]
+) -> list[np.random.Generator]:
+    """One Generator per shipped ``bit_generator.state``, the i-th
+    taken from ``pool[i]`` (grown on demand) and set to ``states[i]``.
+
+    A new bit generator seeds itself from OS entropy before the shipped
+    state overwrites it, ~8x the cost of the assignment, so a worker
+    keeps its generators across batches. Tasks of one batch never share
+    an object, even when a row repeats.
+    """
+    for i, state in enumerate(states):
+        if i == len(pool):
+            pool.append(_restore_generator(state))
+        elif type(pool[i].bit_generator).__name__ != state["bit_generator"]:
+            pool[i] = _restore_generator(state)
+        else:
+            pool[i].bit_generator.state = state
+    return pool[: len(states)]
+
+
 def encode_tasks(tasks: Sequence[UpdateTask]) -> list[tuple]:
     """The exact per-task payload shipped to a shard worker.
 
@@ -201,7 +225,8 @@ def _shard_worker(
     * ``("observe_init", payload)`` — store the observation inputs and
       build the shard's :class:`BatchedEvaluator` once;
     * ``("observe", items)`` — score this shard's rows against the live
-      arena and reply with per-row scores and accuracies.
+      arena and reply with their scores and accuracies, packed into a
+      few arrays (see :func:`_observe_rows`).
     """
     arena = None
     executor = None
@@ -211,6 +236,7 @@ def _shard_worker(
         executor = BatchedExecutor(trainer, split_arrays, train_batch=train_batch)
         evaluator = None
         observe_state: dict = {}
+        generators: list[np.random.Generator] = []
         # Worker-local registry: recorded here, drained into a delta
         # that rides each train reply.
         registry = Registry() if telemetry_enabled else None
@@ -257,14 +283,10 @@ def _shard_worker(
                 # The parent's trainer config was swapped after this
                 # worker spawned (DP install does that); mirror it.
                 trainer.set_config(new_config)
+            rngs = _restore_generators([item[2] for item in items], generators)
             tasks = [
-                UpdateTask(
-                    node_id,
-                    arena.data[node_id],
-                    _restore_generator(rng_state),
-                    session,
-                )
-                for node_id, session, rng_state in items
+                UpdateTask(node_id, arena.data[node_id], rng, session)
+                for (node_id, session, _), rng in zip(items, rngs)
             ]
             # The executor trains the shared rows in place.
             if registry is None:
@@ -309,13 +331,17 @@ def _observe_rows(
     state: dict,
     arena: SharedArena,
     items: list[tuple],
-) -> list[tuple]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score one shard's rows for one observation round.
 
     ``items`` holds ``(row, train_idx, test_idx)`` triples — the
     subsample index arrays the parent drew from the observer RNG
     (``None`` means the whole split). Models are read straight out of
-    the live arena; only score vectors and accuracy floats go back.
+    the live arena; only scores and accuracies go back, as ``(rows,
+    scores, sizes, accuracies)``: every row's member scores then every
+    row's non-member scores end to end, the length of each of those 2n
+    vectors, and an ``(n, 3)`` block of local-train, local-test and
+    global accuracies (:func:`_unpack_observations` splits it).
     """
     if evaluator is None:
         raise RuntimeError("observe message before observe_init")
@@ -341,16 +367,30 @@ def _observe_rows(
         params, xs_train + xs_test, ys_train + ys_test, rows=rows + rows
     )
     n = len(rows)
+    # A few arrays, not 2n score vectors: pickling and unpickling the
+    # 64 small arrays of a 32-row reply took ~0.4 ms, ~8x these four.
+    return (
+        np.asarray(rows, dtype=np.int64),
+        np.concatenate([o[0] for o in obs]),  # member, then non-member scores
+        np.asarray([o[0].size for o in obs], dtype=np.int64),
+        np.asarray(
+            [[obs[i][1], obs[n + i][1], global_acc[i]] for i in range(n)],
+            dtype=np.float64,
+        ),
+    )
+
+
+def _unpack_observations(packed: tuple) -> list[tuple]:
+    """A shard's :func:`_observe_rows` reply as per-row ``(row,
+    member_scores, nonmember_scores, train_accuracy, test_accuracy,
+    global_accuracy)`` tuples; score vectors are views into one array."""
+    rows, scores, sizes, accuracies = packed
+    n = rows.size
+    ends = np.cumsum(sizes).tolist()
+    vectors = [scores[end - size : end] for end, size in zip(ends, sizes.tolist())]
     return [
-        (
-            row,
-            obs[i][0],  # member MPE scores
-            obs[n + i][0],  # non-member MPE scores
-            obs[i][1],  # local-train accuracy
-            obs[n + i][1],  # local-test accuracy
-            float(global_acc[i]),
-        )
-        for i, row in enumerate(rows)
+        (row, vectors[i], vectors[n + i], *accs)
+        for i, (row, accs) in enumerate(zip(rows.tolist(), accuracies.tolist()))
     ]
 
 
@@ -480,7 +520,7 @@ class ShardedExecutor(Executor):
             by_shard.setdefault(int(self._shard_of[task.node_id]), []).append(i)
         config = self._trainer.config if self._trainer is not None else None
         # Fan out to every involved shard first; they train in
-        # parallel while we collect replies in the same order.
+        # parallel while we take replies as they arrive.
         for shard, indices in by_shard.items():
             push = None
             if config is not None and config != self._shard_config[shard]:
@@ -500,10 +540,10 @@ class ShardedExecutor(Executor):
                     f"shard worker {shard} died without a diagnostic"
                 ) from None
         results: list = [None] * len(tasks)
-        for shard, indices in by_shard.items():
-            rng_states, telemetry_delta = self._recv(shard)
-            if telemetry_delta and self._registry is not None:
-                self._registry.merge_delta(telemetry_delta)
+        deltas = {}
+        for shard, (rng_states, telemetry_delta) in self._replies(by_shard):
+            deltas[shard] = telemetry_delta
+            indices = by_shard[shard]
             for i, (node_id, rng_state) in zip(indices, rng_states):
                 task = tasks[i]
                 if task.node_id != node_id:
@@ -515,6 +555,12 @@ class ShardedExecutor(Executor):
                 # left its copy — streams continue exactly as serially.
                 task.rng.bit_generator.state = rng_state
                 results[i] = (self._data[node_id], task.rng)
+        if self._registry is not None:
+            # Shard order, not arrival order: metric children are then
+            # created in the same order on every run.
+            for shard in by_shard:
+                if deltas[shard]:
+                    self._registry.merge_delta(deltas[shard])
         return results
 
     # -- sharded observation ------------------------------------------
@@ -572,13 +618,27 @@ class ShardedExecutor(Executor):
                 continue
             self._conns[shard].send((_OBSERVE, items))
             involved.append(shard)
+        replies = {
+            shard: _unpack_observations(packed)
+            for shard, packed in self._replies(involved)
+        }
         out: dict[int, tuple] = {}
         for shard in involved:
             for row, member, nonmember, train_acc, test_acc, global_acc in (
-                self._recv(shard)
+                replies[shard]
             ):
                 out[row] = (member, nonmember, train_acc, test_acc, global_acc)
         return out
+
+    def _replies(self, shards):
+        """Yield ``(shard, payload)`` for each of ``shards`` in the
+        order the replies arrive, so the parent decodes one shard's
+        reply while the others still work."""
+        pending = {self._conns[shard]: shard for shard in shards}
+        while pending:
+            for conn in wait(list(pending)):
+                shard = pending.pop(conn)
+                yield shard, self._recv(shard)
 
     def _recv(self, shard: int):
         try:

@@ -18,7 +18,7 @@ from repro.gossip import (
     TrainerConfig,
     UpdateTask,
 )
-from repro.gossip.shard import encode_tasks
+from repro.gossip.shard import _restore_generators, encode_tasks
 from repro.gossip.trainer import BatchedTrainer
 from repro.nn import build_mlp, get_state
 from repro.nn.flat import SharedArena, StateLayout
@@ -184,6 +184,48 @@ class TestShardedExecutor:
         ):
             np.testing.assert_array_equal(ref_vec, sharded_vec)
             assert ref_rng.random() == sharded_rng.random()
+
+    def test_consecutive_batches_match_serial(self):
+        """Workers keep their generators between batches; a second
+        batch over other rows, in another order, must still continue
+        every node's stream exactly."""
+        model, layout, splits, config, arena = make_fixture()
+        reference = ReferenceExecutor(
+            BatchedTrainer(model, config, layout), splits
+        )
+        sharded = ShardedExecutor(
+            MODEL_BUILDER, config, layout, splits, arena, n_shards=2
+        )
+        ref_tasks = make_tasks(arena, 6, copy=True)
+        tasks = make_tasks(arena, 6)
+        try:
+            for pick in (slice(None), slice(None, 1, -1)):
+                ref_results = reference.train_batch(ref_tasks[pick])
+                results = sharded.train_batch(tasks[pick])
+                for (ref_vec, ref_rng), (vec, rng) in zip(ref_results, results):
+                    np.testing.assert_array_equal(ref_vec, vec)
+                    assert ref_rng.bit_generator.state == rng.bit_generator.state
+        finally:
+            reference.close()
+            sharded.close()
+            arena.release()
+
+    def test_restored_generators_are_distinct_and_reused(self):
+        states = [np.random.default_rng(7).bit_generator.state] * 2
+        pool: list = []
+        first = _restore_generators(states, pool)
+        assert first[0] is not first[1]  # a repeated row gets its own
+        assert first[0].random() == first[1].random()
+        philox = np.random.Generator(np.random.Philox(3))
+        second = _restore_generators(
+            [np.random.default_rng(8).bit_generator.state,
+             philox.bit_generator.state],
+            pool,
+        )
+        assert second[0] is first[0]  # same type: state reassigned
+        assert second[0].random() == np.random.default_rng(8).random()
+        assert isinstance(second[1].bit_generator, np.random.Philox)
+        assert second[1].random() == philox.random()
 
     def test_results_written_into_shared_arena(self):
         """The executor's outputs ARE the arena rows (no copy-back)."""
