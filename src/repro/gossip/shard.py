@@ -54,7 +54,7 @@ from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.metrics.evaluation import BatchedEvaluator, row_block
 from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
-from repro.telemetry import Registry, Telemetry
+from repro.telemetry import Telemetry
 
 __all__ = [
     "RowPartitioner",
@@ -208,8 +208,7 @@ def _shard_worker(
     layout: StateLayout,
     split_arrays: SplitArrays,
     train_batch: int,
-    shard_index: int = 0,
-    telemetry_enabled: bool = False,
+    train_clock: Callable[[], float] | None = None,
 ) -> None:
     """Long-lived shard worker loop.
 
@@ -219,9 +218,9 @@ def _shard_worker(
 
     * ``("train", items, config_or_None)`` — rebuild each task's
       generator, train, write result rows into the shared segment, and
-      reply with the advanced generator states plus (when telemetry is
-      on) the worker-local metric-registry delta, which travels with
-      the task results, never out of band;
+      reply with the advanced generator states and the batch's
+      milliseconds on ``train_clock`` (None, reading no clock, when the
+      parent records no shard series);
     * ``("observe_init", payload)`` — store the observation inputs and
       build the shard's :class:`BatchedEvaluator` once;
     * ``("observe", items)`` — score this shard's rows against the live
@@ -237,21 +236,6 @@ def _shard_worker(
         evaluator = None
         observe_state: dict = {}
         generators: list[np.random.Generator] = []
-        # Worker-local registry: recorded here, drained into a delta
-        # that rides each train reply.
-        registry = Registry() if telemetry_enabled else None
-        shard_train_ms = shard_tasks = None
-        if registry is not None:
-            shard_train_ms = registry.histogram(
-                "repro_shard_train_ms",
-                "Wall-clock of one shard worker's train batch",
-                labels=("shard",),
-            ).child(shard=str(shard_index))
-            shard_tasks = registry.counter(
-                "repro_shard_tasks_total",
-                "Local-update tasks trained, by shard",
-                labels=("shard",),
-            ).child(shard=str(shard_index))
         while True:
             message = conn.recv()
             if message[0] == _STOP:
@@ -289,16 +273,13 @@ def _shard_worker(
                 for (node_id, session, _), rng in zip(items, rngs)
             ]
             # The executor trains the shared rows in place.
-            if registry is None:
+            if train_clock is None:
                 executor.train_batch(tasks)
+                train_ms = None
             else:
-                start = perf_counter()
+                start = train_clock()
                 executor.train_batch(tasks)
-                shard_train_ms.observe((perf_counter() - start) * 1000.0)
-                shard_tasks.inc(len(tasks))
-            telemetry_delta = (
-                registry.collect_delta() if registry is not None else None
-            )
+                train_ms = (train_clock() - start) * 1000.0
             conn.send(
                 (
                     "ok",
@@ -307,7 +288,7 @@ def _shard_worker(
                             (task.node_id, task.rng.bit_generator.state)
                             for task in tasks
                         ],
-                        telemetry_delta,
+                        train_ms,
                     ),
                 )
             )
@@ -477,14 +458,30 @@ class ShardedExecutor(Executor):
         self._trainer = trainer
         self._shard_config: list[TrainerConfig] = []
         self._observe_ready = False
-        # Shard workers record into worker-local registries; replies
-        # carry collect_delta() payloads that are folded in here.
-        telemetry_enabled = telemetry is not None and telemetry.enabled
-        self._registry = telemetry.registry if telemetry_enabled else None
+        # With telemetry on, each train reply carries its shard's batch
+        # milliseconds, and the shard series are recorded here.
+        self._shard_series = None
+        train_clock = None
+        if telemetry is not None and telemetry.enabled:
+            train_ms = telemetry.registry.histogram(
+                "repro_shard_train_ms",
+                "Wall-clock of one shard worker's train batch",
+                labels=("shard",),
+            )
+            tasks_total = telemetry.registry.counter(
+                "repro_shard_tasks_total",
+                "Local-update tasks trained, by shard",
+                labels=("shard",),
+            )
+            self._shard_series = [
+                (train_ms.child(shard=str(s)), tasks_total.child(shard=str(s)))
+                for s in range(self.n_shards)
+            ]
+            train_clock = perf_counter
         self._conns = []
         self._procs = []
         ctx = _mp_context()
-        for shard_index, rows in enumerate(shard_rows):
+        for rows in shard_rows:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_shard_worker,
@@ -499,8 +496,7 @@ class ShardedExecutor(Executor):
                     layout,
                     {int(i): split_arrays[int(i)] for i in rows},
                     train_batch,
-                    shard_index,
-                    telemetry_enabled,
+                    train_clock,
                 ),
                 daemon=True,
             )
@@ -540,10 +536,12 @@ class ShardedExecutor(Executor):
                     f"shard worker {shard} died without a diagnostic"
                 ) from None
         results: list = [None] * len(tasks)
-        deltas = {}
-        for shard, (rng_states, telemetry_delta) in self._replies(by_shard):
-            deltas[shard] = telemetry_delta
+        for shard, (rng_states, train_ms) in self._replies(by_shard):
             indices = by_shard[shard]
+            if self._shard_series is not None:
+                batch_ms, trained = self._shard_series[shard]
+                batch_ms.observe(train_ms)
+                trained.inc(len(indices))
             for i, (node_id, rng_state) in zip(indices, rng_states):
                 task = tasks[i]
                 if task.node_id != node_id:
@@ -555,12 +553,6 @@ class ShardedExecutor(Executor):
                 # left its copy — streams continue exactly as serially.
                 task.rng.bit_generator.state = rng_state
                 results[i] = (self._data[node_id], task.rng)
-        if self._registry is not None:
-            # Shard order, not arrival order: metric children are then
-            # created in the same order on every run.
-            for shard in by_shard:
-                if deltas[shard]:
-                    self._registry.merge_delta(deltas[shard])
         return results
 
     # -- sharded observation ------------------------------------------

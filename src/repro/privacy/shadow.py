@@ -152,11 +152,13 @@ class ShadowModelAttack:
         epochs: int,
         batch_size: int,
         rng: np.random.Generator,
+        node_id: int,
     ) -> np.ndarray:
         """``model``'s state trained on ``(x, y)``, as a ``(1, dim)`` row.
 
         One ``train_block`` call runs every epoch with one momentum-0.9
-        velocity; ``rng`` draws each epoch's batch order. ``model``
+        velocity; ``rng`` draws each epoch's batch order and ``node_id``
+        keys the dropout mask streams, if ``model`` has any. ``model``
         itself is not changed.
         """
         # Imported here: repro.gossip.trainer imports repro.privacy.dp.
@@ -173,7 +175,9 @@ class ShadowModelAttack:
             ),
         )
         params = trainer.layout.pack(get_state(model))[None]
-        return trainer.train_block(params, [x], [y], [rng], sessions=[0])
+        return trainer.train_block(
+            params, [x], [y], [rng], sessions=[0], node_ids=[node_id]
+        )
 
     def _predict(
         self, model: Module, params: np.ndarray, x: np.ndarray
@@ -204,6 +208,7 @@ class ShadowModelAttack:
                 self.config.shadow_epochs,
                 32,
                 rng,
+                node_id=s,
             )
             for idx, is_member in ((member_idx, 1), (nonmember_idx, 0)):
                 probs = self._predict(self.template, shadow, self.x[idx])
@@ -231,6 +236,7 @@ class ShadowModelAttack:
             self.config.attack_epochs,
             64,
             rng,
+            node_id=0,  # the classifier has no dropout
         )
         return self
 

@@ -17,7 +17,7 @@ POST      /studies/{id}/cancel        cooperative cancel (checkpointed)
 POST      /studies/{id}/resume        continue a cancelled job
 DELETE    /studies/{id}               forget a job (cancels if running)
 GET       /healthz                    liveness probe
-GET       /metrics                    middleware counters (text)
+GET       /metrics                    Prometheus text of the registry
 ========  ==========================  =====================================
 """
 
@@ -49,7 +49,7 @@ from repro.service.middleware import (
 )
 from repro.service.router import Router
 from repro.service.sse import format_event
-from repro.telemetry import Telemetry
+from repro.telemetry import Registry, Telemetry
 
 __all__ = ["StudyService", "make_server", "serve"]
 
@@ -94,19 +94,23 @@ class StudyService:
             # its resubmission triggers the fresh run submit() promises.
             on_failed=lambda job: self.cache.invalidate(job.config_hash),
         )
-        self.metrics = MetricsMiddleware(clock=clock)
-        self.limiter = TokenBucketMiddleware(
-            capacity=rate_capacity, refill_per_sec=rate_refill, clock=clock
+        # One registry behind /metrics: the engine telemetry's, or one
+        # of the service's own for the HTTP series when it is disabled.
+        self.registry = (
+            telemetry.registry if telemetry.enabled else Registry()
         )
         self.router = Router()
         self._register_routes()
+        self.limiter = TokenBucketMiddleware(
+            capacity=rate_capacity, refill_per_sec=rate_refill, clock=clock
+        )
         # The documented middleware order — outermost first. Keep in
         # sync with docs/service.md.
         self.pipeline = build_pipeline(
             [
                 RequestContextMiddleware(),
                 AccessLogMiddleware(clock=clock),
-                self.metrics,
+                MetricsMiddleware(self.registry, self.router, clock=clock),
                 self.limiter,
                 self.cache,
                 ErrorBoundaryMiddleware(),
@@ -146,14 +150,12 @@ class StudyService:
         return json_response({"status": "ok"})
 
     def _metrics(self, ctx, request, params) -> Response:
-        # One scrape shows the whole stack: the HTTP middleware's
-        # families followed by the engine registry (round phases,
-        # executor timings, shard deltas).
-        body = self.metrics.render() + self.telemetry.registry.render()
+        # One scrape shows the whole stack: HTTP, round-phase, executor
+        # and shard series, all from the one registry.
         return Response(
             status=200,
             headers={"Content-Type": "text/plain; charset=utf-8"},
-            body=body.encode("utf-8"),
+            body=self.registry.render().encode("utf-8"),
         )
 
     def _post_study(self, ctx, request, params) -> Response:

@@ -6,7 +6,7 @@ middleware shape (mmb, arXiv:1904.11277) over plain callables::
 
     RequestContextMiddleware      assign request id, propagate context
       -> AccessLogMiddleware      one structured log line per request
-        -> MetricsMiddleware      latency/error counters (/metrics)
+        -> MetricsMiddleware      request/latency/error series (/metrics)
           -> TokenBucketMiddleware  rate limiting (429 + Retry-After)
             -> ResponseCacheMiddleware  dedup by canonical config hash
               -> ErrorBoundaryMiddleware  exceptions -> 500 Response
@@ -32,9 +32,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.config import config_hash
+
+if TYPE_CHECKING:  # the router imports this module's primitives
+    from repro.service.router import Router
+    from repro.telemetry import Registry
 
 __all__ = [
     "Request",
@@ -194,24 +198,19 @@ class AccessLogMiddleware(Middleware):
         return response
 
 
-def _route_label(path: str) -> str:
-    """Collapse per-study paths to one metrics label (bounded cardinality)."""
-    parts = path.split("/")
-    if len(parts) >= 3 and parts[1] == "studies" and parts[2]:
-        parts[2] = "{id}"
-    return "/".join(parts)
-
-
 class MetricsMiddleware(Middleware):
-    """Request/latency/error counters with a text rendering.
+    """Records each request into the service's metric registry.
 
-    Counters are keyed by ``(method, route, status)`` where ``route``
-    collapses study ids; latency is accumulated as sum + count per
-    ``(method, route)`` so consumers can derive means. ``render()``
-    produces the Prometheus-style exposition served at ``/metrics``.
+    Three families: ``repro_requests_total{method,route,status}``, the
+    ``repro_request_latency_ms{method,route}`` histogram and
+    ``repro_errors_total{method,route}`` (5xx responses and raised
+    exceptions). ``/metrics`` renders them with the engine series in
+    one :meth:`~repro.telemetry.Registry.render` call.
 
-    Label cardinality is bounded on both axes: ``route`` collapses ids
-    and unknown paths, and ``method`` collapses anything outside the
+    Label cardinality is bounded on both axes: ``route`` is the
+    template :meth:`Router.match <repro.service.router.Router.match>`
+    resolves (``/studies/{id}/stream``), or ``unmatched`` for a path
+    no route fits, and ``method`` collapses anything outside the
     standard HTTP verbs to ``other`` — an arbitrary request line must
     not mint an unbounded set of series.
     """
@@ -219,19 +218,39 @@ class MetricsMiddleware(Middleware):
     _KNOWN_METHODS = frozenset(
         {"GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"}
     )
+    # Verbs, route templates and the statuses the handlers return bound
+    # the series; the budget only guards against a handler inventing
+    # status codes.
+    _MAX_SERIES = 1024
 
     def __init__(
         self,
+        registry: Registry,
+        router: Router,
         clock: Callable[[], float] = time.monotonic,
         logger: logging.Logger | None = None,
     ) -> None:
+        self._router = router
         self._clock = clock
         self._log = logger or logging.getLogger("repro.service.error")
-        self._lock = threading.Lock()
-        self._requests: dict[tuple[str, str, int], int] = {}
-        self._latency_ms: dict[tuple[str, str], float] = {}
-        self._latency_count: dict[tuple[str, str], int] = {}
-        self._errors: dict[tuple[str, str], int] = {}
+        self._requests = registry.counter(
+            "repro_requests_total",
+            "HTTP requests, by method, route template and status",
+            labels=("method", "route", "status"),
+            max_series=self._MAX_SERIES,
+        )
+        self._latency_ms = registry.histogram(
+            "repro_request_latency_ms",
+            "Wall-clock of one request through the inner stages",
+            labels=("method", "route"),
+            max_series=self._MAX_SERIES,
+        )
+        self._errors = registry.counter(
+            "repro_errors_total",
+            "HTTP requests answered with a 5xx or an exception",
+            labels=("method", "route"),
+            max_series=self._MAX_SERIES,
+        )
 
     def handle(self, ctx, request, call_next):
         start = self._clock()
@@ -261,59 +280,16 @@ class MetricsMiddleware(Middleware):
         return response
 
     def _observe(self, request: Request, status: int, elapsed: float) -> None:
-        route = _route_label(request.path)
+        route = self._router.match(request.method, request.path)[0]
         method = (
             request.method
             if request.method in self._KNOWN_METHODS
             else "other"
         )
-        with self._lock:
-            key = (method, route, status)
-            self._requests[key] = self._requests.get(key, 0) + 1
-            lkey = (method, route)
-            self._latency_ms[lkey] = (
-                self._latency_ms.get(lkey, 0.0) + elapsed * 1000.0
-            )
-            self._latency_count[lkey] = self._latency_count.get(lkey, 0) + 1
-            if status >= 500:
-                self._errors[lkey] = self._errors.get(lkey, 0) + 1
-
-    def counters(self) -> dict:
-        """Snapshot of all counters (tests and introspection)."""
-        with self._lock:
-            return {
-                "requests": dict(self._requests),
-                "latency_ms": dict(self._latency_ms),
-                "latency_count": dict(self._latency_count),
-                "errors": dict(self._errors),
-            }
-
-    def render(self) -> str:
-        """Prometheus-style text exposition."""
-        out: list[str] = []
-        with self._lock:
-            out.append("# TYPE repro_requests_total counter")
-            for (method, route, status), count in sorted(self._requests.items()):
-                out.append(
-                    "repro_requests_total"
-                    f'{{method="{method}",route="{route}",status="{status}"}}'
-                    f" {count}"
-                )
-            out.append("# TYPE repro_request_latency_ms summary")
-            for (method, route), total in sorted(self._latency_ms.items()):
-                label = f'{{method="{method}",route="{route}"}}'
-                out.append(f"repro_request_latency_ms_sum{label} {total:.3f}")
-                out.append(
-                    f"repro_request_latency_ms_count{label} "
-                    f"{self._latency_count[(method, route)]}"
-                )
-            out.append("# TYPE repro_errors_total counter")
-            for (method, route), count in sorted(self._errors.items()):
-                out.append(
-                    f'repro_errors_total{{method="{method}",route="{route}"}}'
-                    f" {count}"
-                )
-        return "\n".join(out) + "\n"
+        self._requests.inc(method=method, route=route, status=status)
+        self._latency_ms.observe(elapsed * 1000.0, method=method, route=route)
+        if status >= 500:
+            self._errors.inc(method=method, route=route)
 
 
 class TokenBucketMiddleware(Middleware):

@@ -8,18 +8,17 @@ Design constraints (see docs/observability.md):
   recording with a different set is a programming error and raises.
   Label *values* are bounded per metric (``max_series``); once the
   budget is spent, new label combinations collapse into a single
-  ``other`` series instead of growing without bound (the same
-  cardinality discipline ``MetricsMiddleware`` applies to routes).
+  ``other`` series instead of growing without bound.
 * **Cheap when hot** — the engine records per *round*, not per tick:
   phase timings accumulate in flat floats inside the simulator and are
   flushed here once per round (mmb-style "counters are flat arrays
   flushed at batch boundaries"). For the remaining hot calls,
   :meth:`Counter.child` / :meth:`Histogram.child` pre-resolve the
   label key so the per-call work is one dict update under a lock.
-* **Delta shipping** — shard workers record into a worker-local
-  :class:`Registry` and ship :meth:`Registry.collect_delta` back with
-  task results over the shard pipes; the parent folds them in with
-  :meth:`Registry.merge_delta`. Deltas are plain picklable dicts.
+* **One registry per process** — the service's HTTP middleware, the
+  engine and the executors record into the same :class:`Registry`.
+  Shard workers keep none: each train reply carries the batch's
+  wall-clock, and the parent records the shard series itself.
 
 The no-op twins (:data:`NULL_REGISTRY`, shared :data:`NULL_METRIC`)
 are what disabled telemetry hands out: recording into them is a single
@@ -156,23 +155,7 @@ class Counter(_Metric):
         with self._lock:
             return dict(self._values)
 
-    # -- delta / merge / render ---------------------------------------
-
-    def _collect_delta_locked(self) -> dict:
-        values = self._values
-        self._values = {}
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "labels": self.label_names,
-            "values": values,
-        }
-
-    def _merge_values(self, values: dict) -> None:
-        with self._lock:
-            for key, amount in values.items():
-                key = self._bound_key_locked(tuple(key), self._values)
-                self._values[key] = self._values.get(key, 0.0) + amount
+    # -- render ---------------------------------------------------------
 
     def _render_lines(self) -> list[str]:
         with self._lock:
@@ -234,34 +217,7 @@ class Histogram(_Metric):
             data = self._series.get(self._key(labels))
             return 0.0 if data is None else data[1]
 
-    # -- delta / merge / render ---------------------------------------
-
-    def _collect_delta_locked(self) -> dict:
-        series = self._series
-        self._series = {}
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "labels": self.label_names,
-            "buckets": self.buckets,
-            "values": {
-                key: (list(data[0]), data[1], data[2])
-                for key, data in series.items()
-            },
-        }
-
-    def _merge_values(self, values: dict) -> None:
-        with self._lock:
-            for key, (counts, total, count) in values.items():
-                key = self._bound_key_locked(tuple(key), self._series)
-                data = self._series.get(key)
-                if data is None:
-                    self._series[key] = [list(counts), total, count]
-                    continue
-                for i, c in enumerate(counts):
-                    data[0][i] += c
-                data[1] += total
-                data[2] += count
+    # -- render ---------------------------------------------------------
 
     def _render_lines(self) -> list[str]:
         with self._lock:
@@ -295,12 +251,14 @@ class Histogram(_Metric):
 
 
 class Registry:
-    """Process-local metric registry: get-or-create, render, deltas.
+    """Process-local metric registry: get-or-create, render, snapshot.
 
     ``counter()``/``histogram()`` are idempotent — asking twice for the
     same name returns the same object, so instrumented components can
     each resolve their handles independently; re-declaring a name with
-    a different kind or label set raises.
+    a different kind or label set raises. One registry serves a whole
+    process: the service's HTTP series and the engine's round, executor
+    and shard series share it, and ``/metrics`` is its :meth:`render`.
     """
 
     enabled = True
@@ -315,10 +273,9 @@ class Registry:
     def histogram(
         self, name, help="", labels=(), buckets=DEFAULT_BUCKETS, max_series=64
     ) -> Histogram:
-        metric = self._get_or_create(
+        return self._get_or_create(
             Histogram, name, help, tuple(labels), max_series, buckets=buckets
         )
-        return metric
 
     def _get_or_create(self, cls, name, help, labels, max_series, **kwargs):
         with self._lock:
@@ -361,37 +318,6 @@ class Registry:
             name: {"kind": metric.kind, "series": metric._snapshot_series()}
             for name, metric in metrics
         }
-
-    def collect_delta(self) -> dict:
-        """Drain recorded values into a picklable delta (definitions stay).
-
-        The shard-worker half of delta shipping: values move, the
-        registry keeps its metric objects for the next batch.
-        """
-        delta = {}
-        with self._lock:
-            metrics = list(self._metrics.items())
-        for name, metric in metrics:
-            with metric._lock:
-                payload = metric._collect_delta_locked()
-            if payload["values"]:
-                delta[name] = payload
-        return delta
-
-    def merge_delta(self, delta: dict) -> None:
-        """Fold a :meth:`collect_delta` payload in (create-or-add)."""
-        for name, payload in delta.items():
-            labels = tuple(payload.get("labels", ()))
-            if payload.get("kind") == "histogram":
-                metric = self.histogram(
-                    name,
-                    payload.get("help", ""),
-                    labels=labels,
-                    buckets=tuple(payload.get("buckets", DEFAULT_BUCKETS)),
-                )
-            else:
-                metric = self.counter(name, payload.get("help", ""), labels=labels)
-            metric._merge_values(payload.get("values", {}))
 
 
 class _NullMetric:
@@ -444,12 +370,6 @@ class NullRegistry:
 
     def snapshot(self) -> dict:
         return {}
-
-    def collect_delta(self) -> dict:
-        return {}
-
-    def merge_delta(self, delta: dict) -> None:
-        pass
 
 
 NULL_REGISTRY = NullRegistry()

@@ -193,3 +193,25 @@ def test_matches_reference_loop(victim_setup):
             kernel.membership_scores(probs, labels),
             oracle.membership_scores(probs, labels),
         )
+
+
+def test_fits_a_dropout_template_reproducibly():
+    """A victim architecture with dropout trains its shadows on the
+    kernel's mask streams, keyed by shadow index: ``fit()`` succeeds,
+    the masks change the shadows, and a fixed seed gives the same
+    classifier bit for bit."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(48, 8))
+    y = rng.integers(0, 3, size=48)
+    config = ShadowAttackConfig(n_shadows=2, shadow_epochs=3, attack_epochs=3)
+
+    def fit(dropout):
+        template = build_mlp(
+            8, 3, hidden=(4,), dropout=dropout, rng=np.random.default_rng(5)
+        )
+        return ShadowModelAttack(template, x, y, config).fit().attack_params
+
+    first, second = fit(0.2), fit(0.2)
+    np.testing.assert_array_equal(first, second)
+    assert np.isfinite(first).all()
+    assert not np.array_equal(first, fit(0.0))

@@ -743,7 +743,9 @@ class ReferenceShadowAttack(ShadowModelAttack):
     packed ``(1, dim)`` row, as from the kernel.
     """
 
-    def _train(self, model, x, y, lr, epochs, batch_size, rng):
+    def _train(self, model, x, y, lr, epochs, batch_size, rng, node_id):
+        # node_id keys dropout mask streams, which the per-layer passes
+        # do not draw: the oracle covers dropout-free models only.
         model = reference(copy.deepcopy(model))
         model.train()
         loss_fn = CrossEntropyLoss()

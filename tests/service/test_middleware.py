@@ -23,6 +23,8 @@ from repro.service.middleware import (
     build_pipeline,
     json_response,
 )
+from repro.service.router import Router
+from repro.telemetry import Registry
 
 from tests.service.conftest import tiny_study_payload
 
@@ -49,6 +51,39 @@ def run(middleware, request, handler=None, ctx=None):
 
 def req(method="GET", path="/studies", body=b"", headers=None):
     return Request(method=method, path=path, body=body, headers=headers or {})
+
+
+def metrics_stage(clock):
+    """A metrics stage over a fresh registry, routing the paths these
+    tests send the way the service's router does."""
+    router = Router()
+    for method, pattern in (
+        ("GET", "/healthz"),
+        ("GET", "/studies"),
+        ("POST", "/studies"),
+        ("GET", "/studies/{id}/stream"),
+    ):
+        router.add(method, pattern, lambda ctx, r, params: json_response({}))
+    registry = Registry()
+    return MetricsMiddleware(registry, router, clock=clock), registry
+
+
+def counters(registry: Registry) -> dict:
+    """The HTTP families of ``registry`` keyed by their label values."""
+    snapshot = registry.snapshot()
+
+    def keyed(name, field):
+        return {
+            tuple(series["labels"].values()): series[field]
+            for series in snapshot[name]["series"]
+        }
+
+    return {
+        "requests": keyed("repro_requests_total", "value"),
+        "latency_ms": keyed("repro_request_latency_ms", "sum"),
+        "latency_count": keyed("repro_request_latency_ms", "count"),
+        "errors": keyed("repro_errors_total", "value"),
+    }
 
 
 # -- config_hash canonicalization ---------------------------------------
@@ -143,7 +178,7 @@ class TestAccessLogMiddleware:
 class TestMetricsMiddleware:
     def test_counts_requests_latency_and_errors(self):
         clock = FakeClock()
-        mw = MetricsMiddleware(clock=clock)
+        mw, registry = metrics_stage(clock)
 
         def ok(ctx, request):
             clock.advance(0.010)
@@ -152,32 +187,32 @@ class TestMetricsMiddleware:
         run(mw, req(path="/studies/job-000001/stream"), ok)
         run(mw, req(path="/studies/job-000002/stream"), ok)
         run(mw, req(path="/healthz"), ok)
-        counters = mw.counters()
+        seen = counters(registry)
         # Study ids collapse to one bounded-cardinality route label.
-        assert counters["requests"][("GET", "/studies/{id}/stream", 200)] == 2
-        assert counters["requests"][("GET", "/healthz", 200)] == 1
-        assert counters["latency_ms"][("GET", "/studies/{id}/stream")] == (
+        assert seen["requests"][("GET", "/studies/{id}/stream", "200")] == 2
+        assert seen["requests"][("GET", "/healthz", "200")] == 1
+        assert seen["latency_ms"][("GET", "/studies/{id}/stream")] == (
             pytest.approx(20.0)
         )
-        assert counters["latency_count"][("GET", "/studies/{id}/stream")] == 2
-        assert counters["errors"] == {}
+        assert seen["latency_count"][("GET", "/studies/{id}/stream")] == 2
+        assert seen["errors"] == {}
 
     def test_counts_5xx_and_raised_exceptions(self):
-        mw = MetricsMiddleware(clock=FakeClock())
+        mw, registry = metrics_stage(FakeClock())
         run(mw, req(), lambda ctx, r: json_response({}, status=503))
         def boom(ctx, request):
             raise RuntimeError("handler crash")
         with pytest.raises(RuntimeError):
             run(mw, req(), boom)
-        counters = mw.counters()
-        assert counters["errors"][("GET", "/studies")] == 2
-        assert counters["requests"][("GET", "/studies", 500)] == 1
+        seen = counters(registry)
+        assert seen["errors"][("GET", "/studies")] == 2
+        assert seen["requests"][("GET", "/studies", "500")] == 1
 
     def test_raised_exception_logs_structured_line_before_reraise(self, caplog):
         """Regression: exceptions from the stages between metrics and
         the error boundary used to propagate with no log line at all —
         the boundary sits further in and never saw them."""
-        mw = MetricsMiddleware(clock=FakeClock())
+        mw, registry = metrics_stage(FakeClock())
         ctx = RequestContext(request_id="req-000042")
 
         def boom(ctx, request):
@@ -197,23 +232,28 @@ class TestMetricsMiddleware:
         }
         assert "limiter blew up" in caplog.text  # traceback rides along
         # The 500 is still counted — logging must not displace metrics.
-        assert mw.counters()["requests"][("POST", "/studies", 500)] == 1
+        assert counters(registry)["requests"][("POST", "/studies", "500")] == 1
 
     def test_render_is_prometheus_style(self):
-        mw = MetricsMiddleware(clock=FakeClock())
+        mw, registry = metrics_stage(FakeClock())
         run(mw, req(path="/healthz"))
-        text = mw.render()
+        text = registry.render()
         assert (
             'repro_requests_total{method="GET",route="/healthz",status="200"} 1'
             in text
         )
         assert 'repro_request_latency_ms_count{method="GET",route="/healthz"} 1' in text
+        assert "# TYPE repro_request_latency_ms histogram" in text
+        assert (
+            'repro_request_latency_ms_bucket{method="GET",route="/healthz",'
+            'le="+Inf"} 1' in text
+        )
 
     def test_unknown_methods_collapse_to_other(self):
         # An arbitrary request line must not mint unbounded method
         # labels: anything outside the standard verbs becomes "other".
         clock = FakeClock()
-        mw = MetricsMiddleware(clock=clock)
+        mw, registry = metrics_stage(clock)
 
         def ok(ctx, request):
             clock.advance(0.005)
@@ -222,23 +262,99 @@ class TestMetricsMiddleware:
         run(mw, req(method="BREW", path="/healthz"), ok)
         run(mw, req(method="SPAM", path="/healthz"), ok)
         run(mw, req(method="GET", path="/healthz"), ok)
-        counters = mw.counters()
-        assert counters["requests"][("other", "/healthz", 200)] == 2
-        assert counters["requests"][("GET", "/healthz", 200)] == 1
-        assert ("BREW", "/healthz", 200) not in counters["requests"]
-        assert counters["latency_ms"][("other", "/healthz")] == (
+        seen = counters(registry)
+        assert seen["requests"][("other", "/healthz", "200")] == 2
+        assert seen["requests"][("GET", "/healthz", "200")] == 1
+        assert ("BREW", "/healthz", "200") not in seen["requests"]
+        assert seen["latency_ms"][("other", "/healthz")] == (
             pytest.approx(10.0)
         )
-        assert counters["latency_count"][("other", "/healthz")] == 2
-        methods = {key[0] for key in counters["requests"]}
+        assert seen["latency_count"][("other", "/healthz")] == 2
+        methods = {key[0] for key in seen["requests"]}
         assert methods == {"GET", "other"}
-        assert 'method="other"' in mw.render()
+        assert 'method="other"' in registry.render()
 
     def test_unknown_method_errors_use_other_label(self):
-        mw = MetricsMiddleware(clock=FakeClock())
+        mw, registry = metrics_stage(FakeClock())
         run(mw, req(method="BREW"), lambda ctx, r: json_response({}, status=503))
-        counters = mw.counters()
-        assert counters["errors"][("other", "/studies")] == 1
+        assert counters(registry)["errors"][("other", "/studies")] == 1
+
+
+class TestBoundedLabels:
+    def test_distinct_unknown_paths_share_one_unmatched_series(
+        self, make_service
+    ):
+        """A client walking 500 distinct unknown paths must not grow the
+        scrape: every request lands in one ``route="unmatched"`` series
+        (a raw-path label once minted one series per path per family,
+        ~100 KB of scrape)."""
+        service = make_service()
+        for i in range(500):
+            assert service.handle(Request("GET", f"/probe/{i}")).status == 404
+        scrape = service.handle(Request("GET", "/metrics")).body.decode()
+        series = sorted(
+            line.rpartition(" ")[0]
+            for line in scrape.splitlines()
+            if 'route="unmatched"' in line and "_bucket{" not in line
+        )
+        # One series in each family that saw the requests; a 404 is no
+        # error, so repro_errors_total has none.
+        assert series == [
+            'repro_request_latency_ms_count{method="GET",route="unmatched"}',
+            'repro_request_latency_ms_sum{method="GET",route="unmatched"}',
+            'repro_requests_total{method="GET",route="unmatched",status="404"}',
+        ]
+        assert (
+            'repro_requests_total{method="GET",route="unmatched",status="404"}'
+            " 500" in scrape
+        )
+        assert "/probe/" not in scrape
+        assert len(scrape) < 5_000
+
+    def test_every_label_is_a_template_or_a_bounded_fallback(
+        self, make_service
+    ):
+        """Whatever the method and path, ``route`` is one of the router's
+        templates or ``unmatched`` and ``method`` a standard verb or
+        ``other``."""
+        from hypothesis import given, settings, strategies as st
+
+        service = make_service()
+        templates = {
+            "/healthz", "/metrics", "/studies", "/studies/{id}",
+            "/studies/{id}/result", "/studies/{id}/stream",
+            "/studies/{id}/cancel", "/studies/{id}/resume", "unmatched",
+        }
+        verbs = ["DELETE", "GET", "HEAD", "OPTIONS", "PATCH", "POST", "PUT"]
+        segment = st.one_of(
+            st.sampled_from(
+                ["studies", "healthz", "metrics", "stream", "result",
+                 "cancel", "resume", "job-000001", "{id}", ""]
+            ),
+            st.text(st.characters(codec="ascii"), max_size=6),
+        )
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            method=st.one_of(
+                st.sampled_from(verbs),
+                st.text(st.characters(codec="ascii"), min_size=1, max_size=8),
+            ),
+            path=st.lists(segment, max_size=4).map(lambda s: "/" + "/".join(s)),
+        )
+        def check(method, path):
+            service.handle(Request(method, path))
+            snapshot = service.registry.snapshot()
+            for family in (
+                "repro_requests_total",
+                "repro_request_latency_ms",
+                "repro_errors_total",
+            ):
+                for series in snapshot[family]["series"]:
+                    assert series["labels"]["route"] in templates
+                    assert series["labels"]["method"] in {*verbs, "other"}
+
+        check()
 
 
 # -- token bucket -------------------------------------------------------
@@ -424,8 +540,8 @@ class TestComposedPipeline:
 
         assert service.handle(Req("GET", "/studies")).status == 200
         assert service.handle(Req("GET", "/studies")).status == 429
-        counters = service.metrics.counters()
-        assert counters["requests"][("GET", "/studies", 429)] == 1
+        seen = counters(service.registry)
+        assert seen["requests"][("GET", "/studies", "429")] == 1
 
 
 # -- error boundary ------------------------------------------------------
@@ -461,7 +577,7 @@ class TestErrorBoundaryMiddleware:
         metrics observe it on the normal path — neither saw failed
         requests before the boundary existed."""
         clock = FakeClock()
-        metrics = MetricsMiddleware(clock=clock)
+        metrics, registry = metrics_stage(clock)
 
         def handler(ctx, request):
             clock.advance(0.25)
@@ -488,9 +604,9 @@ class TestErrorBoundaryMiddleware:
         assert len(lines) == 1
         assert lines[0]["status"] == 500
         assert lines[0]["duration_ms"] == 250.0
-        counters = metrics.counters()
-        assert counters["requests"][("GET", "/studies", 500)] == 1
-        assert counters["errors"][("GET", "/studies")] == 1
+        seen = counters(registry)
+        assert seen["requests"][("GET", "/studies", "500")] == 1
+        assert seen["errors"][("GET", "/studies")] == 1
 
     def test_service_pipeline_stamps_500s(self, make_service):
         """End to end through StudyService: a crashing route handler

@@ -10,6 +10,7 @@ import json
 import logging
 
 from repro.core.study import StudyConfig, run_study
+from repro.service.middleware import Request
 from repro.telemetry import Telemetry
 
 from tests.service.conftest import tiny_study_payload
@@ -135,3 +136,12 @@ class TestResultIdentity:
         service = make_service(telemetry=Telemetry.disabled())
         assert not service.telemetry.enabled
         assert service.telemetry.registry.render() == ""
+        # The HTTP series still reach the scrape, from the service's
+        # own registry.
+        service.handle(Request("GET", "/healthz"))
+        text = service.handle(Request("GET", "/metrics")).body.decode()
+        assert (
+            'repro_requests_total{method="GET",route="/healthz",status="200"} 1'
+            in text
+        )
+        assert "repro_engine_phase_ms" not in text

@@ -1,9 +1,8 @@
 """Contract tests for the telemetry core (tracer + metrics).
 
 These pin the library's own guarantees: span nesting and export
-format, fixed label sets, bounded cardinality, the delta/merge
-round trip that ships shard-worker metrics across a pipe, and the
-null objects' no-op behavior.
+format, fixed label sets, bounded cardinality, and the null objects'
+no-op behavior.
 """
 
 from __future__ import annotations
@@ -235,32 +234,6 @@ class TestRegistry:
         assert snap["c_total"]["kind"] == "counter"
         assert snap["h_ms"]["series"][0]["count"] == 1
 
-    def test_collect_delta_merge_delta_round_trip(self):
-        # The shard-worker pattern: record locally, drain, ship, merge.
-        worker = Registry()
-        worker.counter("tasks_total", labels=("shard",)).inc(3, shard="0")
-        worker.histogram("train_ms", labels=("shard",)).observe(7.0, shard="0")
-        delta = worker.collect_delta()
-        # Drained: a second collect is empty, definitions survive.
-        assert worker.collect_delta() == {}
-        assert worker.get("tasks_total") is not None
-
-        parent = Registry()
-        parent.merge_delta(delta)
-        parent.merge_delta({"tasks_total": delta["tasks_total"]})
-        assert parent.get("tasks_total").value(shard="0") == 6.0
-        assert parent.get("train_ms").count(shard="0") == 1
-        assert parent.get("train_ms").sum(shard="0") == pytest.approx(7.0)
-
-    def test_delta_is_picklable(self):
-        import pickle
-
-        reg = Registry()
-        reg.counter("c_total", labels=("k",)).inc(k="a")
-        reg.histogram("h_ms").observe(1.0)
-        delta = reg.collect_delta()
-        assert pickle.loads(pickle.dumps(delta)) == delta
-
 
 # -- telemetry bundle + null objects ------------------------------------
 
@@ -301,4 +274,3 @@ class TestTelemetry:
         hist.child().observe(2.0)
         assert NULL_REGISTRY.render() == ""
         assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.collect_delta() == {}

@@ -80,7 +80,7 @@ def test_sharded_run_ships_worker_metric_deltas():
     assert sum(per_shard.values()) == tasks_total.value(executor="sharded")
     train_ms = telemetry.registry.get("repro_shard_train_ms")
     for (shard,), tasks in per_shard.items():
-        # Each shard's timing deltas came back alongside its counts.
+        # Each shard's batch timings came back alongside its counts.
         assert train_ms.count(shard=shard) > 0
 
 

@@ -385,3 +385,94 @@ class TestCampaign:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert "studies" not in captured.out  # rejected before any run
+
+
+class TestFlagSurface:
+    """Every flag of ``repro study`` and ``repro campaign`` keeps its
+    name, default and choices: a parser built another way (say, from
+    ``StudyConfig``'s field table) must leave this class passing."""
+
+    @pytest.fixture
+    def parse(self, monkeypatch):
+        """``parse(argv)`` -> (``vars`` of the namespace ``main`` hands
+        the command, ``{flag: dest}``, ``{flag: choices}``)."""
+        import argparse
+
+        import repro.cli as cli
+
+        parsers = {}
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording_add_parser(self, name, **kwargs):
+            parsers[name] = add_parser(self, name, **kwargs)
+            return parsers[name]
+
+        monkeypatch.setattr(
+            argparse._SubParsersAction, "add_parser", recording_add_parser
+        )
+        seen = {}
+
+        def capture(args):
+            seen["args"] = args
+            return 0
+
+        monkeypatch.setattr(cli, "_run_study", capture)
+        monkeypatch.setattr(cli, "_run_campaign", capture)
+
+        def parse(argv):
+            assert main(argv) == 0
+            actions = [
+                a for a in parsers[argv[0]]._actions if a.dest != "help"
+            ]
+            return (
+                vars(seen["args"]),
+                {flag: a.dest for a in actions for flag in a.option_strings},
+                {a.option_strings[0]: list(a.choices) for a in actions if a.choices},
+            )
+
+        return parse
+
+    def test_study_flags(self, parse):
+        defaults, flags, choices = parse(["study"])
+        assert defaults == {
+            "command": "study", "dataset": "purchase100", "scale": "tiny",
+            "protocol": "samo", "sampler": None, "dynamic": False,
+            "nodes": None, "view_size": None, "rounds": None, "beta": None,
+            "dp_epsilon": None, "dropout": 0.0, "canaries": 0,
+            "drop_prob": 0.0, "failure_prob": 0.0, "executor": "serial",
+            "shards": 0, "shard_partition": "contiguous", "train_batch": 0,
+            "arena_dtype": "float64", "eval_batch": 0, "seed": 0,
+            "checkpoint": None, "resume": None, "out": None, "csv": None,
+            "telemetry": False, "trace_out": None,
+        }
+        assert flags == {
+            f"--{dest.replace('_', '-')}": dest
+            for dest in defaults
+            if dest != "command"
+        }
+        assert choices == {
+            "--dataset": ["cifar10", "cifar100", "fashion_mnist", "purchase100"],
+            "--scale": ["tiny", "small", "paper"],
+            "--protocol": ["samo", "base_gossip", "base_gossip_partial"],
+            "--sampler": ["static", "peerswap", "fresh"],
+            "--executor": ["serial", "batched", "sharded"],
+            "--shard-partition": ["contiguous", "balanced"],
+            "--arena-dtype": ["float32", "float64"],
+        }
+
+    def test_campaign_flags(self, parse):
+        defaults, flags, choices = parse(["campaign"])
+        assert defaults == {
+            "command": "campaign", "dataset": "purchase100", "scale": "tiny",
+            "seed": 0, "name": None, "set": [], "grid": [], "jobs": 0,
+            "out_dir": None, "summary": None,
+        }
+        assert flags == {
+            f"--{dest.replace('_', '-')}": dest
+            for dest in defaults
+            if dest != "command"
+        }
+        assert choices == {
+            "--dataset": ["cifar10", "cifar100", "fashion_mnist", "purchase100"],
+            "--scale": ["tiny", "small", "paper"],
+        }

@@ -265,17 +265,37 @@ def main() -> int:
         )
         print("serve-smoke: cache hit byte-identical, builds_performed=1")
 
-        # One scrape carries the HTTP middleware families *and* the
-        # engine registry the study just filled in.
+        # Two distinct unknown paths: both must land in one bounded
+        # route="unmatched" series, not a series per path.
+        for path in ("/no/such/path", "/another/unknown"):
+            status, _, _ = request(port, "GET", path)
+            assert status == 404, f"{path} -> {status}"
+
+        # One scrape of the one registry carries the HTTP families
+        # *and* the engine series the study just filled in.
         status, _, metrics = request(port, "GET", "/metrics")
         assert status == 200 and b"repro_requests_total" in metrics
+        assert b"repro_request_latency_ms_bucket" in metrics, (
+            "request latency histogram buckets missing from /metrics"
+        )
         assert b"repro_engine_phase_ms" in metrics, (
             "engine phase histograms missing from /metrics"
         )
         assert b"repro_study_round_ms" in metrics, (
             "study round histogram missing from /metrics"
         )
-        print("serve-smoke: /metrics merges HTTP and engine series")
+        unmatched = [
+            line
+            for line in metrics.decode("utf-8").splitlines()
+            if line.startswith("repro_requests_total{")
+            and 'route="unmatched"' in line
+        ]
+        assert unmatched == [
+            'repro_requests_total{method="GET",route="unmatched",status="404"} 2'
+        ], unmatched
+        assert b"/no/such/path" not in metrics, "raw path leaked into labels"
+        print("serve-smoke: /metrics is one registry; unknown paths share "
+              "one unmatched series")
     finally:
         server.shutdown()
         server.server_close()
