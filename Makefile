@@ -65,7 +65,7 @@ examples:
 	$(PYTHON) tools/run_examples.py
 
 ## Boot the HTTP/SSE service on an ephemeral port, run a study through
-## it end to end (stream, cache hit, clean shutdown).
+## it end to end (HEAD /healthz, stream, cache hit, clean shutdown).
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 

@@ -32,55 +32,50 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import Field, fields
 
 import numpy as np
 
 
+# The --scale preset sets these fields: their ``study`` flags default
+# to the preset's value (None), and --dataset to the dataset it scales.
+_PRESET_DEFAULTS = {
+    "dataset": "purchase100", "n_nodes": None, "view_size": None, "rounds": None,
+}
+
+
+def _study_knobs() -> list[tuple[str, Field]]:
+    """``(dest, field)`` of every StudyConfig field with a ``study`` flag."""
+    from repro.core.config import StudyConfig
+
+    return [
+        (f.metadata["flag"].removeprefix("--").replace("-", "_"), f)
+        for f in fields(StudyConfig)
+        if "flag" in f.metadata
+    ]
+
+
 def _add_study_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.core.config import SCALAR_TYPES
+    from repro.experiments.configs import SCALES
+
     p = sub.add_parser("study", help="run one gossip-learning MIA study")
-    p.add_argument("--dataset", default="purchase100",
-                   choices=["cifar10", "cifar100", "fashion_mnist", "purchase100"])
-    p.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
-    p.add_argument("--protocol", default="samo",
-                   choices=["samo", "base_gossip", "base_gossip_partial"])
-    p.add_argument("--sampler", default=None,
-                   choices=["static", "peerswap", "fresh"])
-    p.add_argument("--dynamic", action="store_true")
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--view-size", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None,
-                   help="Dirichlet concentration for non-iid splits")
-    p.add_argument("--dp-epsilon", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=0.0,
-                   help="dropout probability for the MLP hidden layers "
-                        "(counter-based mask streams; batchable)")
-    p.add_argument("--canaries", type=int, default=0)
-    p.add_argument("--drop-prob", type=float, default=0.0)
-    p.add_argument("--failure-prob", type=float, default=0.0)
-    p.add_argument("--executor", default="serial",
-                   choices=["serial", "batched", "sharded"],
-                   help="local-update executor: the blocked kernel one "
-                        "row per call (serial), stacked rows (batched), or "
-                        "shard workers over a shared-memory arena")
-    p.add_argument("--shards", type=int, default=0,
-                   help="shard-worker count for the sharded executor; "
-                        "0 = one per CPU (capped at the node count)")
-    p.add_argument("--shard-partition", default="contiguous",
-                   choices=["contiguous", "balanced"],
-                   help="row-to-shard mapping: contiguous ranges, or "
-                        "balanced by per-node sample count")
-    p.add_argument("--train-batch", type=int, default=0,
-                   help="rows per blocked training op for the batched "
-                        "executor (0 = all same-size wake tasks at once)")
-    p.add_argument("--arena-dtype", default="float64",
-                   choices=["float32", "float64"],
-                   help="flat-arena storage dtype")
-    p.add_argument("--eval-batch", type=int, default=0,
-                   help="node models per blocked evaluation op (0 = row "
-                        "blocks sized by the code; identical results "
-                        "for every value)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scale", default="tiny", choices=list(SCALES))
+    # One flag per field with flag metadata: its type, default, choices
+    # and help all come from the field table.
+    for _, f in _study_knobs():
+        kind = SCALAR_TYPES.get(f.name, (str,))[0]
+        options = {
+            "default": _PRESET_DEFAULTS.get(f.name, f.default),
+            "help": f.metadata.get("help"),
+        }
+        if kind is bool:
+            options["action"] = "store_true"
+        elif kind is not str:
+            options["type"] = kind
+        if "choices" in f.metadata:
+            options["choices"] = list(f.metadata["choices"])
+        p.add_argument(f.metadata["flag"], **options)
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot the session here after every round "
                         "(resumable with --resume)")
@@ -152,34 +147,15 @@ def _make_study(args: argparse.Namespace, telemetry):
 
     if args.resume:
         return Study.resume(args.resume, telemetry=telemetry)
-    overrides: dict = {
-        "protocol": args.protocol,
-        "dynamic": args.dynamic,
-        "beta": args.beta,
-        "dp_epsilon": args.dp_epsilon,
-        "dropout": args.dropout,
-        "n_canaries": args.canaries,
-        "drop_prob": args.drop_prob,
-        "failure_prob": args.failure_prob,
-        "executor": args.executor,
-        "n_shards": args.shards,
-        "shard_partition": args.shard_partition,
-        "train_batch": args.train_batch,
-        "arena_dtype": args.arena_dtype,
-        "eval_batch": args.eval_batch,
-        "seed": args.seed,
-        "name": f"cli-{args.dataset}",
+    # Every flag that holds a value overrides its field of the preset.
+    overrides = {
+        f.name: getattr(args, dest)
+        for dest, f in _study_knobs()
+        if getattr(args, dest) is not None
     }
-    if args.sampler is not None:
-        overrides["sampler"] = args.sampler
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.view_size is not None:
-        overrides["view_size"] = args.view_size
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
+    dataset = overrides.pop("dataset")
     return Study(
-        scaled_config(args.dataset, args.scale, **overrides),
+        scaled_config(dataset, args.scale, name=f"cli-{dataset}", **overrides),
         telemetry=telemetry,
     )
 
@@ -212,13 +188,16 @@ def _parse_axis_value(text: str):
 
 
 def _add_campaign_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.data.datasets import DATASET_BUILDERS
+    from repro.experiments.configs import SCALES
+
     p = sub.add_parser(
         "campaign",
         help="sweep a grid of studies over a process pool",
     )
-    p.add_argument("--dataset", default="purchase100",
-                   choices=["cifar10", "cifar100", "fashion_mnist", "purchase100"])
-    p.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
+    p.add_argument("--dataset", default=_PRESET_DEFAULTS["dataset"],
+                   choices=list(DATASET_BUILDERS))
+    p.add_argument("--scale", default="tiny", choices=list(SCALES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default=None,
                    help="base name for the campaign's configs "
@@ -528,6 +507,8 @@ def _run_tables(_: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.experiments.configs import SCALES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction toolkit for 'Exposing the Vulnerability of "
@@ -540,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_serve_parser(sub)
     fig = sub.add_parser("figure", help="regenerate one paper figure's data")
     fig.add_argument("--id", type=int, required=True, choices=range(2, 11))
-    fig.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
+    fig.add_argument("--scale", default="tiny", choices=list(SCALES))
     fig.add_argument("--plot", action="store_true",
                      help="render an ASCII chart of the main series")
     sub.add_parser("tables", help="print Tables 1 and 2")

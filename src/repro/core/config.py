@@ -3,17 +3,22 @@
 :class:`StudyConfig` describes everything the paper varies — dataset,
 model, protocol, topology, dynamics, view size, data distribution,
 DP — plus the scale knobs (nodes, rounds, samples) that let a study run
-on a laptop. Its fields are flat (``config.n_nodes``); each one also
-records its group as field metadata (``metadata={"group": "data"}``).
-The groups are ``data``, ``model``, ``topology``, ``execution`` and
-``privacy``: they are the sections of :meth:`StudyConfig.to_dict`, and
-``from_dict``/``with_overrides`` accept a section wherever they accept
-the flat fields it holds.
+on a laptop. Its field table is the one declaration of every study
+knob: each field records its group as metadata (``"group": "data"``)
+and, if ``repro study`` sets it, its ``"flag"``, ``"help"`` and the
+registry of its ``"choices"``. The groups ``data``, ``model``,
+``topology``, ``execution`` and ``privacy`` are the sections of
+:meth:`StudyConfig.to_dict`; ``from_dict``/``with_overrides`` accept a
+section wherever they accept the flat fields it holds.
+
+:class:`SimulatorConfig` and :class:`TrainerConfig` are filled from the
+fields they share with :class:`StudyConfig` by name and own those
+fields' checks; constructing a ``StudyConfig`` builds both.
 
 Unknown keys are rejected with an error that lists the valid field
 names (never a bare ``TypeError``), both in ``from_dict`` and through
-``with_overrides``; out-of-range values and unknown dataset, protocol or
-sampler names are rejected at construction.
+``with_overrides``; mistyped and out-of-range values and unknown
+dataset, protocol or sampler names are rejected at construction.
 """
 
 from __future__ import annotations
@@ -22,14 +27,19 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 from repro.data.datasets import DATASET_BUILDERS
 from repro.gossip.protocols import PROTOCOLS
-from repro.gossip.trainer import check_sgd_hyperparameters
+from repro.gossip.simulator import (
+    ARENA_DTYPES, EXECUTORS, SHARD_PARTITIONS, SimulatorConfig,
+)
+from repro.gossip.trainer import TrainerConfig
 from repro.graph.peer_sampling import SAMPLERS
 
 __all__ = [
+    "SCALAR_TYPES",
     "StudyConfig",
     "config_hash",
     "reject_unknown_keys",
@@ -51,11 +61,16 @@ _DATASET_CLASSES = {
     "purchase100": 100,
 }
 
-# The to_dict sections in order, and the field metadata naming each.
+# The to_dict sections, in order.
 _GROUPS = ("data", "model", "topology", "execution", "privacy")
-_DATA, _MODEL, _TOPOLOGY, _EXECUTION, _PRIVACY = (
-    {"group": group} for group in _GROUPS
-)
+_DATA, _MODEL, _TOPOLOGY, _EXECUTION, _PRIVACY = _GROUPS
+
+
+def _field(default: Any, group: str = "", flag: str = "", **meta) -> Any:
+    """A row of the field table; ``meta`` holds a flag's ``help`` and
+    the registry of its ``choices`` (the one the field's check reads)."""
+    meta.update(group=group, flag=flag)
+    return field(default=default, metadata={k: v for k, v in meta.items() if v})
 
 
 def reject_unknown_keys(what: str, keys, valid) -> None:
@@ -114,72 +129,106 @@ class StudyConfig:
 
     name: str = "study"
     # Data: dataset choice, pool sizes and the per-node partition.
-    dataset: str = field(default="cifar10", metadata=_DATA)
-    n_train: int = field(default=2_000, metadata=_DATA)
-    n_test: int = field(default=500, metadata=_DATA)
-    image_size: int = field(default=16, metadata=_DATA)
-    num_features: int = field(default=600, metadata=_DATA)
-    train_per_node: int | None = field(default=64, metadata=_DATA)
-    test_per_node: int | None = field(default=32, metadata=_DATA)
+    dataset: str = _field("cifar10", _DATA, "--dataset", choices=DATASET_BUILDERS)
+    n_train: int = _field(2_000, _DATA)
+    n_test: int = _field(500, _DATA)
+    image_size: int = _field(16, _DATA)
+    num_features: int = _field(600, _DATA)
+    train_per_node: int | None = _field(64, _DATA)
+    test_per_node: int | None = _field(32, _DATA)
     # None = i.i.d., else Dirichlet(beta).
-    beta: float | None = field(default=None, metadata=_DATA)
+    beta: float | None = _field(
+        None, _DATA, "--beta", help="Dirichlet concentration for non-iid splits"
+    )
     # Model: architecture scale and the Table-2 local-training recipe.
-    model_width: int = field(default=8, metadata=_MODEL)
-    mlp_hidden: tuple[int, ...] = field(default=(256, 128, 64), metadata=_MODEL)
-    learning_rate: float = field(default=0.01, metadata=_MODEL)
-    momentum: float = field(default=0.9, metadata=_MODEL)
-    weight_decay: float = field(default=5e-4, metadata=_MODEL)
-    local_epochs: int = field(default=3, metadata=_MODEL)
-    batch_size: int = field(default=32, metadata=_MODEL)
+    model_width: int = _field(8, _MODEL)
+    mlp_hidden: tuple[int, ...] = _field((256, 128, 64), _MODEL)
+    learning_rate: float = _field(0.01, _MODEL)
+    momentum: float = _field(0.9, _MODEL)
+    weight_decay: float = _field(5e-4, _MODEL)
+    local_epochs: int = _field(3, _MODEL)
+    batch_size: int = _field(32, _MODEL)
     # Early-overfitting mitigations (Section 5 recommendations).
-    label_smoothing: float = field(default=0.0, metadata=_MODEL)
-    lr_decay: float = field(default=1.0, metadata=_MODEL)
-    # Dropout regularization (MLP only). Mask streams are counter-based
-    # (keyed by node/session/step); "stream" is the only mode.
-    dropout: float = field(default=0.0, metadata=_MODEL)
-    dropout_mode: str = field(default="stream", metadata=_MODEL)
+    label_smoothing: float = _field(0.0, _MODEL)
+    lr_decay: float = _field(1.0, _MODEL)
+    # Dropout regularization (MLP only); "stream" is the only mode.
+    dropout: float = _field(
+        0.0, _MODEL, "--dropout",
+        help="dropout probability for the MLP hidden layers "
+        "(counter-based mask streams; batchable)",
+    )
+    dropout_mode: str = _field("stream", _MODEL)
     # Topology: graph, protocol, horizon and failure injection.
-    n_nodes: int = field(default=16, metadata=_TOPOLOGY)
-    view_size: int = field(default=2, metadata=_TOPOLOGY)
-    dynamic: bool = field(default=False, metadata=_TOPOLOGY)
+    n_nodes: int = _field(16, _TOPOLOGY, "--nodes")
+    view_size: int = _field(2, _TOPOLOGY, "--view-size")
+    dynamic: bool = _field(False, _TOPOLOGY, "--dynamic")
     # Overrides `dynamic`: static/peerswap/fresh.
-    sampler: str | None = field(default=None, metadata=_TOPOLOGY)
-    protocol: str = field(default="samo", metadata=_TOPOLOGY)
-    rounds: int = field(default=10, metadata=_TOPOLOGY)
-    ticks_per_round: int = field(default=100, metadata=_TOPOLOGY)
+    sampler: str | None = _field(None, _TOPOLOGY, "--sampler", choices=SAMPLERS)
+    protocol: str = _field("samo", _TOPOLOGY, "--protocol", choices=PROTOCOLS)
+    rounds: int = _field(10, _TOPOLOGY, "--rounds")
+    ticks_per_round: int = _field(100, _TOPOLOGY)
     # Message loss and node churn.
-    drop_prob: float = field(default=0.0, metadata=_TOPOLOGY)
-    failure_prob: float = field(default=0.0, metadata=_TOPOLOGY)
+    drop_prob: float = _field(0.0, _TOPOLOGY, "--drop-prob")
+    failure_prob: float = _field(0.0, _TOPOLOGY, "--failure-prob")
     # Network latency: ticks per message plus uniform [0, jitter].
-    delay_ticks: int = field(default=0, metadata=_TOPOLOGY)
-    delay_jitter: int = field(default=0, metadata=_TOPOLOGY)
-    # Execution (DESIGN.md "Flat-state execution engine"): executor
-    # "serial"/"batched"/"sharded"; n_shards 0 = one per usable CPU
-    # (capped at n_nodes); shard_partition contiguous/balanced;
-    # train_batch 0 = all rows at once, N = blocks of N rows; eval_batch
-    # 0 = row blocks sized by the code, N = blocks of N rows (identical
-    # results for every value).
-    executor: str = field(default="serial", metadata=_EXECUTION)
-    n_shards: int = field(default=0, metadata=_EXECUTION)
-    shard_partition: str = field(default="contiguous", metadata=_EXECUTION)
-    train_batch: int = field(default=0, metadata=_EXECUTION)
-    arena_dtype: str = field(default="float64", metadata=_EXECUTION)
-    eval_batch: int = field(default=0, metadata=_EXECUTION)
-    max_global_test: int = field(default=512, metadata=_EXECUTION)
-    max_attack_samples: int = field(default=256, metadata=_EXECUTION)
-    keep_node_records: bool = field(default=False, metadata=_EXECUTION)
+    delay_ticks: int = _field(0, _TOPOLOGY)
+    delay_jitter: int = _field(0, _TOPOLOGY)
+    # Execution (DESIGN.md, "Flat-state execution engine").
+    executor: str = _field(
+        "serial", _EXECUTION, "--executor", choices=EXECUTORS,
+        help="local-update executor: the blocked kernel one row per call "
+        "(serial), stacked rows (batched), or shard workers over a "
+        "shared-memory arena",
+    )
+    n_shards: int = _field(
+        0, _EXECUTION, "--shards",
+        help="shard-worker count for the sharded executor; "
+        "0 = one per CPU (capped at the node count)",
+    )
+    shard_partition: str = _field(
+        "contiguous", _EXECUTION, "--shard-partition", choices=SHARD_PARTITIONS,
+        help="row-to-shard mapping: contiguous ranges, or balanced by "
+        "per-node sample count",
+    )
+    train_batch: int = _field(
+        0, _EXECUTION, "--train-batch",
+        help="rows per blocked training op for the batched executor "
+        "(0 = all same-size wake tasks at once)",
+    )
+    arena_dtype: str = _field(
+        "float64", _EXECUTION, "--arena-dtype", choices=ARENA_DTYPES,
+        help="flat-arena storage dtype",
+    )
+    eval_batch: int = _field(
+        0, _EXECUTION, "--eval-batch",
+        help="node models per blocked evaluation op (0 = row blocks sized "
+        "by the code; identical results for every value)",
+    )
+    max_global_test: int = _field(512, _EXECUTION)
+    max_attack_samples: int = _field(256, _EXECUTION)
+    keep_node_records: bool = _field(False, _EXECUTION)
     # Privacy: DP-SGD (RQ7; dp_epsilon None disables) and the canary
     # audit (RQ3; 0 disables).
-    dp_epsilon: float | None = field(default=None, metadata=_PRIVACY)
-    dp_delta: float = field(default=1e-5, metadata=_PRIVACY)
-    dp_clip_norm: float = field(default=1.0, metadata=_PRIVACY)
-    n_canaries: int = field(default=0, metadata=_PRIVACY)
-    seed: int = 0
+    dp_epsilon: float | None = _field(None, _PRIVACY, "--dp-epsilon")
+    dp_delta: float = _field(1e-5, _PRIVACY)
+    dp_clip_norm: float = _field(1.0, _PRIVACY)
+    n_canaries: int = _field(0, _PRIVACY, "--canaries")
+    seed: int = _field(0, flag="--seed")
 
     def __post_init__(self) -> None:
         if isinstance(self.mlp_hidden, list):
             # Normalize JSON round-trips: lists come back as tuples.
             object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
+        # Declared types first: a mistyped value fails here, naming its field.
+        for name, (kind, optional) in SCALAR_TYPES.items():
+            value = getattr(self, name)
+            if not (value is None and optional or _is_a(value, kind)):
+                raise ValueError(
+                    f"{name} must be {_TYPE_NAMES[kind]}"
+                    f"{' (or None)' if optional else ''}, got {value!r}"
+                )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # Data.
         if self.dataset not in DATASET_BUILDERS:
             raise ValueError(
@@ -199,24 +248,14 @@ class StudyConfig:
             )
         if self.beta is not None and self.beta <= 0:
             raise ValueError("beta must be positive (or None for i.i.d.)")
-        # Model.
+        # Model. TrainerConfig checks the local-training fields.
         if self.model_width <= 0:
             raise ValueError("model_width must be positive")
         if not isinstance(self.mlp_hidden, tuple) or not all(
-            isinstance(size, int) and size > 0 for size in self.mlp_hidden
+            type(size) is int and size > 0 for size in self.mlp_hidden
         ):
             raise ValueError("mlp_hidden must be a sequence of positive ints")
-        check_sgd_hyperparameters(
-            self.learning_rate, self.momentum, self.weight_decay
-        )
-        if self.local_epochs < 0:
-            raise ValueError("local_epochs must be non-negative")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must be in (0, 1]")
+        self.trainer_config()
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.dropout_mode != "stream":
@@ -225,16 +264,9 @@ class StudyConfig:
                 "'legacy' was removed with the workspace trainer that "
                 "drew its masks"
             )
-        # Topology.
-        if self.n_nodes <= 1:
-            raise ValueError("need at least two nodes")
-        if not 0 < self.view_size < self.n_nodes:
-            raise ValueError("view_size must be in (0, n_nodes)")
-        if self.sampler is not None and self.sampler not in SAMPLERS:
-            raise ValueError(
-                f"unknown sampler {self.sampler!r}; "
-                f"choose from {sorted(SAMPLERS)}"
-            )
+        # Topology and execution. SimulatorConfig checks the graph,
+        # sampler, failure, delay and executor fields.
+        self.simulator_config()
         if self.protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; "
@@ -242,33 +274,12 @@ class StudyConfig:
             )
         if self.rounds <= 0 or self.ticks_per_round <= 0:
             raise ValueError("rounds and ticks_per_round must be positive")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ValueError("drop_prob must be in [0, 1)")
-        if not 0.0 <= self.failure_prob < 1.0:
-            raise ValueError("failure_prob must be in [0, 1)")
-        if self.delay_ticks < 0 or self.delay_jitter < 0:
-            raise ValueError("delays must be non-negative")
-        # Execution.
-        if self.executor not in ("serial", "batched", "sharded"):
-            raise ValueError(
-                "executor must be 'serial', 'batched' or 'sharded'"
-            )
-        if self.n_shards < 0:
-            raise ValueError("n_shards must be non-negative")
-        if self.shard_partition not in ("contiguous", "balanced"):
-            raise ValueError(
-                "shard_partition must be 'contiguous' or 'balanced'"
-            )
-        if self.train_batch < 0:
-            raise ValueError("train_batch must be >= 0")
         if self.eval_batch < 0:
             raise ValueError(
                 f"eval_batch must be >= 0, got {self.eval_batch}; -1 "
                 "selected the removed per-node observer loop, whose "
                 "results are not bitwise those of the row-batch observer"
             )
-        if self.arena_dtype not in ("float32", "float64"):
-            raise ValueError("arena_dtype must be 'float32' or 'float64'")
         if self.max_global_test <= 0 or self.max_attack_samples <= 0:
             raise ValueError(
                 "max_global_test and max_attack_samples must be positive"
@@ -292,6 +303,18 @@ class StudyConfig:
             )
         if self.n_canaries < 0:
             raise ValueError("n_canaries must be non-negative")
+
+    def simulator_config(self) -> SimulatorConfig:
+        """The fields SimulatorConfig shares with this config, by name;
+        the simulator draws from its own seed stream, ``seed + 3``."""
+        shared = {name: getattr(self, name) for name in _SHARED[SimulatorConfig]}
+        return SimulatorConfig(**shared, seed=self.seed + 3)
+
+    def trainer_config(self) -> TrainerConfig:
+        """The fields TrainerConfig shares with this config, by name
+        (the study installs DP-SGD once it has calibrated the noise)."""
+        shared = {name: getattr(self, name) for name in _SHARED[TrainerConfig]}
+        return TrainerConfig(**shared)
 
     def to_dict(self) -> dict:
         """Grouped, JSON-ready representation (``from_dict`` inverts):
@@ -380,6 +403,32 @@ _GROUP_FIELDS: dict[str, tuple[str, ...]] = {
     for group in _GROUPS
 }
 _VALID_KEYS = (*_DEFAULTS, *_GROUPS)
+# The fields each lower config shares with StudyConfig by name (the
+# simulator's seed is derived, not shared).
+_SHARED: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if f.name in _DEFAULTS.keys() - {"seed"})
+    for cls in (SimulatorConfig, TrainerConfig)
+}
+_SCALARS = {"bool": bool, "int": int, "float": float}
+_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a float"}
+# Field name -> (type, accepts None) of every bool, int and float field,
+# read from its annotation: ``int | None`` gives ``(int, True)``.
+SCALAR_TYPES: dict[str, tuple[type, bool]] = {
+    f.name: (_SCALARS[base], rest == "None")
+    for f in fields(StudyConfig)
+    for base, _, rest in [f.type.partition(" | ")]
+    if base in _SCALARS
+}
+
+
+def _is_a(value: Any, kind: type) -> bool:
+    """A bool only in a bool field, an integral number in an int field,
+    a real number in a float field."""
+    if type(value) is kind:
+        return True
+    if isinstance(value, bool) or kind is bool:
+        return False
+    return isinstance(value, Integral if kind is int else Real)
 
 
 def _section(group: str, section: Any) -> dict:

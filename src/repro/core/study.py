@@ -43,8 +43,7 @@ from repro.data.datasets import make_dataset
 from repro.data.partition import make_node_splits
 from repro.gossip.engine import FlatGossipSimulator
 from repro.gossip.protocols import make_protocol
-from repro.gossip.simulator import SimulatorConfig
-from repro.gossip.trainer import BatchedTrainer, TrainerConfig
+from repro.gossip.trainer import BatchedTrainer
 from repro.metrics.records import RoundRecord, RunResult
 from repro.nn.models import build_model
 from repro.nn.serialize import get_state
@@ -193,38 +192,10 @@ class Study:
         self.model = self.model_builder()
         self.initial_state = get_state(self.model)
         # Protocol / simulator -------------------------------------------
-        trainer = BatchedTrainer(
-            self.model,
-            TrainerConfig(
-                learning_rate=cfg.learning_rate,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                local_epochs=cfg.local_epochs,
-                batch_size=cfg.batch_size,
-                label_smoothing=cfg.label_smoothing,
-                lr_decay=cfg.lr_decay,
-                dp=None,
-            ),
-        )
+        trainer = BatchedTrainer(self.model, cfg.trainer_config())
         self.protocol = make_protocol(cfg.protocol, trainer)
         self.simulator = FlatGossipSimulator(
-            SimulatorConfig(
-                n_nodes=cfg.n_nodes,
-                view_size=cfg.view_size,
-                dynamic=cfg.dynamic,
-                sampler=cfg.sampler,
-                ticks_per_round=cfg.ticks_per_round,
-                drop_prob=cfg.drop_prob,
-                failure_prob=cfg.failure_prob,
-                delay_ticks=cfg.delay_ticks,
-                delay_jitter=cfg.delay_jitter,
-                executor=cfg.executor,
-                n_shards=cfg.n_shards,
-                shard_partition=cfg.shard_partition,
-                train_batch=cfg.train_batch,
-                arena_dtype=cfg.arena_dtype,
-                seed=cfg.seed + 3,
-            ),
+            cfg.simulator_config(),
             self.protocol,
             self.splits,
             self.initial_state,

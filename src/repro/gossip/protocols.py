@@ -92,11 +92,12 @@ class SAMOProtocol(GossipProtocol):
     name = "samo"
 
 
-# Protocol classes keyed by the names used in experiment configs.
+# Protocol classes keyed by the names used in experiment configs, the
+# default first (the order ``repro study --protocol`` lists them in).
 PROTOCOLS: dict[str, type[GossipProtocol]] = {
+    "samo": SAMOProtocol,
     "base_gossip": BaseGossipProtocol,
     "base_gossip_partial": PartialMergeGossipProtocol,
-    "samo": SAMOProtocol,
 }
 
 

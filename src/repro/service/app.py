@@ -19,6 +19,9 @@ DELETE    /studies/{id}               forget a job (cancels if running)
 GET       /healthz                    liveness probe
 GET       /metrics                    Prometheus text of the registry
 ========  ==========================  =====================================
+
+``HEAD`` on a GET route answers with that route's status and headers
+and no body (an SSE stream sends no frames).
 """
 
 from __future__ import annotations
@@ -369,6 +372,8 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         assert response.stream is not None
         try:
+            if self.command == "HEAD":
+                return  # headers only; the generator never starts
             for chunk in response.stream:
                 self.wfile.write(chunk)
                 self.wfile.flush()

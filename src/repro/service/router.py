@@ -58,7 +58,8 @@ class Router:
     ) -> tuple[str, RouteHandler | None, dict, set[str]]:
         """Resolve a request to ``(template, handler, params, allowed)``.
 
-        The first pattern that fits ``path`` and serves ``method`` wins.
+        The first pattern that fits ``path`` and serves ``method`` wins;
+        a GET route serves HEAD too (the transport sends no body).
         Without one, ``handler`` is None, ``template`` is the first
         pattern that fits the path (or :data:`UNMATCHED`), and
         ``allowed`` holds every method the fitting patterns serve.
@@ -71,6 +72,8 @@ class Router:
             if params is None:
                 continue
             handler = methods.get(method)
+            if handler is None and method == "HEAD":
+                handler = methods.get("GET")
             if handler is not None:
                 return candidate, handler, params, allowed
             if not allowed:

@@ -79,6 +79,36 @@ class TestGroups:
                 for name in re.findall(r"`(\w+)`", cell):
                     assert group_of[name] == group, (name, group)
 
+    def test_docs_study_flag_table_matches_the_parser(self):
+        """docs/configuration.md's ``study`` flag table lists every flag
+        of the parser and maps each config flag to the field the parser
+        fills from it (rows without field names map to none)."""
+        import argparse
+
+        from repro.cli import _add_study_parser, _study_knobs
+
+        doc = DOCS.read_text().split("### `study`", 1)[1].split("\n### ", 1)[0]
+        table = {}
+        for flags_cell, maps_to in re.findall(
+            r"^\| ((?:`--[\w-]+`(?:, )?)+) \| ([^|]*) \|", doc, re.MULTILINE
+        ):
+            flags = re.findall(r"`(--[\w-]+)`", flags_cell)
+            names = re.findall(r"`(\w+)`", maps_to) or [None] * len(flags)
+            assert len(names) == len(flags), flags_cell
+            table.update(zip(flags, names))
+        sub = argparse.ArgumentParser().add_subparsers()
+        _add_study_parser(sub)
+        parser_flags = {
+            flag
+            for action in sub.choices["study"]._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert set(table) == parser_flags
+        assert {flag: name for flag, name in table.items() if name} == {
+            f.metadata["flag"]: f.name for _, f in _study_knobs()
+        }
+
     def test_dataset_tables_cover_the_dataset_registry(self):
         for dataset in DATASET_BUILDERS:
             config = StudyConfig(dataset=dataset)
@@ -271,6 +301,21 @@ class TestValidation:
             (dict(dp_epsilon=float("inf")), "dp_epsilon"),
             (dict(dp_clip_norm=float("nan")), "dp_clip_norm must be finite"),
             (dict(dp_clip_norm=float("inf")), "dp_clip_norm"),
+            # Declared types: a bool or a non-integral number in an int
+            # field, a non-bool in a bool field, a bool in a float field.
+            (dict(n_nodes=4.0), "n_nodes must be an int, got 4.0"),
+            (dict(batch_size=8.0), "batch_size must be an int"),
+            (dict(rounds=1.5), "rounds must be an int"),
+            (dict(rounds=True), "rounds must be an int"),
+            (dict(train_per_node=2.5), r"train_per_node must be an int \(or None\)"),
+            (dict(n_nodes="8"), "n_nodes must be an int"),
+            (dict(dynamic=1), "dynamic must be a bool, got 1"),
+            (dict(keep_node_records="yes"), "keep_node_records must be a bool"),
+            (dict(dropout=True), "dropout must be a float, got True"),
+            (dict(beta=False), r"beta must be a float \(or None\)"),
+            (dict(dp_epsilon="8"), "dp_epsilon must be a float"),
+            (dict(seed=-1), "seed must be non-negative, got -1"),
+            (dict(mlp_hidden=(True, 4)), "mlp_hidden"),
         ],
     )
     def test_rejects_names_and_sizes_that_fail_at_build(self, kwargs, message):
@@ -288,6 +333,15 @@ class TestValidation:
 
     def test_mlp_hidden_list_normalized_to_tuple(self):
         assert StudyConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
+
+    def test_declared_types_accept_what_they_declare(self):
+        """An int in a float field, None in an optional one, and any
+        value in a str field that its name check allows."""
+        config = StudyConfig(
+            learning_rate=1, dropout=0, beta=None, dp_epsilon=8,
+            train_per_node=None, name=7, dynamic=True,
+        )
+        assert (config.learning_rate, config.name) == (1, 7)
 
 
 class TestPreRemovalExecutionKeys:

@@ -1,9 +1,12 @@
 """Tests for the high-level study API."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro import Study, StudyConfig, run_study
+from repro.gossip import SimulatorConfig, TrainerConfig
 
 
 def tiny_config(**overrides):
@@ -45,6 +48,60 @@ class TestStudyConfig:
         assert cfg.rounds == 7
         assert cfg.dynamic
         assert cfg.dataset == "purchase100"  # untouched
+
+
+class TestLowerConfigs:
+    """Study fills SimulatorConfig and TrainerConfig from the fields they
+    share with StudyConfig, by name: a rename on either side fails here
+    instead of falling back to the lower config's default."""
+
+    # A value for every shared field that differs from both the lower
+    # config's default and StudyConfig's.
+    DISTINCT = dict(
+        n_nodes=8, view_size=3, dynamic=True, sampler="fresh",
+        ticks_per_round=50, drop_prob=0.1, failure_prob=0.05,
+        delay_ticks=1, delay_jitter=2, executor="batched", n_shards=1,
+        shard_partition="balanced", train_batch=3, arena_dtype="float32",
+        learning_rate=0.05, momentum=0.5, weight_decay=1e-3,
+        local_epochs=2, batch_size=8, label_smoothing=0.1, lr_decay=0.9,
+        seed=5,
+    )
+
+    @staticmethod
+    def copied(lower, cls, config) -> set[str]:
+        """The fields of ``lower`` that hold ``config``'s value and not
+        the ``cls`` default."""
+        default = cls()
+        return {
+            f.name
+            for f in fields(cls)
+            if getattr(lower, f.name) == getattr(config, f.name, None)
+            and getattr(lower, f.name) != getattr(default, f.name)
+        }
+
+    def test_study_copies_every_shared_field_by_name(self):
+        config = tiny_config(**self.DISTINCT)
+        with Study(config) as study:
+            simulator = study.simulator.config
+            trainer = study.protocol.trainer.config
+        assert self.copied(simulator, SimulatorConfig, config) == {
+            f.name for f in fields(SimulatorConfig)
+        } - {"wake_mu", "wake_sigma", "seed"}
+        assert simulator.seed == config.seed + 3
+        assert self.copied(trainer, TrainerConfig, config) == {
+            f.name for f in fields(TrainerConfig)
+        } - {"dp"}
+        assert trainer.dp is None
+
+    def test_shared_simulator_defaults_equal_the_study_defaults(self):
+        """docs/configuration.md: StudyConfig embeds every SimulatorConfig
+        field with the same name and default."""
+        study, simulator = StudyConfig(), SimulatorConfig()
+        shared = {f.name for f in fields(SimulatorConfig)} - {
+            "wake_mu", "wake_sigma"
+        }
+        for name in shared:
+            assert getattr(simulator, name) == getattr(study, name), name
 
 
 class TestRunStudy:

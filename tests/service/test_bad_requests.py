@@ -42,6 +42,16 @@ def test_json_body_that_is_not_an_object_is_400(service, body):
         (dict(rounds=[2]), None),
         (dict(topology={"rounds": "2"}), None),
         (dict(mlp_hidden={"a": 1}), "mlp_hidden"),
+        # These used to queue a job: 4.0 and 8.0 then failed it with a
+        # TypeError, seed -1 failed it in the data generator, rounds
+        # 1.5 ran 2 rounds, and dynamic 1 ran under another config_hash
+        # than dynamic true.
+        (dict(n_nodes=4.0), "n_nodes"),
+        (dict(batch_size=8.0), "batch_size"),
+        (dict(seed=-1), "seed"),
+        (dict(rounds=1.5), "rounds"),
+        (dict(dynamic=1), "dynamic"),
+        (dict(dropout=True), "dropout"),
     ],
 )
 def test_wrongly_typed_field_is_400(service, overrides, field):

@@ -8,6 +8,7 @@ import json
 import logging
 import multiprocessing
 import os
+import socket
 import statistics
 import threading
 import time
@@ -87,6 +88,63 @@ class TestBasicEndpoints:
         status, _, body = client.submit(tiny_study_payload(rounds=0))
         assert status == 400
         assert "rounds" in body["error"]
+
+
+def raw_exchange(client, method: str, path: str) -> tuple[int, dict, bytes]:
+    """One ``Connection: close`` request on a raw socket -> (status,
+    headers, every byte the server sent after them, to EOF)."""
+    with socket.create_connection((client.host, client.port), timeout=30) as sock:
+        sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            "Connection: close\r\n\r\n".encode("ascii")
+        )
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("iso-8859-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return int(status_line.split()[1]), headers, rest
+
+
+class TestHead:
+    """HEAD on a GET route: GET's status and headers, no body."""
+
+    def assert_head_like_get(self, client, path):
+        status, headers, rest = raw_exchange(client, "HEAD", path)
+        get_status, get_headers, body = raw_exchange(client, "GET", path)
+        assert (status, rest) == (200, b"")
+        assert get_status == 200 and body
+        for name in ("Content-Type", "Content-Length"):
+            assert headers[name] == get_headers[name], name
+
+    def test_head_healthz(self, client):
+        self.assert_head_like_get(client, "/healthz")
+        status, _, metrics = client.get("/metrics")
+        assert status == 200
+        assert (
+            'repro_requests_total{method="HEAD",route="/healthz",'
+            'status="200"} 1'
+        ) in metrics.decode()
+
+    def test_head_study_snapshot_and_stream(self, service, client):
+        _, _, body = client.submit(tiny_study_payload())
+        job_id = body["id"]
+        assert wait_done(service, job_id) == "done"
+        self.assert_head_like_get(client, f"/studies/{job_id}")
+        status, headers, rest = raw_exchange(
+            client, "HEAD", f"/studies/{job_id}/stream"
+        )
+        assert (status, rest) == (200, b"")
+        assert headers["Content-Type"] == "text/event-stream"
+        # The stream a GET gets is unchanged.
+        frames = client.round_frames(job_id)
+        assert len(frames) == 2
+
+    def test_head_on_a_post_only_route_is_405(self, client):
+        status, headers, _ = raw_exchange(client, "HEAD", "/studies/x/cancel")
+        assert status == 405
+        assert headers["Allow"] == "POST"
 
 
 class TestStudyLifecycle:

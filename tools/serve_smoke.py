@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the study service over real sockets.
 
-Boots the HTTP front end on an ephemeral port, submits a tiny study,
+Boots the HTTP front end on an ephemeral port, checks that ``HEAD
+/healthz`` answers like GET without a body, submits a tiny study,
 streams its round records over SSE, resubmits the same config and
 verifies the response is a byte-identical cache hit that triggered no
 additional simulator build, then shuts everything down and checks that
@@ -24,6 +25,7 @@ import http.client
 import json
 import multiprocessing
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -75,6 +77,23 @@ def request(
         return resp.status, dict(resp.getheaders()), resp.read()
     finally:
         conn.close()
+
+
+def head(port: int, path: str) -> tuple[int, dict[str, str], bytes]:
+    """``HEAD path`` on a raw socket with ``Connection: close`` ->
+    (status, headers, every byte the server sent after them)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=120) as sock:
+        sock.sendall(
+            f"HEAD {path} HTTP/1.1\r\nHost: smoke\r\n"
+            "Connection: close\r\n\r\n".encode("ascii")
+        )
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    header_block, _, rest = data.partition(b"\r\n\r\n")
+    status_line, *lines = header_block.decode("iso-8859-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return int(status_line.split()[1]), headers, rest
 
 
 def spawn_server(state_dir: Path) -> tuple[subprocess.Popen, int]:
@@ -231,8 +250,16 @@ def main() -> int:
     thread.start()
     print(f"serve-smoke: listening on 127.0.0.1:{port}")
     try:
-        status, _, body = request(port, "GET", "/healthz")
+        status, get_headers, body = request(port, "GET", "/healthz")
         assert status == 200, f"healthz -> {status}"
+        # HEAD is GET without the body.
+        status, head_headers, head_body = head(port, "/healthz")
+        assert status == 200, f"HEAD /healthz -> {status}"
+        assert head_headers["Content-Type"] == get_headers["Content-Type"], (
+            head_headers
+        )
+        assert head_body == b"", f"HEAD /healthz sent a body: {head_body!r}"
+        print("serve-smoke: HEAD /healthz answers like GET, without a body")
 
         payload = json.dumps(SMOKE_PAYLOAD).encode("utf-8")
         status, headers, miss_body = request(port, "POST", "/studies", payload)
@@ -294,6 +321,10 @@ def main() -> int:
             'repro_requests_total{method="GET",route="unmatched",status="404"} 2'
         ], unmatched
         assert b"/no/such/path" not in metrics, "raw path leaked into labels"
+        assert (
+            b'repro_requests_total{method="HEAD",route="/healthz",status="200"} 1'
+            in metrics
+        ), "HEAD /healthz has no route-template series"
         print("serve-smoke: /metrics is one registry; unknown paths share "
               "one unmatched series")
     finally:
