@@ -398,8 +398,6 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
                    help="token-bucket burst capacity")
     p.add_argument("--rate-refill", type=float, default=25.0,
                    help="token-bucket refill rate (tokens/second)")
-    p.add_argument("--cache-entries", type=int, default=128,
-                   help="response-cache size (LRU, keyed by config hash)")
     p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                    help="where cancelled studies checkpoint for resume "
                         "(default: under --state-dir if given, else a "
@@ -419,7 +417,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         job_workers=args.job_workers,
         rate_capacity=args.rate_capacity,
         rate_refill=args.rate_refill,
-        cache_entries=args.cache_entries,
         checkpoint_dir=args.checkpoint_dir,
         state_dir=args.state_dir,
     )

@@ -445,10 +445,9 @@ def _section(group: str, section: Any) -> dict:
 def config_hash(config: StudyConfig | Mapping) -> str:
     """Canonical SHA-256 hex digest of a study config.
 
-    The identity key of the service-layer response cache and job
-    deduplication: a fixed config + seed determines the run bit for bit
-    (float64), so two requests with the same hash may share one
-    simulator. Accepts a ``StudyConfig`` or a mapping in any spelling
+    The identity key of the service layer's job deduplication: a fixed
+    config + seed determines the run bit for bit (float64), so two
+    requests with the same hash may share one simulator. Accepts a ``StudyConfig`` or a mapping in any spelling
     ``StudyConfig.from_dict`` accepts — grouped, flat, or a mix — so
     dict key ordering, group-vs-flat spellings, and omitted-but-default
     fields all hash identically. Anything else is a ValueError.

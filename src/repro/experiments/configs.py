@@ -15,7 +15,7 @@ local-epoch values per dataset; only the scale knobs change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.study import StudyConfig
 
@@ -91,7 +91,12 @@ TABLE1: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class _Scale:
-    """Scale knobs shared across datasets for one preset."""
+    """Scale knobs shared across datasets for one preset.
+
+    :func:`scaled_config` copies every field ``StudyConfig`` declares
+    by name; ``local_epoch_cap`` and ``figure4_canaries`` (Figure 4's
+    canary count) are read separately.
+    """
 
     n_nodes: int
     rounds: int
@@ -107,7 +112,7 @@ class _Scale:
     max_global_test: int
     batch_size: int
     local_epoch_cap: int | None
-    n_canaries: int
+    figure4_canaries: int
 
 
 SCALES: dict[str, _Scale] = {
@@ -126,7 +131,7 @@ SCALES: dict[str, _Scale] = {
         max_global_test=128,
         batch_size=16,
         local_epoch_cap=2,
-        n_canaries=16,
+        figure4_canaries=16,
     ),
     "small": _Scale(
         n_nodes=16,
@@ -143,7 +148,7 @@ SCALES: dict[str, _Scale] = {
         max_global_test=256,
         batch_size=32,
         local_epoch_cap=None,
-        n_canaries=40,
+        figure4_canaries=40,
     ),
     "paper": _Scale(
         n_nodes=150,
@@ -160,9 +165,14 @@ SCALES: dict[str, _Scale] = {
         max_global_test=1024,
         batch_size=32,
         local_epoch_cap=None,
-        n_canaries=600,
+        figure4_canaries=600,
     ),
 }
+
+# The _Scale fields StudyConfig declares, which scaled_config copies.
+_SCALE_FIELDS = tuple(
+    f.name for f in fields(_Scale) if f.name in StudyConfig.__dataclass_fields__
+)
 
 
 def scaled_config(
@@ -183,35 +193,22 @@ def scaled_config(
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
     row = TABLE2[dataset]
     s = SCALES[scale]
+    knobs = {name: getattr(s, name) for name in _SCALE_FIELDS}
     local_epochs = row.local_epochs
     if s.local_epoch_cap is not None:
         local_epochs = min(local_epochs, s.local_epoch_cap)
-    n_nodes = s.n_nodes
-    rounds = s.rounds
     if scale == "paper":
         if dataset == "cifar100":
-            n_nodes = 60  # the paper uses 60 nodes on CIFAR-100
-        rounds = row.rounds
+            knobs["n_nodes"] = 60  # the paper uses 60 nodes on CIFAR-100
+        knobs["rounds"] = row.rounds
     config = StudyConfig(
         name=f"{dataset}-{scale}",
         dataset=dataset,
-        n_train=s.n_train,
-        n_test=s.n_test,
-        image_size=s.image_size,
-        num_features=s.num_features,
-        train_per_node=s.train_per_node,
-        test_per_node=s.test_per_node,
-        model_width=s.model_width,
-        mlp_hidden=s.mlp_hidden,
-        n_nodes=n_nodes,
-        rounds=rounds,
         learning_rate=row.learning_rate,
         momentum=row.momentum,
         weight_decay=row.weight_decay,
         local_epochs=local_epochs,
-        batch_size=s.batch_size,
-        max_attack_samples=s.max_attack_samples,
-        max_global_test=s.max_global_test,
+        **knobs,
     )
     if overrides:
         config = config.with_overrides(**overrides)

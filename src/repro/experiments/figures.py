@@ -116,7 +116,7 @@ def figure4(
     """
     from repro.experiments.configs import SCALES
 
-    n_canaries = SCALES[scale].n_canaries
+    n_canaries = SCALES[scale].figure4_canaries
     out: dict = {"view_size": view_size, "n_runs": n_runs, "datasets": {}}
     for dataset in datasets:
         per_setting: dict = {}

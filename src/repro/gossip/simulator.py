@@ -58,6 +58,12 @@ class SimulatorConfig:
             raise ValueError("need at least two nodes")
         if not 0 < self.view_size < self.n_nodes:
             raise ValueError("view_size must be in (0, n_nodes)")
+        if self.n_nodes * self.view_size % 2:
+            raise ValueError(
+                "n_nodes * view_size must be even (every sampler starts "
+                f"from a view_size-regular graph), got n_nodes="
+                f"{self.n_nodes}, view_size={self.view_size}"
+            )
         if self.sampler is not None and self.sampler not in SAMPLERS:
             raise ValueError(
                 f"unknown sampler {self.sampler!r}; "

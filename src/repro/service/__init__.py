@@ -4,10 +4,10 @@
 The paper is a middleware paper; this package is the communications
 tier between clients and the simulation — a long-running service with
 an explicit, ordered middleware pipeline (request context, structured
-access logs, metrics, token-bucket rate limiting, and a deterministic
-response cache keyed by canonical config hash) in front of a job
-manager that streams each study's per-round records as server-sent
-events. See ``docs/service.md`` for the full protocol contract.
+access logs, metrics, token-bucket rate limiting and an error boundary)
+in front of a job manager that dedups submissions by canonical config
+hash and streams each study's per-round records as server-sent events.
+See ``docs/service.md`` for the full protocol contract.
 """
 
 from repro.service.app import StudyService, make_server, serve
@@ -20,7 +20,6 @@ from repro.service.middleware import (
     RequestContext,
     RequestContextMiddleware,
     Response,
-    ResponseCacheMiddleware,
     TokenBucketMiddleware,
     build_pipeline,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "AccessLogMiddleware",
     "MetricsMiddleware",
     "TokenBucketMiddleware",
-    "ResponseCacheMiddleware",
     "ErrorBoundaryMiddleware",
     "JobJournal",
     "load_state",

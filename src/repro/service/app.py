@@ -22,6 +22,10 @@ GET       /metrics                    Prometheus text of the registry
 
 ``HEAD`` on a GET route answers with that route's status and headers
 and no body (an SSE stream sends no frames).
+
+``POST /studies`` answers ``X-Cache: hit`` when the job manager's
+config-hash index returned an existing job (no build) and ``miss`` when
+the submission created one.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from repro.service.middleware import (
     RequestContext,
     RequestContextMiddleware,
     Response,
-    ResponseCacheMiddleware,
     TokenBucketMiddleware,
     build_pipeline,
     json_response,
@@ -66,7 +69,6 @@ class StudyService:
         job_workers: int = 2,
         rate_capacity: int = 50,
         rate_refill: float = 25.0,
-        cache_entries: int = 128,
         clock: Callable[[], float] = time.monotonic,
         round_hook: Callable[[StudyJob, object], None] | None = None,
         state_dir: str | Path | None = None,
@@ -79,12 +81,11 @@ class StudyService:
             checkpoint_dir = self._tmpdir.name
         # Engine-side telemetry is on by default, with result
         # annotation OFF: a study's result bytes must stay identical
-        # to a plain run_study of the same config (the replay/cache
+        # to a plain run_study of the same config (the replay/dedup
         # contract the smoke test asserts byte for byte).
         if telemetry is None:
             telemetry = Telemetry(enabled=True, annotate_results=False)
         self.telemetry = telemetry
-        self.cache = ResponseCacheMiddleware(max_entries=cache_entries)
         self.manager = JobManager(
             checkpoint_dir,
             workers=job_workers,
@@ -92,10 +93,6 @@ class StudyService:
             state_dir=state_dir,
             checkpoint_hook=checkpoint_hook,
             telemetry=telemetry,
-            # Invalidate before the state flips to FAILED, so a waiter
-            # that observes the failure already sees a clean cache and
-            # its resubmission triggers the fresh run submit() promises.
-            on_failed=lambda job: self.cache.invalidate(job.config_hash),
         )
         # One registry behind /metrics: the engine telemetry's, or one
         # of the service's own for the HTTP series when it is disabled.
@@ -115,13 +112,10 @@ class StudyService:
                 AccessLogMiddleware(clock=clock),
                 MetricsMiddleware(self.registry, self.router, clock=clock),
                 self.limiter,
-                self.cache,
                 ErrorBoundaryMiddleware(),
             ],
             self.router.dispatch,
         )
-        if self.manager.recovered_jobs:
-            self._warm_cache()
 
     def handle(self, request: Request) -> Response:
         """Run one request through the full pipeline (any transport)."""
@@ -172,39 +166,20 @@ class StudyService:
             config = StudyConfig.from_dict(payload)
         except (ValueError, TypeError) as exc:
             return json_response({"error": str(exc)}, status=400)
-        job, _created = self.manager.submit(config, request_id=ctx.request_id)
-        return self._submission_response(job)
-
-    @staticmethod
-    def _submission_response(job: StudyJob) -> Response:
+        job, created = self.manager.submit(config, request_id=ctx.request_id)
         # Deterministic body: same config -> same job (dedup) -> same
-        # bytes, whether it comes from the cache or is regenerated.
-        return json_response(
+        # bytes, before and after a restart.
+        response = json_response(
             {
                 "id": job.id,
                 "config_hash": job.config_hash,
                 "status_url": f"/studies/{job.id}",
                 "stream_url": f"/studies/{job.id}/stream",
                 "result_url": f"/studies/{job.id}/result",
-            },
-            cacheable=True,
+            }
         )
-
-    def _warm_cache(self) -> None:
-        """Rebuild the response cache from the recovered dedup index.
-
-        Each non-FAILED job that owns its config hash gets its
-        canonical ``POST /studies`` body regenerated and seeded, so a
-        client resubmitting a pre-restart config is served the same
-        bytes a pre-restart cache hit would have produced. FAILED jobs
-        are skipped for the same reason live failures invalidate: their
-        resubmission must reach ``submit()`` and build fresh.
-        """
-        index = self.manager.hash_index()
-        for job in self.manager.recovered_jobs:
-            if job.state == FAILED or index.get(job.config_hash) != job.id:
-                continue
-            self.cache.seed(job.config_hash, self._submission_response(job))
+        response.headers["X-Cache"] = "miss" if created else "hit"
+        return response
 
     def _list_studies(self, ctx, request, params) -> Response:
         return json_response(
@@ -289,12 +264,11 @@ class StudyService:
 
     def _delete_study(self, ctx, request, params) -> Response:
         try:
-            job = self.manager.delete(params["id"])
+            self.manager.delete(params["id"])
         except KeyError:
             return json_response(
                 {"error": f"no study {params['id']}"}, status=404
             )
-        self.cache.invalidate(job.config_hash)
         return Response(status=204)
 
 

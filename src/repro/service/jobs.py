@@ -11,7 +11,9 @@ Jobs are deduplicated by canonical config hash
 (:func:`repro.core.config.config_hash`): submitting an identical
 config returns the existing job, running or finished, so repeated
 requests never build a second simulator (``builds_performed`` is the
-gate the contract tests assert on). Cancellation is cooperative —
+gate the contract tests assert on). This index is the service's one
+dedup path: the HTTP layer answers ``X-Cache: hit`` exactly when
+:meth:`JobManager.submit` returned an existing job. Cancellation is cooperative —
 :meth:`~repro.core.study.Study.request_cancel` stops the session at
 the next round boundary, the worker checkpoints it, and a later
 ``resume`` continues from the checkpoint bit-identically (float64).
@@ -60,10 +62,12 @@ class StudyJob:
     the buffer with nothing but an index.
     """
 
-    def __init__(self, job_id: str, config: StudyConfig, request_id: str = ""):
+    def __init__(
+        self, job_id: str, config: StudyConfig, key: str, request_id: str = ""
+    ):
         self.id = job_id
         self.config = config
-        self.config_hash = config_hash(config)
+        self.config_hash = key  # config_hash(config), computed by the caller
         self.request_id = request_id
         self.state = QUEUED
         self.frames: list[str] = []
@@ -197,7 +201,7 @@ class JobManager:
     """Worker pool + registry with dedup-by-config-hash.
 
     ``builds_performed`` counts every simulator construction (fresh
-    builds and checkpoint resumes); the cache/dedup contract is that
+    builds and checkpoint resumes); the dedup contract is that
     repeated identical submissions leave it untouched.
 
     ``state_dir`` switches on the durable mode: a
@@ -205,12 +209,8 @@ class JobManager:
     checkpoints under ``state_dir/checkpoints`` unless
     ``checkpoint_dir`` overrides), every transition is journaled, each
     completed round writes a resumable checkpoint, and construction
-    runs :meth:`recover` before any worker starts. ``on_failed`` is
-    invoked (before the state flips, so a waiter that observes FAILED
-    already sees its effect) whenever a job enters FAILED — the
-    service uses it to drop the job's response-cache entry so a
-    resubmission reaches :meth:`submit` and gets the fresh run the
-    contract promises.
+    runs :meth:`recover` before any worker starts, so the recovered
+    dedup index answers resubmissions of pre-restart configs.
     """
 
     def __init__(
@@ -221,7 +221,6 @@ class JobManager:
         round_hook: Callable[[StudyJob, object], None] | None = None,
         *,
         state_dir: str | Path | None = None,
-        on_failed: Callable[[StudyJob], None] | None = None,
         checkpoint_hook: Callable[[StudyJob], None] | None = None,
         compact_every: int = 512,
         telemetry: Telemetry | None = None,
@@ -249,7 +248,6 @@ class JobManager:
         # DELETE-race test injects into).
         self._round_hook = round_hook
         self._checkpoint_hook = checkpoint_hook
-        self._on_failed = on_failed
         self._lock = threading.Lock()
         self._jobs: dict[str, StudyJob] = {}
         self._by_hash: dict[str, str] = {}
@@ -258,7 +256,6 @@ class JobManager:
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._journal: JobJournal | None = None
-        self.recovered_jobs: list[StudyJob] = []
         if self.state_dir is not None:
             self._journal = JobJournal(
                 self.state_dir,
@@ -297,10 +294,10 @@ class JobManager:
         unless it FAILED — failures are not deterministic outcomes, so
         a resubmission gets a fresh run.
         """
+        key = config_hash(config)  # outside the lock every GET takes
         with self._lock:
             if self._closed:
                 raise RuntimeError("job manager is closed")
-            key = config_hash(config)
             existing_id = self._by_hash.get(key)
             if existing_id is not None:
                 existing = self._jobs[existing_id]
@@ -308,7 +305,7 @@ class JobManager:
                     return existing, False
                 self._by_hash.pop(key, None)
             self._counter += 1
-            job = StudyJob(f"job-{self._counter:06d}", config, request_id)
+            job = StudyJob(f"job-{self._counter:06d}", config, key, request_id)
             self._jobs[job.id] = job
             self._by_hash[key] = job.id
         self._log_event("job_submitted", job)
@@ -332,11 +329,6 @@ class JobManager:
     def jobs(self) -> list[StudyJob]:
         with self._lock:
             return list(self._jobs.values())
-
-    def hash_index(self) -> dict[str, str]:
-        """Snapshot of the dedup index (config hash -> owning job id)."""
-        with self._lock:
-            return dict(self._by_hash)
 
     def cancel(self, job_id: str) -> StudyJob:
         """Request cooperative cancellation (error if already terminal)."""
@@ -424,7 +416,7 @@ class JobManager:
                     exc,
                 )
                 continue
-            job = StudyJob(rec.id, config, rec.request_id)
+            job = StudyJob(rec.id, config, config_hash(config), rec.request_id)
             checkpoint_path: Path | None = None
             if rec.checkpoint:
                 candidate = self.checkpoint_dir / rec.checkpoint
@@ -471,7 +463,6 @@ class JobManager:
                 self._by_hash[job.config_hash] = job.id
             self._counter = max(self._counter, recovered.counter)
             self._builds = max(self._builds, recovered.builds)
-        self.recovered_jobs = jobs
         for job in jobs:
             self._log_event("job_recovered", job)
         if recovered.dropped_lines:
@@ -582,20 +573,9 @@ class JobManager:
             Path(path).unlink(missing_ok=True)
 
     def _fail(self, job: StudyJob, error: str) -> None:
-        """Enter FAILED: log, journal, notify, then flip the state.
-
-        ``on_failed`` runs before ``_finish`` so that by the time a
-        waiter observes FAILED the response-cache entry is already
-        invalidated — a resubmission racing the failure can then never
-        replay the dead job's cached body.
-        """
+        """Enter FAILED: log, journal, then flip the state."""
         self._log_event("job_failed", job, state=FAILED)
         self._journal_event({"event": "failed", "job": job.id, "error": error})
-        if self._on_failed is not None:
-            try:
-                self._on_failed(job)
-            except Exception:  # a listener bug must not kill the worker
-                self._log.exception("on_failed listener raised")
         job._finish(FAILED, error=error)
 
     def _checkpoint_job(self, job: StudyJob, study: Study) -> Path | None:

@@ -8,9 +8,8 @@ middleware shape (mmb, arXiv:1904.11277) over plain callables::
       -> AccessLogMiddleware      one structured log line per request
         -> MetricsMiddleware      request/latency/error series (/metrics)
           -> TokenBucketMiddleware  rate limiting (429 + Retry-After)
-            -> ResponseCacheMiddleware  dedup by canonical config hash
-              -> ErrorBoundaryMiddleware  exceptions -> 500 Response
-                -> Router.dispatch  the application
+            -> ErrorBoundaryMiddleware  exceptions -> 500 Response
+              -> Router.dispatch  the application
 
 Every stage has the same signature — ``handle(ctx, request,
 call_next)`` — and takes an injectable monotonic ``clock`` where it
@@ -18,9 +17,8 @@ measures time, so each is unit-testable in isolation with a fake
 clock (``tests/service/test_middleware.py``) and the composed order is
 visible in one place (:func:`build_pipeline` callers).
 
-The response cache leans on the determinism contract: an identical
-config + seed reproduces a study bit for bit, so a cache hit may
-return the stored response bytes without touching a simulator.
+Deduplicating repeated study submissions is not a stage: the job
+manager's config-hash index owns it (``repro.service.jobs``).
 """
 
 from __future__ import annotations
@@ -30,11 +28,9 @@ import json
 import logging
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.core.config import config_hash
 
 if TYPE_CHECKING:  # the router imports this module's primitives
     from repro.service.router import Router
@@ -49,7 +45,6 @@ __all__ = [
     "AccessLogMiddleware",
     "MetricsMiddleware",
     "TokenBucketMiddleware",
-    "ResponseCacheMiddleware",
     "ErrorBoundaryMiddleware",
     "build_pipeline",
     "json_response",
@@ -82,9 +77,6 @@ class Response:
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
     stream: Iterator[bytes] | None = None
-    # Set by the application when the response may be replayed for an
-    # identical request (the cache middleware stores it then).
-    cacheable: bool = False
 
 
 @dataclass
@@ -93,23 +85,17 @@ class RequestContext:
     application (the job manager records ``request_id`` in its logs)."""
 
     request_id: str = ""
-    data: dict = field(default_factory=dict)
 
 
-def json_response(
-    payload: dict, status: int = 200, cacheable: bool = False
-) -> Response:
+def json_response(payload: dict, status: int = 200) -> Response:
     """Canonical JSON response: sorted keys, compact separators.
 
-    Canonical bytes are what make the cache's byte-identity contract
+    Canonical bytes are what make the dedup byte-identity contract
     testable — the same payload always serializes identically.
     """
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return Response(
-        status=status,
-        headers={"Content-Type": "application/json"},
-        body=body,
-        cacheable=cacheable,
+        status=status, headers={"Content-Type": "application/json"}, body=body
     )
 
 
@@ -257,8 +243,8 @@ class MetricsMiddleware(Middleware):
         try:
             response = call_next(ctx, request)
         except Exception:
-            # Exceptions from the stages between metrics and the error
-            # boundary (rate limiter, cache) land here. They keep
+            # Exceptions from the stage between metrics and the error
+            # boundary (the rate limiter) land here. They keep
             # propagating — the transport owns the response — but must
             # not travel unlogged: the boundary never saw them.
             self._observe(request, 500, self._clock() - start)
@@ -391,117 +377,3 @@ class ErrorBoundaryMiddleware(Middleware):
                 },
                 status=500,
             )
-
-
-def study_request_key(request: Request) -> str | None:
-    """Cache key for study submissions: the canonical config hash.
-
-    Only ``POST /studies`` bodies are keyed; a body that is not JSON
-    or not a valid config returns None (bypass — the application
-    rejects it with 400 on the same errors: ``ValueError``, which
-    includes ``UnicodeDecodeError``, and ``TypeError``).
-    """
-    if request.method != "POST" or request.path != "/studies":
-        return None
-    try:
-        payload = json.loads(request.body.decode("utf-8"))
-        return config_hash(payload)
-    except (ValueError, TypeError):
-        return None
-
-
-class ResponseCacheMiddleware(Middleware):
-    """Deterministic response cache keyed by canonical config hash.
-
-    Identical config + seed means an identical run, so the response to
-    a repeated study submission can be replayed byte for byte without
-    building a simulator. The computed key is stashed in
-    ``ctx.data["config_hash"]`` for the application (the job manager
-    dedups on the same key, so the two layers can never disagree).
-    LRU-evicts beyond ``max_entries``; only responses the application
-    marked ``cacheable`` (2xx submissions) are stored. Streaming
-    responses are never cached.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = 128,
-        key_fn: Callable[[Request], str | None] = study_request_key,
-    ) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._key_fn = key_fn
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[int, dict, bytes]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def invalidate(self, key: str) -> None:
-        """Drop one entry (the app calls this when a study is deleted
-        or fails — a FAILED job's cached submission body would
-        otherwise swallow the fresh run ``submit()`` promises)."""
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def seed(self, key: str, response: Response) -> None:
-        """Pre-populate an entry (cache warming after restart recovery).
-
-        Applies the same guards as the store path — cacheable 2xx,
-        no stream — so recovery cannot plant anything a live request
-        could not have.
-        """
-        if not (
-            response.cacheable
-            and response.stream is None
-            and 200 <= response.status < 300
-        ):
-            return
-        with self._lock:
-            self._entries[key] = (
-                response.status,
-                dict(response.headers),
-                response.body,
-            )
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def handle(self, ctx, request, call_next):
-        key = self._key_fn(request)
-        if key is None:
-            return call_next(ctx, request)
-        ctx.data["config_hash"] = key
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                status, headers, body = entry
-            else:
-                self.misses += 1
-        if entry is not None:
-            headers = dict(headers)
-            headers["X-Cache"] = "hit"
-            return Response(status=status, headers=headers, body=body)
-        response = call_next(ctx, request)
-        if (
-            response.cacheable
-            and response.stream is None
-            and 200 <= response.status < 300
-        ):
-            with self._lock:
-                self._entries[key] = (
-                    response.status,
-                    dict(response.headers),
-                    response.body,
-                )
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-        response.headers.setdefault("X-Cache", "miss")
-        return response

@@ -316,6 +316,11 @@ class TestValidation:
             (dict(dp_epsilon="8"), "dp_epsilon must be a float"),
             (dict(seed=-1), "seed must be non-negative, got -1"),
             (dict(mlp_hidden=(True, 4)), "mlp_hidden"),
+            # Every sampler starts from a view_size-regular graph, so
+            # n_nodes * view_size must be even (the message names both).
+            (dict(n_nodes=7, view_size=3, sampler="static"), "n_nodes=7, view_size=3"),
+            (dict(n_nodes=7, view_size=3, sampler="peerswap"), "n_nodes=7, view_size=3"),
+            (dict(n_nodes=7, view_size=3, sampler="fresh"), "n_nodes=7, view_size=3"),
         ],
     )
     def test_rejects_names_and_sizes_that_fail_at_build(self, kwargs, message):

@@ -85,7 +85,12 @@ def configs(draw) -> StudyConfig:
     kwargs = draw(st.fixed_dictionaries({}, optional=VALUES))
     n_nodes = kwargs.get("n_nodes", 16)
     if draw(st.booleans()) or n_nodes <= 2:
-        kwargs["view_size"] = draw(st.integers(1, n_nodes - 1))
+        # Buildable views only: n_nodes * view_size must be even, so an
+        # odd n_nodes takes an even view size.
+        if n_nodes % 2:
+            kwargs["view_size"] = 2 * draw(st.integers(1, (n_nodes - 1) // 2))
+        else:
+            kwargs["view_size"] = draw(st.integers(1, n_nodes - 1))
     return StudyConfig(**kwargs)
 
 

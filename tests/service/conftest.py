@@ -4,7 +4,7 @@ Every service test runs against a *real* socket: the fixtures boot a
 ``ThreadingHTTPServer`` on an ephemeral port in a daemon thread and
 hand back a tiny HTTP/SSE client — no mocks of the HTTP layer
 anywhere. Factories (``make_service`` / ``make_client``) let tests
-customize rate limits, cache size or the job-manager ``round_hook``
+customize rate limits, the state dir or the job-manager ``round_hook``
 (the deterministic way to hold a study mid-run for cancel/disconnect
 fault injection); teardown always shuts servers down and closes
 services, so leaked worker threads/processes fail loudly elsewhere.

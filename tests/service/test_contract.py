@@ -97,29 +97,6 @@ class TestCacheBitIdentity:
         second = client.get(f"/studies/{job_id}/result")[2]
         assert first == second
 
-    def test_dedup_survives_cache_eviction(self, make_service, make_client):
-        """Even with the response cache evicted, the job manager dedups
-        by hash, so the regenerated response is byte-identical and no
-        simulator is built."""
-        service = make_service(cache_entries=1)
-        client = make_client(service)
-        payload = tiny_study_payload(seed=21)
-        _, _, miss_body = client.request(
-            "POST", "/studies", body=json.dumps(payload).encode()
-        )
-        assert service.manager.get(json.loads(miss_body)["id"]).wait(120) == "done"
-        # Evict by caching a different config.
-        other = tiny_study_payload(seed=22)
-        _, _, other_resp = client.submit(other)
-        assert service.manager.get(other_resp["id"]).wait(120) == "done"
-        builds = service.manager.builds_performed
-        status, headers, body = client.request(
-            "POST", "/studies", body=json.dumps(payload).encode()
-        )
-        assert headers["X-Cache"] == "miss"  # evicted from the cache...
-        assert body == miss_body  # ...but the dedup'd body is identical
-        assert service.manager.builds_performed == builds  # and build-free
-
 
 class TestCancelResumeBitIdentity:
     @pytest.mark.parametrize("executor", ["serial", "batched"])
@@ -164,3 +141,46 @@ class TestCancelResumeBitIdentity:
         assert result.decode("utf-8") == expected_result
         # Cancel+resume costs exactly one extra build (the resume).
         assert service.manager.builds_performed == 2
+
+    def test_resubmitting_a_cancelled_study_returns_it_unbuilt(
+        self, make_service, make_client
+    ):
+        """A cancelled job still owns its config: resubmitting the
+        payload answers the original submission bytes as a hit with no
+        build, and the job then resumes to the uninterrupted result."""
+        payload = tiny_study_payload(rounds=3, seed=9)
+        expected_result = run_study(StudyConfig.from_dict(payload)).to_json()
+
+        first_round = threading.Event()
+        release = threading.Event()
+
+        def hook(job, record):
+            if record.round_index == 0:
+                first_round.set()
+                assert release.wait(60)
+
+        service = make_service(round_hook=hook)
+        client = make_client(service)
+        body = json.dumps(payload).encode()
+        status, headers, miss_body = client.request("POST", "/studies", body=body)
+        assert (status, headers["X-Cache"]) == (200, "miss")
+        job_id = json.loads(miss_body)["id"]
+        assert first_round.wait(60)
+        assert client.post_json(f"/studies/{job_id}/cancel")[0] == 202
+        release.set()
+        job = service.manager.get(job_id)
+        assert job.wait(60) == "cancelled"
+        builds = service.manager.builds_performed
+
+        status, headers, resubmitted = client.request(
+            "POST", "/studies", body=body
+        )
+        assert status == 200
+        assert headers["X-Cache"] == "hit"
+        assert resubmitted == miss_body
+        assert service.manager.builds_performed == builds
+
+        assert client.post_json(f"/studies/{job_id}/resume")[0] == 202
+        assert job.wait(120) == "done"
+        _, _, result = client.get(f"/studies/{job_id}/result")
+        assert result.decode("utf-8") == expected_result

@@ -18,7 +18,6 @@ from repro.service.middleware import (
     RequestContext,
     RequestContextMiddleware,
     Response,
-    ResponseCacheMiddleware,
     TokenBucketMiddleware,
     build_pipeline,
     json_response,
@@ -406,99 +405,6 @@ class TestTokenBucketMiddleware:
             TokenBucketMiddleware(refill_per_sec=0.0)
 
 
-# -- response cache -----------------------------------------------------
-
-
-def study_request(payload: dict) -> Request:
-    return Request(
-        method="POST", path="/studies", body=json.dumps(payload).encode()
-    )
-
-
-class TestResponseCacheMiddleware:
-    def test_hit_replays_stored_bytes(self):
-        mw = ResponseCacheMiddleware(max_entries=4)
-        calls = []
-
-        def handler(ctx, request):
-            calls.append(ctx.data["config_hash"])
-            return json_response({"id": "job-1"}, cacheable=True)
-
-        request = study_request(tiny_study_payload())
-        miss = run(mw, request, handler)
-        hit = run(mw, request, handler)
-        assert len(calls) == 1  # second request never reached the app
-        assert miss.headers["X-Cache"] == "miss"
-        assert hit.headers["X-Cache"] == "hit"
-        assert hit.body == miss.body
-        assert (mw.hits, mw.misses) == (1, 1)
-
-    def test_key_is_canonical_not_textual(self):
-        """Reordered / re-spelled configs hit the same entry."""
-        mw = ResponseCacheMiddleware(max_entries=4)
-        calls = []
-
-        def handler(ctx, request):
-            calls.append(1)
-            return json_response({"id": "job-1"}, cacheable=True)
-
-        flat = tiny_study_payload()
-        run(mw, study_request(flat), handler)
-        grouped = StudyConfig.from_dict(flat).to_dict()
-        hit = run(mw, study_request(grouped), handler)
-        assert len(calls) == 1
-        assert hit.headers["X-Cache"] == "hit"
-
-    def test_lru_eviction_prefers_recently_used(self):
-        mw = ResponseCacheMiddleware(max_entries=2)
-        handler = lambda ctx, r: json_response({"ok": 1}, cacheable=True)
-        first = study_request(tiny_study_payload(seed=1))
-        second = study_request(tiny_study_payload(seed=2))
-        third = study_request(tiny_study_payload(seed=3))
-        run(mw, first, handler)
-        run(mw, second, handler)
-        run(mw, first, handler)  # touch: first is now most recent
-        run(mw, third, handler)  # evicts second (least recently used)
-        assert len(mw) == 2
-        assert run(mw, first, handler).headers["X-Cache"] == "hit"
-        assert run(mw, second, handler).headers["X-Cache"] == "miss"
-
-    def test_uncacheable_and_error_responses_not_stored(self):
-        mw = ResponseCacheMiddleware(max_entries=4)
-        request = study_request(tiny_study_payload())
-        run(mw, request, lambda ctx, r: json_response({}, status=400))
-        run(mw, request, lambda ctx, r: json_response({}))  # not marked
-        assert len(mw) == 0
-
-    def test_non_study_requests_bypass(self):
-        mw = ResponseCacheMiddleware(max_entries=4)
-        handler_calls = []
-
-        def handler(ctx, request):
-            handler_calls.append(request.path)
-            return json_response({}, cacheable=True)
-
-        run(mw, req(method="GET", path="/healthz"), handler)
-        run(mw, req(method="GET", path="/healthz"), handler)
-        assert handler_calls == ["/healthz", "/healthz"]
-        assert len(mw) == 0
-
-    def test_unparsable_body_bypasses(self):
-        mw = ResponseCacheMiddleware(max_entries=4)
-        bad = Request(method="POST", path="/studies", body=b"{not json")
-        response = run(mw, bad, lambda ctx, r: json_response({}, status=400))
-        assert response.status == 400
-        assert len(mw) == 0
-
-    def test_invalidate_drops_entry(self):
-        mw = ResponseCacheMiddleware(max_entries=4)
-        handler = lambda ctx, r: json_response({}, cacheable=True)
-        request = study_request(tiny_study_payload())
-        run(mw, request, handler)
-        mw.invalidate(config_hash(tiny_study_payload()))
-        assert run(mw, request, handler).headers["X-Cache"] == "miss"
-
-
 # -- the composed pipeline ---------------------------------------------
 
 
@@ -624,32 +530,3 @@ class TestErrorBoundaryMiddleware:
         body = json.loads(response.body)
         assert body["error"] == "internal error: RuntimeError"
         assert body["request_id"] == response.headers["X-Request-ID"]
-
-
-class TestResponseCacheSeed:
-    def test_seeded_entry_serves_hits(self):
-        mw = ResponseCacheMiddleware(max_entries=4)
-        key = config_hash(tiny_study_payload())
-        mw.seed(key, json_response({"id": "job-000001"}, cacheable=True))
-        response = run(
-            mw,
-            study_request(tiny_study_payload()),
-            lambda ctx, r: pytest.fail("seeded key must not reach handler"),
-        )
-        assert response.headers["X-Cache"] == "hit"
-        assert json.loads(response.body) == {"id": "job-000001"}
-
-    def test_seed_applies_store_guards(self):
-        mw = ResponseCacheMiddleware(max_entries=4)
-        mw.seed("a", json_response({}, status=500, cacheable=True))
-        mw.seed("b", json_response({}))  # not marked cacheable
-        streaming = json_response({}, cacheable=True)
-        streaming.stream = iter(())
-        mw.seed("c", streaming)
-        assert len(mw) == 0
-
-    def test_seed_respects_lru_capacity(self):
-        mw = ResponseCacheMiddleware(max_entries=2)
-        for key in ("a", "b", "c"):
-            mw.seed(key, json_response({"k": key}, cacheable=True))
-        assert len(mw) == 2

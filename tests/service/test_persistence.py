@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+from repro.core.config import config_hash
 from repro.core.study import StudyConfig, run_study
 from repro.service import StudyService
 from repro.service.jobs import CANCELLED, DONE, FAILED, JobManager, StudyJob
@@ -662,8 +663,8 @@ class TestFailedJobCacheInvalidation:
 
 class TestResumeRace:
     def test_rearm_is_atomic_under_contention(self, tmp_path):
-        job = StudyJob("job-000001", StudyConfig.from_dict(
-            tiny_study_payload()))
+        config = StudyConfig.from_dict(tiny_study_payload())
+        job = StudyJob("job-000001", config, config_hash(config))
         job.state = CANCELLED
         winners = []
         barrier = threading.Barrier(8)

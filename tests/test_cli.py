@@ -296,7 +296,7 @@ class TestServe:
         code = main([
             "serve", "--host", "0.0.0.0", "--port", "0",
             "--job-workers", "3", "--rate-capacity", "7",
-            "--rate-refill", "1.5", "--cache-entries", "9",
+            "--rate-refill", "1.5",
             "--checkpoint-dir", "/tmp/ck", "--state-dir", "/tmp/state",
         ])
         assert code == 0
@@ -306,7 +306,6 @@ class TestServe:
             "job_workers": 3,
             "rate_capacity": 7,
             "rate_refill": 1.5,
-            "cache_entries": 9,
             "checkpoint_dir": "/tmp/ck",
             "state_dir": "/tmp/state",
         }

@@ -5,11 +5,12 @@
 * ``purity-config-field`` (``src/``) — fields of config dataclasses
   (``*Config`` names) must be JSON-round-trippable: ``config_hash``
   canonicalizes ``to_dict()`` output, so a field that cannot survive
-  JSON breaks the dedup/cache/journal contract silently.
+  JSON breaks the dedup/journal contract silently.
 * ``purity-telemetry-field`` (``src/``) — telemetry travels BY
   REFERENCE (PR 9): a ``Telemetry``/``Tracer``/``MetricsRegistry``
   object on a ``*Config`` or ``*Task`` dataclass would ride into
-  ``config_hash``, the response cache and the shard wire codec.
+  ``config_hash``, the job manager's dedup index and the shard wire
+  codec.
   Annotations are the statically visible surface of that contract.
 * ``purity-config-import`` (``src/repro/core/config.py``) — the config
   layer never imports ``repro.telemetry``.
@@ -187,9 +188,8 @@ class ConfigFieldTypeRule(Rule):
                         ctx,
                         stmt,
                         f"{cls.name}.{stmt.target.id}: {rendered} does not "
-                        "survive a JSON round trip; config_hash / the "
-                        "journal / the response cache all canonicalize "
-                        "configs through to_dict()",
+                        "survive a JSON round trip; config_hash and the "
+                        "journal canonicalize configs through to_dict()",
                     )
 
 

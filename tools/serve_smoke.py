@@ -4,16 +4,20 @@
 Boots the HTTP front end on an ephemeral port, checks that ``HEAD
 /healthz`` answers like GET without a body, submits a tiny study,
 streams its round records over SSE, resubmits the same config and
-verifies the response is a byte-identical cache hit that triggered no
-additional simulator build, then shuts everything down and checks that
-no worker processes were leaked.
+verifies the response is a byte-identical hit (``X-Cache: hit``: the
+job manager returned the existing job) that triggered no additional
+simulator build, deletes the study and checks that a resubmission is
+a fresh job and build, then shuts everything down and checks that no
+worker processes were leaked.
 
 A second leg exercises the durability contract with a *real* process
 death: `repro serve --state-dir` runs as a subprocess, a study is
 killed (SIGKILL) mid-run once at least two rounds are on disk, a fresh
 subprocess restarts on the same state dir, and the job must come back
-cancelled+resumable, replay its pre-crash frames over SSE, and resume
-to a result bit-identical to an uninterrupted in-process run.
+cancelled+resumable, replay its pre-crash frames over SSE, answer a
+resubmission of its config with the pre-crash submission bytes as a
+hit, and resume to a result bit-identical to an uninterrupted
+in-process run.
 
 Exit status 0 on success; any assertion failure is fatal.  Used by
 `make serve-smoke` and CI.
@@ -153,12 +157,12 @@ def kill_restart_leg() -> None:
         trace_id = "serve-smoke-trace-1"
         process, port = spawn_server(state_dir)
         try:
-            status, _, body = request(
+            status, _, submitted = request(
                 port, "POST", "/studies", payload,
                 headers={"X-Request-ID": trace_id},
             )
-            assert status == 200, f"submit -> {status}: {body!r}"
-            job_id = json.loads(body)["id"]
+            assert status == 200, f"submit -> {status}: {submitted!r}"
+            job_id = json.loads(submitted)["id"]
             # Wait until at least two rounds (and their checkpoints)
             # are journaled, then die the way crashes do.
             wait_for_state(
@@ -211,6 +215,14 @@ def kill_restart_leg() -> None:
                 "pre-crash replay diverged from the uninterrupted run"
             )
             print(f"serve-smoke: restart replayed {replayed} frames")
+
+            # The recovered dedup index answers a resubmission of the
+            # crashed study: the pre-crash job and bytes, no build.
+            status, headers, body = request(port, "POST", "/studies", payload)
+            assert status == 200, f"resubmit -> {status}: {body!r}"
+            assert headers["X-Cache"] == "hit", headers
+            assert body == submitted, "post-restart hit differs from pre-crash"
+            print("serve-smoke: restarted server dedups to the pre-crash job")
 
             status, _, body = request(
                 port, "POST", f"/studies/{job_id}/resume"
@@ -291,6 +303,20 @@ def main() -> int:
             f"expected 1 build, saw {service.manager.builds_performed}"
         )
         print("serve-smoke: cache hit byte-identical, builds_performed=1")
+
+        # DELETE forgets the job: the same config is then a fresh job.
+        status, _, _ = request(port, "DELETE", f"/studies/{job_id}")
+        assert status == 204, f"delete -> {status}"
+        status, headers, body = request(port, "POST", "/studies", payload)
+        assert status == 200 and headers["X-Cache"] == "miss", headers
+        fresh_id = json.loads(body)["id"]
+        assert fresh_id != job_id, f"deleted job id {job_id} came back"
+        wait_for_state(port, fresh_id, lambda s: s["state"] == "done")
+        assert service.manager.builds_performed == 2, (
+            f"expected 2 builds, saw {service.manager.builds_performed}"
+        )
+        print("serve-smoke: resubmission after DELETE is a miss, "
+              "builds_performed=2")
 
         # Two distinct unknown paths: both must land in one bounded
         # route="unmatched" series, not a series per path.
