@@ -10,7 +10,7 @@ change numbers.
 
 Skipped when the process may use only one CPU (its affinity mask, not
 ``os.cpu_count()``), where process parallelism cannot win by
-construction (matching the sharded-executor gate). Wall clocks land in
+construction. Wall clocks land in
 ``BENCH_engine.json`` under the ``campaign`` section.
 """
 

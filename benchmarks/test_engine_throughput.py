@@ -7,7 +7,7 @@ Acceptance properties of the engine PRs:
   ``State``s (``average_states`` of the test oracle,
   ``tests/reference_nn.py``) on a 64-node round;
 * a fixed-seed run is bit-identical between the serial and the
-  sharded executor (final accuracies and message counts);
+  batched executor (final accuracies and message counts);
 * batched evaluation over arena rows is at least 3x faster than the
   per-node reload loop of ``tests/reference_observer.py`` at 64 nodes,
   with tolerance-level identical metrics;
@@ -16,11 +16,6 @@ Acceptance properties of the engine PRs:
   call (what ``executor="serial"`` runs) at 64 nodes on a toy MLP,
   where per-call overhead dominates, with bit-identical float64
   results;
-* sharded training (arena rows partitioned across shard workers over a
-  zero-copy shared-memory arena) is at least 1.5x faster than the
-  single-process batched executor at 128 nodes with >= 2 shards, with
-  bit-identical float64 results (skipped when the process may use one
-  CPU, where process parallelism cannot win by construction);
 * the same holds with DP-SGD (per-sample passes + blocked clip/noise):
   a stacked block is at least 2x faster than one row per call at 64
   nodes on the toy MLP, with bit-identical float64 results;
@@ -38,11 +33,6 @@ Acceptance properties of the engine PRs:
   recorded as ``paper_mlp_dp_update`` — median, min and IQR of its
   per-sample pass, clip and sum, noise and optimizer step, and reps —
   with no gate;
-* sharded observation (shard workers scoring their own arena rows) is
-  at least 1.5x faster than the parent row-batch path at 64 nodes
-  with >= 2 shards, agreeing at 1e-9 (timing skipped when the process
-  may use one CPU; the parity check and the parent baseline always
-  run).
 * one serial SAMO round at 128 nodes, view 8 (the end-to-end
   ``samo-peerswap-v8-128`` scenario without the observer) is recorded
   as ``samo_wake`` — median, min, IQR and reps — with no timing gate.
@@ -66,7 +56,6 @@ import statistics
 import time
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -74,7 +63,6 @@ import pytest
 from repro.core.study import Study, StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip.engine import BatchedExecutor, StateArena, UpdateTask
-from repro.gossip.shard import ShardedExecutor, usable_cpus
 from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.metrics.evaluation import BatchedEvaluator
 from repro.nn import get_state
@@ -92,7 +80,6 @@ from reference_nn import average_states, reference, state_to_vector, unpack
 from reference_observer import evaluate_node
 
 N_NODES = 64
-N_NODES_SHARDED = 128
 NEIGHBORS = 4  # models averaged per node: own + 4 received
 
 # Wall clocks recorded by the tests below, merged into BENCH_engine.json
@@ -650,317 +637,8 @@ class TestConvTraining:
         _record("cnn_training", self.ROWS, **values)
 
 
-class TestShardedThroughput:
-    """The PR 4 scale-out gate: partitioning arena rows across shard
-    workers over the zero-copy shared arena must beat the
-    single-process batched executor once real parallelism exists."""
-
-    def _setup(self, dtype):
-        n_per_node = 32
-        builder = partial(
-            build_model, "mlp", in_features=96, num_classes=100,
-            hidden=(48, 24),
-        )
-        model = builder()
-        template = get_state(model)
-        layout = StateLayout.from_state(template)
-        train, _ = make_synthetic_tabular_dataset(
-            "bench", 4800, 100, num_features=96, num_classes=100, seed=3
-        )
-        splits = make_node_splits(
-            train, N_NODES_SHARDED, train_per_node=n_per_node,
-            test_per_node=4, seed=3,
-        )
-        config = TrainerConfig(
-            learning_rate=0.05,
-            momentum=0.9,
-            weight_decay=5e-4,
-            local_epochs=3,
-            batch_size=8,
-        )
-        arena = StateArena(layout, N_NODES_SHARDED, dtype=dtype, shared=True)
-        rng = np.random.default_rng(17)
-        for i in range(N_NODES_SHARDED):
-            arena.load_state(
-                i,
-                {
-                    k: v + 0.05 * rng.normal(size=v.shape)
-                    for k, v in template.items()
-                },
-            )
-        return builder, model, layout, splits, config, arena
-
-    @staticmethod
-    def _make_tasks(arena, seed):
-        return [
-            UpdateTask(
-                i,
-                arena.row(i),
-                np.random.default_rng(seed + i),
-                session=0,
-            )
-            for i in range(N_NODES_SHARDED)
-        ]
-
-    def test_sharded_training_bit_identical_to_batched_float64(self):
-        """Same tasks, same float64 results — rows travel through the
-        shared segment instead of task pickles, so this also exercises
-        the attach/write-back path end to end."""
-        builder, model, layout, splits, config, arena = self._setup(
-            np.float64
-        )
-        batched = BatchedExecutor(BatchedTrainer(model, config, layout), splits)
-        sharded = ShardedExecutor(
-            builder, config, layout, splits, arena, n_shards=2
-        )
-        try:
-            # Snapshot the start rows: the batched reference must train
-            # from the same vectors the shard workers will read.
-            start = arena.data.copy()
-            batched_results = batched.train_batch(
-                [
-                    UpdateTask(
-                        i, start[i].copy(), np.random.default_rng(i),
-                        session=0,
-                    )
-                    for i in range(N_NODES_SHARDED)
-                ]
-            )
-            sharded_results = sharded.train_batch(self._make_tasks(arena, 0))
-            for (b_vec, b_rng), (s_vec, s_rng) in zip(
-                batched_results, sharded_results
-            ):
-                np.testing.assert_array_equal(b_vec, s_vec)
-                assert b_rng.random() == s_rng.random()
-        finally:
-            batched.close()
-            sharded.close()
-            arena.release()
-
-    def test_sharded_training_at_least_1_5x_faster_than_batched(
-        self, benchmark
-    ):
-        """One tick's local updates at 128 nodes: one-process blocked
-        training vs >= 2 shard workers running the same blocked kernels
-        over their row partitions. Timing runs in float32 (the arena
-        dtype the engine is optimized for); requires real cores."""
-        cpus = usable_cpus()
-        if cpus < 2:
-            pytest.skip(
-                "sharded-vs-batched timing needs >= 2 CPUs; "
-                f"this process may use {cpus}"
-            )
-        n_shards = min(4, cpus)
-        builder, model, layout, splits, config, arena = self._setup(
-            np.float32
-        )
-        batched = BatchedExecutor(BatchedTrainer(model, config, layout), splits)
-        sharded = ShardedExecutor(
-            builder, config, layout, splits, arena, n_shards=n_shards
-        )
-        try:
-            # Warm up the shard workers (model build, first attach).
-            sharded.train_batch(self._make_tasks(arena, 0))
-            batched_time = _best_of(
-                lambda: batched.train_batch(self._make_tasks(arena, 1)),
-                reps=5,
-            )
-            sharded_time = run_once(
-                benchmark,
-                lambda: _best_of(
-                    lambda: sharded.train_batch(self._make_tasks(arena, 1)),
-                    reps=5,
-                ),
-            )
-        finally:
-            batched.close()
-            sharded.close()
-            arena.release()
-        speedup = batched_time / sharded_time
-        _record(
-            "training", N_NODES_SHARDED,
-            batched_ms=batched_time * 1e3,
-            sharded_ms=sharded_time * 1e3,
-            n_shards=n_shards,
-        )
-        print_series(
-            "training ms (batched, sharded)",
-            [batched_time * 1e3, sharded_time * 1e3],
-        )
-        print(f"sharded training speedup: {speedup:.1f}x ({n_shards} shards)")
-        assert speedup >= 1.5, (
-            f"sharded training only {speedup:.1f}x faster than the "
-            f"batched executor at {N_NODES_SHARDED} nodes with "
-            f"{n_shards} shards (required: 1.5x)"
-        )
-
-
-class TestObserverThroughput:
-    """The PR 6 observer gate: under executor="sharded" the round
-    observation (global accuracy + member/non-member MPE scores per
-    node) runs on the shard workers against their own arena rows,
-    instead of the parent re-reading all of them."""
-
-    def _setup(self, dtype):
-        builder = partial(
-            build_model, "mlp", in_features=96, num_classes=100,
-            hidden=(48, 24),
-        )
-        model = builder()
-        template = get_state(model)
-        layout = StateLayout.from_state(template)
-        train, _ = make_synthetic_tabular_dataset(
-            "bench", 2600, 100, num_features=96, num_classes=100, seed=3
-        )
-        splits = make_node_splits(
-            train, N_NODES, train_per_node=32, test_per_node=4, seed=3
-        )
-        config = TrainerConfig(learning_rate=0.05, batch_size=8)
-        arena = StateArena(layout, N_NODES, dtype=dtype, shared=True)
-        rng = np.random.default_rng(29)
-        for i in range(N_NODES):
-            arena.load_state(
-                i,
-                {
-                    k: v + 0.05 * rng.normal(size=v.shape)
-                    for k, v in template.items()
-                },
-            )
-        x_global = rng.normal(size=(64, 96)).astype(dtype)
-        y_global = rng.integers(0, 100, size=64)
-        attack = {
-            i: (
-                rng.normal(size=(16, 96)).astype(dtype),
-                rng.integers(0, 100, size=16),
-                rng.normal(size=(16, 96)).astype(dtype),
-                rng.integers(0, 100, size=16),
-            )
-            for i in range(N_NODES)
-        }
-        return builder, model, layout, splits, config, arena, (
-            x_global, y_global, attack,
-        )
-
-    @staticmethod
-    def _parent_round(evaluator, params, x_global, y_global, attack):
-        rows = list(range(N_NODES))
-        global_acc = evaluator.accuracy_rows(params, x_global, y_global)
-        obs = evaluator.attack_observations(
-            params,
-            [attack[i][0] for i in rows] + [attack[i][2] for i in rows],
-            [attack[i][1] for i in rows] + [attack[i][3] for i in rows],
-            rows=rows * 2,
-        )
-        return global_acc, obs[:N_NODES], obs[N_NODES:]
-
-    def test_sharded_observation_matches_parent(self, benchmark):
-        """Scores coming back over the wire must agree with the
-        parent's row-batch path at 1e-9 on the float64 arena. Also
-        records the parent-path wall clock as the observer baseline
-        (the sharded race needs >= 2 CPUs, see below)."""
-        builder, model, layout, splits, config, arena, workload = (
-            self._setup(np.float64)
-        )
-        x_global, y_global, attack = workload
-        sharded = ShardedExecutor(
-            builder, config, layout, splits, arena, n_shards=2
-        )
-        evaluator = BatchedEvaluator(model, layout=layout)
-        try:
-            sharded.observe_init(x_global, y_global, attack)
-            raw = sharded.observe(
-                {i: (None, None) for i in range(N_NODES)}
-            )
-            global_acc, train_obs, test_obs = self._parent_round(
-                evaluator, arena.data, x_global, y_global, attack
-            )
-            for i in range(N_NODES):
-                member, nonmember, train_acc, test_acc, g_acc = raw[i]
-                np.testing.assert_allclose(
-                    member, train_obs[i][0], atol=1e-9
-                )
-                np.testing.assert_allclose(
-                    nonmember, test_obs[i][0], atol=1e-9
-                )
-                np.testing.assert_allclose(g_acc, global_acc[i], atol=1e-12)
-                np.testing.assert_allclose(
-                    train_acc, train_obs[i][1], atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    test_acc, test_obs[i][1], atol=1e-12
-                )
-            parent_time = run_once(
-                benchmark,
-                lambda: _best_of(
-                    lambda: self._parent_round(
-                        evaluator, arena.data, x_global, y_global, attack
-                    ),
-                    reps=5,
-                ),
-            )
-        finally:
-            sharded.close()
-            arena.release()
-        _record("observer", N_NODES, parent_ms=parent_time * 1e3)
-        print_series("observer parent ms", [parent_time * 1e3])
-
-    def test_sharded_observation_at_least_1_5x_faster(self, benchmark):
-        """Parent row-batch observation vs >= 2 shard workers scoring
-        their own rows in parallel, at 64 nodes on the float32 arena;
-        requires real cores."""
-        cpus = usable_cpus()
-        if cpus < 2:
-            pytest.skip(
-                "sharded-vs-parent observation timing needs >= 2 CPUs; "
-                f"this process may use {cpus}"
-            )
-        n_shards = min(4, cpus)
-        builder, model, layout, splits, config, arena, workload = (
-            self._setup(np.float32)
-        )
-        x_global, y_global, attack = workload
-        sharded = ShardedExecutor(
-            builder, config, layout, splits, arena, n_shards=n_shards
-        )
-        evaluator = BatchedEvaluator(model, layout=layout)
-        plans = {i: (None, None) for i in range(N_NODES)}
-        try:
-            sharded.observe_init(x_global, y_global, attack)
-            sharded.observe(plans)  # warm up workers
-            parent_time = _best_of(
-                lambda: self._parent_round(
-                    evaluator, arena.data, x_global, y_global, attack
-                ),
-                reps=5,
-            )
-            sharded_time = run_once(
-                benchmark,
-                lambda: _best_of(lambda: sharded.observe(plans), reps=5),
-            )
-        finally:
-            sharded.close()
-            arena.release()
-        speedup = parent_time / sharded_time
-        _record(
-            "observer", N_NODES,
-            parent_ms=parent_time * 1e3,
-            sharded_ms=sharded_time * 1e3,
-            n_shards=n_shards,
-        )
-        print_series(
-            "observer ms (parent, sharded)",
-            [parent_time * 1e3, sharded_time * 1e3],
-        )
-        print(f"sharded observation speedup: {speedup:.1f}x ({n_shards} shards)")
-        assert speedup >= 1.5, (
-            f"sharded observation only {speedup:.1f}x faster than the "
-            f"parent row-batch path at {N_NODES} nodes with "
-            f"{n_shards} shards (required: 1.5x)"
-        )
-
-
 class TestExecutorEquivalence:
-    def test_serial_and_sharded_runs_bit_identical(self, benchmark):
+    def test_serial_and_batched_runs_bit_identical(self, benchmark):
         """Fixed seed, same config: final accuracies and message counts
         must match bit for bit across executor backends."""
         base = dict(
@@ -981,29 +659,27 @@ class TestExecutorEquivalence:
             seed=11,
         )
         serial = run_study(StudyConfig(name="engine-serial", **base))
-        parallel = run_once(
+        batched = run_once(
             benchmark,
             run_study,
-            StudyConfig(
-                name="engine-sharded", executor="sharded", n_shards=2, **base
-            ),
+            StudyConfig(name="engine-batched", executor="batched", **base),
         )
-        s_last, p_last = serial.rounds[-1], parallel.rounds[-1]
+        s_last, p_last = serial.rounds[-1], batched.rounds[-1]
         print_series(
             "serial acc per round",
             [r.global_test_accuracy for r in serial.rounds],
         )
         print_series(
-            "sharded acc per round",
-            [r.global_test_accuracy for r in parallel.rounds],
+            "batched acc per round",
+            [r.global_test_accuracy for r in batched.rounds],
         )
         assert s_last.global_test_accuracy == p_last.global_test_accuracy
         assert s_last.mia_accuracy == p_last.mia_accuracy
-        for s_round, p_round in zip(serial.rounds, parallel.rounds):
+        for s_round, p_round in zip(serial.rounds, batched.rounds):
             assert s_round.global_test_accuracy == p_round.global_test_accuracy
         assert (
             serial.metadata["messages_dropped"]
-            == parallel.metadata["messages_dropped"]
+            == batched.metadata["messages_dropped"]
         )
 
 

@@ -14,14 +14,10 @@ Observation runs on the **row-batch path**: node models are read as
 one ``(n_nodes, dim)`` matrix (``simulator.state_matrix()``, the live
 arena, zero-copy) and scored in blocked numpy ops by a
 :class:`~repro.metrics.evaluation.BatchedEvaluator`, in the matrix
-dtype. When the simulator runs a sharded executor, observation rides
-the same shard workers: each scores its own arena rows in place
-(evaluation + MPE scoring never cross a pipe) and the parent merges the
-per-row results into reports. Both consume the observer RNG in the
-order of a per-node loop that reloads each state into the workspace
-model; that loop is the test suite's oracle
-(``tests/reference_observer.py``), and agrees with the row-batch path
-up to float-associativity tolerance.
+dtype. It consumes the observer RNG in the order of a per-node loop
+that reloads each state into the workspace model; that loop is the
+test suite's oracle (``tests/reference_observer.py``), and agrees with
+the row-batch path up to float-associativity tolerance.
 """
 
 from __future__ import annotations
@@ -54,12 +50,8 @@ class _AttackPlan:
 
     Drawn node by node in the exact RNG order of the per-node loop
     (train subsample, test subsample, then the balancing draws that
-    ``build_attack_data`` would make), so the batched and sharded
-    paths and that reference loop see identical attack sets. The
-    subsample *index* arrays (``None`` = whole split) are kept
-    alongside the materialized arrays: the sharded observer ships only
-    the indices, since workers hold the full attack arrays from
-    ``observe_init``.
+    ``build_attack_data`` would make), so the row-batch path and that
+    reference loop see identical attack sets.
     """
 
     x_train: np.ndarray
@@ -68,8 +60,6 @@ class _AttackPlan:
     y_test: np.ndarray
     balance_train: np.ndarray | None
     balance_test: np.ndarray | None
-    train_idx: np.ndarray | None = None
-    test_idx: np.ndarray | None = None
 
 
 class OmniscientObserver:
@@ -165,11 +155,7 @@ class OmniscientObserver:
         # One state-matrix read serves evaluation, canary attack and
         # spread.
         params = simulator.state_matrix(self._get_layout())
-        sharded = self._sharded_executor(simulator)
-        if sharded is not None:
-            evaluations = self._evaluate_all_sharded(simulator, sharded)
-        else:
-            evaluations = self._evaluate_all_batched(simulator, params)
+        evaluations = self._evaluate_all(simulator, params)
         if self.keep_node_records:
             self.node_records.append(evaluations)
         canary_tpr = (
@@ -220,13 +206,6 @@ class OmniscientObserver:
             self._layout = StateLayout.from_model(self.model)
         return self._layout
 
-    @staticmethod
-    def _sharded_executor(simulator: FlatGossipSimulator):
-        """The simulator's live sharded executor, if observation can
-        ride on it (executor="sharded"); None otherwise."""
-        executor = simulator.executor()
-        return executor if hasattr(executor, "observe") else None
-
     def _get_evaluator(self) -> BatchedEvaluator:
         if self._evaluator is None:
             self._evaluator = BatchedEvaluator(
@@ -269,11 +248,9 @@ class OmniscientObserver:
             if x_te.shape[0] > m
             else None
         )
-        return _AttackPlan(
-            x_tr, y_tr, x_te, y_te, balance_tr, balance_te, tr_idx, te_idx
-        )
+        return _AttackPlan(x_tr, y_tr, x_te, y_te, balance_tr, balance_te)
 
-    def _evaluate_all_batched(
+    def _evaluate_all(
         self, simulator: FlatGossipSimulator, params: np.ndarray
     ) -> list[ModelEvaluation]:
         """Score every node's arena row in blocked ops (no reloads)."""
@@ -290,73 +267,13 @@ class OmniscientObserver:
             rows=list(range(len(plans))) * 2,
         )
         train_obs, test_obs = obs[: len(plans)], obs[len(plans) :]
-        return self._finalize_evaluations(
-            plans,
-            member_raw=[o[0] for o in train_obs],
-            nonmember_raw=[o[0] for o in test_obs],
-            global_acc=[float(a) for a in global_acc],
-            train_acc=[o[1] for o in train_obs],
-            test_acc=[o[1] for o in test_obs],
-        )
-
-    def _evaluate_all_sharded(
-        self, simulator: FlatGossipSimulator, executor
-    ) -> list[ModelEvaluation]:
-        """Score every node on its own shard worker; merge reports here.
-
-        The plans are drawn in node order before anything is shipped,
-        so the observer RNG advances exactly as on the batched path;
-        workers receive only the subsample index arrays and return raw
-        score vectors and accuracies for their own arena rows.
-        """
-        plans = [self._draw_plan(node) for node in simulator.nodes]
-        if not getattr(executor, "_observe_ready", False):
-            executor.observe_init(
-                self.x_global,
-                self.y_global,
-                {
-                    node_id: (
-                        node.train_x,
-                        node.train_y,
-                        node.test_x,
-                        node.test_y,
-                    )
-                    for node_id, node in enumerate(simulator.nodes)
-                },
-                eval_batch=self.eval_batch,
-            )
-        raw = executor.observe(
-            {
-                node_id: (plan.train_idx, plan.test_idx)
-                for node_id, plan in enumerate(plans)
-            }
-        )
-        ordered = [raw[node_id] for node_id in range(len(plans))]
-        return self._finalize_evaluations(
-            plans,
-            member_raw=[r[0] for r in ordered],
-            nonmember_raw=[r[1] for r in ordered],
-            global_acc=[r[4] for r in ordered],
-            train_acc=[r[2] for r in ordered],
-            test_acc=[r[3] for r in ordered],
-        )
-
-    def _finalize_evaluations(
-        self,
-        plans: list[_AttackPlan],
-        member_raw: list[np.ndarray],
-        nonmember_raw: list[np.ndarray],
-        global_acc: list[float],
-        train_acc: list[float],
-        test_acc: list[float],
-    ) -> list[ModelEvaluation]:
-        """Balance raw scores, batch the MIA reports, build evaluations."""
+        # Balance the raw scores, then batch the MIA reports.
         members: list[np.ndarray] = []
         nonmembers: list[np.ndarray] = []
         groups: dict[int, list[int]] = {}
         for node_id, plan in enumerate(plans):
-            member_scores = member_raw[node_id]
-            nonmember_scores = nonmember_raw[node_id]
+            member_scores = train_obs[node_id][0]
+            nonmember_scores = test_obs[node_id][0]
             if plan.balance_train is not None:
                 member_scores = member_scores[plan.balance_train]
             if plan.balance_test is not None:
@@ -379,9 +296,9 @@ class OmniscientObserver:
         return [
             ModelEvaluation(
                 node_id=node_id,
-                global_test_accuracy=global_acc[node_id],
-                local_train_accuracy=train_acc[node_id],
-                local_test_accuracy=test_acc[node_id],
+                global_test_accuracy=float(global_acc[node_id]),
+                local_train_accuracy=train_obs[node_id][1],
+                local_test_accuracy=test_obs[node_id][1],
                 mia_accuracy=report.accuracy,
                 mia_tpr_at_1_fpr=report.tpr_at_1_fpr,
                 mia_auc=report.auc,

@@ -32,9 +32,7 @@ from typing import Any, Mapping
 
 from repro.data.datasets import DATASET_BUILDERS
 from repro.gossip.protocols import PROTOCOLS
-from repro.gossip.simulator import (
-    ARENA_DTYPES, EXECUTORS, SHARD_PARTITIONS, SimulatorConfig,
-)
+from repro.gossip.simulator import ARENA_DTYPES, EXECUTORS, SimulatorConfig
 from repro.gossip.trainer import TrainerConfig
 from repro.graph.peer_sampling import SAMPLERS
 
@@ -87,20 +85,35 @@ def reject_unknown_keys(what: str, keys, valid) -> None:
         )
 
 
-def upgrade_legacy_execution(values: Mapping) -> dict:
-    """Map execution keys of configs stored before the dict engine, the
-    process-pool executor and the per-row trainer were removed onto
-    today's fields.
+# Keys of removed knobs that stored configs still carry, by the
+# section they were stored in.
+_LEGACY_KEYS = {
+    "engine": _EXECUTION,
+    "n_workers": _EXECUTION,
+    "n_shards": _EXECUTION,
+    "shard_partition": _EXECUTION,
+    "dropout_mode": _MODEL,
+}
 
-    Service journals, checkpoints and campaign manifests written back
-    then carry ``engine`` and ``n_workers``; they keep loading, and keep
-    their ``config_hash``, as long as they describe a run the flat
-    engine reproduces: ``engine: "flat"`` and any ``n_workers`` are
-    dropped, and ``executor: "process"`` loads as ``"serial"``
-    (bit-identical by the executor contract). ``engine: "dict"`` is
-    rejected — its results were never bitwise comparable.
-    ``train_batch: -1`` (the per-row trainer) loads as ``1``, one row
-    per blocked call, which gives the same float64 bits.
+
+def upgrade_legacy_execution(values: Mapping) -> dict:
+    """Map the flat keys of configs stored before a knob was removed
+    onto today's fields.
+
+    Service journals, checkpoints and campaign manifests keep loading,
+    and keep their ``config_hash``, as long as they describe a run
+    today's code reproduces bit for bit:
+
+    * ``engine: "flat"``, ``n_workers``, ``n_shards``,
+      ``shard_partition`` and ``dropout_mode: "stream"`` are dropped;
+    * ``executor: "process"`` loads as ``"serial"``, and so does
+      ``"sharded"`` on a float64 arena (bit-identical by the executor
+      contract);
+    * ``train_batch: -1`` (the per-row trainer) loads as ``1``, one row
+      per blocked call, which gives the same float64 bits.
+
+    What no code reproduces any more is rejected: ``engine: "dict"``,
+    ``dropout_mode: "legacy"`` and a float32 ``"sharded"`` run.
     """
     out = dict(values)
     engine = out.pop("engine", "flat")
@@ -109,8 +122,25 @@ def upgrade_legacy_execution(values: Mapping) -> dict:
             f"engine {engine!r} was removed; the flat engine is the only "
             f"simulator (drop the 'engine' key)"
         )
-    out.pop("n_workers", None)
-    if out.get("executor") == "process":
+    dropout_mode = out.pop("dropout_mode", "stream")
+    if dropout_mode != "stream":
+        raise ValueError(
+            f"dropout_mode must be 'stream', got {dropout_mode!r}; "
+            "'legacy' was removed with the workspace trainer that "
+            "drew its masks"
+        )
+    for key in ("n_workers", "n_shards", "shard_partition"):
+        out.pop(key, None)
+    executor = out.get("executor")
+    if executor == "sharded" and (
+        out.get("arena_dtype", _DEFAULTS["arena_dtype"]) != "float64"
+    ):
+        raise ValueError(
+            "executor 'sharded' was removed; on a float32 arena its shard "
+            "workers trained stacked blocks, which round differently from "
+            "one row per call, so its results cannot load as 'serial'"
+        )
+    if executor in ("process", "sharded"):
         out["executor"] = "serial"
     if out.get("train_batch") == -1:
         out["train_batch"] = 1
@@ -151,13 +181,12 @@ class StudyConfig:
     # Early-overfitting mitigations (Section 5 recommendations).
     label_smoothing: float = _field(0.0, _MODEL)
     lr_decay: float = _field(1.0, _MODEL)
-    # Dropout regularization (MLP only); "stream" is the only mode.
+    # Dropout regularization (MLP only).
     dropout: float = _field(
         0.0, _MODEL, "--dropout",
         help="dropout probability for the MLP hidden layers "
         "(counter-based mask streams; batchable)",
     )
-    dropout_mode: str = _field("stream", _MODEL)
     # Topology: graph, protocol, horizon and failure injection.
     n_nodes: int = _field(16, _TOPOLOGY, "--nodes")
     view_size: int = _field(2, _TOPOLOGY, "--view-size")
@@ -177,18 +206,7 @@ class StudyConfig:
     executor: str = _field(
         "serial", _EXECUTION, "--executor", choices=EXECUTORS,
         help="local-update executor: the blocked kernel one row per call "
-        "(serial), stacked rows (batched), or shard workers over a "
-        "shared-memory arena",
-    )
-    n_shards: int = _field(
-        0, _EXECUTION, "--shards",
-        help="shard-worker count for the sharded executor; "
-        "0 = one per CPU (capped at the node count)",
-    )
-    shard_partition: str = _field(
-        "contiguous", _EXECUTION, "--shard-partition", choices=SHARD_PARTITIONS,
-        help="row-to-shard mapping: contiguous ranges, or balanced by "
-        "per-node sample count",
+        "(serial) or on stacked rows (batched)",
     )
     train_batch: int = _field(
         0, _EXECUTION, "--train-batch",
@@ -258,12 +276,6 @@ class StudyConfig:
         self.trainer_config()
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.dropout_mode != "stream":
-            raise ValueError(
-                f"dropout_mode must be 'stream', got {self.dropout_mode!r}; "
-                "'legacy' was removed with the workspace trainer that "
-                "drew its masks"
-            )
         # Topology and execution. SimulatorConfig checks the graph,
         # sampler, failure, delay and executor fields.
         self.simulator_config()
@@ -335,10 +347,9 @@ class StudyConfig:
 
         A section stands for its whole group: the fields it omits take
         their defaults, and keys apply in payload order, so a section
-        also resets its group's flat keys that come before it. The
-        pre-removal ``engine``/``n_workers`` keys load at top level and
-        in the ``execution`` section
-        (:func:`~repro.core.config.upgrade_legacy_execution`).
+        also resets its group's flat keys that come before it. Keys of
+        removed knobs load at top level and in the section they were
+        stored in (:func:`~repro.core.config.upgrade_legacy_execution`).
         """
         if not isinstance(payload, Mapping):
             raise ValueError(
@@ -346,18 +357,17 @@ class StudyConfig:
                 f"got {type(payload).__name__}"
             )
         values: dict = {}
-        for key, value in upgrade_legacy_execution(payload).items():
+        for key, value in payload.items():
             if key in _GROUP_FIELDS:
-                if key == "execution" and isinstance(value, Mapping):
-                    value = upgrade_legacy_execution(value)
-                section = _section(key, value)
-                for name in _GROUP_FIELDS[key]:
-                    values[name] = section.get(name, _DEFAULTS[name])
-            elif key in _DEFAULTS:
+                values = {
+                    k: v for k, v in values.items() if _KEY_GROUPS.get(k) != key
+                }
+                values.update(_section(key, value, legacy=True))
+            elif key in _DEFAULTS or key in _LEGACY_KEYS:
                 values[key] = value
             else:
                 reject_unknown_keys("StudyConfig", [key], _VALID_KEYS)
-        return cls(**values)
+        return cls(**upgrade_legacy_execution(values))
 
     def with_overrides(self, **kwargs) -> "StudyConfig":
         """Copy with fields replaced.
@@ -403,6 +413,11 @@ _GROUP_FIELDS: dict[str, tuple[str, ...]] = {
     for group in _GROUPS
 }
 _VALID_KEYS = (*_DEFAULTS, *_GROUPS)
+# Every key a section may hold -> its group.
+_KEY_GROUPS: dict[str, str] = {
+    **{name: group for group, names in _GROUP_FIELDS.items() for name in names},
+    **_LEGACY_KEYS,
+}
 # The fields each lower config shares with StudyConfig by name (the
 # simulator's seed is derived, not shared).
 _SHARED: dict[type, tuple[str, ...]] = {
@@ -431,14 +446,19 @@ def _is_a(value: Any, kind: type) -> bool:
     return isinstance(value, Integral if kind is int else Real)
 
 
-def _section(group: str, section: Any) -> dict:
-    """The fields one ``group`` section sets (unknown keys rejected)."""
+def _section(group: str, section: Any, legacy: bool = False) -> dict:
+    """The fields one ``group`` section sets (unknown keys rejected);
+    with ``legacy``, also the keys of removed knobs stored there."""
     if not isinstance(section, Mapping):
         raise ValueError(
             f"the {group} section needs a mapping of its fields, "
             f"got {type(section).__name__}"
         )
-    reject_unknown_keys(group, section, _GROUP_FIELDS[group])
+    reject_unknown_keys(
+        group,
+        [k for k in section if not (legacy and _LEGACY_KEYS.get(k) == group)],
+        _GROUP_FIELDS[group],
+    )
     return dict(section)
 
 

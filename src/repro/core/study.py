@@ -15,8 +15,8 @@ A :class:`~repro.core.config.StudyConfig` (defined in
   mutable run state (arena rows, node RNG streams, in-flight messages,
   sampler views, observer state) so an interrupted run continues
   bit-identically in float64;
-* the context-manager protocol guarantees executor/shared-memory
-  cleanup (:meth:`Study.close`).
+* the context-manager protocol guarantees executor cleanup
+  (:meth:`Study.close`).
 
 :func:`run_study` stays the one-call wrapper and is bit-identical to
 the pre-session API.
@@ -29,7 +29,6 @@ import os
 import pickle
 import threading
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Iterator
@@ -116,7 +115,7 @@ class Study:
         self.close()
 
     def close(self) -> None:
-        """Release executor workers and shared memory (idempotent)."""
+        """Release the simulator's executor (idempotent)."""
         if self._built:
             self.simulator.close()
 
@@ -175,10 +174,7 @@ class Study:
             )
             self.splits = inject_canaries(self.splits, self.canaries)
         # Model ---------------------------------------------------------
-        # Kept as a picklable builder too: shard workers construct their
-        # own Module from it.
-        self.model_builder = partial(
-            build_model,
+        self.model = build_model(
             cfg.architecture,
             in_channels=cfg.in_channels,
             image_size=cfg.image_size,
@@ -189,7 +185,6 @@ class Study:
             seed=cfg.seed,
             dropout=cfg.dropout,
         )
-        self.model = self.model_builder()
         self.initial_state = get_state(self.model)
         # Protocol / simulator -------------------------------------------
         trainer = BatchedTrainer(self.model, cfg.trainer_config())
@@ -199,12 +194,11 @@ class Study:
             self.protocol,
             self.splits,
             self.initial_state,
-            model_builder=self.model_builder,
             telemetry=self.telemetry,
         )
-        # From here on a live simulator exists (worker processes,
-        # shared-memory segments); a failing construction step must not
-        # leak it — close() won't run because _built is never set.
+        # From here on a live simulator exists; a failing construction
+        # step must not leak it — close() won't run because _built is
+        # never set.
         try:
             # DP: calibrated against the exact wake schedule, enforced
             # with a per-node update cap so the budget is a hard
@@ -270,7 +264,7 @@ class Study:
         )
         trainer = self.protocol.trainer
         # Through the simulator so the swap revalidates and reaches the
-        # live executor (the protocol's trainer, shard workers).
+        # live executor (it trains with the protocol's trainer).
         self.simulator.set_trainer_config(replace(trainer.config, dp=dp_config))
         self.protocol.max_updates_per_node = planned_updates
         self._dp_q = q
@@ -387,12 +381,9 @@ class Study:
                 "noise_multiplier": self._sigma,
                 "n_nodes": self.config.n_nodes,
                 "executor": self.config.executor,
-                "n_shards": self.config.n_shards,
-                "shard_partition": self.config.shard_partition,
                 "train_batch": self.config.train_batch,
                 "eval_batch": self.config.eval_batch,
                 "dropout": self.config.dropout,
-                "dropout_mode": self.config.dropout_mode,
                 "messages_dropped": self.simulator.messages_dropped,
                 "wakes_skipped": self.simulator.wakes_skipped,
                 "messages_undelivered": self.simulator.messages_undelivered,
@@ -476,8 +467,7 @@ class Study:
             study._finalized = payload["finalized"]
         except BaseException:
             # A malformed state dict must not leak the freshly built
-            # simulator's workers/shared memory — the caller never gets
-            # a Study to close.
+            # simulator — the caller never gets a Study to close.
             study.close()
             raise
         return study

@@ -7,8 +7,7 @@ A :class:`Campaign` is an ordered set of uniquely-named
   and :meth:`Campaign.from_zip` (element-wise) derive configs from a
   base config by overriding flat knobs or whole config groups;
 * **parallel execution** — :meth:`Campaign.run` fans independent
-  studies out over a process pool, sizing it so per-study shard
-  workers (``n_shards``) do not oversubscribe the machine;
+  studies out over a process pool, one study per usable CPU;
 * **keyed results** — results come back as ``{config.name: RunResult}``
   in config order, the shape the figure pipeline consumes;
 * **resume** — with an ``out_dir``, each finished study is written as
@@ -29,18 +28,11 @@ from typing import Iterable, Mapping, Sequence
 from repro.core.config import config_hash
 from repro.core.study import StudyConfig, run_study
 from repro.experiments.io import load_result, save_result
-from repro.gossip.shard import auto_shard_count, usable_cpus
+from repro.gossip.shard import usable_cpus
 from repro.metrics.records import RunResult
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["Campaign"]
-
-
-def _study_process_demand(config: StudyConfig) -> int:
-    """Worker processes one study will occupy while running."""
-    if config.executor == "sharded":
-        return auto_shard_count(config.n_shards, config.n_nodes)
-    return 1
 
 
 def _run_study_timed(
@@ -58,9 +50,9 @@ def _run_study_timed(
 
 def _same_config(stored, config: StudyConfig) -> bool:
     """Whether a manifest entry describes ``config``. Entries compare by
-    ``config_hash``, so one written in an older spelling (the removed
-    ``engine``/``n_workers`` keys) still matches; an entry this build no
-    longer loads counts as different."""
+    ``config_hash``, so one written in an older spelling (keys of
+    removed knobs) still matches; an entry this build no longer loads
+    counts as different."""
     try:
         return config_hash(stored) == config.config_hash()
     except ValueError:
@@ -248,15 +240,10 @@ class Campaign:
     # -- execution ------------------------------------------------------
 
     def default_jobs(self, configs: Sequence[StudyConfig] | None = None) -> int:
-        """Pool size that respects per-study worker/shard demand: with
-        studies that each occupy w processes, run ``cpus // w`` of them
-        at a time (at least one, never more than the study count)."""
+        """Pool size: one study per usable CPU, at least one and never
+        more than the study count (each study runs in one process)."""
         configs = self.configs if configs is None else configs
-        if not configs:
-            return 1
-        cpus = usable_cpus()
-        demand = max(_study_process_demand(config) for config in configs)
-        return max(1, min(len(configs), cpus // max(1, demand)))
+        return max(1, min(len(configs), usable_cpus()))
 
     def run(self, jobs: int | None = None) -> dict[str, RunResult]:
         """Execute every study not already on disk; return all results

@@ -26,12 +26,9 @@ from repro.gossip.engine import (
     StateArena,
     UpdateTask,
 )
-from repro.gossip.shard import RowPartitioner, ShardedExecutor
 
 __all__ = [
     "BatchedExecutor",
-    "RowPartitioner",
-    "ShardedExecutor",
     "BatchedTrainer",
     "Executor",
     "FlatGossipSimulator",

@@ -4,10 +4,9 @@ Every node's model is one row of a contiguous ``(n_nodes, dim)``
 :class:`StateArena` (layout computed once by
 :class:`~repro.nn.flat.StateLayout`), so gossip aggregation is a
 vectorized numpy op over rows, and the per-tick local updates of
-independently waking nodes go to an :class:`Executor`: in process
-(:class:`BatchedExecutor`, one row per call or stacked ``(B, dim)``
-blocks) or sharded across worker processes (:mod:`repro.gossip.shard`).
-Every executor trains with the one blocked kernel,
+independently waking nodes go to an :class:`Executor`, in process:
+:class:`BatchedExecutor` trains one row per call or stacked ``(B,
+dim)`` blocks with the one blocked kernel,
 :meth:`~repro.gossip.trainer.BatchedTrainer.train_block`.
 
 :class:`FlatGossipSimulator` drives the tick clock, the peer-sampling
@@ -32,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ from repro.gossip.protocols import (
 from repro.gossip.simulator import SimulatorConfig
 from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.graph.peer_sampling import PeerSampler, make_sampler_by_name
-from repro.nn.flat import SharedArena, StateLayout
-from repro.nn.layers import Module
+from repro.nn.flat import StateLayout
 from repro.nn.serialize import State
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -74,12 +72,6 @@ class StateArena:
     ``dtype`` (float32 or float64); dict states packed in are cast to
     it. :meth:`merge_row` mutates a row in place; :meth:`mix` reads all
     rows at once.
-
-    ``shared=True`` places ``data`` in a :class:`~repro.nn.flat.SharedArena`
-    (a named shared-memory segment) so shard worker processes can attach
-    to the same rows by name; :meth:`release` detaches, keeping a
-    private copy readable. Callers holding row views across a release
-    must take them again.
     """
 
     def __init__(
@@ -87,36 +79,12 @@ class StateArena:
         layout: StateLayout,
         n_nodes: int,
         dtype: np.dtype | str = np.float64,
-        shared: bool = False,
     ):
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
         self.layout = layout
         self.dtype = np.dtype(dtype)
-        self._shared: SharedArena | None = None
-        if shared:
-            self._shared = SharedArena(n_nodes, layout.dim, dtype=self.dtype)
-            self.data = self._shared.data
-        else:
-            self.data = np.zeros((n_nodes, layout.dim), dtype=self.dtype)
-
-    @property
-    def shared_name(self) -> str | None:
-        """Segment name for worker attachment; None on private arenas."""
-        return self._shared.name if self._shared is not None else None
-
-    def release(self) -> None:
-        """Detach from the shared segment, keeping a private copy.
-
-        Idempotent; a no-op for private arenas. ``data`` stays readable
-        (and writable) afterwards, but existing row views still address
-        the dead segment — rebuild them.
-        """
-        if self._shared is None:
-            return
-        shared, self._shared = self._shared, None
-        self.data = np.array(shared.data)
-        shared.close()
+        self.data = np.zeros((n_nodes, layout.dim), dtype=self.dtype)
 
     @property
     def n_nodes(self) -> int:
@@ -174,13 +142,13 @@ def mean_vectors(
 
 @dataclass(frozen=True)
 class UpdateTask:
-    """One node's local update, shippable to a worker process.
+    """One node's local update.
 
     ``session`` is the node's lr_decay session index and MUST be
     tracked by the engine (``FlatGossipSimulator._sessions``), never
     inferred from ``node_id`` inside a trainer: per-trainer bookkeeping
-    diverges the moment two trainers (say, two shard workers) see
-    different subsets of a node's updates.
+    diverges the moment two trainers see different subsets of a node's
+    updates.
     """
 
     node_id: int
@@ -195,24 +163,6 @@ class UpdateTask:
                 "per-trainer node_id inference is not reproducible "
                 "across executors"
             )
-
-
-# Node-id -> (train_x, train_y); executors index it by task.node_id.
-SplitArrays = Mapping[int, tuple[np.ndarray, np.ndarray]]
-
-
-def as_split_arrays(
-    splits: Sequence[NodeSplit] | SplitArrays,
-) -> SplitArrays | list[tuple[np.ndarray, np.ndarray]]:
-    """Training arrays addressable by node id.
-
-    Accepts either the engine's full ``NodeSplit`` list (node id ==
-    position) or a prebuilt mapping holding only some nodes' arrays —
-    shard workers ship just their own slice of the data.
-    """
-    if isinstance(splits, Mapping):
-        return splits
-    return [(s.train.x, s.train.y) for s in splits]
 
 
 class Executor:
@@ -262,14 +212,15 @@ class BatchedExecutor(Executor):
     def __init__(
         self,
         trainer: BatchedTrainer,
-        splits: Sequence[NodeSplit] | SplitArrays,
+        splits: Sequence[NodeSplit],
         train_batch: int = 0,
     ):
         super().__init__()
         if train_batch < 0:
             raise ValueError("train_batch must be >= 0")
         self.trainer = trainer
-        self.splits = as_split_arrays(splits)
+        # (train_x, train_y) by node id.
+        self.splits = [(s.train.x, s.train.y) for s in splits]
         self.block_size = train_batch
 
     def train_batch(
@@ -316,8 +267,8 @@ class FlatGossipSimulator:
     the observer and attacks read models.
 
     Use it as a context manager (``with FlatGossipSimulator(...) as
-    sim:``) so :meth:`close` releases shard workers and shared-memory
-    segments even when a run raises mid-round.
+    sim:``) so :meth:`close` releases the executor even when a run
+    raises mid-round.
     """
 
     def __init__(
@@ -327,7 +278,6 @@ class FlatGossipSimulator:
         splits: list[NodeSplit],
         initial_state: State,
         keep_payloads: bool = False,
-        model_builder: Callable[[], Module] | None = None,
         telemetry: Telemetry | None = None,
     ):
         if len(splits) != config.n_nodes:
@@ -365,13 +315,8 @@ class FlatGossipSimulator:
         )
         self.log = MessageLog(keep_payloads=keep_payloads)
         self.layout = StateLayout.from_state(initial_state)
-        # The sharded executor's workers attach to the arena by name, so
-        # it must be born in shared memory.
         self.arena = StateArena(
-            self.layout,
-            config.n_nodes,
-            dtype=config.arena_dtype,
-            shared=config.executor == "sharded",
+            self.layout, config.n_nodes, dtype=config.arena_dtype
         )
         # Pack the shared initial model once and broadcast it into all
         # rows.
@@ -388,13 +333,12 @@ class FlatGossipSimulator:
             )
             for split in splits
         ]
-        self.model_builder = model_builder
         self._sessions = [0] * config.n_nodes
         # Messages sent this tick, visible to receivers once the tick's
         # wakes are all processed: (sender, receiver, vector).
         self._pending: list[tuple[int, int, np.ndarray]] = []
-        # Built lazily so late config changes (DP installation swaps
-        # the trainer config and update cap) reach shard workers.
+        # Built on first use; it trains with the protocol's trainer, so
+        # a late config swap (DP installation) reaches it.
         self._executor: Executor | None = None
         # Telemetry: phase timings accumulate in flat floats per tick
         # and flush to histograms once per round (in run_round),
@@ -428,47 +372,26 @@ class FlatGossipSimulator:
         """The executor of ``config.executor``, built on first use.
 
         ``"serial"`` is the in-process :class:`BatchedExecutor` at one
-        row per call, ``"batched"`` stacks up to ``train_batch`` rows,
-        and ``"sharded"`` spreads rows over worker processes. All three
-        train with the protocol's blocked trainer.
+        row per call, and ``"batched"`` stacks up to ``train_batch``
+        rows. Both train with the protocol's blocked trainer.
         """
         if self._executor is None:
-            trainer = self.protocol.trainer
-            splits = [node.split for node in self.nodes]
-            if self.config.executor == "sharded":
-                # Imported here: shard.py builds on this module.
-                from repro.gossip.shard import ShardedExecutor
-
-                self._executor = ShardedExecutor(
-                    self.model_builder,
-                    trainer.config,
-                    self.layout,
-                    splits,
-                    self.arena,
-                    n_shards=self.config.n_shards,
-                    train_batch=self.config.train_batch,
-                    partition=self.config.shard_partition,
-                    trainer=trainer,
-                    telemetry=self.telemetry,
-                )
-            else:
-                self._executor = BatchedExecutor(
-                    trainer,
-                    splits,
-                    train_batch=(
-                        self.config.train_batch
-                        if self.config.executor == "batched"
-                        else 1
-                    ),
-                )
+            self._executor = BatchedExecutor(
+                self.protocol.trainer,
+                [node.split for node in self.nodes],
+                train_batch=(
+                    self.config.train_batch
+                    if self.config.executor == "batched"
+                    else 1
+                ),
+            )
         return self._executor
 
     def set_trainer_config(self, config: TrainerConfig) -> None:
         """Swap the trainer config (e.g. DP installation).
 
         The protocol's trainer revalidates the swap. Every executor
-        trains with that trainer, or (shard workers) receives its
-        config with the next batch, so a live executor follows.
+        trains with that trainer, so a live executor follows.
         """
         self.protocol.trainer.set_config(config)
 
@@ -480,13 +403,11 @@ class FlatGossipSimulator:
         return dict(self._executor.fallback_counts)
 
     def close(self) -> None:
-        """Release executor resources (worker processes and shared
-        memory). Idempotent; arena data stays readable afterwards —
-        a shared-backed arena is copied private."""
+        """Release the executor. Idempotent; arena data stays readable
+        afterwards."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None
-        self.arena.release()
 
     def __enter__(self) -> "FlatGossipSimulator":
         return self
@@ -586,8 +507,6 @@ class FlatGossipSimulator:
             node.rng.bit_generator.state = saved["rng"]
             node.updates_performed = saved["updates_performed"]
             node.models_received = saved["models_received"]
-        # Written in place so the sharded executor's workers, attached
-        # to the shared-memory segment, see the restored rows.
         self.arena.data[...] = state["arena"]
         self._sessions = list(state["sessions"])
         self._pending = [
@@ -722,24 +641,21 @@ class FlatGossipSimulator:
                 continue  # the trainer no-ops; the session must not advance
             session = self._sessions[node_id]
             self._sessions[node_id] += 1
-            # Executors train the live row in place.
+            # Executors train the live row and advance the node's own
+            # generator in place.
             tasks.append(
                 UpdateTask(node_id, self.arena.row(node_id), node.rng, session)
             )
         if not tasks:
             return
         if self._tel is None:
-            results = executor.train_batch(tasks)
+            executor.train_batch(tasks)
         else:
             start = perf_counter()
-            results = executor.train_batch(tasks)
+            executor.train_batch(tasks)
             self._record_train_batch(
                 len(tasks), (perf_counter() - start) * 1000.0
             )
-        for task, (_, rng) in zip(tasks, results):
-            # Shard workers return a rebuilt generator; rebind it
-            # so the node's stream advances exactly as it would serially.
-            self.nodes[task.node_id].rng = rng
 
     # -- telemetry ----------------------------------------------------
 

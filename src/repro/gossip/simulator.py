@@ -9,11 +9,10 @@ from dataclasses import dataclass
 
 from repro.graph.peer_sampling import SAMPLERS
 
-__all__ = ["ARENA_DTYPES", "EXECUTORS", "SHARD_PARTITIONS", "SimulatorConfig"]
+__all__ = ["ARENA_DTYPES", "EXECUTORS", "SimulatorConfig"]
 
-# The accepted values of the three named execution knobs.
-EXECUTORS = ("serial", "batched", "sharded")
-SHARD_PARTITIONS = ("contiguous", "balanced")
+# The accepted values of the two named execution knobs.
+EXECUTORS = ("serial", "batched")
 ARENA_DTYPES = ("float32", "float64")
 
 
@@ -30,9 +29,8 @@ class SimulatorConfig:
     ``failure_prob`` skips wakes; a message sent at tick t arrives at
     ``t + delay_ticks + U{0..delay_jitter}``. The execution fields
     (DESIGN.md, "Flat-state execution engine") choose how a tick's
-    local updates run: one row per call ("serial"), stacked rows
-    ("batched") or shard workers ("sharded"), bit-identical on float64
-    arenas.
+    local updates run: one row per call ("serial") or stacked rows
+    ("batched"), bit-identical on float64 arenas.
     """
 
     n_nodes: int = 16
@@ -47,8 +45,6 @@ class SimulatorConfig:
     delay_ticks: int = 0
     delay_jitter: int = 0
     executor: str = "serial"
-    n_shards: int = 0
-    shard_partition: str = "contiguous"
     train_batch: int = 0
     arena_dtype: str = "float64"
     seed: int = 0
@@ -76,15 +72,7 @@ class SimulatorConfig:
         if self.delay_ticks < 0 or self.delay_jitter < 0:
             raise ValueError("delays must be non-negative")
         if self.executor not in EXECUTORS:
-            raise ValueError(
-                "executor must be 'serial', 'batched' or 'sharded'"
-            )
-        if self.n_shards < 0:
-            raise ValueError("n_shards must be non-negative")
-        if self.shard_partition not in SHARD_PARTITIONS:
-            raise ValueError(
-                "shard_partition must be 'contiguous' or 'balanced'"
-            )
+            raise ValueError("executor must be 'serial' or 'batched'")
         if self.train_batch < 0:
             raise ValueError("train_batch must be >= 0")
         if self.arena_dtype not in ARENA_DTYPES:

@@ -6,18 +6,10 @@ dtype) mapping *once* per model so every node's state lives as one row
 of a contiguous ``(n_nodes, dim)`` arena and gossip aggregation is a
 vectorized numpy op over rows (see DESIGN.md, "Flat-state execution
 engine"). Entries are laid out in sorted-name order.
-
-:class:`SharedArena` is the cross-process backing for such buffers: one
-named POSIX shared-memory segment holding an ``(n_rows, dim)`` array
-that a creator process owns and shard workers attach to by name, so
-rows move between processes without being pickled (see DESIGN.md,
-"Sharded execution").
 """
 
 from __future__ import annotations
 
-import weakref
-from multiprocessing import shared_memory
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +17,7 @@ import numpy as np
 from repro.nn.serialize import State, get_state
 from repro.nn.layers import Module
 
-__all__ = ["StateSlot", "StateLayout", "SharedArena"]
+__all__ = ["StateSlot", "StateLayout"]
 
 
 class StateSlot(NamedTuple):
@@ -45,9 +37,6 @@ class StateLayout:
     contract: a layout records each entry's template dtype but does not
     impose it — :meth:`pack` casts into the target vector's dtype (the
     arena dtype).
-
-    Instances are plain data (picklable) so shard workers address rows
-    with the same layout on their side of the fence.
     """
 
     def __init__(self, slots: list[StateSlot]):
@@ -149,121 +138,3 @@ class StateLayout:
     def empty(self, dtype: np.dtype | str = np.float64) -> np.ndarray:
         """Zero-filled flat vector of this layout's dimension."""
         return np.zeros(self.dim, dtype=dtype)
-
-
-def _release_segment(shm: shared_memory.SharedMemory, unlink: bool) -> None:
-    """Detach (and, for the owner, unlink) one shared-memory segment.
-
-    Used both for explicit :meth:`SharedArena.close` calls and as the
-    ``weakref.finalize`` fallback that fires at garbage collection or
-    interpreter exit, so a segment whose owner forgot to close — or
-    crashed out of a run mid-exception — is still unlinked instead of
-    leaking in ``/dev/shm`` (and instead of tripping the stdlib
-    resource-tracker "leaked shared_memory objects" warning).
-    """
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - live exports keep the map
-        pass
-    if unlink:
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-
-class SharedArena:
-    """An ``(n_rows, dim)`` float array in a named shared-memory segment.
-
-    Lifecycle contract: the *creator* (``SharedArena(n_rows, dim)``)
-    owns the segment — its :meth:`close` both detaches and unlinks.
-    Workers :meth:`attach` by name and their :meth:`close` only
-    detaches. Both directions are idempotent, and a
-    ``weakref.finalize`` guard releases the segment at garbage
-    collection or interpreter exit if :meth:`close` was never called,
-    so an exception mid-run cannot leak ``/dev/shm`` segments.
-
-    ``data`` is an ndarray view over the segment: writes made by any
-    attached process are immediately visible to every other one —
-    the zero-copy channel of the sharded executor.
-    """
-
-    def __init__(
-        self,
-        n_rows: int,
-        dim: int,
-        dtype: np.dtype | str = np.float64,
-        *,
-        name: str | None = None,
-        create: bool = True,
-    ):
-        if n_rows <= 0 or dim <= 0:
-            raise ValueError("n_rows and dim must be positive")
-        self.shape = (int(n_rows), int(dim))
-        self.dtype = np.dtype(dtype)
-        nbytes = self.shape[0] * self.shape[1] * self.dtype.itemsize
-        if create:
-            self._shm = shared_memory.SharedMemory(
-                name=name, create=True, size=nbytes
-            )
-        else:
-            if name is None:
-                raise ValueError("attaching needs the segment name")
-            # Note: Python < 3.13 registers even attachments with the
-            # resource tracker. Shard workers share the owner's tracker
-            # process (fork/spawn both inherit it), where registrations
-            # of one name dedupe and the owner's unlink unregisters it
-            # exactly once — so no per-attachment bookkeeping is needed.
-            self._shm = shared_memory.SharedMemory(name=name, create=False)
-            if self._shm.size < nbytes:
-                size = self._shm.size
-                self._shm.close()
-                raise ValueError(
-                    f"segment {name!r} holds {size} bytes, "
-                    f"need {nbytes} for shape {self.shape} {self.dtype}"
-                )
-        self.owner = bool(create)
-        self.data = np.ndarray(self.shape, dtype=self.dtype, buffer=self._shm.buf)
-        self._finalizer = weakref.finalize(
-            self, _release_segment, self._shm, self.owner
-        )
-
-    @classmethod
-    def attach(
-        cls,
-        name: str,
-        n_rows: int,
-        dim: int,
-        dtype: np.dtype | str = np.float64,
-    ) -> "SharedArena":
-        """Attach to an existing segment (worker side; never unlinks)."""
-        return cls(n_rows, dim, dtype, name=name, create=False)
-
-    @property
-    def name(self) -> str:
-        """Segment name other processes attach with."""
-        return self._shm.name
-
-    @property
-    def closed(self) -> bool:
-        return not self._finalizer.alive
-
-    def close(self) -> None:
-        """Release the segment (detach; owner also unlinks). Idempotent.
-
-        ``data`` must no longer be used afterwards — callers that need
-        the values past the segment's life copy them out first (see
-        ``StateArena.release``).
-        """
-        if not self._finalizer.alive:
-            return
-        self._finalizer.detach()
-        self.data = None  # drop our export so the mmap can unmap
-        _release_segment(self._shm, self.owner)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        role = "owner" if self.owner else "attached"
-        return (
-            f"SharedArena(name={self.name!r}, shape={self.shape}, "
-            f"dtype={self.dtype}, {role})"
-        )

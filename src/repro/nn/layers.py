@@ -257,8 +257,8 @@ class Dropout(Module):
     Masks come from a counter-based generator keyed by ``(stream_seed,
     node, session, step, layer_index)`` (see :func:`mask_stream_rng`),
     drawn per row and step by the blocked kernel. Because the stream is
-    a pure function of the key, masks are identical across serial,
-    batched and sharded execution and survive checkpoint/resume.
+    a pure function of the key, masks are identical across serial and
+    batched execution and survive checkpoint/resume.
     """
 
     def __init__(self, p: float = 0.5, stream_seed: int = 0):

@@ -147,8 +147,8 @@ class StudyService:
         return json_response({"status": "ok"})
 
     def _metrics(self, ctx, request, params) -> Response:
-        # One scrape shows the whole stack: HTTP, round-phase, executor
-        # and shard series, all from the one registry.
+        # One scrape shows the whole stack: HTTP, round-phase and
+        # executor series, all from the one registry.
         return Response(
             status=200,
             headers={"Content-Type": "text/plain; charset=utf-8"},

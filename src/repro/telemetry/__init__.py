@@ -4,9 +4,8 @@ One :class:`Telemetry` object bundles a :class:`~.tracing.Tracer` and
 a metric :class:`~.metrics.Registry` and travels *by reference* from
 the outermost layer down: the service's ``JobManager`` hands it to
 each :class:`~repro.core.study.Study`, which hands it to the flat
-engine, the observer and the sharded executor (which records the
-timings its shard workers send back with each batch); the CLI builds
-one for ``repro study --telemetry``. The service's HTTP middleware
+engine and the observer; the CLI builds one for ``repro study
+--telemetry``. The service's HTTP middleware
 records into the same registry, so ``/metrics`` is one render. It is
 **not** part of ``StudyConfig`` — observability must never change
 ``config_hash``, cache identity, or any RNG draw (pinned by the

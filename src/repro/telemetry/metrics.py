@@ -17,8 +17,6 @@ Design constraints (see docs/observability.md):
   label key so the per-call work is one dict update under a lock.
 * **One registry per process** — the service's HTTP middleware, the
   engine and the executors record into the same :class:`Registry`.
-  Shard workers keep none: each train reply carries the batch's
-  wall-clock, and the parent records the shard series itself.
 
 The no-op twins (:data:`NULL_REGISTRY`, shared :data:`NULL_METRIC`)
 are what disabled telemetry hands out: recording into them is a single
@@ -257,8 +255,8 @@ class Registry:
     same name returns the same object, so instrumented components can
     each resolve their handles independently; re-declaring a name with
     a different kind or label set raises. One registry serves a whole
-    process: the service's HTTP series and the engine's round, executor
-    and shard series share it, and ``/metrics`` is its :meth:`render`.
+    process: the service's HTTP series and the engine's round and
+    executor series share it, and ``/metrics`` is its :meth:`render`.
     """
 
     enabled = True

@@ -242,62 +242,6 @@ class TestBatchedObservation:
             build_study(eval_batch=-1)
 
 
-class TestShardedObservation:
-    """Observation rides the shard workers under executor="sharded"."""
-
-    def _records_sharded(self, **overrides):
-        study = build_study(executor="sharded", n_shards=2, **overrides)
-        study.build()
-        try:
-            for _ in study.iter_rounds():
-                pass
-            executor = study.simulator.executor()
-            # The observer really went through the shard workers.
-            assert getattr(executor, "_observe_ready", False) is True
-            return list(study.observer.records)
-        finally:
-            study.close()
-
-    def _assert_close(self, sharded, reference, tol=1e-9):
-        assert len(sharded) == len(reference)
-        for rs, rr in zip(sharded, reference):
-            assert rs.global_test_accuracy == pytest.approx(
-                rr.global_test_accuracy, abs=tol
-            )
-            assert rs.local_train_accuracy == pytest.approx(
-                rr.local_train_accuracy, abs=tol
-            )
-            assert rs.mia_accuracy == pytest.approx(rr.mia_accuracy, abs=tol)
-            assert rs.mia_tpr_at_1_fpr == pytest.approx(
-                rr.mia_tpr_at_1_fpr, abs=tol
-            )
-            assert rs.mia_auc == pytest.approx(rr.mia_auc, abs=tol)
-            assert rs.model_spread == pytest.approx(
-                rr.model_spread, rel=1e-9
-            )
-
-    def test_matches_single_process_observation(self):
-        sharded = self._records_sharded(seed=3)
-        reference = build_study(seed=3)
-        reference.run()
-        self._assert_close(sharded, reference.observer.records)
-
-    def test_matches_with_canaries_and_unbalanced_sets(self):
-        """Balancing draws happen in the parent; the canary attack
-        stays on the parent's batched path — both must line up."""
-        overrides = dict(
-            seed=5, n_canaries=6, train_per_node=24, test_per_node=8
-        )
-        sharded = self._records_sharded(**overrides)
-        reference = build_study(**overrides)
-        reference.run()
-        self._assert_close(sharded, reference.observer.records)
-        for rs, rr in zip(sharded, reference.observer.records):
-            assert rs.canary_tpr_at_1_fpr == pytest.approx(
-                rr.canary_tpr_at_1_fpr, abs=1e-9
-            )
-
-
 class TestZeroCopyObservation:
     def test_observe_peak_below_one_arena(self):
         """One observer pass allocates less than the parameter block it

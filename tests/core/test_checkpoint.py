@@ -2,12 +2,11 @@
 
 The contract: a study checkpointed at round k and resumed must
 reproduce the uninterrupted ``run_study`` RunResult bit-identically on
-float64 arenas — per executor (serial / batched / sharded), per
-engine, and through the failure-injection and DP paths that exercise
+float64 arenas — per executor (serial / batched), per engine, and
+through the failure-injection and DP paths that exercise
 every captured RNG stream.
 """
 
-import pathlib
 import pickle
 
 import numpy as np
@@ -89,9 +88,8 @@ class TestCheckpointResumeEquivalence:
         [
             dict(executor="serial"),
             dict(executor="batched"),
-            dict(executor="sharded", n_shards=2),
         ],
-        ids=["serial", "batched", "sharded"],
+        ids=["serial", "batched"],
     )
     def test_bit_identical_per_executor(self, tmp_path, executor_overrides):
         config = tiny_config(**executor_overrides)
@@ -130,6 +128,36 @@ class TestCheckpointResumeEquivalence:
         simulator.update(trainer_sessions={}, trainer_steps=0)
         for node in simulator["nodes"]:
             node["model"] = None
+        path.write_bytes(pickle.dumps(payload))
+        resumed = Study.resume(path)
+        try:
+            assert resumed.config == config
+            list(resumed.iter_rounds())
+            assert_results_identical(reference, resumed.result())
+        finally:
+            resumed.close()
+
+    def test_pre_shard_removal_checkpoint_resumes_bit_identically(
+        self, tmp_path
+    ):
+        """A float64 checkpoint written while the sharded executor
+        existed stores ``executor: "sharded"``, ``n_shards``,
+        ``shard_partition`` and ``dropout_mode`` in its config. It
+        resumes as the serial run, and finishes bit-identically."""
+        config = tiny_config(dropout=0.25)
+        reference = run_study(config)
+        path = tmp_path / "old.ckpt"
+        study = Study(config).build()
+        try:
+            next(study.iter_rounds())
+            study.checkpoint(path)
+        finally:
+            study.close()
+        payload = pickle.loads(path.read_bytes())
+        payload["config"]["execution"].update(
+            executor="sharded", n_shards=2, shard_partition="balanced"
+        )
+        payload["config"]["model"]["dropout_mode"] = "stream"
         path.write_bytes(pickle.dumps(payload))
         resumed = Study.resume(path)
         try:
@@ -181,12 +209,10 @@ class TestCheckpointResumeEquivalence:
         resumed = checkpoint_at_round_then_finish(config, tmp_path)
         assert_results_identical(reference, resumed)
 
-    def test_bit_identical_dp_dropout_sharded(self, tmp_path):
+    def test_bit_identical_dp_dropout_batched(self, tmp_path):
         """The full fast-path stack at once: vectorized DP-SGD with
-        stream dropout on shard workers, through a resume."""
-        config = tiny_config(
-            dp_epsilon=25.0, dropout=0.25, executor="sharded", n_shards=2
-        )
+        stream dropout on stacked rows, through a resume."""
+        config = tiny_config(dp_epsilon=25.0, dropout=0.25, executor="batched")
         reference = run_study(config)
         resumed = checkpoint_at_round_then_finish(config, tmp_path)
         assert_results_identical(reference, resumed)
@@ -235,13 +261,15 @@ class TestCheckpointFile:
         finally:
             resumed.close()
 
-    def test_resume_failure_releases_simulator_resources(self, tmp_path):
+    def test_resume_failure_releases_simulator_resources(
+        self, tmp_path, monkeypatch
+    ):
         """A corrupt state dict raising mid-restore must close the
-        freshly built simulator (shared-memory segment included) —
-        the caller never receives a Study to close."""
-        import pickle
+        freshly built simulator — the caller never receives a Study to
+        close."""
+        from repro.gossip.engine import FlatGossipSimulator
 
-        config = tiny_config(executor="sharded", n_shards=2)
+        config = tiny_config()
         path = tmp_path / "c.ckpt"
         with Study(config) as study:
             rounds = study.iter_rounds()
@@ -250,12 +278,15 @@ class TestCheckpointFile:
         payload = pickle.loads(path.read_bytes())
         payload["simulator"]["nodes"] = "corrupt"
         path.write_bytes(pickle.dumps(payload))
-        shm = pathlib.Path("/dev/shm")
-        before = set(p.name for p in shm.iterdir()) if shm.is_dir() else set()
+        closed = []
+        close = FlatGossipSimulator.close
+        monkeypatch.setattr(
+            FlatGossipSimulator, "close",
+            lambda sim: closed.append(sim) or close(sim),
+        )
         with pytest.raises(Exception):
             Study.resume(path)
-        after = set(p.name for p in shm.iterdir()) if shm.is_dir() else set()
-        assert after <= before  # no leaked segment
+        assert len(closed) == 1
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

@@ -133,8 +133,8 @@ class TestSerialization:
             mlp_hidden=(32, 16),
             beta=0.3,
             dp_epsilon=25.0,
-            executor="sharded",
-            n_shards=2,
+            executor="batched",
+            train_batch=2,
             seed=9,
         )
         restored = StudyConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -263,7 +263,7 @@ class TestValidation:
             dict(arena_dtype="float16"),
             dict(train_batch=-1),
             dict(eval_batch=-2),
-            dict(dropout_mode="bogus"),
+            dict(executor="sharded"),
             dict(dp_epsilon=-1.0),
             dict(dp_delta=0.0),
             dict(n_canaries=-1),
@@ -286,7 +286,7 @@ class TestValidation:
             (dict(train_per_node=-5), "train_per_node"),
             (dict(train_per_node=0), "train_per_node"),
             (dict(test_per_node=-1), "test_per_node"),
-            (dict(dropout_mode="legacy"), "removed with the workspace trainer"),
+            (dict(executor="sharded"), "executor must be 'serial' or 'batched'"),
             # Negative momentum used to fail at the first local update;
             # the others ran to completion on NaN models.
             (dict(momentum=-0.5), "momentum must be finite and >= 0"),
@@ -401,3 +401,79 @@ class TestPreRemovalExecutionKeys:
             StudyConfig().with_overrides(execution={"engine": "flat"})
         with pytest.raises(ValueError):
             StudyConfig(executor="process")
+
+
+class TestPreShardRemovalKeys:
+    """Configs stored while the sharded executor and the dropout mode
+    existed carry ``n_shards``, ``shard_partition`` and
+    ``dropout_mode``, and maybe ``executor: "sharded"``. On a float64
+    arena they load as their serial equivalent, hash included."""
+
+    def _old_grouped(self, **execution) -> dict:
+        payload = StudyConfig(n_nodes=8, seed=3).to_dict()
+        # What to_dict wrote before the removal: all three keys, defaults.
+        payload["model"] = dict(payload["model"], dropout_mode="stream")
+        payload["execution"] = dict(
+            payload["execution"], n_shards=0, shard_partition="contiguous"
+        )
+        payload["execution"].update(execution)
+        return payload
+
+    def test_old_grouped_payload_hashes_like_new_spelling(self):
+        new = StudyConfig(n_nodes=8, seed=3)
+        for old in (
+            self._old_grouped(),
+            self._old_grouped(
+                executor="sharded", n_shards=2, shard_partition="balanced"
+            ),
+        ):
+            assert StudyConfig.from_dict(old) == new
+            assert config_hash(old) == new.config_hash()
+
+    def test_old_flat_payload_loads_as_serial(self):
+        old = dict(
+            n_nodes=8, seed=3, executor="sharded", n_shards=2,
+            shard_partition="balanced", dropout_mode="stream",
+        )
+        assert StudyConfig.from_dict(old) == StudyConfig(n_nodes=8, seed=3)
+
+    def test_float32_sharded_rejected_naming_the_reason(self):
+        for payload in (
+            self._old_grouped(executor="sharded", arena_dtype="float32"),
+            dict(executor="sharded", arena_dtype="float32"),
+            {"execution": {"executor": "sharded", "arena_dtype": "float32"}},
+        ):
+            with pytest.raises(ValueError, match="on a float32 arena"):
+                StudyConfig.from_dict(payload)
+
+    def test_legacy_dropout_rejected_at_top_level_and_in_model(self):
+        grouped = self._old_grouped()
+        grouped["model"]["dropout_mode"] = "legacy"
+        for payload in (
+            grouped,
+            dict(dropout=0.25, dropout_mode="legacy"),
+            {"model": {"dropout_mode": "legacy"}},
+        ):
+            with pytest.raises(
+                ValueError, match="removed with the workspace trainer"
+            ):
+                StudyConfig.from_dict(payload)
+
+    def test_removed_keys_load_only_where_they_were_stored(self):
+        with pytest.raises(ValueError, match="unknown model field"):
+            StudyConfig.from_dict({"model": {"n_shards": 2}})
+        with pytest.raises(ValueError, match="unknown execution field"):
+            StudyConfig.from_dict({"execution": {"dropout_mode": "stream"}})
+
+    def test_removed_knobs_are_not_constructor_fields(self):
+        for name in ("n_shards", "shard_partition", "dropout_mode"):
+            assert name not in StudyConfig().to_dict()["execution"]
+            assert name not in StudyConfig().to_dict()["model"]
+            with pytest.raises(ValueError, match="unknown"):
+                StudyConfig().with_overrides(**{name: 0})
+        with pytest.raises(TypeError):
+            StudyConfig(n_shards=2)
+        with pytest.raises(ValueError, match="unknown execution field"):
+            StudyConfig().with_overrides(execution={"n_shards": 2})
+        with pytest.raises(ValueError, match="executor must be"):
+            StudyConfig(executor="sharded")

@@ -1,7 +1,7 @@
 """Pinned ``config_hash`` corpus: stored configs keep their identity.
 
-Service journals, response caches, checkpoints and campaign manifests
-key a study by ``config_hash``. Each case below is a config payload in
+Service journals, the job manager's dedup index, checkpoints and
+campaign manifests key a study by ``config_hash``. Each case below is a config payload in
 one of the spellings ``StudyConfig.from_dict`` accepts, or a
 ``scaled_config`` preset; ``config_hash_corpus.json`` records its hash
 hex and its ``to_dict()`` output. A change to the config layer that
@@ -76,6 +76,18 @@ _SPELLING_MIXED = {
     "sampler": "peerswap",
     "name": "spelling",
 }
+
+
+def _pre_shard_removal_full() -> dict:
+    """What ``to_dict`` wrote while the sharded executor existed:
+    ``dropout_mode`` in ``model``, ``n_shards`` and ``shard_partition``
+    in ``execution``, all at their defaults."""
+    payload = StudyConfig(name="pre-removal", n_nodes=8, seed=3).to_dict()
+    payload["model"] = dict(payload["model"], dropout_mode="stream")
+    payload["execution"] = dict(
+        payload["execution"], n_shards=0, shard_partition="contiguous"
+    )
+    return payload
 
 
 def _pre_removal_full() -> dict:
@@ -164,6 +176,30 @@ PAYLOADS: dict[str, dict] = {
         "execution": {"engine": "flat", "n_workers": 2, "executor": "process"},
     },
     "pre-removal-grouped-full": _pre_removal_full(),
+    # Keys of configs stored before the sharded executor and the
+    # dropout mode were removed: a float64 sharded run loads as serial.
+    "pre-shard-removal-flat": dict(
+        name="pre-removal",
+        n_nodes=8,
+        seed=3,
+        executor="sharded",
+        n_shards=2,
+        shard_partition="balanced",
+        dropout_mode="stream",
+    ),
+    "pre-shard-removal-nested": {
+        "name": "pre-removal",
+        "seed": 3,
+        "model": {"dropout_mode": "stream"},
+        "topology": {"n_nodes": 8},
+        "execution": {
+            "executor": "sharded",
+            "n_shards": 2,
+            "shard_partition": "balanced",
+            "arena_dtype": "float64",
+        },
+    },
+    "pre-shard-removal-grouped-full": _pre_shard_removal_full(),
     "modern-equivalent": dict(name="pre-removal", n_nodes=8, seed=3),
     "dp": dict(
         name="dp",
@@ -191,6 +227,14 @@ PAYLOADS: dict[str, dict] = {
         executor="sharded",
         n_shards=2,
         shard_partition="balanced",
+        train_batch=4,
+        eval_batch=8,
+        arena_dtype="float32",
+        keep_node_records=True,
+    ),
+    "execution-batched": dict(
+        name="execution",
+        executor="batched",
         train_batch=4,
         eval_batch=8,
         arena_dtype="float32",
@@ -233,6 +277,12 @@ CHANGED: dict[str, str] = {
         "agrees with the row-batch observer only to ~1e-9, not bit for "
         "bit; loading it as 0 would serve per-node results under the "
         "eval_batch 0 hash, so loading is rejected"
+    ),
+    "execution": (
+        "executor 'sharded' on a float32 arena trained stacked blocks on "
+        "its shard workers, which round differently from one row per "
+        "call; loading it as 'serial' would serve those results under "
+        "the serial hash, so loading is rejected"
     ),
 }
 
@@ -292,7 +342,14 @@ def test_spellings_share_one_identity():
 
     assert digest("spelling-flat") == digest("spelling-grouped")
     assert digest("spelling-flat") == digest("spelling-mixed")
-    for case in ("pre-removal-flat", "pre-removal-nested", "pre-removal-grouped-full"):
+    for case in (
+        "pre-removal-flat",
+        "pre-removal-nested",
+        "pre-removal-grouped-full",
+        "pre-shard-removal-flat",
+        "pre-shard-removal-nested",
+        "pre-shard-removal-grouped-full",
+    ):
         assert digest(case) == digest("modern-equivalent"), case
 
 
@@ -311,6 +368,15 @@ def test_escape_hatches_are_rejected():
         with pytest.raises(ValueError, match="per-node observer loop"):
             StudyConfig.from_dict(payload)
         with pytest.raises(ValueError, match="per-node observer loop"):
+            config_hash(payload)
+
+
+def test_float32_sharded_is_rejected():
+    entry = CORPUS["execution"]
+    for payload in (entry["payload"], entry["to_dict"]):
+        with pytest.raises(ValueError, match="on a float32 arena"):
+            StudyConfig.from_dict(payload)
+        with pytest.raises(ValueError, match="on a float32 arena"):
             config_hash(payload)
 
 

@@ -52,7 +52,6 @@ VALUES = {
     "label_smoothing": _floats(0.0, 0.99),
     "lr_decay": _floats(0.01, 1.0),
     "dropout": _floats(0.0, 0.9),
-    "dropout_mode": st.just("stream"),
     "n_nodes": st.integers(2, 256),
     "dynamic": st.booleans(),
     "sampler": _optional(st.sampled_from(sorted(SAMPLERS))),
@@ -63,9 +62,7 @@ VALUES = {
     "failure_prob": _floats(0.0, 0.99),
     "delay_ticks": st.integers(0, 50),
     "delay_jitter": st.integers(0, 50),
-    "executor": st.sampled_from(["serial", "batched", "sharded"]),
-    "n_shards": st.integers(0, 8),
-    "shard_partition": st.sampled_from(["contiguous", "balanced"]),
+    "executor": st.sampled_from(["serial", "batched"]),
     "train_batch": st.integers(0, 64),
     "arena_dtype": st.sampled_from(["float32", "float64"]),
     "eval_batch": st.integers(0, 64),

@@ -60,8 +60,8 @@ class TestLowerConfigs:
     DISTINCT = dict(
         n_nodes=8, view_size=3, dynamic=True, sampler="fresh",
         ticks_per_round=50, drop_prob=0.1, failure_prob=0.05,
-        delay_ticks=1, delay_jitter=2, executor="batched", n_shards=1,
-        shard_partition="balanced", train_batch=3, arena_dtype="float32",
+        delay_ticks=1, delay_jitter=2, executor="batched", train_batch=3,
+        arena_dtype="float32",
         learning_rate=0.05, momentum=0.5, weight_decay=1e-3,
         local_epochs=2, batch_size=8, label_smoothing=0.1, lr_decay=0.9,
         seed=5,
@@ -126,28 +126,15 @@ class TestRunStudy:
         assert result.metadata["protocol"] == "samo"
 
     def test_metadata_records_execution_knobs(self):
-        """Shard sizing is part of the run's provenance: the metadata
-        dict carries it alongside the executor."""
-        result = run_study(
-            tiny_config(
-                executor="sharded", n_shards=2, shard_partition="balanced"
-            )
-        )
-        assert result.metadata["executor"] == "sharded"
-        assert not {"engine", "n_workers"} & set(result.metadata)
-        assert result.metadata["n_shards"] == 2
-        assert result.metadata["shard_partition"] == "balanced"
-
-    def test_sharded_study_matches_serial_bitwise(self):
-        """The executor contract holds through the full study pipeline
-        (float64 default arena): metrics agree bit for bit."""
-        serial = run_study(tiny_config(seed=3))
-        sharded = run_study(
-            tiny_config(seed=3, executor="sharded", n_shards=2)
-        )
-        for s_round, p_round in zip(serial.rounds, sharded.rounds):
-            assert s_round.global_test_accuracy == p_round.global_test_accuracy
-            assert s_round.mia_accuracy == p_round.mia_accuracy
+        """Block sizing is part of the run's provenance: the metadata
+        dict carries it alongside the executor, and no removed knob."""
+        result = run_study(tiny_config(executor="batched", train_batch=2))
+        assert result.metadata["executor"] == "batched"
+        assert result.metadata["train_batch"] == 2
+        assert not {
+            "engine", "n_workers", "n_shards", "shard_partition",
+            "dropout_mode",
+        } & set(result.metadata)
 
     @pytest.mark.parametrize("executor", ["serial", "batched"])
     def test_metadata_keeps_empty_fallback_counts(self, executor):
@@ -157,24 +144,14 @@ class TestRunStudy:
         assert result.metadata["fallback_counts"] == {}
 
     def test_dropout_study_matches_across_executors(self):
-        """Dropout batches and shards with bit-identical metrics vs
-        serial."""
+        """Dropout batches with bit-identical metrics vs serial."""
         serial = run_study(tiny_config(seed=3, dropout=0.25))
         assert serial.metadata["dropout"] == 0.25
-        for executor, extra in (
-            ("batched", {}),
-            ("sharded", {"n_shards": 2}),
-        ):
-            other = run_study(
-                tiny_config(seed=3, dropout=0.25, executor=executor, **extra)
-            )
-            assert other.metadata["fallback_counts"] == {}, executor
-            for s_round, o_round in zip(serial.rounds, other.rounds):
-                assert (
-                    s_round.global_test_accuracy
-                    == o_round.global_test_accuracy
-                ), executor
-                assert s_round.mia_accuracy == o_round.mia_accuracy, executor
+        other = run_study(tiny_config(seed=3, dropout=0.25, executor="batched"))
+        assert other.metadata["fallback_counts"] == {}
+        for s_round, o_round in zip(serial.rounds, other.rounds):
+            assert s_round.global_test_accuracy == o_round.global_test_accuracy
+            assert s_round.mia_accuracy == o_round.mia_accuracy
 
     def test_dp_study_matches_across_executors(self):
         """DP-SGD on the batched executor gives bit-identical metrics
@@ -305,27 +282,34 @@ class TestStudySession:
         study.close()
 
     def test_run_closes_the_session(self):
-        config = tiny_config(executor="sharded", n_shards=2)
+        config = tiny_config(executor="batched")
         study = Study(config)  # reprolint: allow[lifecycle-unmanaged] -- run() closes the session; that teardown is what this test asserts
         result = study.run()
         assert len(result.rounds) == config.rounds
-        # After run(), the sharded executor is torn down.
+        # After run(), the executor is torn down.
         assert study.simulator._executor is None
 
     def test_build_failure_releases_simulator_resources(self, monkeypatch):
         """A construction step failing after the simulator exists must
-        close it (shard workers, shared-memory segments), because
-        close() is gated on the build having completed."""
+        close it, because close() is gated on the build having
+        completed."""
         import repro.core.study as study_module
+        from repro.gossip.engine import FlatGossipSimulator
 
         def boom(*args, **kwargs):
             raise RuntimeError("observer boom")
 
+        closed = []
+        close = FlatGossipSimulator.close
         monkeypatch.setattr(study_module, "OmniscientObserver", boom)
-        study = Study(tiny_config(executor="sharded", n_shards=2))  # reprolint: allow[lifecycle-unmanaged] -- the failing build() must clean up by itself; that is the regression under test
+        monkeypatch.setattr(
+            FlatGossipSimulator, "close",
+            lambda sim: closed.append(sim) or close(sim),
+        )
+        study = Study(tiny_config())  # reprolint: allow[lifecycle-unmanaged] -- the failing build() must clean up by itself; that is the regression under test
         with pytest.raises(RuntimeError, match="observer boom"):
             study.build()
-        assert study.simulator.arena.shared_name is None  # segment freed
+        assert closed == [study.simulator]
         assert study.simulator._executor is None
 
     def test_build_returns_the_built_session(self):

@@ -113,51 +113,19 @@ class TestExecution:
             assert serial[name].metadata == parallel[name].metadata
 
     def test_default_jobs_respects_per_study_demand(self):
+        """Each study runs in one process: the pool takes one study per
+        usable CPU, at least one and never more than the study count."""
         serial = Campaign([tiny_config(name=f"s{i}") for i in range(3)])
-        assert 1 <= serial.default_jobs() <= 3
-        # A sharded study occupies n_shards processes; the campaign must
-        # not stack campaign-level jobs on top of them.
-        sharded = Campaign(
-            [
-                tiny_config(name=f"sh{i}", executor="sharded", n_shards=4)
-                for i in range(3)
-            ]
-        )
-        assert sharded.default_jobs() <= max(1, usable_cpus() // 4)
+        assert serial.default_jobs() == max(1, min(3, usable_cpus()))
+        assert Campaign([tiny_config()]).default_jobs() == 1
 
-    @pytest.mark.parametrize(
-        "n_shards", [0, 16], ids=["automatic", "clamped-to-rows"]
-    )
-    def test_default_jobs_agrees_with_built_executor(self, n_shards):
-        """The campaign sizes its pool with the same shard-count rule
-        the sharded executor uses to start its workers."""
-        from repro.core.study import Study
-        from repro.experiments.runner import _study_process_demand
-
-        configs = [
-            tiny_config(
-                name=f"sh{i}", n_nodes=4, executor="sharded",
-                n_shards=n_shards,
-            )
-            for i in range(3)
-        ]
-        with Study(configs[0]) as study:
-            shards = study.simulator.executor().n_shards
-        assert _study_process_demand(configs[0]) == shards
-        assert Campaign(configs).default_jobs() == max(
-            1, min(len(configs), usable_cpus() // shards)
-        )
-
-    def test_one_usable_cpu_means_one_job_and_one_shard(self, monkeypatch):
+    def test_one_usable_cpu_means_one_job(self, monkeypatch):
         """A process pinned to one CPU of a larger machine (``taskset``,
-        a container CPU set) sizes its pool and its automatic shard
-        count from the CPUs it may use, not from ``os.cpu_count()``."""
-        from repro.gossip.shard import auto_shard_count
-
+        a container CPU set) sizes its pool from the CPUs it may use,
+        not from ``os.cpu_count()``."""
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert usable_cpus() == 1
-        assert auto_shard_count(0, 64) == 1
         configs = [tiny_config(name=f"u{i}") for i in range(3)]
         assert Campaign(configs).default_jobs() == 1
 

@@ -79,13 +79,7 @@ def build_flat(
         seed=seed,
         **config_kwargs,
     )
-    return FlatGossipSimulator(
-        config,
-        protocol,
-        splits,
-        get_state(model),
-        model_builder=builder,
-    )
+    return FlatGossipSimulator(config, protocol, splits, get_state(model))
 
 
 class TestStateArena:
@@ -181,15 +175,7 @@ class TestSimulatorConfig:
         with pytest.raises(ValueError):
             SimulatorConfig(n_nodes=4, view_size=2, arena_dtype="float16")
         with pytest.raises(ValueError):
-            SimulatorConfig(n_nodes=4, view_size=2, n_shards=-1)
-        with pytest.raises(ValueError):
-            SimulatorConfig(n_nodes=4, view_size=2, shard_partition="rr")
-        # The sharded executor and its knobs are accepted.
-        config = SimulatorConfig(
-            n_nodes=4, view_size=2, executor="sharded", n_shards=2,
-            shard_partition="balanced",
-        )
-        assert config.executor == "sharded"
+            SimulatorConfig(n_nodes=4, view_size=2, executor="sharded")
 
 
 class TestFlatSimulator:
@@ -351,15 +337,8 @@ class TestExecutorContract:
             ("batched", dict()),
             ("batched", dict(train_batch=2)),  # chunked blocks
             ("batched", dict(train_batch=1)),  # one-row blocks
-            ("sharded", dict(n_shards=2)),
-            ("sharded", dict(n_shards=2, shard_partition="balanced")),
-            ("sharded", dict(n_shards=1)),  # degenerate single shard
-            ("sharded", dict(n_shards=2, train_batch=1)),
         ],
-        ids=[
-            "serial", "batched", "batched-chunk2", "batched-one-row",
-            "sharded", "sharded-balanced", "sharded-one", "sharded-one-row",
-        ],
+        ids=["serial", "batched", "batched-chunk2", "batched-one-row"],
     )
     @pytest.mark.parametrize("protocol_name", ["samo", "base_gossip"])
     def test_run_bit_identical_to_reference(
@@ -414,7 +393,7 @@ class TestExecutorContract:
         other.close()
         sim.close()
 
-    @pytest.mark.parametrize("executor", ["serial", "batched", "sharded"])
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
     @pytest.mark.parametrize("dp", [False, True], ids=["plain", "dp"])
     @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["nodrop", "drop"])
     @pytest.mark.parametrize("protocol_name", ["samo", "base_gossip"])
@@ -430,10 +409,9 @@ class TestExecutorContract:
         reference = self._reference(
             protocol_name, dp=dp_config, dropout=dropout, seed=11
         )
-        kwargs = {"n_shards": 2} if executor == "sharded" else {}
         other = build_flat(
             protocol_name, dp=dp_config, dropout=dropout, executor=executor,
-            seed=11, **kwargs,
+            seed=11,
         )
         other.run(2)
         counts = other.fallback_counts()
@@ -442,7 +420,7 @@ class TestExecutorContract:
         assert sum(n.updates_performed for n in other.nodes) > 0
         assert np.array_equal(reference.arena.data, other.arena.data)
 
-    @pytest.mark.parametrize("executor", ["serial", "batched", "sharded"])
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
     @pytest.mark.parametrize("dp", [False, True], ids=["plain", "dp"])
     @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["nodrop", "drop"])
     @pytest.mark.parametrize("seed", [9, 11])
@@ -459,10 +437,9 @@ class TestExecutorContract:
         reference = self._reference(
             dp=dp_config, dropout=dropout, arena_dtype="float32", seed=seed
         )
-        kwargs = {"n_shards": 2} if executor == "sharded" else {}
         other = build_flat(
             dp=dp_config, dropout=dropout, executor=executor,
-            arena_dtype="float32", seed=seed, **kwargs,
+            arena_dtype="float32", seed=seed,
         )
         other.run(2)
         other.close()
@@ -471,22 +448,16 @@ class TestExecutorContract:
             reference.arena.data, other.arena.data, rtol=1e-4, atol=1e-5
         )
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "batched", "sharded"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
     def test_set_trainer_config_reaches_live_executor(self, executor):
         """A mid-run config swap through the simulator must reach the
-        live executor (the protocol's trainer, shard workers) — training
-        after the swap matches the reference bit for bit."""
+        live executor (the protocol's trainer) — training after the swap
+        matches the reference bit for bit."""
         from dataclasses import replace
 
         def run(ex):
-            extra = {}
-            if ex == "sharded":
-                extra["n_shards"] = 2
             sim = build_flat(
-                executor="serial" if ex == "reference" else ex, seed=3,
-                **extra,
+                executor="serial" if ex == "reference" else ex, seed=3
             )
             if ex == "reference":
                 use_reference(sim)
@@ -522,31 +493,6 @@ class TestExecutorContract:
             sim.set_trainer_config(new)
             assert sim.protocol.trainer.config.learning_rate == 0.005
             assert sim.fallback_counts() == {}
-        finally:
-            sim.close()
-
-    def test_sharded_executor_requires_model_builder(self):
-        model = MODEL_BUILDER(rng=np.random.default_rng(0))
-        trainer = BatchedTrainer(
-            model,
-            TrainerConfig(learning_rate=0.05, local_epochs=1, batch_size=8),
-        )
-        train, _ = make_synthetic_tabular_dataset(
-            "t", 100, 20, num_features=16, num_classes=4, seed=0
-        )
-        splits = make_node_splits(
-            train, 4, train_per_node=8, test_per_node=4, seed=0
-        )
-        config = SimulatorConfig(
-            n_nodes=4, view_size=2, executor="sharded",
-            wake_mu=5, wake_sigma=1, seed=0,
-        )
-        sim = FlatGossipSimulator(
-            config, make_protocol("samo", trainer), splits, get_state(model)
-        )
-        try:
-            with pytest.raises(ValueError, match="model_builder"):
-                sim.run(1)
         finally:
             sim.close()
 
@@ -601,8 +547,8 @@ class TestInPlaceTraining:
 
 
 class TestSimulatorLifecycle:
-    """Idempotent close and context-manager support: shard workers and
-    segments are released exactly once, even when a run raises."""
+    """Idempotent close and context-manager support: the executor is
+    released exactly once, even when a run raises."""
 
     def test_close_is_idempotent(self):
         sim = build_flat()
@@ -623,16 +569,6 @@ class TestSimulatorLifecycle:
                 assert sim._executor is not None
                 raise RuntimeError("mid-run")
         assert sim._executor is None
-
-    def test_sharded_executor_registered(self):
-        from repro.gossip import ShardedExecutor
-
-        with build_flat(executor="sharded", n_shards=2) as sim:
-            sim.run(1)
-            executor = sim.executor()
-            assert isinstance(executor, ShardedExecutor)
-            assert executor.name == "sharded"
-            assert executor.n_shards == 2
 
 
 class TestMessageLogPayloads:
@@ -663,7 +599,6 @@ class TestMessageLogPayloads:
         with FlatGossipSimulator(
             config, make_protocol("samo", trainer), splits,
             get_state(model), keep_payloads=True,
-            model_builder=MODEL_BUILDER,
         ) as sim:
             sim.run(1)
         assert sim.log.messages
@@ -674,8 +609,8 @@ class TestMessageLogPayloads:
 
 
 class TestOneEngine:
-    """The flat simulator is the only engine: no knob selects another
-    engine or a process-pool executor."""
+    """The flat simulator is the only engine, in one process: no knob
+    selects another engine, a process-pool executor or shard workers."""
 
     def test_no_engine_or_worker_knobs(self):
         from dataclasses import fields
@@ -686,12 +621,22 @@ class TestOneEngine:
             names = {f.name for f in fields(cls)}
             assert not names & {"engine", "n_workers"}, cls.__name__
 
+    def test_no_shard_knobs(self):
+        from dataclasses import fields
+
+        from repro.core import StudyConfig
+        from repro.gossip.simulator import EXECUTORS
+
+        assert EXECUTORS == ("serial", "batched")
+        for cls in (SimulatorConfig, StudyConfig):
+            names = {f.name for f in fields(cls)}
+            assert not names & {"n_shards", "shard_partition"}, cls.__name__
+
 
 class TestSessionFlowsThroughTask:
     """lr_decay sessions are engine bookkeeping, never per-trainer state:
-    the task carries the session index so every trainer (the in-process
-    one, each shard worker's) sees the same learning rate for the same
-    update."""
+    the task carries the session index so every trainer sees the same
+    learning rate for the same update."""
 
     def test_update_task_requires_explicit_session(self):
         with pytest.raises(ValueError, match="session"):

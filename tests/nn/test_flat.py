@@ -1,17 +1,15 @@
-"""Tests for the flat-buffer state layout and the shared-memory arena.
+"""Tests for the flat-buffer state layout.
 
 Dict views over flat vectors (``unpack``) and the dict-State helpers
 come from the per-layer oracle (``reference_nn``).
 """
-
-import multiprocessing
 
 import numpy as np
 import pytest
 
 from reference_nn import set_state, state_to_vector, unpack, vector_to_state
 from repro.nn import build_mlp, get_state
-from repro.nn.flat import SharedArena, StateLayout
+from repro.nn.flat import StateLayout
 
 
 def small_model(seed=0):
@@ -151,104 +149,3 @@ class TestModuleDtypePlumbing:
                 self.register_buffer("b", np.zeros(2), dtype=np.float32)
 
         assert WithBuffer().get_buffer("b").dtype == np.float32
-
-
-def _child_write(name, n_rows, dim, value):
-    """Attach from another process and write one row."""
-    arena = SharedArena.attach(name, n_rows, dim)
-    arena.data[1] = value
-    arena.close()
-
-
-class TestSharedArena:
-    def test_create_attach_round_trip(self):
-        arena = SharedArena(3, 5)
-        try:
-            arena.data[2] = 7.5
-            attached = SharedArena.attach(arena.name, 3, 5)
-            np.testing.assert_array_equal(attached.data[2], np.full(5, 7.5))
-            # Writes propagate both ways: same physical pages.
-            attached.data[0] = -1.0
-            np.testing.assert_array_equal(arena.data[0], np.full(5, -1.0))
-            attached.close()
-        finally:
-            arena.close()
-
-    def test_cross_process_writes_visible(self):
-        """The zero-copy contract across a real process boundary."""
-        arena = SharedArena(4, 6)
-        try:
-            process = multiprocessing.Process(
-                target=_child_write, args=(arena.name, 4, 6, 42.0)
-            )
-            process.start()
-            process.join(timeout=30)
-            assert process.exitcode == 0
-            np.testing.assert_array_equal(arena.data[1], np.full(6, 42.0))
-            np.testing.assert_array_equal(arena.data[0], np.zeros(6))
-        finally:
-            arena.close()
-
-    def test_owner_close_unlinks_segment(self):
-        from multiprocessing import shared_memory
-
-        arena = SharedArena(2, 3)
-        name = arena.name
-        arena.close()
-        assert arena.closed
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
-
-    def test_close_is_idempotent(self):
-        arena = SharedArena(2, 3)
-        arena.close()
-        arena.close()
-        assert arena.closed
-
-    def test_attachment_close_does_not_unlink(self):
-        arena = SharedArena(2, 3)
-        try:
-            attached = SharedArena.attach(arena.name, 2, 3)
-            assert not attached.owner
-            attached.close()
-            # Owner's segment must still be alive and writable.
-            arena.data[0] = 1.0
-            again = SharedArena.attach(arena.name, 2, 3)
-            np.testing.assert_array_equal(again.data[0], np.ones(3))
-            again.close()
-        finally:
-            arena.close()
-
-    def test_finalizer_releases_on_garbage_collection(self):
-        from multiprocessing import shared_memory
-
-        arena = SharedArena(2, 3)  # reprolint: allow[lifecycle-unmanaged] -- exercises the weakref.finalize GC fallback on purpose
-        name = arena.name
-        del arena
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
-
-    def test_attach_rejects_missing_and_undersized_segments(self):
-        with pytest.raises(FileNotFoundError):
-            SharedArena.attach("psm_repro_does_not_exist", 2, 3)
-        arena = SharedArena(2, 3, dtype=np.float32)
-        try:
-            with pytest.raises(ValueError, match="bytes"):
-                SharedArena.attach(arena.name, 64, 64)
-        finally:
-            arena.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            SharedArena(0, 4)
-        with pytest.raises(ValueError, match="segment name"):
-            SharedArena(2, 2, create=False)
-
-    def test_dtype_and_shape_respected(self):
-        arena = SharedArena(3, 4, dtype=np.float32)
-        try:
-            assert arena.data.shape == (3, 4)
-            assert arena.data.dtype == np.float32
-            np.testing.assert_array_equal(arena.data, np.zeros((3, 4)))
-        finally:
-            arena.close()

@@ -22,13 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.partition import NodeSplit
-from repro.gossip.engine import (
-    Executor,
-    FlatGossipSimulator,
-    SplitArrays,
-    UpdateTask,
-    as_split_arrays,
-)
+from repro.gossip.engine import Executor, FlatGossipSimulator, UpdateTask
 from reference_nn import CrossEntropyLoss, SGD, reference, set_state, unpack
 from repro.gossip.trainer import BatchedTrainer, TrainerConfig
 from repro.nn.layers import Module, mask_stream_rng, stream_dropout_layers
@@ -153,12 +147,12 @@ class ReferenceExecutor(Executor):
     def __init__(
         self,
         trainer: BatchedTrainer,
-        splits: Sequence[NodeSplit] | SplitArrays,
+        splits: Sequence[NodeSplit],
     ):
         super().__init__()
         self.trainer = trainer
         self.loop = LocalTrainer(trainer.model, trainer.config)
-        self.splits = as_split_arrays(splits)
+        self.splits = [(s.train.x, s.train.y) for s in splits]
 
     def train_batch(
         self, tasks: list[UpdateTask]

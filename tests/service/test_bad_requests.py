@@ -81,3 +81,13 @@ def test_names_and_sizes_that_fail_at_build_are_400(service, overrides, field):
     local update, mid-study)."""
     body = json.dumps(tiny_study_payload(**overrides)).encode()
     assert_rejected(service, post_study(service, body), field)
+
+
+def test_float32_sharded_config_is_400(service):
+    """The removed sharded executor trained stacked blocks on a float32
+    arena, which round differently from one row per call, so a stored
+    float32 sharded config is rejected instead of served as serial."""
+    body = json.dumps(
+        tiny_study_payload(executor="sharded", n_shards=2, arena_dtype="float32")
+    ).encode()
+    assert_rejected(service, post_study(service, body), "float32 arena")

@@ -98,6 +98,36 @@ class TestCacheBitIdentity:
         assert first == second
 
 
+    def test_pre_shard_removal_payload_shares_the_serial_identity(
+        self, service
+    ):
+        """A float64 payload with the removed sharded-executor keys
+        loads as its serial equivalent: POSTing the serial spelling
+        after it is a hit with the same bytes and no second build."""
+        from repro.service.middleware import Request
+
+        def post(payload):
+            return service.handle(
+                Request(
+                    method="POST", path="/studies",
+                    body=json.dumps(payload).encode(),
+                )
+            )
+
+        legacy = tiny_study_payload(
+            executor="sharded", n_shards=2, shard_partition="balanced",
+            dropout_mode="stream",
+        )
+        miss = post(legacy)
+        assert (miss.status, miss.headers["X-Cache"]) == (200, "miss")
+        job = service.manager.get(json.loads(miss.body)["id"])
+        assert job.wait(120) == "done"
+        hit = post(tiny_study_payload())
+        assert (hit.status, hit.headers["X-Cache"]) == (200, "hit")
+        assert hit.body == miss.body
+        assert service.manager.builds_performed == 1
+
+
 class TestCancelResumeBitIdentity:
     @pytest.mark.parametrize("executor", ["serial", "batched"])
     def test_cancel_resume_matches_uninterrupted_run(

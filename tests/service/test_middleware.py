@@ -105,7 +105,7 @@ class TestConfigHash:
 
     def test_defaults_hash_like_explicit_values(self):
         implicit = tiny_study_payload()
-        explicit = tiny_study_payload(executor="serial", n_shards=0)
+        explicit = tiny_study_payload(executor="serial", train_batch=0)
         assert config_hash(implicit) == config_hash(explicit)
 
     def test_config_object_matches_payload(self):

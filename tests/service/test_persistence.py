@@ -333,6 +333,71 @@ class TestRecoveryStateMapping:
             tiny_study_payload()
         ).config_hash()
 
+    def test_pre_shard_removal_config_recovers_done_job_with_result(
+        self, tmp_path
+    ):
+        """Journals written while the sharded executor existed carry
+        ``n_shards``, ``shard_partition`` and ``dropout_mode``, and
+        maybe ``executor: "sharded"``. On a float64 arena such a done
+        job comes back with its result, under the serial equivalent's
+        hash (the executors are bit-identical in float64)."""
+        config = normalized_config()
+        config["model"] = dict(config["model"], dropout_mode="stream")
+        config["execution"] = dict(
+            config["execution"], executor="sharded", n_shards=2,
+            shard_partition="balanced",
+        )
+        result = '{"config_name": "svc-test", "rounds": []}'
+        self._craft(
+            tmp_path,
+            [
+                {"event": "submitted", "job": "job-000001", "config": config,
+                 "config_hash": "abc"},
+                {"event": "done", "job": "job-000001", "result": result},
+            ],
+        )
+        manager = self._manager(tmp_path)
+        job = manager.get("job-000001")
+        assert job is not None
+        assert job.state == DONE
+        assert job.result_json == result
+        serial = StudyConfig.from_dict(tiny_study_payload())
+        assert job.config == serial
+        assert job.config_hash == serial.config_hash()
+        # The recovered index answers the serial spelling with that job.
+        again, created = manager.submit(serial)
+        assert not created
+        assert again is job
+
+    def test_float32_sharded_job_is_dropped_with_warning(
+        self, tmp_path, caplog
+    ):
+        """On a float32 arena the shard workers trained stacked blocks,
+        which round differently from one row per call: such a job's
+        result must not be served under the serial hash."""
+        config = normalized_config()
+        config["execution"] = dict(
+            config["execution"], executor="sharded", n_shards=2,
+            arena_dtype="float32",
+        )
+        result = '{"config_name": "svc-test", "rounds": []}'
+        self._craft(
+            tmp_path,
+            [
+                {"event": "submitted", "job": "job-000001", "config": config,
+                 "config_hash": "abc"},
+                {"event": "done", "job": "job-000001", "result": result},
+            ],
+        )
+        with caplog.at_level("WARNING", logger="repro.service.jobs"):
+            manager = self._manager(tmp_path)
+        assert manager.get("job-000001") is None
+        assert any(
+            "stored config no longer loads" in r.getMessage()
+            and "float32 arena" in r.getMessage()
+            for r in caplog.records
+        )
+
     def test_dict_engine_job_is_dropped(self, tmp_path):
         config = normalized_config()
         config["execution"] = dict(config["execution"], engine="dict")

@@ -7,7 +7,6 @@ import http.client
 import json
 import logging
 import multiprocessing
-import os
 import socket
 import statistics
 import threading
@@ -15,7 +14,6 @@ import time
 
 import pytest
 
-from repro.gossip.shard import usable_cpus
 from tests.service.conftest import tiny_study_payload
 
 
@@ -361,47 +359,13 @@ class TestFaultInjection:
 
     def test_no_leaked_workers_after_faults(self, make_service, make_client):
         """After disconnects and cancels, closing the service leaves no
-        child processes behind (serial executors spawn none; the shard
-        test below covers /dev/shm)."""
+        child processes behind."""
         service = make_service()
         client = make_client(service)
         _, _, body = client.submit(tiny_study_payload())
         wait_done(service, body["id"])
         service.close()
         assert multiprocessing.active_children() == []
-
-    @pytest.mark.skipif(usable_cpus() < 2, reason="needs >= 2 usable CPUs")
-    def test_sharded_cancel_leaves_no_shm_segments(
-        self, make_service, make_client
-    ):
-        """Cancel a sharded study mid-run: shard worker processes and
-        their /dev/shm segment must all be reclaimed."""
-        first_round = threading.Event()
-        release = threading.Event()
-
-        def hook(job, record):
-            if record.round_index == 0:
-                first_round.set()
-                assert release.wait(120)
-
-        shm_dir = "/dev/shm"
-        before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else None
-        service = make_service(round_hook=hook)
-        client = make_client(service)
-        payload = tiny_study_payload(
-            rounds=3, executor="sharded", n_shards=2, seed=31
-        )
-        _, _, body = client.submit(payload)
-        assert first_round.wait(120)
-        assert client.post_json(f"/studies/{body['id']}/cancel")[0] == 202
-        release.set()
-        job = service.manager.get(body["id"])
-        assert job.wait(120) == "cancelled"
-        service.close()
-        assert multiprocessing.active_children() == []
-        if before is not None:
-            assert set(os.listdir(shm_dir)) - before == set()
-
 
 class TestTransportErrorPath:
     def test_pipeline_crash_is_logged_and_answered_with_500(

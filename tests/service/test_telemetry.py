@@ -40,18 +40,6 @@ class TestMetricsExposition:
         assert "repro_study_round_ms_count" in text
         assert 'repro_executor_tasks_total{executor=' in text
 
-    def test_sharded_study_ships_shard_series_to_scrape(
-        self, service, client
-    ):
-        _submit_and_wait(
-            service,
-            client,
-            tiny_study_payload(executor="sharded", n_shards=2),
-        )
-        text = client.get("/metrics")[2].decode("utf-8")
-        assert "repro_shard_tasks_total" in text
-        assert "repro_shard_train_ms" in text
-
     def test_per_row_payload_trains_on_the_blocked_kernel(
         self, service, client
     ):

@@ -3,7 +3,7 @@
 The one hard rule of the subsystem: enabling tracing + metrics may
 never change a result — no RNG draw, no arena mutation, no config
 identity. These tests pin bit-identical round records with telemetry
-on vs off across the serial, batched and sharded executors (float64),
+on vs off across the serial and batched executors (float64),
 while also asserting that the instrumented run actually recorded
 something (a no-op "instrumentation" would pass vacuously).
 """
@@ -45,9 +45,8 @@ def _round_jsons(result) -> list[str]:
     [
         {"executor": "serial"},
         {"executor": "batched"},
-        {"executor": "sharded", "n_shards": 2},
     ],
-    ids=["serial", "batched", "sharded"],
+    ids=["serial", "batched"],
 )
 def test_round_records_bit_identical_with_telemetry_on(executor_overrides):
     config = _tiny_config(**executor_overrides)
@@ -65,23 +64,6 @@ def test_round_records_bit_identical_with_telemetry_on(executor_overrides):
         "study.round",
         "observer.observe",
     }
-
-
-def test_sharded_run_ships_worker_metric_deltas():
-    config = _tiny_config(executor="sharded", n_shards=2, ticks_per_round=80)
-    telemetry = Telemetry(enabled=True)
-    run_study(config, telemetry=telemetry)
-    shard_tasks = telemetry.registry.get("repro_shard_tasks_total")
-    assert shard_tasks is not None
-    per_shard = shard_tasks.series()
-    assert per_shard  # at least one shard trained
-    tasks_total = telemetry.registry.get("repro_executor_tasks_total")
-    # Every dispatched task trained on exactly one shard.
-    assert sum(per_shard.values()) == tasks_total.value(executor="sharded")
-    train_ms = telemetry.registry.get("repro_shard_train_ms")
-    for (shard,), tasks in per_shard.items():
-        # Each shard's batch timings came back alongside its counts.
-        assert train_ms.count(shard=shard) > 0
 
 
 def test_telemetry_never_changes_config_identity():

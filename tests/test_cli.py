@@ -69,27 +69,19 @@ class TestStudy:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--engine", "flat"], ["--workers", "2"], ["--executor", "process"]],
-        ids=["engine", "workers", "process"],
+        [
+            ["--engine", "flat"], ["--workers", "2"], ["--executor", "process"],
+            ["--executor", "sharded"], ["--shards", "2"],
+            ["--shard-partition", "balanced"],
+        ],
+        ids=[
+            "engine", "workers", "process", "sharded", "shards",
+            "shard-partition",
+        ],
     )
     def test_removed_flags_rejected(self, flags):
         with pytest.raises(SystemExit):
             main(["study", "--rounds", "1", "--nodes", "6", *flags])
-
-    def test_sharded_executor_flags(self, tmp_path):
-        out_json = tmp_path / "run.json"
-        code = main([
-            "study", "--rounds", "1", "--nodes", "6",
-            "--executor", "sharded", "--shards", "2",
-            "--shard-partition", "balanced",
-            "--out", str(out_json),
-        ])
-        assert code == 0
-        payload = json.loads(out_json.read_text())
-        assert payload["metadata"]["executor"] == "sharded"
-        assert payload["metadata"]["n_shards"] == 2
-        assert payload["metadata"]["shard_partition"] == "balanced"
-        assert "n_workers" not in payload["metadata"]
 
     def test_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
@@ -100,7 +92,7 @@ class TestStudy:
         [
             (["--nodes", "1"], "need at least two nodes"),
             (["--train-batch", "-1"], "train_batch must be >= 0"),
-            (["--shards", "-1"], "n_shards must be non-negative"),
+            (["--drop-prob", "1.5"], "drop_prob must be in [0, 1)"),
             (["--eval-batch", "-1"], "per-node observer loop"),
         ],
     )
@@ -372,7 +364,8 @@ class TestCampaign:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--grid", "dropout_mode=foo"], "dropout_mode must be 'stream'"),
+            (["--grid", "executor=sharded"],
+             "executor must be 'serial' or 'batched'"),
             (["--grid", "seed=1,2", "--set", "n_nodes=1"],
              "need at least two nodes"),
             (["--grid", "no_such_knob=1"], "unknown StudyConfig field"),
@@ -439,7 +432,7 @@ class TestFlagSurface:
             "nodes": None, "view_size": None, "rounds": None, "beta": None,
             "dp_epsilon": None, "dropout": 0.0, "canaries": 0,
             "drop_prob": 0.0, "failure_prob": 0.0, "executor": "serial",
-            "shards": 0, "shard_partition": "contiguous", "train_batch": 0,
+            "train_batch": 0,
             "arena_dtype": "float64", "eval_batch": 0, "seed": 0,
             "checkpoint": None, "resume": None, "out": None, "csv": None,
             "telemetry": False, "trace_out": None,
@@ -454,8 +447,7 @@ class TestFlagSurface:
             "--scale": ["tiny", "small", "paper"],
             "--protocol": ["samo", "base_gossip", "base_gossip_partial"],
             "--sampler": ["static", "peerswap", "fresh"],
-            "--executor": ["serial", "batched", "sharded"],
-            "--shard-partition": ["contiguous", "balanced"],
+            "--executor": ["serial", "batched"],
             "--arena-dtype": ["float32", "float64"],
         }
 

@@ -2,8 +2,9 @@
 
 Every rule here is a postmortem made permanent: the determinism
 contract the executor-equivalence suites assert dynamically (PRs 3-6),
-the service-layer race sweep of PR 8, the SharedArena/executor close
-discipline of PR 4, and PR 9's telemetry-travels-by-reference purity
+the service-layer race sweep of PR 8, the close discipline of
+executors, simulators and service objects (PR 4), and PR 9's
+telemetry-travels-by-reference purity
 rule. ``make lint`` runs it over the whole tree; a new violation of
 any of these invariants fails CI before it can ship.
 

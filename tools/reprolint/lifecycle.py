@@ -1,10 +1,11 @@
 """Resource-lifecycle rules (the ``lifecycle-*`` family).
 
 The project pass collects every class in ``src/`` that defines or
-inherits ``close()`` — SharedArena, the executors, FlatGossipSimulator,
-Study, JobManager, JobJournal, StudyService. Instantiating one takes
-on a release obligation (PR 4's shared-memory segments leak into
-``/dev/shm`` if dropped; executors leak worker processes), so
+inherits ``close()`` — the executors, FlatGossipSimulator, Study,
+JobManager, JobJournal, StudyService. Instantiating one takes on a
+release obligation (a dropped JobManager or StudyService leaks its
+worker threads and journal file; PR 4's shared-memory segments, since
+removed, leaked into ``/dev/shm``), so
 ``lifecycle-unmanaged`` flags a bare constructor call unless the
 obligation is visibly discharged or handed off:
 
@@ -145,7 +146,7 @@ class UnmanagedResourceRule(Rule):
                 node,
                 f"{cls} owns a close(); construct it under `with`, close "
                 "it in a `finally`, or register weakref.finalize — a "
-                "dropped instance leaks processes or /dev/shm segments",
+                "dropped instance leaks the threads or files it holds",
             )
 
     def _discharged(

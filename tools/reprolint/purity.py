@@ -9,8 +9,7 @@
 * ``purity-telemetry-field`` (``src/``) — telemetry travels BY
   REFERENCE (PR 9): a ``Telemetry``/``Tracer``/``MetricsRegistry``
   object on a ``*Config`` or ``*Task`` dataclass would ride into
-  ``config_hash``, the job manager's dedup index and the shard wire
-  codec.
+  ``config_hash`` and the job manager's dedup index.
   Annotations are the statically visible surface of that contract.
 * ``purity-config-import`` (``src/repro/core/config.py``) — the config
   layer never imports ``repro.telemetry``.
